@@ -47,6 +47,7 @@ from .hybrid import (
     first_return,
     flow_left,
     flow_slide,
+    return_map,
     return_multiplier,
     return_multiplier_normal_form,
 )

@@ -24,7 +24,6 @@ from .hybrid import (
     EventConfig,
     HybridParams,
     LambdaResult,
-    LambdaStatus,
     return_multiplier,
 )
 from .simulate import (
@@ -48,10 +47,11 @@ from .stability import (
     UnstableRightward,
     classify_equilibrium,
 )
-from .sweep import JOBS_ENV_VAR, render_grid, sweep
+from .sweep import render_grid, sweep
 
 FIG_PANEL_A = (-1.2, -0.2, 0.2, 1.2)
 FIG_PANEL_B = (0.5, 2.0, 5.0)
+STEPS = DEFAULT_EVENT_CONFIG.steps_per_rotation
 
 
 def _slug(exc: Exception) -> str:
@@ -66,13 +66,9 @@ def _fail(exc: Exception) -> int:
 
 
 def _verdict_line(result: LambdaResult) -> str:
-    if result.status is LambdaStatus.MARGINAL:
+    if result.stable is None:
         return "marginal (multiplier at 1; no stability conclusion)"
-    if result.status in (LambdaStatus.UNDEFINED_CONVERGED,):
-        return "asymptotically stable"
-    if result.status is LambdaStatus.UNDEFINED_DIVERGED:
-        return "unstable"
-    return ("asymptotically stable" if result.value < 1.0 else "unstable")
+    return "asymptotically stable" if result.stable else "unstable"
 
 
 def _print_lambda(result: LambdaResult) -> None:
@@ -85,9 +81,7 @@ def _print_lambda(result: LambdaResult) -> None:
 
 
 def _event_config(args) -> EventConfig:
-    if getattr(args, "steps", None):
-        return EventConfig(steps_per_rotation=args.steps)
-    return DEFAULT_EVENT_CONFIG
+    return EventConfig(steps_per_rotation=args.steps)
 
 
 def cmd_lambda(args) -> int:
@@ -150,19 +144,10 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _jobs_from_env() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        return int(raw)
-    except ValueError:
-        return 1
-
-
 def cmd_sweep(args) -> int:
     try:
         grid = sweep(args.a, args.b, args.c_range, args.d_range,
-                     args.nc, args.nd, _event_config(args),
-                     jobs=_jobs_from_env())
+                     args.nc, args.nd, _event_config(args))
         render_grid(grid, args.out, args.format)
     except (FilippovError, OSError, ValueError) as exc:
         return _fail(exc)
@@ -207,13 +192,12 @@ def cmd_orbit_system(args) -> int:
 def cmd_fig_c(args) -> int:
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    jobs = _jobs_from_env()
     cfg = _event_config(args)
     start = time.perf_counter()
     for a in FIG_PANEL_A:
         for b in FIG_PANEL_B:
             grid = sweep(a, b, args.c_range, args.d_range, args.nc, args.nd,
-                         cfg, jobs=jobs)
+                         cfg)
             stem = os.path.join(out_dir, f"sweep_a{a:g}_b{b:g}")
             if args.format in ("csv", "both"):
                 render_grid(grid, stem + ".csv", "csv")
@@ -268,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
                                       "system for parameters (a, b, c, d)")
     for name in "abcd":
         p.add_argument(f"--{name}", type=float, required=True)
-    p.add_argument("--steps", type=int, default=0,
-                   help="stepping resolution per rotation (default 256)")
+    p.add_argument("--steps", type=int, default=STEPS,
+                   help=f"stepping resolution per rotation (default {STEPS})")
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("classify", help="full stability chain for a system "
                                         "file")
     p.add_argument("--system", required=True, help="system spec JSON file")
-    p.add_argument("--steps", type=int, default=0)
+    p.add_argument("--steps", type=int, default=STEPS)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sweep", help="classify a (c, d) grid for fixed "
@@ -290,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nd", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "pgm"), default="csv")
-    p.add_argument("--steps", type=int, default=0)
+    p.add_argument("--steps", type=int, default=STEPS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("orbit", help="export a hybrid-system orbit as CSV")
@@ -322,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-range", type=_parse_range, default=(0.0, 10.0),
                    metavar="LO:HI")
     p.add_argument("--format", choices=("csv", "pgm", "both"), default="both")
-    p.add_argument("--steps", type=int, default=0)
+    p.add_argument("--steps", type=int, default=STEPS)
     p.set_defaults(func=cmd_fig_c)
 
     p = sub.add_parser("check-appendix-b",
@@ -341,6 +325,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    for name in ("steps", "trials"):  # counts: below 1 is a usage error
+        if getattr(args, name, 1) < 1:
+            print(f"error: usage: --{name} must be a positive integer",
+                  file=sys.stderr)
+            return 2
     return args.func(args)
 
 

@@ -4,10 +4,11 @@ Orbits alternate between a 3D linear flow in the half-space y1 <= 0
 (switching to the sliding piece when they reach the plane y1 = 0) and a
 planar linear flow on that plane (switching back when they reach the line
 y1 = y2 = 0).  Both flows are evaluated from explicit spectral formulas,
-never by numerical integration.  Events are located by fixed stepping
+never by numerical integration.  The sliding segment's return is the
+exact first root of its closed form, for every eigenstructure of the
+planar block.  The regular segment's event is located by fixed stepping
 tied to the rotation period plus secant refinement (with a bisection
-fallback); the stepping is replaced by the exact root when the sliding
-block has real eigenvalues, where no oscillation can hide earlier roots.
+fallback).
 
 The multiplier of the first-return map to the line decides stability:
 values below 1 (or an orbit that never returns and decays) mean the
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -44,7 +45,7 @@ __all__ = [
     "left_matrix", "slide_block",
     "flow_left", "flow_slide",
     "first_hit_plane", "first_hit_line", "first_return",
-    "return_multiplier", "return_multiplier_normal_form",
+    "return_multiplier", "return_map", "return_multiplier_normal_form",
 ]
 
 # A return multiplier within this distance of 1 makes no stability claim.
@@ -84,8 +85,12 @@ class HybridParams:
 class EventConfig:
     """Tuning knobs for event location.
 
-    ``max_segments`` bounds the stepping iterations within one flow
-    segment; exceeding it is treated as divergence, with a diagnostic.
+    The sliding return is exact, so ``steps_per_rotation``,
+    ``max_secant_iters``, ``norm_floor`` and ``max_segments`` apply to the
+    regular segment only; ``norm_ceiling`` also bounds the return point of
+    the slide.  ``max_segments`` bounds the stepping iterations of the
+    regular segment; exceeding it is treated as divergence, with a
+    diagnostic.
     """
 
     steps_per_rotation: int = 256
@@ -126,6 +131,17 @@ class LambdaResult:
     @property
     def defined(self) -> bool:
         return self.status in (LambdaStatus.DEFINED, LambdaStatus.MARGINAL)
+
+    @property
+    def stable(self) -> Optional[bool]:
+        """True when the origin attracts (a multiplier below 1, or an
+        orbit that decays without returning), False when it repels, None
+        for a marginal multiplier."""
+        if self.status is LambdaStatus.MARGINAL:
+            return None
+        if self.status is LambdaStatus.DEFINED:
+            return self.value < 1.0
+        return self.status is LambdaStatus.UNDEFINED_CONVERGED
 
     def __post_init__(self):
         if self.status in (LambdaStatus.DEFINED, LambdaStatus.MARGINAL):
@@ -229,70 +245,74 @@ _PLANAR_REAL = "real"
 _PLANAR_RESONANT = "resonant"
 
 
-def _planar_kind(c: float, d: float) -> tuple[str, float]:
+class _PlanarModes(NamedTuple):
+    """The slide from (y2_0, y3_0) split along the eigenstructure of
+    [[c, 1], [-d, 0]].  ``kind`` fixes the meaning of the rates p, q and
+    of the mode coefficients m = (m2, m3):
+
+    - complex: y(t) = e^{pt} (cos(qt) y0 + sin(qt) m), eigenvalues p +/- iq;
+    - real: y2(t) = m2 e^{pt} + m3 e^{qt}, eigenvalues p > q, whose
+      eigenvectors (1, p - c) = (1, -q) and (1, -p) give y3;
+    - resonant: y(t) = e^{pt} (y0 + t m), double eigenvalue p = q.
+    """
+
+    kind: str
+    p: float
+    q: float
+    y2_0: float
+    y3_0: float
+    m2: float
+    m3: float
+
+    def at(self, t: float) -> tuple[float, float]:
+        """(y2, y3) at time t."""
+        if self.kind == _PLANAR_COMPLEX:
+            ec = math.exp(self.p * t)
+            co = math.cos(self.q * t)
+            si = math.sin(self.q * t)
+            return (ec * (co * self.y2_0 + si * self.m2),
+                    ec * (co * self.y3_0 + si * self.m3))
+        if self.kind == _PLANAR_REAL:
+            e1 = math.exp(self.p * t)
+            e2 = math.exp(self.q * t)
+            return (self.m2 * e1 + self.m3 * e2,
+                    -self.m2 * self.q * e1 - self.m3 * self.p * e2)
+        er = math.exp(self.p * t)
+        return er * (self.y2_0 + t * self.m2), er * (self.y3_0 + t * self.m3)
+
+
+def _planar_modes(c: float, d: float, y2_0: float, y3_0: float,
+                  ) -> _PlanarModes:
     disc = c * c - 4.0 * d
     tol = 1e-12 * max(1.0, c * c + 4.0 * abs(d))
     if disc < -tol:
-        return _PLANAR_COMPLEX, disc
-    if disc > tol:
-        return _PLANAR_REAL, disc
-    return _PLANAR_RESONANT, disc
-
-
-def _planar_flow(c: float, d: float, y2_0: float, y3_0: float,
-                 ) -> Callable[[float], tuple[float, float]]:
-    kind, disc = _planar_kind(c, d)
-    if kind == _PLANAR_COMPLEX:
         alpha = c / 2.0
         beta = math.sqrt(-disc) / 2.0
-        g2 = (c * y2_0 + y3_0 - alpha * y2_0) / beta
-        g3 = (-d * y2_0 - alpha * y3_0) / beta
-
-        def flow(t: float) -> tuple[float, float]:
-            ec = math.exp(alpha * t)
-            co = math.cos(beta * t)
-            si = math.sin(beta * t)
-            return ec * (co * y2_0 + si * g2), ec * (co * y3_0 + si * g3)
-
-        return flow
-    if kind == _PLANAR_REAL:
+        return _PlanarModes(_PLANAR_COMPLEX, alpha, beta, y2_0, y3_0,
+                            (c * y2_0 + y3_0 - alpha * y2_0) / beta,
+                            (-d * y2_0 - alpha * y3_0) / beta)
+    if disc > tol:
         root = math.sqrt(disc)
         r1 = (c + root) / 2.0
         r2 = (c - root) / 2.0
         k1 = (y3_0 + r1 * y2_0) / (r1 - r2)
-        k2 = y2_0 - k1
-
-        def flow(t: float) -> tuple[float, float]:
-            e1 = math.exp(r1 * t)
-            e2 = math.exp(r2 * t)
-            # eigenvector for r_i is (1, r_i - c) = (1, -r_j)
-            return k1 * e1 + k2 * e2, -k1 * r2 * e1 - k2 * r1 * e2
-
-        return flow
+        return _PlanarModes(_PLANAR_REAL, r1, r2, y2_0, y3_0, k1, y2_0 - k1)
     r = c / 2.0
-    w2 = c * y2_0 + y3_0 - r * y2_0
-    w3 = -d * y2_0 - r * y3_0
-
-    def flow(t: float) -> tuple[float, float]:
-        er = math.exp(r * t)
-        return er * (y2_0 + t * w2), er * (y3_0 + t * w3)
-
-    return flow
+    return _PlanarModes(_PLANAR_RESONANT, r, r, y2_0, y3_0,
+                        c * y2_0 + y3_0 - r * y2_0, -d * y2_0 - r * y3_0)
 
 
-def _hybrid_spectrum(params: HybridParams) -> tuple[float, float, float]:
+def _hybrid_spectrum(a: float, b: float) -> tuple[float, float, float]:
     """(mu, alpha, beta) of the regular piece: mu = -1 exactly."""
-    alpha = params.a / 2.0
-    beta = math.sqrt(4.0 * params.b - params.a * params.a) / 2.0
-    return -1.0, alpha, beta
+    return -1.0, a / 2.0, math.sqrt(4.0 * b - a * a) / 2.0
 
 
 def flow_left(params: HybridParams, y0, t: float) -> np.ndarray:
     """Closed-form regular flow at time t >= 0."""
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    mu, alpha, beta = _hybrid_spectrum(params)
-    flow = _spiral_flow(left_matrix(params.a, params.b), mu, alpha, beta, y0)
+    flow = _spiral_flow(left_matrix(params.a, params.b),
+                        *_hybrid_spectrum(params.a, params.b), y0)
     return np.array(flow(float(t)))
 
 
@@ -305,8 +325,8 @@ def flow_slide(params: HybridParams, y0, t: float) -> np.ndarray:
     y0 = np.asarray(y0, dtype=float)
     if abs(y0[0]) > 1e-9 * max(1.0, float(np.linalg.norm(y0))):
         raise ValueError("y0 is not on the switching plane (y1 != 0)")
-    flow = _planar_flow(params.c, params.d, float(y0[1]), float(y0[2]))
-    z2, z3 = flow(float(t))
+    modes = _planar_modes(params.c, params.d, float(y0[1]), float(y0[2]))
+    z2, z3 = modes.at(float(t))
     return np.array([0.0, z2, z3])
 
 
@@ -318,9 +338,9 @@ def _norm3(y: tuple[float, float, float]) -> float:
     return math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
 
 
-def _refine_root(flow, idx: int, lo: float, m_lo: float, hi: float,
-                 m_hi: float, cfg: EventConfig):
-    """Secant iteration on t -> flow(t)[idx] inside a sign-change bracket,
+def _refine_root(flow, lo: float, m_lo: float, hi: float, m_hi: float,
+                 cfg: EventConfig):
+    """Secant iteration on t -> flow(t)[0] inside a sign-change bracket,
     falling back to bisection whenever an iterate leaves the bracket."""
     if m_hi == 0.0:
         return hi, flow(hi)
@@ -337,7 +357,7 @@ def _refine_root(flow, idx: int, lo: float, m_lo: float, hi: float,
         if not (a_t < t2 < b_t):
             t2 = 0.5 * (a_t + b_t)
         y2 = flow(t2)
-        f2 = y2[idx]
+        f2 = y2[0]
         if abs(f2) <= cfg.secant_tol * max(1.0, _norm3(y2)):
             return t2, y2
         if abs(f2) < best_m:
@@ -351,11 +371,10 @@ def _refine_root(flow, idx: int, lo: float, m_lo: float, hi: float,
     return best_t, best_y  # tolerance not met; proceed with the best point
 
 
-def _find_crossing(flow, idx: int, interior_sign: float, dt: float,
-                   cfg: EventConfig):
-    """Step a closed-form flow until the monitored coordinate leaves the
-    interior sign, then refine.  Returns ("event", t, y) or
-    ("converged"|"diverged", detail).
+def _find_crossing(flow, dt: float, cfg: EventConfig):
+    """Step a closed-form flow until its first coordinate leaves y1 < 0,
+    then refine.  Returns ("event", t, y) or ("converged"|"diverged",
+    detail).
     """
     try:
         y = flow(0.0)
@@ -367,27 +386,26 @@ def _find_crossing(flow, idx: int, interior_sign: float, dt: float,
     if norm0 > cfg.norm_ceiling:
         return ("diverged", "norm above ceiling at segment start")
     t_prev = 0.0
-    m_prev = y[idx]
+    m_prev = y[0]
     if abs(m_prev) <= cfg.secant_tol * max(1.0, norm0):
         # trivial root at the segment start: advance one full step before
         # arming detection (the orbit enters the interior quadratically)
         t_prev = dt
         y = flow(dt)
-        m_prev = y[idx]
+        m_prev = y[0]
         nrm = _norm3(y)
         if nrm < cfg.norm_floor:
             return ("converged", "norm below floor")
         if nrm > cfg.norm_ceiling:
             return ("diverged", "norm above ceiling")
-        if m_prev * interior_sign < 0.0:
+        if m_prev > 0.0:
             # left the interior within the very first step; bracket against
             # a point just past the excluded trivial root
             lo = dt * 1e-9
             y_lo = flow(lo)
-            m_lo = y_lo[idx]
-            if m_lo * interior_sign > 0.0:
-                t_hit, y_hit = _refine_root(flow, idx, lo, m_lo,
-                                            dt, m_prev, cfg)
+            m_lo = y_lo[0]
+            if m_lo < 0.0:
+                t_hit, y_hit = _refine_root(flow, lo, m_lo, dt, m_prev, cfg)
                 return ("event", t_hit, y_hit)
     steps = 0
     while steps < cfg.max_segments:
@@ -397,13 +415,13 @@ def _find_crossing(flow, idx: int, interior_sign: float, dt: float,
             y = flow(t_cur)
         except OverflowError:
             return ("diverged", "overflow during stepping")
-        m_cur = y[idx]
-        if not (math.isfinite(m_cur) and math.isfinite(y[0])
-                and math.isfinite(y[1]) and math.isfinite(y[2])):
+        m_cur = y[0]
+        if not (math.isfinite(m_cur) and math.isfinite(y[1])
+                and math.isfinite(y[2])):
             return ("diverged", "non-finite state")
-        if m_cur * interior_sign <= 0.0 and m_prev * interior_sign > 0.0:
-            t_hit, y_hit = _refine_root(flow, idx, t_prev, m_prev,
-                                        t_cur, m_cur, cfg)
+        if m_cur >= 0.0 and m_prev < 0.0:
+            t_hit, y_hit = _refine_root(flow, t_prev, m_prev, t_cur, m_cur,
+                                        cfg)
             return ("event", t_hit, y_hit)
         nrm = _norm3(y)
         if nrm < cfg.norm_floor:
@@ -426,7 +444,7 @@ def _plane_hit_spiral(M, mu: float, alpha: float, beta: float, y0,
     """First time the regular flow from y0 (with y1 <= 0) reaches y1 = 0."""
     flow = _spiral_flow(M, mu, alpha, beta, y0)
     dt = 2.0 * math.pi / (beta * cfg.steps_per_rotation)
-    result = _find_crossing(flow, 0, -1.0, dt, cfg)
+    result = _find_crossing(flow, dt, cfg)
     if result[0] != "event":
         return _termination(result[0], result[1] + " (regular segment)")
     _, t_hit, y_hit = result
@@ -437,63 +455,43 @@ def _plane_hit_spiral(M, mu: float, alpha: float, beta: float, y0,
 def _line_hit_block(c: float, d: float, y2_0: float, y3_0: float,
                     cfg: EventConfig) -> Union[SegmentEvent, Termination]:
     """First time the sliding flow from (0, y2_0, y3_0), y2_0 > 0,
-    reaches y2 = 0."""
-    kind, disc = _planar_kind(c, d)
-    if kind == _PLANAR_COMPLEX:
-        flow2 = _planar_flow(c, d, y2_0, y3_0)
-
-        def flow(t: float) -> tuple[float, float, float]:
-            z2, z3 = flow2(t)
-            return (0.0, z2, z3)
-
-        omega = math.sqrt(-disc) / 2.0
-        dt = 2.0 * math.pi / (omega * cfg.steps_per_rotation)
-        result = _find_crossing(flow, 1, 1.0, dt, cfg)
-        if result[0] != "event":
-            return _termination(result[0], result[1] + " (sliding segment)")
-        _, t_hit, y_hit = result
-        return SegmentEvent(t_hit, (0.0, y_hit[1], y_hit[2]),
-                            "slide-to-return")
-
-    # Non-oscillatory block: the crossing time is available in closed form,
-    # so stepping would only add cost and a step-limit failure mode.
-    if kind == _PLANAR_REAL:
-        root = math.sqrt(disc)
-        r1 = (c + root) / 2.0
-        r2 = (c - root) / 2.0
-        k1 = (y3_0 + r1 * y2_0) / (r1 - r2)
-        k2 = y2_0 - k1
-        t_hit = None
-        if k1 != 0.0 and k2 != 0.0 and (k1 > 0.0) != (k2 > 0.0):
-            ratio = -k2 / k1
-            if ratio > 1.0:
-                t_hit = math.log(ratio) / (r1 - r2)
-        if t_hit is None:
-            rate = r1 if k1 != 0.0 else r2
-            if rate < 0.0:
-                return _termination("converged",
-                                    "slide decays without returning "
+    reaches y2 = 0: the exact first root of the closed form."""
+    modes = _planar_modes(c, d, y2_0, y3_0)
+    try:
+        if modes.kind == _PLANAR_COMPLEX:
+            # y2(t) = e^{pt} R cos(qt - phi) with R = hypot(y2_0, m2) and
+            # phi = atan2(m2, y2_0) in (-pi/2, pi/2), as y2_0 > 0: the first
+            # zero is at qt - phi = pi/2, the only one in (0, pi/q)
+            t_hit = (math.atan2(modes.m2, y2_0) + math.pi / 2.0) / modes.q
+            y3_hit = (math.exp(modes.p * t_hit)
+                      * (modes.m3 * y2_0 - y3_0 * modes.m2)
+                      / math.hypot(y2_0, modes.m2))
+        else:
+            # y2 has at most one positive root (for a real pair only when
+            # m2 < 0, as y2_0 = m2 + m3 > 0 and p > q); without one, the
+            # slide decays or grows at its dominant rate
+            t_hit = None
+            if modes.kind == _PLANAR_REAL:
+                rate = modes.p if modes.m2 != 0.0 else modes.q
+                if modes.m2 < 0.0 and -modes.m3 / modes.m2 > 1.0:
+                    t_hit = (math.log(-modes.m3 / modes.m2)
+                             / (modes.p - modes.q))
+            else:
+                rate = modes.p
+                if modes.m2 < 0.0:
+                    t_hit = -y2_0 / modes.m2
+            if t_hit is None:
+                if rate < 0.0:
+                    return _termination("converged",
+                                        "slide decays without returning "
+                                        "(sliding segment)")
+                return _termination("diverged",
+                                    "slide grows without returning "
                                     "(sliding segment)")
-            return _termination("diverged",
-                                "slide grows without returning "
-                                "(sliding segment)")
-        e1 = math.exp(r1 * t_hit)
-        e2 = math.exp(r2 * t_hit)
-        y3_hit = -k1 * r2 * e1 - k2 * r1 * e2
-    else:
-        r = c / 2.0
-        w2 = y3_0 + r * y2_0
-        if w2 >= 0.0:
-            if r < 0.0:
-                return _termination("converged",
-                                    "slide decays without returning "
-                                    "(sliding segment)")
-            return _termination("diverged",
-                                "slide grows without returning "
-                                "(sliding segment)")
-        t_hit = -y2_0 / w2
-        er = math.exp(r * t_hit)
-        y3_hit = er * (y3_0 + t_hit * (-d * y2_0 - r * y3_0))
+            y3_hit = modes.at(t_hit)[1]
+    except OverflowError:
+        return _termination("diverged",
+                            "overflow at the return (sliding segment)")
     if abs(y3_hit) > cfg.norm_ceiling:
         return _termination("diverged",
                             "norm above ceiling at the return "
@@ -514,9 +512,8 @@ def first_hit_plane(params: HybridParams, y0,
     y0 = tuple(float(v) for v in y0)
     if y0[0] > 1e-9 * max(1.0, _norm3(y0)):
         raise ValueError("y0 must lie in the half-space y1 <= 0")
-    mu, alpha, beta = _hybrid_spectrum(params)
     return _plane_hit_spiral(left_matrix(params.a, params.b),
-                             mu, alpha, beta, y0, cfg)
+                             *_hybrid_spectrum(params.a, params.b), y0, cfg)
 
 
 def first_hit_line(params: HybridParams, y0,
@@ -587,6 +584,27 @@ def return_multiplier(params: HybridParams,
     """The return-map multiplier: minus the image of -1 under the first
     return to the line, or the reason it is undefined."""
     return _result_from_outcome(first_return(params, -1.0, cfg))
+
+
+def return_map(a: float, b: float, cfg: EventConfig = DEFAULT_EVENT_CONFIG,
+               ) -> Callable[[float, float], LambdaResult]:
+    """The return multiplier as a function of (c, d), for fixed (a, b).
+
+    The regular segment depends on (a, b) only, so it is computed here,
+    once.  Each call checks its (c, d) through :class:`HybridParams`
+    (raising :class:`ConstraintViolationError`) and adds the slide.
+    """
+    if not b > a * a / 4.0:  # also rejects a NaN
+        raise ConstraintViolationError(
+            f"need b > a^2/4, got a = {a:g}, b = {b:g}")
+    plane = _plane_hit_spiral(left_matrix(a, b), *_hybrid_spectrum(a, b),
+                              (0.0, 0.0, -1.0), cfg)
+
+    def multiplier(c: float, d: float) -> LambdaResult:
+        HybridParams(a, b, c, d)
+        return _result_from_outcome(_compose_return(plane, c, d, cfg))
+
+    return multiplier
 
 
 def return_multiplier_normal_form(nf: NormalFormParams,

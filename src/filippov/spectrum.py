@@ -28,6 +28,7 @@ from .errors import (
 __all__ = [
     "ThreeReal", "RealPlusPair", "EigTriple", "eig3",
     "char_poly_coeffs", "nonzero_pair", "pair_sum_product",
+    "pair_from_sum_product",
     "NormalFormParams", "normal_form_from_spectrum",
     "companion_matrix", "companion_from_eigs",
     "decay_eigvectors", "decay_coefficients", "eig_gap_product",
@@ -181,15 +182,18 @@ def nonzero_pair(M, require_distinct: bool = False) -> tuple[complex, complex]:
             f"non-zero eigenvalue pair is (nearly) repeated "
             f"(quadratic discriminant {disc:.3e})",
             roots=(s / 2.0, s / 2.0))
+    return pair_from_sum_product(s, pr)
+
+
+def pair_from_sum_product(s: float, pr: float) -> tuple[complex, complex]:
+    """The roots of lambda^2 - s*lambda + pr, in descending order of real
+    part (then imaginary part)."""
+    disc = s * s - 4.0 * pr
     if disc >= 0.0:
         root = math.sqrt(disc)
-        lam1 = complex((s + root) / 2.0)
-        lam2 = complex((s - root) / 2.0)
-    else:
-        beta = math.sqrt(-disc) / 2.0
-        lam1 = complex(s / 2.0, beta)
-        lam2 = complex(s / 2.0, -beta)
-    return (lam1, lam2)
+        return (complex((s + root) / 2.0), complex((s - root) / 2.0))
+    beta = math.sqrt(-disc) / 2.0
+    return (complex(s / 2.0, beta), complex(s / 2.0, -beta))
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,6 @@ eigenvalues, yield a Degenerate verdict rather than a guess.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -22,7 +21,12 @@ import numpy as np
 from .core import BoundaryData
 from .errors import NearDegenerateError, NoZeroEigenvalueError
 from .hybrid import HybridParams
-from .spectrum import ThreeReal, eig3, pair_sum_product
+from .spectrum import (
+    ThreeReal,
+    eig3,
+    pair_from_sum_product,
+    pair_sum_product,
+)
 
 __all__ = [
     "UnstableRightward", "UnstableEigenvalue", "StableNode", "Rotational",
@@ -113,15 +117,6 @@ def hybrid_params_from_spectrum(alpha: float, beta: float, gamma: float,
     )
 
 
-def _pair_from_sum_product(s: float, pr: float) -> tuple[complex, complex]:
-    disc = s * s - 4.0 * pr
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        return (complex((s + root) / 2.0), complex((s - root) / 2.0))
-    beta = math.sqrt(-disc) / 2.0
-    return (complex(s / 2.0, beta), complex(s / 2.0, -beta))
-
-
 def classify_equilibrium(bd: BoundaryData) -> StabilityVerdict:
     """Apply the trichotomy to boundary-equilibrium data."""
     if bd.ptq > 0.0:
@@ -148,7 +143,7 @@ def classify_equilibrium(bd: BoundaryData) -> StabilityVerdict:
         s_sum, s_prod = pair_sum_product(bd.B)
     except NoZeroEigenvalueError as exc:
         return Degenerate(f"sliding Jacobian lacks its zero eigenvalue: {exc}")
-    pair = _pair_from_sum_product(s_sum, s_prod)
+    pair = pair_from_sum_product(s_sum, s_prod)
 
     # a positive real eigenvalue of either matrix settles instability
     if isinstance(eigs_a, ThreeReal):

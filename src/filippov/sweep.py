@@ -8,14 +8,12 @@ a per-cell numerical failure).  Cells are evaluated at their centers.
 
 The regular segment of the return map depends only on (a, b), so it is
 computed once per grid and reused for every cell.  Output is
-deterministic and independent of the number of worker processes.
+deterministic.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -25,21 +23,13 @@ from .errors import FilippovError
 from .hybrid import (
     DEFAULT_EVENT_CONFIG,
     EventConfig,
-    HybridParams,
-    LambdaStatus,
-    _compose_return,
-    _plane_hit_spiral,
-    _result_from_outcome,
-    left_matrix,
+    return_map,
 )
 
 __all__ = ["CellVerdict", "SweepGrid", "sweep", "render_grid",
-           "cell_centers", "JOBS_ENV_VAR"]
+           "cell_centers"]
 
 log = logging.getLogger(__name__)
-
-# Number of worker processes for sweeps run from the CLI (0 = all cores).
-JOBS_ENV_VAR = "FILIPPOV_JOBS"
 
 
 class CellVerdict(Enum):
@@ -49,6 +39,9 @@ class CellVerdict(Enum):
     GRAY = "gray"    # marginal multiplier or per-cell failure
 
 
+# LambdaResult.stable -> colour
+_COLOUR = {True: CellVerdict.BLUE, False: CellVerdict.RED,
+           None: CellVerdict.GRAY}
 _PGM_LEVEL = {CellVerdict.WHITE: 255, CellVerdict.BLUE: 64,
               CellVerdict.RED: 160, CellVerdict.GRAY: 128}
 
@@ -83,53 +76,26 @@ def _white(a: float, b: float, c: float, d: float) -> bool:
     return b <= a * a / 4.0 or d <= 0.0 or (c > 0.0 and d < c * c / 4.0)
 
 
-def _classify_cell(plane_result, a: float, b: float, c: float, d: float,
-                   cfg: EventConfig) -> tuple[CellVerdict, str]:
+def _classify_cell(multiplier, a: float, b: float, c: float, d: float,
+                   ) -> tuple[CellVerdict, str]:
     if _white(a, b, c, d):
         return CellVerdict.WHITE, "not-applicable"
     try:
-        HybridParams(a, b, c, d)  # cells on the validity boundary fail here
-        result = _result_from_outcome(_compose_return(plane_result, c, d, cfg))
+        result = multiplier(c, d)  # cells on the validity boundary fail here
     except FilippovError as exc:
         log.warning("cell (c=%g, d=%g) failed: %s", c, d, exc)
         return CellVerdict.GRAY, f"error: {exc}"
-    if result.status is LambdaStatus.DEFINED:
-        verdict = CellVerdict.BLUE if result.value < 1.0 else CellVerdict.RED
-        return verdict, repr(result.value)
-    if result.status is LambdaStatus.MARGINAL:
-        return CellVerdict.GRAY, repr(result.value)
-    if result.status is LambdaStatus.UNDEFINED_CONVERGED:
-        return CellVerdict.BLUE, "converged"
-    return CellVerdict.RED, "diverged"
-
-
-def _plane_result(a: float, b: float, cfg: EventConfig):
-    alpha = a / 2.0
-    beta = math.sqrt(4.0 * b - a * a) / 2.0
-    return _plane_hit_spiral(left_matrix(a, b), -1.0, alpha, beta,
-                             (0.0, 0.0, -1.0), cfg)
-
-
-def _sweep_column(args) -> tuple[tuple[CellVerdict, ...], tuple[str, ...]]:
-    a, b, c, d_values, cfg = args
-    plane = None if b <= a * a / 4.0 else _plane_result(a, b, cfg)
-    verdicts = []
-    details = []
-    for d in d_values:
-        verdict, detail = _classify_cell(plane, a, b, c, d, cfg)
-        verdicts.append(verdict)
-        details.append(detail)
-    return tuple(verdicts), tuple(details)
+    if result.defined:
+        detail = repr(result.value)
+    else:
+        detail = "converged" if result.stable else "diverged"
+    return _COLOUR[result.stable], detail
 
 
 def sweep(a: float, b: float, c_range: tuple[float, float],
           d_range: tuple[float, float], nc: int, nd: int,
-          cfg: EventConfig = DEFAULT_EVENT_CONFIG, jobs: int = 1) -> SweepGrid:
-    """Evaluate the verdict on an nc x nd grid of cell centers.
-
-    ``jobs`` > 1 distributes columns over worker processes; 0 uses all
-    cores.  The result is identical for any degree of parallelism.
-    """
+          cfg: EventConfig = DEFAULT_EVENT_CONFIG) -> SweepGrid:
+    """Evaluate the verdict on an nc x nd grid of cell centers."""
     c_min, c_max = (float(v) for v in c_range)
     d_min, d_max = (float(v) for v in d_range)
     if nc < 2 or nd < 2:
@@ -142,31 +108,15 @@ def sweep(a: float, b: float, c_range: tuple[float, float],
         warnings.warn(f"b = {b:g} <= a^2/4 = {a * a / 4.0:g}: the regular "
                       "piece does not rotate, every cell is not-applicable",
                       stacklevel=2)
-    c_values = cell_centers(c_min, c_max, nc)
-    d_values = cell_centers(d_min, d_max, nd)
-    tasks = [(a, b, c, d_values, cfg) for c in c_values]
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    if jobs > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(jobs) as pool:
-            columns = pool.map(_sweep_column, tasks)
+        multiplier = None
     else:
-        # the regular segment is shared by every cell of the grid
-        plane = None if b <= a * a / 4.0 else _plane_result(a, b, cfg)
-        columns = []
-        for c in c_values:
-            col_v = []
-            col_s = []
-            for d in d_values:
-                verdict, detail = _classify_cell(plane, a, b, c, d, cfg)
-                col_v.append(verdict)
-                col_s.append(detail)
-            columns.append((tuple(col_v), tuple(col_s)))
+        multiplier = return_map(a, b, cfg)
+    d_values = cell_centers(d_min, d_max, nd)
+    columns = [[_classify_cell(multiplier, a, b, c, d) for d in d_values]
+               for c in cell_centers(c_min, c_max, nc)]
     return SweepGrid(a, b, c_min, c_max, d_min, d_max, nc, nd,
-                     tuple(col[0] for col in columns),
-                     tuple(col[1] for col in columns))
+                     tuple(tuple(v for v, _ in col) for col in columns),
+                     tuple(tuple(s for _, s in col) for col in columns))
 
 
 def render_grid(grid: SweepGrid, path, fmt: str = "csv") -> None:

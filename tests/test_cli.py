@@ -54,6 +54,33 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+def test_count_options_below_one_are_usage_errors(capsys, tmp_path):
+    path = write_spec(tmp_path, NORMAL_FORM_STABLE)
+    abcd = ("--a", "0.2", "--b", "5", "--c", "0.2", "--d", "1")
+    for argv in (
+            ("lambda", *abcd, "--steps", "-5"),
+            ("lambda", *abcd, "--steps", "0"),
+            ("classify", "--system", path, "--steps", "-5"),
+            ("sweep", "--a", "0.2", "--b", "5", "--c-range=-1:1",
+             "--d-range=0.25:2", "--nc", "4", "--nd", "4",
+             "--out", str(tmp_path / "grid.csv"), "--steps", "-5"),
+            ("fig-c", "--out", str(tmp_path / "panels"), "--nc", "4",
+             "--nd", "4", "--steps", "-5"),
+            ("check-appendix-b", "--trials", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: usage: ") and err.count("\n") == 1
+    assert not (tmp_path / "panels").exists()
+
+
+def test_lambda_steps_option(capsys):
+    code, out, _ = run(capsys, "lambda", "--a", "0.2", "--b", "5",
+                       "--c", "0.2", "--d", "1", "--steps", "512")
+    assert code == 0
+    assert "asymptotically stable" in out
+
+
 def test_classify_rotational_chain(capsys, tmp_path):
     path = write_spec(tmp_path, NORMAL_FORM_STABLE)
     code, out, _ = run(capsys, "classify", "--system", path)

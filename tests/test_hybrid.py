@@ -17,6 +17,7 @@ from filippov.hybrid import (
     flow_left,
     flow_slide,
     left_matrix,
+    return_map,
     return_multiplier,
     return_multiplier_normal_form,
     slide_block,
@@ -221,6 +222,43 @@ def test_line_hit_spiral_always_returns():
         assert ev.y_hit[2] < 0
 
 
+def test_line_hit_spiral_is_first_zero():
+    # the exact return time of a complex block is the first zero of y2:
+    # y2 stays positive before it, and it comes within half a turn
+    rng = np.random.default_rng(29)
+    cfg = EventConfig()
+    for _ in range(30):
+        c = rng.uniform(-2.0, 2.0)
+        d = rng.uniform(c * c / 4 + 0.05, c * c / 4 + 5.0)  # complex pair
+        params = HybridParams(0.1, 1.0, c, d)
+        beta = math.sqrt(4 * d - c * c) / 2
+        y0 = (0.0, rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0))
+        ev = first_hit_line(params, y0, cfg)
+        assert isinstance(ev, SegmentEvent)
+        assert ev.t_hit < math.pi / beta
+        for t in np.linspace(0.0, ev.t_hit, 1002)[1:-1]:
+            assert flow_slide(params, y0, t)[1] > 0
+        assert abs(flow_slide(params, y0, ev.t_hit)[1]) <= cfg.secant_tol
+
+
+def test_slide_below_norm_floor_still_returns():
+    # the slide passes far below the norm floor before it returns; its
+    # exact return gives Lambda, where stepping the slide stopped at the
+    # floor.  The value is the stepped one with the floor lowered to 1e-300.
+    result = return_multiplier(HybridParams(-1.2, 0.5, -2.115, 1.125))
+    assert result.status is LambdaStatus.DEFINED
+    assert abs(result.value - 3.587356021744259e-09) \
+        <= 1e-6 * 3.587356021744259e-09
+
+
+def test_slide_overflow_is_divergence():
+    # a nearly resonant complex block with a growing rate: exp overflows
+    # before the return
+    result = return_multiplier(HybridParams(0.2, 5.0, 1.0, 0.25 + 1e-11))
+    assert result.status is LambdaStatus.UNDEFINED_DIVERGED
+    assert result.stable is False
+
+
 def test_line_hit_real_block_decays_without_return():
     # eigenvalues -0.1, -0.9; start in the slow eigendirection
     # (1, r1 - c) = (1, 0.9): both components positive and decaying
@@ -284,6 +322,18 @@ def test_return_multiplier_constraint_violation():
         return_multiplier(HybridParams(0.2, 0.005, 0.0, 1.0))
 
 
+def test_return_map_matches_return_multiplier():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        params = random_valid_params(rng)
+        multiplier = return_map(params.a, params.b)
+        assert multiplier(params.c, params.d) == return_multiplier(params)
+    with pytest.raises(ConstraintViolationError):
+        return_map(0.2, 0.005)  # b <= a^2/4
+    with pytest.raises(ConstraintViolationError):
+        return_map(0.2, 5.0)(2.0, 1.0)  # d = c^2/4 with c > 0
+
+
 def test_lambda_result_marginal_rule():
     assert LambdaResult(LambdaStatus.MARGINAL, 1.0 + 5e-10).status \
         is LambdaStatus.MARGINAL
@@ -291,6 +341,14 @@ def test_lambda_result_marginal_rule():
         LambdaResult(LambdaStatus.DEFINED, 1.0 + 5e-10)  # inside the band
     with pytest.raises(Exception):
         LambdaResult(LambdaStatus.DEFINED, -0.5)
+
+
+def test_lambda_result_stable():
+    assert LambdaResult(LambdaStatus.DEFINED, 0.5).stable is True
+    assert LambdaResult(LambdaStatus.DEFINED, 2.0).stable is False
+    assert LambdaResult(LambdaStatus.MARGINAL, 1.0).stable is None
+    assert LambdaResult(LambdaStatus.UNDEFINED_CONVERGED).stable is True
+    assert LambdaResult(LambdaStatus.UNDEFINED_DIVERGED).stable is False
 
 
 def test_step_refinement_convergence():

@@ -50,13 +50,11 @@ def test_known_stable_cell():
     assert grid.verdicts[0][0] is CellVerdict.BLUE
 
 
-def test_sweep_deterministic_and_parallel_identical(tmp_path):
+def test_sweep_deterministic():
     kwargs = dict(c_range=(-1.5, 1.5), d_range=(0.2, 4.0), nc=6, nd=6)
     one = sweep(0.2, 5.0, **kwargs)
     two = sweep(0.2, 5.0, **kwargs)
     assert one == two
-    parallel = sweep(0.2, 5.0, jobs=2, **kwargs)
-    assert parallel == one
 
 
 def test_render_csv_deterministic(tmp_path):
@@ -105,10 +103,8 @@ def test_sweep_validates_grid():
 
 def test_cell_on_validity_boundary_is_gray():
     # d = c^2/4 exactly with c > 0 is not white (strict inequality) but
-    # the parameters are invalid: the cell fails gray with a reason
-    from filippov.sweep import _classify_cell, _plane_result
-    from filippov.hybrid import DEFAULT_EVENT_CONFIG as CFG
-    plane = _plane_result(0.2, 5.0, CFG)
-    verdict, detail = _classify_cell(plane, 0.2, 5.0, 2.0, 1.0, CFG)
-    assert verdict is CellVerdict.GRAY
-    assert detail.startswith("error:")
+    # the parameters are invalid: the cell fails gray with a reason.  The
+    # first cell's center is exactly (c, d) = (2, 1).
+    grid = sweep(0.2, 5.0, (1.5, 3.5), (0.5, 2.5), 2, 2)
+    assert grid.verdicts[0][0] is CellVerdict.GRAY
+    assert grid.details[0][0].startswith("error:")
