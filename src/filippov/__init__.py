@@ -57,7 +57,6 @@ from .simulate import (
     SimConfig,
     Terminal,
     export_orbit,
-    integrate_adaptive,
     return_multiplier_empirical,
     simulate,
     simulate_hybrid,

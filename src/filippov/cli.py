@@ -9,6 +9,7 @@ the form ``error: <kind>: <message>``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -63,6 +64,11 @@ def _slug(exc: Exception) -> str:
 def _fail(exc: Exception) -> int:
     print(f"error: {_slug(exc)}: {exc}", file=sys.stderr)
     return 1
+
+
+def _usage(message: str) -> int:
+    print(f"error: usage: {message}", file=sys.stderr)
+    return 2
 
 
 def _verdict_line(result: LambdaResult) -> str:
@@ -171,13 +177,9 @@ def cmd_orbit_system(args) -> int:
     try:
         x0 = [float(v) for v in args.x0.split(",")]
     except ValueError:
-        print("error: usage: --x0 must be three comma-separated numbers",
-              file=sys.stderr)
-        return 2
+        return _usage("--x0 must be three comma-separated numbers")
     if len(x0) != 3:
-        print("error: usage: --x0 must have exactly three components",
-              file=sys.stderr)
-        return 2
+        return _usage("--x0 must have exactly three components")
     try:
         spec = load_system_spec(args.system)
         cfg = SimConfig(dt=args.dt, t_max=args.t_max)
@@ -190,21 +192,23 @@ def cmd_orbit_system(args) -> int:
 
 
 def cmd_fig_c(args) -> int:
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     cfg = _event_config(args)
     start = time.perf_counter()
-    for a in FIG_PANEL_A:
-        for b in FIG_PANEL_B:
-            grid = sweep(a, b, args.c_range, args.d_range, args.nc, args.nd,
-                         cfg)
-            stem = os.path.join(out_dir, f"sweep_a{a:g}_b{b:g}")
-            if args.format in ("csv", "both"):
-                render_grid(grid, stem + ".csv", "csv")
-            if args.format in ("pgm", "both"):
-                render_grid(grid, stem + ".pgm", "pgm")
-            print(f"panel a={a:g} b={b:g} done "
-                  f"({time.perf_counter() - start:.1f}s elapsed)")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for a in FIG_PANEL_A:
+            for b in FIG_PANEL_B:
+                grid = sweep(a, b, args.c_range, args.d_range, args.nc,
+                             args.nd, cfg)
+                stem = os.path.join(args.out, f"sweep_a{a:g}_b{b:g}")
+                if args.format in ("csv", "both"):
+                    render_grid(grid, stem + ".csv", "csv")
+                if args.format in ("pgm", "both"):
+                    render_grid(grid, stem + ".pgm", "pgm")
+                print(f"panel a={a:g} b={b:g} done "
+                      f"({time.perf_counter() - start:.1f}s elapsed)")
+    except (FilippovError, OSError, ValueError) as exc:
+        return _fail(exc)
     return 0
 
 
@@ -327,9 +331,15 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     for name in ("steps", "trials"):  # counts: below 1 is a usage error
         if getattr(args, name, 1) < 1:
-            print(f"error: usage: --{name} must be a positive integer",
-                  file=sys.stderr)
-            return 2
+            return _usage(f"--{name} must be a positive integer")
+    for name in ("nc", "nd"):  # grid sizes: below 2 is a usage error
+        if getattr(args, name, 2) < 2:
+            return _usage(f"--{name} must be at least 2")
+    for name in ("c_range", "d_range"):
+        lo, hi = getattr(args, name, (0.0, 1.0))
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            return _usage(f"--{name.replace('_', '-')} must be finite "
+                          "with LO < HI")
     return args.func(args)
 
 

@@ -200,12 +200,19 @@ class FoldKind(Enum):
     DEGENERATE = "degenerate"
 
 
+def _rates_and_fields(system: FilippovSystem, x):
+    """(grad H . f_L, grad H . f_R, f_L, f_R) at x: the package's one
+    computation of the normal rates."""
+    x = np.asarray(x, dtype=float)
+    grad = gradient_fd(system.switch, x)
+    f_left, f_right = system.left(x), system.right(x)
+    return float(grad @ f_left), float(grad @ f_right), f_left, f_right
+
+
 def normal_rates(system: FilippovSystem, x) -> tuple[float, float]:
     """Rates of change of H along the left and right fields at x
     (grad H . f for each field)."""
-    x = np.asarray(x, dtype=float)
-    grad = gradient_fd(system.switch, x)
-    return float(grad @ system.left(x)), float(grad @ system.right(x))
+    return _rates_and_fields(system, x)[:2]
 
 
 def _rate_scale(system: FilippovSystem, x, field: VectorField) -> float:
@@ -236,12 +243,7 @@ def fold_curvature(system: FilippovSystem, x) -> float:
     change of the left normal rate along the left field.  Its sign on the
     tangency curve separates visible from invisible folds."""
     x = np.asarray(x, dtype=float)
-
-    def rate_left(point):
-        grad = gradient_fd(system.switch, point)
-        return float(grad @ system.left(point))
-
-    grad_rate = gradient_fd(rate_left, x)
+    grad_rate = gradient_fd(lambda point: normal_rates(system, point)[0], x)
     return float(grad_rate @ system.left(x))
 
 
@@ -266,10 +268,9 @@ def classify_fold(system: FilippovSystem, x) -> FoldKind:
 def sliding_field(system: FilippovSystem, x) -> np.ndarray:
     """Filippov sliding vector field at x: the convex combination of the
     two fields that is tangent to the surface."""
-    x = np.asarray(x, dtype=float)
-    rate_l, rate_r = normal_rates(system, x)
+    rate_l, rate_r, f_left, f_right = _rates_and_fields(system, x)
     gap = rate_l - rate_r
     if abs(gap) <= TANGENCY_TOL * (abs(rate_l) + abs(rate_r) + 1.0):
         raise DegenerateSlidingError(
             f"normal rates coincide ({rate_l:.3e} vs {rate_r:.3e})")
-    return (rate_l * system.right(x) - rate_r * system.left(x)) / gap
+    return (rate_l * f_right - rate_r * f_left) / gap

@@ -154,11 +154,13 @@ class LambdaResult:
                     (abs(self.value - 1.0) <= MARGINAL_TOL):
                 raise FilippovError("marginal status inconsistent with value")
 
-
-def _lambda_from_value(value: float, detail: str = "") -> LambdaResult:
-    status = (LambdaStatus.MARGINAL if abs(value - 1.0) <= MARGINAL_TOL
-              else LambdaStatus.DEFINED)
-    return LambdaResult(status, value, detail)
+    @classmethod
+    def from_value(cls, value: float, detail: str = "") -> "LambdaResult":
+        """A computed multiplier: marginal within MARGINAL_TOL of 1,
+        defined otherwise."""
+        status = (LambdaStatus.MARGINAL if abs(value - 1.0) <= MARGINAL_TOL
+                  else LambdaStatus.DEFINED)
+        return cls(status, value, detail)
 
 
 @dataclass(frozen=True)
@@ -573,7 +575,7 @@ def _outcome_of(term: Termination) -> str:
 
 def _result_from_outcome(out: ReturnOutcome) -> LambdaResult:
     if out.status == "returned":
-        return _lambda_from_value(-out.zeta, out.detail)
+        return LambdaResult.from_value(-out.zeta, out.detail)
     if out.status == "converged":
         return LambdaResult(LambdaStatus.UNDEFINED_CONVERGED, None, out.detail)
     return LambdaResult(LambdaStatus.UNDEFINED_DIVERGED, None, out.detail)

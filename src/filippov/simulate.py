@@ -3,16 +3,18 @@
 This module is the package's independent cross-check: it never uses the
 closed-form flows.  General nonlinear systems are integrated with
 classic fixed-step 4th-order steps inside each regime (left field, right
-field, or sliding), with events (surface hits, fold exits) localized by
-bisection.  Sliding motion integrates the sliding vector field with a
-projection back onto the surface after every step.
+field, or sliding).  Sliding motion integrates the sliding vector field
+with a projection back onto the surface after every step.
 
 The piecewise-linear hybrid system gets its own small fixed-step engine
-(same semantics, unrolled arithmetic), which provides the empirical
-return-multiplier oracle and the orbit exporter.
+(same semantics, float-tuple arithmetic), which provides the empirical
+return-multiplier oracle and the orbit exporter.  It walks the regular
+and the sliding leg with one loop.
 
-An adaptive 5th/4th-order integrator is included as a high-accuracy
-reference for smooth segments.
+Every event (surface hit, fold exit, return) of both engines is located
+by one bisection, :func:`_locate`, on the substep that crossed.  The
+closed forms in :mod:`filippov.hybrid` refine their roots separately, so
+that this cross-check shares no numerical code with what it checks.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .core import (
     RegionKind,
     classify_region,
     fold_curvature,
+    normal_rates,
     sliding_field,
 )
 from .errors import (
@@ -41,17 +44,12 @@ from .errors import (
     RepellingSlidingEncounteredError,
 )
 from .expr import gradient_fd
-from .hybrid import (
-    HybridParams,
-    LambdaResult,
-    LambdaStatus,
-    _lambda_from_value,
-)
+from .hybrid import HybridParams, LambdaResult, LambdaStatus
 
 __all__ = [
     "SimConfig", "Terminal", "Segment", "Orbit",
     "simulate", "simulate_hybrid", "return_multiplier_empirical",
-    "trace_tangency_curve", "export_orbit", "integrate_adaptive",
+    "trace_tangency_curve", "export_orbit",
 ]
 
 
@@ -98,55 +96,30 @@ class Orbit:
 
 
 # --------------------------------------------------------------------------
-# adaptive reference integrator (Dormand-Prince 5(4))
+# event location
 # --------------------------------------------------------------------------
 
-_DP_A = np.zeros((7, 7))
-_DP_A[1, :1] = (1 / 5,)
-_DP_A[2, :2] = (3 / 40, 9 / 40)
-_DP_A[3, :3] = (44 / 45, -56 / 15, 32 / 9)
-_DP_A[4, :4] = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
-_DP_A[5, :5] = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                -5103 / 18656)
-_DP_A[6, :6] = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-
-
-def integrate_adaptive(f: Callable[[float, np.ndarray], np.ndarray], y0,
-                       t_end: float, rtol: float = 1e-12,
-                       atol: float = 1e-14) -> np.ndarray:
-    """Integrate dy/dt = f(t, y) from t = 0 to t_end with adaptive
-    5th/4th-order embedded steps; returns the final state."""
-    y = np.asarray(y0, dtype=float).copy()
-    t = 0.0
-    if t_end == 0.0:
-        return y
-    if t_end < 0.0:
-        raise ValueError("t_end must be non-negative")
-    h = min(1e-2, t_end)
-    stages = np.zeros((7, y.size))
-    while t < t_end:
-        h = min(h, t_end - t)
-        stages[0] = f(t, y)
-        for i in range(1, 7):
-            yi = y + h * (_DP_A[i, :i] @ stages[:i])
-            stages[i] = f(t + _DP_C[i] * h, yi)
-        y5 = y + h * (_DP_B5 @ stages)
-        err = h * ((_DP_B5 - _DP_B4) @ stages)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if err_norm <= 1.0 or h <= 1e-14:
-            t += h
-            y = y5
-            if not np.all(np.isfinite(y)):
-                raise NonFiniteStateError("adaptive integration blew up")
-        factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-    return y
+def _locate(step, x_from, dt: float, monitor, tol: float):
+    """Bisect (0, dt] for the time at which ``monitor(step(x_from, tau))``
+    changes sign, given that it has done so by tau = dt.  Returns
+    (tau, state) as soon as |monitor| <= tol, else the upper end of the
+    bracket once it can no longer be halved (at most 80 halvings)."""
+    lo, hi = 0.0, dt
+    x_hi = step(x_from, hi)
+    m_hi = monitor(x_hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        x_mid = step(x_from, mid)
+        m_mid = monitor(x_mid)
+        if abs(m_mid) <= tol:
+            return mid, x_mid
+        if (m_mid > 0.0) == (m_hi > 0.0):
+            hi, x_hi, m_hi = mid, x_mid, m_mid
+        else:
+            lo = mid
+    return hi, x_hi
 
 
 # --------------------------------------------------------------------------
@@ -178,16 +151,7 @@ class _Sim:
         self.terminal: Optional[Terminal] = None
         self.detail = ""
 
-    # -- field helpers ------------------------------------------------
-
-    def rate_left(self, x) -> float:
-        return float(gradient_fd(self.h, x) @ self.system.left(x))
-
-    def rate_right(self, x) -> float:
-        return float(gradient_fd(self.h, x) @ self.system.right(x))
-
-    def slide_f(self, x) -> np.ndarray:
-        return sliding_field(self.system, x)
+    # -- surface projection ---------------------------------------------
 
     def project(self, x: np.ndarray) -> np.ndarray:
         grad = gradient_fd(self.h, x)
@@ -232,10 +196,10 @@ class _Sim:
             raise RepellingSlidingEncounteredError(
                 f"repelling sliding region reached at t = {self.t:g}")
         if region is RegionKind.CROSSING:
-            return "L" if self.rate_left(x) < 0.0 else "R"
+            return "L" if normal_rates(self.system, x)[0] < 0.0 else "R"
         # tangency: decide by the fold type when the right field points
         # toward the surface (the setting with unique forward evolution)
-        if self.rate_right(x) >= 0.0:
+        if normal_rates(self.system, x)[1] >= 0.0:
             raise FilippovError(
                 f"tangency with outward right field at t = {self.t:g}; "
                 "forward evolution not classified")
@@ -271,8 +235,8 @@ class _Sim:
                         f"{regime}-segment left its own side at "
                         f"t = {self.t:g} before re-entering it")
             elif h_new * interior <= 0.0:
-                tau, x_ev = self._bisect(f, self.x, dt,
-                                         lambda x: self.h(x))
+                tau, x_ev = _locate(lambda x, tau: _rk4(f, x, tau), self.x,
+                                    dt, self.h, self.cfg.event_refine_tol)
                 self.t += tau
                 self.x = x_ev
                 seg.samples.append((self.t, *map(float, self.x)))
@@ -281,41 +245,23 @@ class _Sim:
             self.x = x_new
             seg.samples.append((self.t, *map(float, self.x)))
 
-    def _bisect(self, fn, x_from: np.ndarray, dt: float,
-                monitor) -> tuple[float, np.ndarray]:
-        """Find tau in (0, dt] where the monitor of one RK4 substep from
-        x_from vanishes, to the event tolerance."""
-        lo, hi = 0.0, dt
-        x_hi = _rk4(fn, x_from, hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            x_mid = _rk4(fn, x_from, mid)
-            m_mid = monitor(x_mid)
-            if abs(m_mid) <= self.cfg.event_refine_tol:
-                return mid, x_mid
-            if (m_mid > 0.0) == (monitor(x_hi) > 0.0):
-                hi, x_hi = mid, x_mid
-            else:
-                lo = mid
-        return hi, x_hi
-
     # -- sliding-regime integration -----------------------------------------
 
     def run_slide(self) -> Optional[str]:
         seg = self.begin_segment("S")
         self.x = self.project(self.x)
-        armed = self.rate_left(self.x) > self.cfg.event_refine_tol
+        rate_left = lambda x: normal_rates(self.system, x)[0]
+        field = lambda x: sliding_field(self.system, x)
+        step = lambda x, tau: self.project(_rk4(field, x, tau))
+        armed = rate_left(self.x) > self.cfg.event_refine_tol
         wobbles = 0
         while True:
             if self.check_terminal():
                 return None
             dt = min(self.cfg.dt, self.cfg.t_max - self.t)
-            step = lambda x, tau: self.project(_rk4(self.slide_f, x, tau))
             x_new = step(self.x, dt)
-            rate_new = self.rate_left(x_new)
-            if self.rate_right(x_new) >= 0.0:
+            rate_new, rate_r = normal_rates(self.system, x_new)
+            if rate_r >= 0.0:
                 raise RepellingSlidingEncounteredError(
                     f"right field stopped pointing at the surface during "
                     f"sliding at t = {self.t:g}")
@@ -323,7 +269,8 @@ class _Sim:
                 if rate_new > self.cfg.event_refine_tol:
                     armed = True
             elif rate_new <= 0.0:
-                tau, x_ev = self._bisect_slide(step, self.x, dt)
+                tau, x_ev = _locate(step, self.x, dt, rate_left,
+                                    self.cfg.event_refine_tol)
                 curv = fold_curvature(self.system, x_ev)
                 if curv < 0.0:
                     self.t += tau
@@ -341,24 +288,6 @@ class _Sim:
             self.t += dt
             self.x = x_new
             seg.samples.append((self.t, *map(float, self.x)))
-
-    def _bisect_slide(self, step, x_from: np.ndarray,
-                      dt: float) -> tuple[float, np.ndarray]:
-        lo, hi = 0.0, dt
-        x_hi = step(x_from, hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            x_mid = step(x_from, mid)
-            r_mid = self.rate_left(x_mid)
-            if abs(r_mid) <= self.cfg.event_refine_tol:
-                return mid, x_mid
-            if (r_mid > 0.0) == (self.rate_left(x_hi) > 0.0):
-                hi, x_hi = mid, x_mid
-            else:
-                lo = mid
-        return hi, x_hi
 
     # -- main loop -------------------------------------------------
 
@@ -403,6 +332,21 @@ def simulate(system: FilippovSystem, x0, cfg: SimConfig,
 # hybrid-system engine (independent of the closed forms)
 # --------------------------------------------------------------------------
 
+def _rk4_tuple(f, y, h: float):
+    """One classic 4th-order step of dy/dt = f(y1, y2, y3) on a 3-tuple
+    of floats."""
+    y1, y2, y3 = y
+    k11, k12, k13 = f(y1, y2, y3)
+    k21, k22, k23 = f(y1 + 0.5 * h * k11, y2 + 0.5 * h * k12,
+                      y3 + 0.5 * h * k13)
+    k31, k32, k33 = f(y1 + 0.5 * h * k21, y2 + 0.5 * h * k22,
+                      y3 + 0.5 * h * k23)
+    k41, k42, k43 = f(y1 + h * k31, y2 + h * k32, y3 + h * k33)
+    return (y1 + h / 6.0 * (k11 + 2.0 * (k21 + k31) + k41),
+            y2 + h / 6.0 * (k12 + 2.0 * (k22 + k32) + k42),
+            y3 + h / 6.0 * (k13 + 2.0 * (k23 + k33) + k43))
+
+
 def _run_hybrid(params: HybridParams, z0: float, cfg: SimConfig,
                 stop_at_return: bool, record: bool):
     """Fixed-step RK4 on the hybrid rules.  Returns (orbit, returns)
@@ -413,139 +357,80 @@ def _run_hybrid(params: HybridParams, z0: float, cfg: SimConfig,
     def f_left(y1: float, y2: float, y3: float):
         return ((a - 1.0) * y1 + y2, (a - b) * y1 + y3, -b * y1)
 
-    def step_left(y1, y2, y3, h):
-        k11, k12, k13 = f_left(y1, y2, y3)
-        k21, k22, k23 = f_left(y1 + 0.5 * h * k11, y2 + 0.5 * h * k12,
-                               y3 + 0.5 * h * k13)
-        k31, k32, k33 = f_left(y1 + 0.5 * h * k21, y2 + 0.5 * h * k22,
-                               y3 + 0.5 * h * k23)
-        k41, k42, k43 = f_left(y1 + h * k31, y2 + h * k32, y3 + h * k33)
-        return (y1 + h / 6.0 * (k11 + 2.0 * (k21 + k31) + k41),
-                y2 + h / 6.0 * (k12 + 2.0 * (k22 + k32) + k42),
-                y3 + h / 6.0 * (k13 + 2.0 * (k23 + k33) + k43))
+    def f_slide(y1: float, y2: float, y3: float):
+        return (0.0, c * y2 + y3, -d * y2)
 
-    def f_slide(y2: float, y3: float):
-        return (c * y2 + y3, -d * y2)
-
-    def step_slide(y2, y3, h):
-        k11, k12 = f_slide(y2, y3)
-        k21, k22 = f_slide(y2 + 0.5 * h * k11, y3 + 0.5 * h * k12)
-        k31, k32 = f_slide(y2 + 0.5 * h * k21, y3 + 0.5 * h * k22)
-        k41, k42 = f_slide(y2 + h * k31, y3 + h * k32)
-        return (y2 + h / 6.0 * (k11 + 2.0 * (k21 + k31) + k41),
-                y3 + h / 6.0 * (k12 + 2.0 * (k22 + k32) + k42))
-
+    # regime -> (field, monitored coordinate, its sign inside the leg,
+    # divergence detail): the regular leg runs until y1 returns to 0 from
+    # below, the slide (y1 = 0) until y2 reaches 0
+    legs = {"L": (f_left, 0, -1.0, "regular segment"),
+            "S": (f_slide, 1, 1.0, "sliding segment")}
     dt = cfg.dt
     floor2 = cfg.norm_floor * cfg.norm_floor
     ceil2 = cfg.norm_ceiling * cfg.norm_ceiling
     t = 0.0
-    y1, y2, y3 = 0.0, 0.0, float(z0)
+    y = (0.0, 0.0, float(z0))
     segments: list[Segment] = []
     returns: list[float] = []
     terminal = None
     detail = ""
-
-    def bisect(stepper, state, monitor_idx):
-        # first tau in (0, dt] where the monitored component vanishes
-        lo, hi = 0.0, dt
-        s_hi = stepper(*state, hi)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            s_mid = stepper(*state, mid)
-            if abs(s_mid[monitor_idx]) <= cfg.event_refine_tol:
-                return mid, s_mid
-            if (s_mid[monitor_idx] > 0.0) == (s_hi[monitor_idx] > 0.0):
-                hi, s_hi = mid, s_mid
-            else:
-                lo = mid
-        return hi, s_hi
-
+    regime = "L"
     while True:
-        # --- regular segment from (0, 0, y3) or the current state ---
-        seg = Segment("L")
+        f, idx, interior, where = legs[regime]
+        seg = Segment(regime)
         if record:
-            seg.samples.append((t, y1, y2, y3))
+            seg.samples.append((t, *y))
             segments.append(seg)
-        armed = y1 < 0.0
+        # the slide is armed from its start; the regular leg, which
+        # starts on y1 = 0, once it has entered y1 < 0
+        armed = regime == "S"
         while True:
+            y1, y2, y3 = y
             n2 = y1 * y1 + y2 * y2 + y3 * y3
             if n2 < floor2:
                 terminal = Terminal.CONVERGED
                 break
             if n2 > ceil2:
                 terminal = Terminal.DIVERGED
-                detail = "regular segment"
+                detail = where
                 break
             if t >= cfg.t_max:
                 terminal = Terminal.TIMEOUT
                 break
             h = min(dt, cfg.t_max - t)
-            n1, n2_, n3 = step_left(y1, y2, y3, h)
-            if not armed and n1 < 0.0:
+            y_new = _rk4_tuple(f, y, h)
+            m_new = interior * y_new[idx]
+            if not armed and m_new > 0.0:
                 armed = True
-            if armed and n1 >= 0.0:
-                tau, (e1, e2, e3) = bisect(step_left, (y1, y2, y3), 0)
+            if armed and m_new <= 0.0:
+                tau, y_ev = _locate(lambda s, tau: _rk4_tuple(f, s, tau), y,
+                                    dt, lambda s: s[idx], cfg.event_refine_tol)
                 t += tau
-                y1, y2, y3 = 0.0, e2, e3
+                y = y_ev[:idx] + (0.0,) + y_ev[idx + 1:]
                 if record:
-                    seg.samples.append((t, y1, y2, y3))
+                    seg.samples.append((t, *y))
                 break
             t += h
-            y1, y2, y3 = n1, n2_, n3
-            if not (math.isfinite(y1) and math.isfinite(y2)
-                    and math.isfinite(y3)):
+            y = y_new
+            if not (math.isfinite(y_new[0]) and math.isfinite(y_new[1])
+                    and math.isfinite(y_new[2])):
                 raise NonFiniteStateError("hybrid state not finite")
             if record:
-                seg.samples.append((t, y1, y2, y3))
+                seg.samples.append((t, *y))
         if terminal is not None:
             break
-
-        # --- sliding segment on the plane until y2 = 0 ---
-        seg = Segment("S")
-        if record:
-            seg.samples.append((t, 0.0, y2, y3))
-            segments.append(seg)
-        while True:
-            n2 = y2 * y2 + y3 * y3
-            if n2 < floor2:
-                terminal = Terminal.CONVERGED
-                break
-            if n2 > ceil2:
-                terminal = Terminal.DIVERGED
-                detail = "sliding segment"
-                break
-            if t >= cfg.t_max:
-                terminal = Terminal.TIMEOUT
-                break
-            h = min(dt, cfg.t_max - t)
-            m2, m3 = step_slide(y2, y3, h)
-            if m2 <= 0.0:
-                tau, (e2, e3) = bisect(step_slide, (y2, y3), 0)
-                t += tau
-                y2, y3 = 0.0, e3
-                if record:
-                    seg.samples.append((t, 0.0, y2, y3))
-                returns.append(y3)
-                break
-            t += h
-            y2, y3 = m2, m3
-            if not (math.isfinite(y2) and math.isfinite(y3)):
-                raise NonFiniteStateError("hybrid state not finite")
-            if record:
-                seg.samples.append((t, 0.0, y2, y3))
-        if terminal is not None:
-            break
+        if regime == "L":
+            regime = "S"
+            continue
+        returns.append(y[2])
         if stop_at_return:
             terminal = Terminal.REACHED_EVENT
             break
-        if y3 >= 0.0:
+        if y[2] >= 0.0:
             terminal = Terminal.CONVERGED
             detail = "return at or above the origin"
             break
-        y1 = 0.0
-        # next regular segment continues from (0, 0, y3)
+        regime = "L"  # the next regular leg starts from (0, 0, y3)
 
     orbit = Orbit(segments if record else [], terminal, detail)
     return orbit, returns
@@ -573,7 +458,7 @@ def return_multiplier_empirical(params: HybridParams,
         if zeta >= 0.0:
             return LambdaResult(LambdaStatus.UNDEFINED_CONVERGED, None,
                                 "return at or above the origin")
-        return _lambda_from_value(-zeta, "empirical")
+        return LambdaResult.from_value(-zeta, "empirical")
     if orbit.terminal is Terminal.CONVERGED:
         return LambdaResult(LambdaStatus.UNDEFINED_CONVERGED, None,
                             orbit.detail or "norm below floor")
@@ -605,9 +490,7 @@ def trace_tangency_curve(system: FilippovSystem, bd: BoundaryData,
             "observability matrix is singular: the tangency curve is not "
             "guaranteed to be a curve here")
     h_field = system.switch
-
-    def rate_left(x):
-        return float(gradient_fd(h_field, x) @ system.left(x))
+    rate_left = lambda x: normal_rates(system, x)[0]
 
     def residual(x):
         return np.array([h_field(x), rate_left(x)])

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from filippov.cli import main
 
 
@@ -72,6 +74,40 @@ def test_count_options_below_one_are_usage_errors(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error: usage: ") and err.count("\n") == 1
     assert not (tmp_path / "panels").exists()
+
+
+SWEEP = ("sweep", "--a", "0.2", "--b", "5", "--format", "csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ("fig-c", "--nc", "1"),
+    ("fig-c", "--nd", "1"),
+    ("fig-c", "--c-range", "3:-3"),
+    ("fig-c", "--c-range", "nan:3"),
+    ("fig-c", "--d-range=0:inf"),
+    ("fig-c", "--d-range", "2:2"),
+    (*SWEEP, "--c-range=-1:1", "--d-range=0.25:2", "--nc", "1", "--nd", "4"),
+    (*SWEEP, "--c-range=-1:1", "--d-range=0.25:2", "--nc", "4", "--nd", "0"),
+    (*SWEEP, "--c-range=1:-1", "--d-range=0.25:2", "--nc", "4", "--nd", "4"),
+    (*SWEEP, "--c-range=-1:1", "--d-range=nan:2", "--nc", "4", "--nd", "4"),
+])
+def test_grid_options_are_usage_errors(capsys, tmp_path, argv):
+    out_path = tmp_path / ("panels" if argv[0] == "fig-c" else "grid.csv")
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: usage: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_fig_c_unwritable_output_fails_cleanly(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "fig-c", "--out", str(blocker / "panels"),
+                         "--nc", "2", "--nd", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_lambda_steps_option(capsys):

@@ -22,8 +22,8 @@ from filippov.hybrid import (
     return_multiplier_normal_form,
     slide_block,
 )
-from filippov.simulate import integrate_adaptive
 from filippov.spectrum import NormalFormParams, normal_form_from_spectrum
+from oracles import integrate_adaptive
 
 FIG_STABLE = (0.2, 5.0, 0.2, 1.0)
 FIG_UNSTABLE = (-0.2, 0.5, -0.5, 8.0)

@@ -1,5 +1,4 @@
 import csv
-import math
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from filippov.core import (
     fold_curvature,
     normal_rates,
 )
-from filippov.errors import RepellingSlidingEncounteredError
+from filippov.errors import FilippovError, RepellingSlidingEncounteredError
 from filippov.hybrid import HybridParams, LambdaStatus, return_multiplier
 from filippov.simulate import (
     Orbit,
@@ -22,7 +21,6 @@ from filippov.simulate import (
     SimConfig,
     Terminal,
     export_orbit,
-    integrate_adaptive,
     return_multiplier_empirical,
     simulate,
     simulate_hybrid,
@@ -37,23 +35,6 @@ def normal_form_system(a, b, c, d):
         ("-1", f"{c}", f"{-d}"),
         "x1",
     )
-
-
-# --------------------------------------------------------------------------
-# reference integrator
-# --------------------------------------------------------------------------
-
-def test_adaptive_integrator_exponential():
-    got = integrate_adaptive(lambda t, y: -y, np.array([1.0, 2.0, -1.0]), 3.0)
-    want = math.exp(-3.0) * np.array([1.0, 2.0, -1.0])
-    assert np.max(np.abs(got - want)) <= 1e-10
-
-
-def test_adaptive_integrator_rotation():
-    M = np.array([[0.0, -1.0], [1.0, 0.0]])
-    got = integrate_adaptive(lambda t, y: M @ y, np.array([1.0, 0.0]),
-                             math.pi)
-    assert np.max(np.abs(got - [-1.0, 0.0])) <= 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -197,6 +178,39 @@ def test_empirical_homogeneity():
     _, returns_one = _run_hybrid(params, -1.0, cfg, True, False)
     _, returns_two = _run_hybrid(params, -2.0, cfg, True, False)
     assert abs(returns_two[0] / returns_one[0] - 2.0) <= 1e-6
+
+
+@pytest.mark.parametrize("abcd, status, detail, last_regime", [
+    ((1.2, 0.37, -1, 1), LambdaStatus.UNDEFINED_DIVERGED,
+     "regular segment", "L"),
+    ((0.2, 5, 1, 0.25 + 1e-11), LambdaStatus.UNDEFINED_DIVERGED,
+     "sliding segment", "S"),
+    ((0.2, 0.5, -3, 0.3), LambdaStatus.UNDEFINED_CONVERGED,
+     "norm below floor", None),
+    ((-1.2, 0.5, -2.115, 1.125), LambdaStatus.UNDEFINED_CONVERGED,
+     "norm below floor", None),
+])
+def test_empirical_terminal_paths(abcd, status, detail, last_regime):
+    # orbits that leave the norm window before returning: the multiplier
+    # is undefined, and a divergence names the leg it happened in
+    params = HybridParams(*abcd)
+    cfg = SimConfig(dt=1e-2, t_max=200.0)
+    result = return_multiplier_empirical(params, cfg)
+    assert result.status is status
+    assert result.value is None
+    assert result.detail == detail
+    orbit = simulate_hybrid(params, -1.0, cfg)
+    want = Terminal.DIVERGED if last_regime else Terminal.CONVERGED
+    assert orbit.terminal is want
+    if last_regime:
+        assert orbit.detail == detail
+        assert orbit.segments[-1].regime == last_regime
+
+
+def test_empirical_needs_a_return_before_t_max():
+    with pytest.raises(FilippovError, match="raise t_max"):
+        return_multiplier_empirical(HybridParams(0.2, 5, 0.2, 1),
+                                    SimConfig(dt=1e-2, t_max=1.0))
 
 
 def test_filippov_realization_reproduces_return_iterates():
