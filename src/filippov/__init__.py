@@ -38,6 +38,7 @@ from .expr import (
 from .hybrid import (
     EventConfig,
     HybridParams,
+    LambdaArrays,
     LambdaResult,
     LambdaStatus,
     SegmentEvent,

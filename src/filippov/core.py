@@ -201,12 +201,13 @@ class FoldKind(Enum):
 
 
 def _rates_and_fields(system: FilippovSystem, x):
-    """(grad H . f_L, grad H . f_R, f_L, f_R) at x: the package's one
-    computation of the normal rates."""
+    """(grad H . f_L, grad H . f_R, f_L, f_R, grad H) at x: the package's
+    one computation of the normal rates."""
     x = np.asarray(x, dtype=float)
     grad = gradient_fd(system.switch, x)
     f_left, f_right = system.left(x), system.right(x)
-    return float(grad @ f_left), float(grad @ f_right), f_left, f_right
+    return (float(grad @ f_left), float(grad @ f_right), f_left, f_right,
+            grad)
 
 
 def normal_rates(system: FilippovSystem, x) -> tuple[float, float]:
@@ -215,9 +216,8 @@ def normal_rates(system: FilippovSystem, x) -> tuple[float, float]:
     return _rates_and_fields(system, x)[:2]
 
 
-def _rate_scale(system: FilippovSystem, x, field: VectorField) -> float:
-    grad = gradient_fd(system.switch, x)
-    return max(1.0, float(np.linalg.norm(grad) * np.linalg.norm(field(x))))
+def _rate_scale(grad: np.ndarray, field_value: np.ndarray) -> float:
+    return max(1.0, float(np.linalg.norm(grad) * np.linalg.norm(field_value)))
 
 
 def classify_region(system: FilippovSystem, x) -> RegionKind:
@@ -226,9 +226,9 @@ def classify_region(system: FilippovSystem, x) -> RegionKind:
     if abs(system.switch(x)) > EQ_TOL:
         raise NotOnSurfaceError(
             f"|H(x)| = {abs(system.switch(x)):.3e} exceeds {EQ_TOL:g}")
-    rate_l, rate_r = normal_rates(system, x)
-    tol_l = TANGENCY_TOL * _rate_scale(system, x, system.left)
-    tol_r = TANGENCY_TOL * _rate_scale(system, x, system.right)
+    rate_l, rate_r, f_left, f_right, grad = _rates_and_fields(system, x)
+    tol_l = TANGENCY_TOL * _rate_scale(grad, f_left)
+    tol_r = TANGENCY_TOL * _rate_scale(grad, f_right)
     if abs(rate_l) <= tol_l or abs(rate_r) <= tol_r:
         return RegionKind.TANGENCY
     if rate_l * rate_r > 0.0:
@@ -250,14 +250,14 @@ def fold_curvature(system: FilippovSystem, x) -> float:
 def classify_fold(system: FilippovSystem, x) -> FoldKind:
     """Classify a tangency-curve point by the sign of the fold curvature."""
     x = np.asarray(x, dtype=float)
-    rate_l, _ = normal_rates(system, x)
-    tol_l = TANGENCY_TOL * _rate_scale(system, x, system.left)
-    if abs(rate_l) > tol_l:
+    rate_l, _, f_left, _, grad = _rates_and_fields(system, x)
+    scale_l = _rate_scale(grad, f_left)
+    if abs(rate_l) > TANGENCY_TOL * scale_l:
         raise NotOnTangencyCurveError(
             f"left normal rate {rate_l:.3e} is not zero to tolerance")
     curv = fold_curvature(system, x)
     # Curvature is a second derivative; scale its tolerance accordingly.
-    scale = max(1.0, _rate_scale(system, x, system.left) ** 2)
+    scale = max(1.0, scale_l ** 2)
     if curv < -TANGENCY_TOL * scale:
         return FoldKind.VISIBLE
     if curv > TANGENCY_TOL * scale:
@@ -268,7 +268,7 @@ def classify_fold(system: FilippovSystem, x) -> FoldKind:
 def sliding_field(system: FilippovSystem, x) -> np.ndarray:
     """Filippov sliding vector field at x: the convex combination of the
     two fields that is tangent to the surface."""
-    rate_l, rate_r, f_left, f_right = _rates_and_fields(system, x)
+    rate_l, rate_r, f_left, f_right, _ = _rates_and_fields(system, x)
     gap = rate_l - rate_r
     if abs(gap) <= TANGENCY_TOL * (abs(rate_l) + abs(rate_r) + 1.0):
         raise DegenerateSlidingError(

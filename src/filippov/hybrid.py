@@ -45,11 +45,18 @@ __all__ = [
     "left_matrix", "slide_block",
     "flow_left", "flow_slide",
     "first_hit_plane", "first_hit_line", "first_return",
-    "return_multiplier", "return_map", "return_multiplier_normal_form",
+    "return_multiplier", "return_map", "LambdaArrays", "slide_domain",
+    "return_multiplier_normal_form",
 ]
 
 # A return multiplier within this distance of 1 makes no stability claim.
 MARGINAL_TOL = 1e-9
+
+
+def _marginal(value):
+    """Whether a multiplier (a float or an array) is within MARGINAL_TOL
+    of 1."""
+    return abs(value - 1.0) <= MARGINAL_TOL
 
 
 @dataclass(frozen=True)
@@ -151,16 +158,32 @@ class LambdaResult:
                     f"a defined multiplier must be finite and positive, "
                     f"got {self.value!r}")
             if (self.status is LambdaStatus.MARGINAL) != \
-                    (abs(self.value - 1.0) <= MARGINAL_TOL):
+                    _marginal(self.value):
                 raise FilippovError("marginal status inconsistent with value")
 
     @classmethod
     def from_value(cls, value: float, detail: str = "") -> "LambdaResult":
         """A computed multiplier: marginal within MARGINAL_TOL of 1,
         defined otherwise."""
-        status = (LambdaStatus.MARGINAL if abs(value - 1.0) <= MARGINAL_TOL
+        status = (LambdaStatus.MARGINAL if _marginal(value)
                   else LambdaStatus.DEFINED)
         return cls(status, value, detail)
+
+
+class LambdaArrays(NamedTuple):
+    """Return multipliers over arrays of (c, d), from :func:`return_map`:
+    the :class:`LambdaStatus` of each (dtype object) and its value (NaN
+    where undefined)."""
+
+    status: np.ndarray
+    value: np.ndarray
+
+    @property
+    def stable(self) -> np.ndarray:
+        """:attr:`LambdaResult.stable` of each multiplier, False where it
+        is marginal (test ``status`` for those)."""
+        return ((self.status == LambdaStatus.UNDEFINED_CONVERGED)
+                | ((self.status == LambdaStatus.DEFINED) & (self.value < 1.0)))
 
 
 @dataclass(frozen=True)
@@ -502,6 +525,62 @@ def _line_hit_block(c: float, d: float, y2_0: float, y3_0: float,
                         "slide-to-return")
 
 
+# LambdaStatus by its index in the enumeration, for the array path
+_STATUSES = np.array(list(LambdaStatus), dtype=object)
+_DEFINED, _MARGINAL, _CONVERGED, _DIVERGED = range(4)
+
+
+def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
+                     cfg: EventConfig) -> LambdaArrays:
+    """:func:`_line_hit_block` and the verdict on its return, over arrays
+    of valid (c, d) sliding from one start (0, y2_0, y3_0), y2_0 > 0.
+
+    Every block kind is evaluated on every cell and the cell's own kind
+    selects the result.  A slide without a return decays or grows at its
+    dominant rate; overflow and non-finite values are divergence, as are
+    returns beyond ``norm_ceiling``; a return at or above the origin is
+    convergence.
+    """
+    with np.errstate(all="ignore"):
+        disc = c * c - 4.0 * d
+        tol = 1e-12 * np.maximum(1.0, c * c + 4.0 * np.abs(d))
+        is_complex = disc < -tol
+        is_real = disc > tol
+        # complex pair p +/- iq, and the resonant double root p: their
+        # mode coefficients share the numerators n2, n3
+        p = c / 2.0
+        n2 = c * y2_0 + y3_0 - p * y2_0
+        n3 = -d * y2_0 - p * y3_0
+        q = np.sqrt(-disc) / 2.0
+        m2, m3 = n2 / q, n3 / q
+        t_c = (np.arctan2(m2, y2_0) + np.pi / 2.0) / q
+        y3_c = np.exp(p * t_c) * (m3 * y2_0 - y3_0 * m2) / np.hypot(y2_0, m2)
+        t_s = -y2_0 / n2
+        y3_s = np.exp(p * t_s) * (y3_0 + t_s * n3)
+        # real pair r1 > r2: y2 = k1 e^{r1 t} + k2 e^{r2 t}
+        root = np.sqrt(disc)
+        r1 = (c + root) / 2.0
+        r2 = (c - root) / 2.0
+        k1 = (y3_0 + r1 * y2_0) / (r1 - r2)
+        k2 = y2_0 - k1
+        ratio = -k2 / k1
+        t_r = np.log(ratio) / (r1 - r2)
+        y3_r = -k1 * r2 * np.exp(r1 * t_r) - k2 * r1 * np.exp(r2 * t_r)
+
+        returns = is_complex | np.where(is_real, (k1 < 0.0) & (ratio > 1.0),
+                                        n2 < 0.0)
+        rate = np.where(is_real, np.where(k1 != 0.0, r1, r2), p)
+        y3 = np.where(is_complex, y3_c, np.where(is_real, y3_r, y3_s))
+        value = -y3
+        status = np.select(
+            [~returns, ~(np.abs(y3) <= cfg.norm_ceiling), y3 >= 0.0,
+             _marginal(value)],
+            [np.where(rate < 0.0, _CONVERGED, _DIVERGED), _DIVERGED,
+             _CONVERGED, _MARGINAL], _DEFINED)
+    return LambdaArrays(_STATUSES[status],
+                        np.where(status <= _MARGINAL, value, np.nan))
+
+
 # --------------------------------------------------------------------------
 # public event / return-map operations
 # --------------------------------------------------------------------------
@@ -531,10 +610,11 @@ def first_hit_line(params: HybridParams, y0,
     return _line_hit_block(params.c, params.d, y0[1], y0[2], cfg)
 
 
-def _compose_return(plane_result: Union[SegmentEvent, Termination],
-                    c: float, d: float, cfg: EventConfig) -> ReturnOutcome:
-    """Finish a first-return computation given the regular-segment result
-    (which depends only on a, b, and the start point)."""
+def _slide_start(plane_result: Union[SegmentEvent, Termination],
+                 cfg: EventConfig) -> Union[SegmentEvent, ReturnOutcome]:
+    """The regular-segment event the slide starts from, or the outcome
+    when the return is decided without a slide: the regular segment
+    ended without an event, or its plane hit lies on the return line."""
     ev1 = plane_result
     if isinstance(ev1, Termination):
         return ReturnOutcome(_outcome_of(ev1), None, ev1.detail)
@@ -547,7 +627,17 @@ def _compose_return(plane_result: Union[SegmentEvent, Termination],
                                  "return at or above the origin", (ev1,))
         return ReturnOutcome("returned", y3h,
                              "plane hit on the return line", (ev1,))
-    ev2 = _line_hit_block(c, d, y2h, y3h, cfg)
+    return ev1
+
+
+def _compose_return(plane_result: Union[SegmentEvent, Termination],
+                    c: float, d: float, cfg: EventConfig) -> ReturnOutcome:
+    """Finish a first-return computation given the regular-segment result
+    (which depends only on a, b, and the start point)."""
+    ev1 = _slide_start(plane_result, cfg)
+    if isinstance(ev1, ReturnOutcome):
+        return ev1
+    ev2 = _line_hit_block(c, d, ev1.y_hit[1], ev1.y_hit[2], cfg)
     if isinstance(ev2, Termination):
         return ReturnOutcome(_outcome_of(ev2), None, ev2.detail, (ev1,))
     zeta = ev2.y_hit[2]
@@ -588,23 +678,55 @@ def return_multiplier(params: HybridParams,
     return _result_from_outcome(first_return(params, -1.0, cfg))
 
 
+def slide_domain(c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Two masks over arrays of (c, d): ``valid``, where the pair meets
+    the constraints :class:`HybridParams` puts on it (finite, d > 0, and
+    d > c^2/4 whenever c > 0), and ``outside``, where it breaks them
+    strictly (d <= 0, or c > 0 and d < c^2/4).  Pairs in neither lie on
+    the boundary d = c^2/4, c > 0, or are not finite."""
+    c = np.asarray(c, dtype=float)
+    d = np.asarray(d, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        quarter = c * c / 4.0
+        valid = (np.isfinite(c) & np.isfinite(d) & (d > 0.0)
+                 & ((c <= 0.0) | (d > quarter)))
+        outside = (d <= 0.0) | ((c > 0.0) & (d < quarter))
+    return valid, outside
+
+
 def return_map(a: float, b: float, cfg: EventConfig = DEFAULT_EVENT_CONFIG,
-               ) -> Callable[[float, float], LambdaResult]:
-    """The return multiplier as a function of (c, d), for fixed (a, b).
+               ) -> Callable[[np.ndarray, np.ndarray], LambdaArrays]:
+    """The return multiplier over arrays of (c, d), for fixed (a, b).
 
     The regular segment depends on (a, b) only, so it is computed here,
-    once.  Each call checks its (c, d) through :class:`HybridParams`
-    (raising :class:`ConstraintViolationError`) and adds the slide.
+    once.  The returned function takes float arrays ``c`` and ``d`` (of
+    one shape, or broadcastable), raises :class:`ConstraintViolationError`
+    through :class:`HybridParams` if any pair is invalid, and returns the
+    :class:`LambdaArrays` of that shape.  Statuses agree with
+    :func:`return_multiplier`, values to rounding.
     """
-    if not b > a * a / 4.0:  # also rejects a NaN
+    if not (math.isfinite(b) and b > a * a / 4.0):  # also rejects a NaN
         raise ConstraintViolationError(
-            f"need b > a^2/4, got a = {a:g}, b = {b:g}")
-    plane = _plane_hit_spiral(left_matrix(a, b), *_hybrid_spectrum(a, b),
-                              (0.0, 0.0, -1.0), cfg)
+            f"need finite b > a^2/4, got a = {a:g}, b = {b:g}")
+    head = _slide_start(_plane_hit_spiral(left_matrix(a, b),
+                                          *_hybrid_spectrum(a, b),
+                                          (0.0, 0.0, -1.0), cfg), cfg)
+    if isinstance(head, ReturnOutcome):
+        # decided before any slide: every (c, d) has the same multiplier
+        result = _result_from_outcome(head)
+        value = np.nan if result.value is None else result.value
 
-    def multiplier(c: float, d: float) -> LambdaResult:
-        HybridParams(a, b, c, d)
-        return _result_from_outcome(_compose_return(plane, c, d, cfg))
+    def multiplier(c, d) -> LambdaArrays:
+        c, d = np.broadcast_arrays(np.asarray(c, dtype=float),
+                                   np.asarray(d, dtype=float))
+        bad = ~slide_domain(c, d)[0]
+        if bad.any():
+            k = int(np.argmax(bad.ravel()))
+            HybridParams(a, b, float(c.ravel()[k]), float(d.ravel()[k]))
+        if isinstance(head, ReturnOutcome):
+            return LambdaArrays(np.full(c.shape, result.status, dtype=object),
+                                np.full(c.shape, value))
+        return _line_hit_arrays(c, d, head.y_hit[1], head.y_hit[2], cfg)
 
     return multiplier
 

@@ -99,14 +99,15 @@ class Orbit:
 # event location
 # --------------------------------------------------------------------------
 
-def _locate(step, x_from, dt: float, monitor, tol: float):
-    """Bisect (0, dt] for the time at which ``monitor(step(x_from, tau))``
-    changes sign, given that it has done so by tau = dt.  Returns
-    (tau, state) as soon as |monitor| <= tol, else the upper end of the
-    bracket once it can no longer be halved (at most 80 halvings)."""
-    lo, hi = 0.0, dt
-    x_hi = step(x_from, hi)
-    m_hi = monitor(x_hi)
+def _locate(step, x_from, h: float, x_hi, m_hi: float, monitor,
+            tol: float):
+    """Bisect (0, h] for the time at which ``monitor(step(x_from, tau))``
+    changes sign, given the substep of length h that the caller has just
+    taken: it ends at ``x_hi``, where the monitor reads ``m_hi``, past the
+    sign change.  Returns (tau, state) as soon as |monitor| <= tol, else
+    the upper end of the bracket once it can no longer be halved (at most
+    80 halvings)."""
+    lo, hi = 0.0, h
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -236,7 +237,8 @@ class _Sim:
                         f"t = {self.t:g} before re-entering it")
             elif h_new * interior <= 0.0:
                 tau, x_ev = _locate(lambda x, tau: _rk4(f, x, tau), self.x,
-                                    dt, self.h, self.cfg.event_refine_tol)
+                                    dt, x_new, h_new, self.h,
+                                    self.cfg.event_refine_tol)
                 self.t += tau
                 self.x = x_ev
                 seg.samples.append((self.t, *map(float, self.x)))
@@ -269,8 +271,8 @@ class _Sim:
                 if rate_new > self.cfg.event_refine_tol:
                     armed = True
             elif rate_new <= 0.0:
-                tau, x_ev = _locate(step, self.x, dt, rate_left,
-                                    self.cfg.event_refine_tol)
+                tau, x_ev = _locate(step, self.x, dt, x_new, rate_new,
+                                    rate_left, self.cfg.event_refine_tol)
                 curv = fold_curvature(self.system, x_ev)
                 if curv < 0.0:
                     self.t += tau
@@ -404,7 +406,8 @@ def _run_hybrid(params: HybridParams, z0: float, cfg: SimConfig,
                 armed = True
             if armed and m_new <= 0.0:
                 tau, y_ev = _locate(lambda s, tau: _rk4_tuple(f, s, tau), y,
-                                    dt, lambda s: s[idx], cfg.event_refine_tol)
+                                    h, y_new, y_new[idx], lambda s: s[idx],
+                                    cfg.event_refine_tol)
                 t += tau
                 y = y_ev[:idx] + (0.0,) + y_ev[idx + 1:]
                 if record:

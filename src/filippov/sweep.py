@@ -7,7 +7,8 @@ c > 0 with d < c^2/4, d <= 0, or b <= a^2/4), or gray (marginal value or
 a per-cell numerical failure).  Cells are evaluated at their centers.
 
 The regular segment of the return map depends only on (a, b), so it is
-computed once per grid and reused for every cell.  Output is
+computed once per grid; the slides of all cells are then evaluated as
+one array computation (:func:`filippov.hybrid.return_map`).  Output is
 deterministic.
 """
 
@@ -19,11 +20,17 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FilippovError
 from .hybrid import (
     DEFAULT_EVENT_CONFIG,
     EventConfig,
+    HybridParams,
+    LambdaArrays,
+    LambdaStatus,
     return_map,
+    slide_domain,
 )
 
 __all__ = ["CellVerdict", "SweepGrid", "sweep", "render_grid",
@@ -39,11 +46,11 @@ class CellVerdict(Enum):
     GRAY = "gray"    # marginal multiplier or per-cell failure
 
 
-# LambdaResult.stable -> colour
-_COLOUR = {True: CellVerdict.BLUE, False: CellVerdict.RED,
-           None: CellVerdict.GRAY}
-_PGM_LEVEL = {CellVerdict.WHITE: 255, CellVerdict.BLUE: 64,
-              CellVerdict.RED: 160, CellVerdict.GRAY: 128}
+# render_grid reads a verdict's ``_value_``, a plain attribute: ``value``
+# and an Enum member's hash run Python code, per cell
+_PGM_LEVEL = {CellVerdict.WHITE.value: "255", CellVerdict.BLUE.value: "64",
+              CellVerdict.RED.value: "160", CellVerdict.GRAY.value: "128"}
+_UNDEFINED_TEXT = np.array(["diverged", "converged"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -72,30 +79,12 @@ def cell_centers(lo: float, hi: float, count: int) -> list[float]:
     return [lo + (i + 0.5) * width for i in range(count)]
 
 
-def _white(a: float, b: float, c: float, d: float) -> bool:
-    return b <= a * a / 4.0 or d <= 0.0 or (c > 0.0 and d < c * c / 4.0)
-
-
-def _classify_cell(multiplier, a: float, b: float, c: float, d: float,
-                   ) -> tuple[CellVerdict, str]:
-    if _white(a, b, c, d):
-        return CellVerdict.WHITE, "not-applicable"
-    try:
-        result = multiplier(c, d)  # cells on the validity boundary fail here
-    except FilippovError as exc:
-        log.warning("cell (c=%g, d=%g) failed: %s", c, d, exc)
-        return CellVerdict.GRAY, f"error: {exc}"
-    if result.defined:
-        detail = repr(result.value)
-    else:
-        detail = "converged" if result.stable else "diverged"
-    return _COLOUR[result.stable], detail
-
-
 def sweep(a: float, b: float, c_range: tuple[float, float],
           d_range: tuple[float, float], nc: int, nd: int,
           cfg: EventConfig = DEFAULT_EVENT_CONFIG) -> SweepGrid:
-    """Evaluate the verdict on an nc x nd grid of cell centers."""
+    """Evaluate the verdict on an nc x nd grid of cell centers, all cells
+    in one call of :func:`return_map`.  Gray cells are logged once per
+    grid: their count and the first one's reason."""
     c_min, c_max = (float(v) for v in c_range)
     d_min, d_max = (float(v) for v in d_range)
     if nc < 2 or nd < 2:
@@ -104,19 +93,50 @@ def sweep(a: float, b: float, c_range: tuple[float, float],
         raise ValueError("ranges must be ordered")
     a = float(a)
     b = float(b)
+    c_values = cell_centers(c_min, c_max, nc)
+    d_values = cell_centers(d_min, d_max, nd)
+    c, d = np.meshgrid(c_values, d_values, indexing="ij")
+    verdicts = np.full((nc, nd), CellVerdict.WHITE, dtype=object)
+    details = np.full((nc, nd), "not-applicable", dtype=object)
     if b <= a * a / 4.0:
         warnings.warn(f"b = {b:g} <= a^2/4 = {a * a / 4.0:g}: the regular "
                       "piece does not rotate, every cell is not-applicable",
                       stacklevel=2)
-        multiplier = None
     else:
         multiplier = return_map(a, b, cfg)
-    d_values = cell_centers(d_min, d_max, nd)
-    columns = [[_classify_cell(multiplier, a, b, c, d) for d in d_values]
-               for c in cell_centers(c_min, c_max, nc)]
+        cells, white = slide_domain(c, d)
+        # neither white nor valid: d = c^2/4 exactly with c > 0, or a
+        # non-finite centre; HybridParams gives the reason
+        for i, j in zip(*np.nonzero(~white & ~cells)):
+            verdicts[i, j] = CellVerdict.GRAY
+            try:
+                HybridParams(a, b, c_values[i], d_values[j])
+            except FilippovError as exc:
+                details[i, j] = f"error: {exc}"
+        verdicts[cells], details[cells] = _verdicts(
+            multiplier(c[cells], d[cells]))
+    gray = verdicts == CellVerdict.GRAY
+    if gray.any():
+        i, j = np.argwhere(gray)[0]
+        log.warning("%d of %d cells gray (a=%g, b=%g); first (c=%g, d=%g): "
+                    "%s", gray.sum(), nc * nd, a, b, c_values[i],
+                    d_values[j], details[i, j])
     return SweepGrid(a, b, c_min, c_max, d_min, d_max, nc, nd,
-                     tuple(tuple(v for v, _ in col) for col in columns),
-                     tuple(tuple(s for _, s in col) for col in columns))
+                     tuple(map(tuple, verdicts.tolist())),
+                     tuple(map(tuple, details.tolist())))
+
+
+def _verdicts(lam: LambdaArrays):
+    """Colours and details of multipliers: stable blue, unstable red,
+    marginal gray; a value, or whether the orbit converged or
+    diverged."""
+    stable = lam.stable
+    colour = np.where(stable, CellVerdict.BLUE, CellVerdict.RED)
+    colour[lam.status == LambdaStatus.MARGINAL] = CellVerdict.GRAY
+    detail = _UNDEFINED_TEXT[stable.astype(np.intp)]
+    numeric = ~np.isnan(lam.value)
+    detail[numeric] = list(map(repr, lam.value[numeric].tolist()))
+    return colour, detail
 
 
 def render_grid(grid: SweepGrid, path, fmt: str = "csv") -> None:
@@ -127,13 +147,14 @@ def render_grid(grid: SweepGrid, path, fmt: str = "csv") -> None:
     path = Path(path)
     if fmt == "csv":
         lines = ["c,d,verdict,lambda_or_reason"]
-        c_values = cell_centers(grid.c_min, grid.c_max, grid.nc)
-        d_values = cell_centers(grid.d_min, grid.d_max, grid.nd)
-        for i, c in enumerate(c_values):
-            for j, d in enumerate(d_values):
-                detail = grid.details[i][j].replace(",", ";")
-                lines.append(f"{c!r},{d!r},{grid.verdicts[i][j].value},"
-                             f"{detail}")
+        d_text = [repr(d) for d in cell_centers(grid.d_min, grid.d_max,
+                                                grid.nd)]
+        for c, verdicts, details in zip(
+                cell_centers(grid.c_min, grid.c_max, grid.nc),
+                grid.verdicts, grid.details):
+            head = repr(c)
+            lines += [f"{head},{d},{v._value_},{s.replace(',', ';')}"
+                      for d, v, s in zip(d_text, verdicts, details)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return
     if fmt == "pgm":
@@ -144,9 +165,9 @@ def render_grid(grid: SweepGrid, path, fmt: str = "csv") -> None:
             f"{grid.nc} {grid.nd}",
             "255",
         ]
-        for j in range(grid.nd - 1, -1, -1):  # top row = largest d
-            lines.append(" ".join(
-                str(_PGM_LEVEL[grid.verdicts[i][j]]) for i in range(grid.nc)))
+        rows = list(zip(*grid.verdicts))  # rows[j]: the cells at d_j
+        lines += [" ".join([_PGM_LEVEL[v._value_] for v in row])
+                  for row in reversed(rows)]  # top row = largest d
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return
     raise ValueError(f"unknown format {fmt!r} (use 'csv' or 'pgm')")

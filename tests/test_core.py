@@ -165,6 +165,18 @@ def test_classify_region_cases():
         is RegionKind.TANGENCY
 
 
+def test_classify_region_takes_one_gradient(monkeypatch):
+    # the rates and both tolerance scales share one FD gradient of H
+    import filippov.core as core
+    calls = []
+    gradient = core.gradient_fd
+    monkeypatch.setattr(core, "gradient_fd", lambda field, point: (
+        calls.append(point) or gradient(field, point)))
+    assert classify_region(region_system(1, -1), (0, 0, 0)) \
+        is RegionKind.ATTRACTING_SLIDING
+    assert len(calls) == 1
+
+
 def test_classify_region_requires_surface_point():
     with pytest.raises(NotOnSurfaceError):
         classify_region(region_system(1, -1), (0, 0, 0.5))

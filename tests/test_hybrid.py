@@ -7,6 +7,7 @@ from filippov.errors import ConstraintViolationError, NotRotationalError
 from filippov.hybrid import (
     EventConfig,
     HybridParams,
+    LambdaArrays,
     LambdaResult,
     LambdaStatus,
     SegmentEvent,
@@ -327,11 +328,80 @@ def test_return_map_matches_return_multiplier():
     for _ in range(20):
         params = random_valid_params(rng)
         multiplier = return_map(params.a, params.b)
-        assert multiplier(params.c, params.d) == return_multiplier(params)
+        status, value = multiplier(np.array([params.c]), np.array([params.d]))
+        want = return_multiplier(params)
+        assert status[0] is want.status
+        assert abs(value[0] - want.value) <= 1e-12 * want.value
     with pytest.raises(ConstraintViolationError):
         return_map(0.2, 0.005)  # b <= a^2/4
     with pytest.raises(ConstraintViolationError):
-        return_map(0.2, 5.0)(2.0, 1.0)  # d = c^2/4 with c > 0
+        return_map(0.2, 5.0)(np.array([2.0]), np.array([1.0]))  # d = c^2/4
+
+
+# (a, b) panels of the array-vs-scalar corpus, and the (c, d) cells every
+# panel adds to its seeded draws, with the outcome they are there for
+CORPUS_PANELS = ((0.2, 5.0), (-0.2, 0.5), (1.2, 0.5), (-1.2, 2.0),
+                 (-3.9, 3.8125),  # regular segment decays: all converge
+                 (0.9, 0.2125))   # regular segment grows: all diverge
+CORPUS_CELLS = (
+    ((0.2, 5.0), 1.0, 0.25 + 1e-11, "overflow at the return"),
+    ((0.2, 5.0), 20.0, 101.0, "norm above ceiling at the return"),
+    ((-0.2, 0.5), -1.8, 0.81 + 1e-6, "return at or above the origin"),
+    # resonant within the discriminant tolerance, on both sides of it
+    ((0.2, 5.0), -1.8, 0.81 + 1e-13, ""),
+    ((0.2, 5.0), -1.8, 0.81 - 1e-13, ""),
+    # resonant within the tolerance with c >= 0, so a rate p >= 0: the
+    # slide from y3_0 > 0 (every panel here) grows without returning
+    ((0.2, 5.0), 1.8, 0.81 + 1e-13, "slide grows without returning"),
+    ((0.2, 5.0), 0.0, 1e-13, "slide grows without returning"),
+    ((-0.2, 0.5), -1.8, 0.81, "slide decays without returning"),
+    ((-3.9, 3.8125), 0.2, 1.0, "norm below floor"),
+    ((0.9, 0.2125), 0.2, 1.0, "norm above ceiling"),
+)
+
+
+def test_return_map_arrays_match_scalar_slide():
+    rng = np.random.default_rng(12)
+    statuses = set()
+    for a, b in CORPUS_PANELS:
+        cells = [(c, d) for _, c, d, _ in CORPUS_CELLS]
+        for k in range(60):
+            c = rng.uniform(-2.0, 2.0)
+            d = rng.uniform(max(0.0, c) ** 2 / 4 + 0.01, 5.0)
+            # every sixth c < 0 draw is made resonant
+            cells.append((c, c * c / 4) if k % 6 == 0 and c < 0 else (c, d))
+        c = np.array([cell[0] for cell in cells])
+        d = np.array([cell[1] for cell in cells])
+        status, value = lam = return_map(a, b)(c, d)
+        stable = lam.stable
+        for k, (ci, di) in enumerate(cells):
+            want = return_multiplier(HybridParams(a, b, ci, di))
+            assert status[k] is want.status, (a, b, ci, di)
+            assert stable[k] == bool(want.stable)
+            if want.defined:
+                assert abs(value[k] - want.value) <= 1e-12 * want.value
+            else:
+                assert math.isnan(value[k])
+            statuses.add(want.status)
+        for panel, ci, di, detail in CORPUS_CELLS:
+            if panel == (a, b):
+                assert return_multiplier(
+                    HybridParams(a, b, ci, di)).detail.startswith(detail)
+    assert statuses == {LambdaStatus.DEFINED, LambdaStatus.UNDEFINED_CONVERGED,
+                        LambdaStatus.UNDEFINED_DIVERGED}
+
+
+def test_return_map_arrays_keep_shape_and_reject_invalid_cells():
+    multiplier = return_map(0.2, 5.0)
+    c, d = np.meshgrid([-1.0, 0.5, 1.0], [0.5, 2.0], indexing="ij")
+    status, value = multiplier(c, d)
+    assert status.shape == value.shape == (3, 2)
+    assert status[1, 1] is return_multiplier(
+        HybridParams(0.2, 5.0, 0.5, 2.0)).status
+    with pytest.raises(ConstraintViolationError, match="must exceed c"):
+        multiplier(np.array([-1.0, 2.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ConstraintViolationError, match="not finite"):
+        multiplier(np.array([np.nan]), np.array([1.0]))
 
 
 def test_lambda_result_marginal_rule():
@@ -349,6 +419,15 @@ def test_lambda_result_stable():
     assert LambdaResult(LambdaStatus.MARGINAL, 1.0).stable is None
     assert LambdaResult(LambdaStatus.UNDEFINED_CONVERGED).stable is True
     assert LambdaResult(LambdaStatus.UNDEFINED_DIVERGED).stable is False
+
+
+def test_lambda_arrays_stable():
+    lam = LambdaArrays(
+        np.array([LambdaStatus.DEFINED, LambdaStatus.DEFINED,
+                  LambdaStatus.MARGINAL, LambdaStatus.UNDEFINED_CONVERGED,
+                  LambdaStatus.UNDEFINED_DIVERGED], dtype=object),
+        np.array([0.5, 2.0, 1.0, np.nan, np.nan]))
+    assert lam.stable.tolist() == [True, False, False, True, False]
 
 
 def test_step_refinement_convergence():

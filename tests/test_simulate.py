@@ -213,6 +213,21 @@ def test_empirical_needs_a_return_before_t_max():
                                     SimConfig(dt=1e-2, t_max=1.0))
 
 
+def test_hybrid_event_in_final_partial_step():
+    # t_max = 3.25 leaves a last step of 0.25 < dt, and the regular leg
+    # crosses y1 = 0 inside it.  Bisecting a full step of dt instead
+    # brackets a later sign change of this coarse RK4 orbit, at t = 4.11.
+    cfg = SimConfig(dt=1.5, t_max=3.25)
+    orbit = simulate_hybrid(HybridParams(-0.2, 5, -0.2, 3), -1.0, cfg)
+    regular = orbit.segments[0]
+    assert regular.regime == "L" and regular.samples[-2][0] == 3.0
+    t_hit, y1 = regular.samples[-1][:2]
+    assert 3.0 < t_hit <= cfg.t_max and y1 == 0.0
+    assert all(sample[0] <= cfg.t_max
+               for seg in orbit.segments for sample in seg.samples)
+    assert orbit.terminal is Terminal.TIMEOUT
+
+
 def test_filippov_realization_reproduces_return_iterates():
     # the normal-form realization shares the hybrid system's regular
     # flow and sliding paths (sliding time is reparametrized), so its

@@ -1,6 +1,10 @@
+import hashlib
+import logging
+
 import numpy as np
 import pytest
 
+from filippov.cli import FIG_PANEL_A, FIG_PANEL_B
 from filippov.hybrid import HybridParams, LambdaStatus, return_multiplier
 from filippov.sweep import CellVerdict, cell_centers, render_grid, sweep
 
@@ -108,3 +112,49 @@ def test_cell_on_validity_boundary_is_gray():
     grid = sweep(0.2, 5.0, (1.5, 3.5), (0.5, 2.5), 2, 2)
     assert grid.verdicts[0][0] is CellVerdict.GRAY
     assert grid.details[0][0].startswith("error:")
+
+
+def test_gray_cells_logged_once_per_grid(caplog):
+    # two cell centres lie on d = c^2/4 with c > 0: (2, 1) and (4, 4)
+    with caplog.at_level(logging.WARNING, logger="filippov.sweep"):
+        grid = sweep(0.2, 5.0, (0.5, 4.5), (-0.5, 4.5), 4, 5)
+    gray = [(i, j) for i in range(4) for j in range(5)
+            if grid.verdicts[i][j] is CellVerdict.GRAY]
+    assert gray == [(1, 1), (3, 4)]
+    assert len(caplog.records) == 1
+    message = caplog.records[0].getMessage()
+    assert message.startswith("2 of 20 cells gray")
+    assert "(c=2, d=1)" in message and grid.details[1][1] in message
+
+
+# SHA-256 over the 12 default fig-c panels at 40x40, in CLI panel order:
+# of the PGM files, and of the CSV rows with each numeric multiplier
+# replaced by "#" (its last digits may move; verdicts and reasons may not)
+GOLDEN_PGM_SHA256 = \
+    "14c012ca6371a07f207fc150de7dce528c6b7e30620cbff90c5eced9e4866e07"
+GOLDEN_CSV_SHA256 = \
+    "8b1d29b287d7f8df421288f65999d5b804212d86d5e2a61bcb39df784bd1c06f"
+
+
+def _numeric(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def test_default_panels_golden(tmp_path):
+    pgm, csv = hashlib.sha256(), hashlib.sha256()
+    for a in FIG_PANEL_A:
+        for b in FIG_PANEL_B:
+            grid = sweep(a, b, (-3.0, 3.0), (0.0, 10.0), 40, 40)
+            render_grid(grid, tmp_path / "panel.pgm", "pgm")
+            render_grid(grid, tmp_path / "panel.csv", "csv")
+            pgm.update((tmp_path / "panel.pgm").read_bytes())
+            for row in (tmp_path / "panel.csv").read_text().splitlines():
+                c, d, verdict, detail = row.split(",")
+                detail = "#" if _numeric(detail) else detail
+                csv.update(f"{c},{d},{verdict},{detail}\n".encode())
+    assert pgm.hexdigest() == GOLDEN_PGM_SHA256
+    assert csv.hexdigest() == GOLDEN_CSV_SHA256
