@@ -4,12 +4,20 @@ Vector fields and switching functions are written as plain text, e.g.
 ``"x2 - 0.5*x1^2"``.  The grammar supports numeric literals, the three
 variables, ``+ - * / ^`` (``^`` binds tightest and is right-associative,
 then unary minus, then ``* /``, then ``+ -``), parentheses, and the
-functions sin, cos, exp, sqrt, abs.  Whitespace is ignored.
+functions sin, cos, exp, sqrt, abs.  Whitespace is ignored.  Parentheses,
+calls, unary minus and ``^`` nest at most :data:`MAX_NESTING` levels, and
+a tree is at most :data:`MAX_DEPTH` levels deep (a sum of n terms is n
+deep); deeper text is an :class:`~filippov.errors.ExprSyntaxError`.
 
-Parsed expressions are immutable trees; all operations here are pure.
-Evaluation either returns a finite float or raises
-:class:`~filippov.errors.EvalDomainError` -- NaN and infinity never
-propagate silently.
+Parsed expressions are immutable trees.  A field is evaluated by one
+generated Python function of (x1, x2, x3): straight-line code with one
+assignment per operation, in the order a recursive walk of the tree
+would evaluate them, so its results are bit for bit those of the walk.
+The function's source holds generated names only.  Literals are bound
+from a tuple, so fields that differ only in their coefficients share one
+compiled code object.  Evaluation either returns a finite float or
+raises :class:`~filippov.errors.EvalDomainError` -- NaN and infinity
+never propagate silently.
 """
 
 from __future__ import annotations
@@ -27,11 +35,18 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "parse_expr", "format_expr", "evaluate", "compile_expr",
     "ScalarField", "VectorField",
-    "gradient_fd", "jacobian_fd", "FD_REL_STEP",
+    "gradient_fd", "jacobian_fd", "FD_REL_STEP", "MAX_NESTING", "MAX_DEPTH",
 ]
 
 VARIABLES = ("x1", "x2", "x3")
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
+
+# Input limits, so that the recursive parser and format_expr stay well
+# inside Python's recursion limit: one nesting level costs the parser up
+# to six frames, one tree level costs format_expr one.  (Evaluation walks
+# trees without recursion.)
+MAX_NESTING = 100
+MAX_DEPTH = 500
 
 # Relative step for central differences: ~cbrt(eps) scaled, balancing
 # truncation against round-off for twice-differentiable fields.
@@ -123,10 +138,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _too_deep(what: str, limit: int, offset: int) -> ExprSyntaxError:
+    return ExprSyntaxError(f"{what} deeper than {limit} levels", offset,
+                           expected="a shallower expression")
+
+
 class _Parser:
+    """Recursive descent; ``level`` counts the recursions under way."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.level = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -143,6 +166,15 @@ class _Parser:
             return
         found = "end of input" if kind == "eof" else f"'{value}'"
         raise ExprSyntaxError(f"found {found}", offset, expected=f'"{op}"')
+
+    def nested(self, rule, offset: int) -> Expr:
+        """``rule()``, one level deeper."""
+        if self.level == MAX_NESTING:
+            raise _too_deep("nesting", MAX_NESTING, offset)
+        self.level += 1
+        node = rule()
+        self.level -= 1
+        return node
 
     # expr := term (('+'|'-') term)*
     def expr(self) -> Expr:
@@ -168,19 +200,19 @@ class _Parser:
 
     # unary := '-' unary | power
     def unary(self) -> Expr:
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary, offset))
         return self.power()
 
     # power := atom ('^' unary)?   -- right-associative, allows x^-2
     def power(self) -> Expr:
         node = self.atom()
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return BinOp("^", node, self.unary())
+            return BinOp("^", node, self.nested(self.unary, offset))
         return node
 
     def atom(self) -> Expr:
@@ -192,17 +224,31 @@ class _Parser:
                 return Var(value)
             if value in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(self.expr, offset)
                 self.expect_op(")")
                 return Call(value, arg)
             raise UnknownIdentifierError(value, offset)
         if kind == "op" and value == "(":
-            node = self.expr()
+            node = self.nested(self.expr, offset)
             self.expect_op(")")
             return node
         found = "end of input" if kind == "eof" else f"'{value}'"
         raise ExprSyntaxError(f"found {found}", offset,
                               expected="a number, variable, or '('")
+
+
+def _depth(root: Expr) -> int:
+    """The number of levels of a tree, counted without recursion."""
+    deepest, todo = 0, [(root, 1)]
+    while todo:
+        node, depth = todo.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, BinOp):
+            todo += ((node.left, depth + 1), (node.right, depth + 1))
+        elif isinstance(node, (Neg, Call)):
+            todo.append((node.arg if isinstance(node, Call) else node.operand,
+                         depth + 1))
+    return deepest
 
 
 def parse_expr(text: str) -> Expr:
@@ -215,6 +261,9 @@ def parse_expr(text: str) -> Expr:
     if kind != "eof":
         raise ExprSyntaxError(f"found '{value}'", offset,
                               expected="end of input or an operator")
+    # every level of a tree takes at least one token
+    if len(parser.tokens) > MAX_DEPTH and _depth(node) > MAX_DEPTH:
+        raise _too_deep("expression tree", MAX_DEPTH, 1)
     return node
 
 
@@ -314,61 +363,112 @@ def _exp(value: float) -> float:
         raise EvalDomainError("overflow in exp") from None
 
 
-_FUNC_IMPL = {"sin": math.sin, "cos": math.cos, "exp": _exp,
-              "sqrt": _sqrt, "abs": abs}
+# The generated code reaches the helpers by these names; every name in
+# its source comes from these tables or from the generator itself.
+_NAMESPACE = {"_pow": _pow, "_div": _div, "_sqrt": _sqrt, "_exp": _exp,
+              "sin": math.sin, "cos": math.cos, "abs": abs,
+              "isfinite": math.isfinite, "EvalDomainError": EvalDomainError}
+_VAR_NAMES = {"x1": "x1", "x2": "x2", "x3": "x3"}
+_CALL_NAMES = {"sin": "sin", "cos": "cos", "exp": "_exp", "sqrt": "_sqrt",
+               "abs": "abs"}
+_BINOP_FORMATS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
+                  "/": "_div({}, {})", "^": "_pow({}, {})"}
 
 
-def _build(node: Expr) -> Callable[[float, float, float], float]:
-    """Compile a tree to nested closures; ~5x faster than tree walking,
-    which matters in the simulator's inner loop."""
-    if isinstance(node, Num):
-        value = node.value
-        return lambda x1, x2, x3: value
-    if isinstance(node, Var):
-        if node.name == "x1":
-            return lambda x1, x2, x3: x1
-        if node.name == "x2":
-            return lambda x1, x2, x3: x2
-        return lambda x1, x2, x3: x3
-    if isinstance(node, Neg):
-        inner = _build(node.operand)
-        return lambda x1, x2, x3: -inner(x1, x2, x3)
-    if isinstance(node, Call):
-        func = _FUNC_IMPL[node.func]
-        inner = _build(node.arg)
-        return lambda x1, x2, x3: func(inner(x1, x2, x3))
-    assert isinstance(node, BinOp)
-    lhs, rhs = _build(node.left), _build(node.right)
-    op = node.op
-    if op == "+":
-        return lambda x1, x2, x3: lhs(x1, x2, x3) + rhs(x1, x2, x3)
-    if op == "-":
-        return lambda x1, x2, x3: lhs(x1, x2, x3) - rhs(x1, x2, x3)
-    if op == "*":
-        return lambda x1, x2, x3: lhs(x1, x2, x3) * rhs(x1, x2, x3)
-    if op == "/":
-        return lambda x1, x2, x3: _div(lhs(x1, x2, x3), rhs(x1, x2, x3))
-    return lambda x1, x2, x3: _pow(lhs(x1, x2, x3), rhs(x1, x2, x3))
+def _whole_exponent(node: BinOp) -> int | None:
+    """A literal exponent that is a non-negative integer: ``b ** n`` then
+    computes what ``_pow(b, n)`` does, and cannot divide by zero."""
+    right = node.right
+    if (node.op == "^" and type(right) is Num and right.value >= 0.0
+            and float(right.value).is_integer()):
+        return int(right.value)
+    return None
+
+
+def _straight_line(roots) -> tuple[str, list]:
+    """The source of ``_bind(constants)``, which returns a function of
+    (x1, x2, x3) computing every root, and the constants it binds.
+
+    Each operation is one assignment, in the post-order of a recursive
+    walk (left operand, right operand, then the node), so the results
+    and the first error raised are the walk's.  Literals, and negated
+    ones (negation is exact), become constants.  The walk is iterative,
+    so no depth of tree exhausts the stack."""
+    constants, body, results = [], [], []
+    temps = 0
+    for root in roots:
+        names = []  # the operands computed so far
+        todo = [root]  # a node to visit, or (node,) to compute it
+        while todo:
+            node = todo.pop()
+            kind = type(node)
+            if kind is Num:
+                names.append(f"c{len(constants)}")
+                constants.append(node.value)
+            elif kind is Var:
+                names.append(_VAR_NAMES[node.name])
+            elif kind is Neg and type(node.operand) is Num:
+                names.append(f"c{len(constants)}")
+                constants.append(-node.operand.value)
+            elif kind is not tuple:
+                todo.append((node,))
+                if kind is BinOp:
+                    if _whole_exponent(node) is None:
+                        todo.append(node.right)
+                    todo.append(node.left)
+                else:
+                    todo.append(node.arg if kind is Call else node.operand)
+            else:
+                node, = node
+                kind = type(node)
+                if kind is Neg:
+                    code = f"-{names.pop()}"
+                elif kind is Call:
+                    code = f"{_CALL_NAMES[node.func]}({names.pop()})"
+                elif (power := _whole_exponent(node)) is not None:
+                    code = f"{names.pop()} ** {power}"
+                else:
+                    right = names.pop()
+                    code = _BINOP_FORMATS[node.op].format(names.pop(), right)
+                names.append(f"t{temps}")
+                body.append(f"t{temps} = {code}")
+                temps += 1
+        results.append(names.pop())
+        body.append(f"if not isfinite({results[-1]}): "
+                    "raise EvalDomainError('expression value is not finite')")
+    unpack = ", ".join(f"c{i}" for i in range(len(constants)))
+    lines = ["def _bind(_c):",
+             f"    {unpack}, = _c" if constants else "    pass",
+             "    def field(x1, x2, x3):",
+             "        try:",
+             *(f"            {line}" for line in body),
+             # only ``b ** n`` lets an OverflowError through
+             "        except OverflowError:",
+             "            raise EvalDomainError('overflow in power') from None",
+             "        except (ValueError, ZeroDivisionError) as exc:",
+             "            raise EvalDomainError(str(exc)) from None",
+             f"        return {', '.join(results)}",
+             "    return field"]
+    return "\n".join(lines), constants
 
 
 @lru_cache(maxsize=512)
+def _binder(source: str):
+    """Compile generated source once; fields of one shape share it."""
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<filippov.expr>", "exec"), namespace)
+    return namespace["_bind"]
+
+
+def _compile(roots):
+    source, constants = _straight_line(roots)
+    return _binder(source)(tuple(constants))
+
+
 def compile_expr(node: Expr) -> Callable[[float, float, float], float]:
     """Compile a tree to a callable (x1, x2, x3) -> float with the same
     domain-error behaviour as :func:`evaluate`."""
-    raw = _build(node)
-
-    def compiled(x1: float, x2: float, x3: float) -> float:
-        try:
-            value = raw(x1, x2, x3)
-        except EvalDomainError:
-            raise
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise EvalDomainError(str(exc)) from None
-        if not math.isfinite(value):
-            raise EvalDomainError("expression value is not finite")
-        return value
-
-    return compiled
+    return _compile((node,))
 
 
 def evaluate(node: Expr, point) -> float:
@@ -421,13 +521,15 @@ class VectorField:
         return cls(tuple(parse_expr(t) for t in texts))
 
     @cached_property
-    def compiled(self):
-        return tuple(compile_expr(c) for c in self.components)
+    def compiled(self) -> Callable[[float, float, float],
+                                   tuple[float, float, float]]:
+        """One function returning the three components, evaluated in
+        order: the first component that fails names the error."""
+        return _compile(self.components)
 
     def __call__(self, point) -> np.ndarray:
-        x1, x2, x3 = float(point[0]), float(point[1]), float(point[2])
-        f1, f2, f3 = self.compiled
-        return np.array([f1(x1, x2, x3), f2(x1, x2, x3), f3(x1, x2, x3)])
+        return np.array(self.compiled(float(point[0]), float(point[1]),
+                                      float(point[2])))
 
 
 # --------------------------------------------------------------------------

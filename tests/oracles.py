@@ -1,15 +1,17 @@
-"""Test oracles: a high-accuracy reference integrator (Dormand-Prince
-5(4) with adaptive steps) for the closed-form flows.  It is not part of
-the package.
+"""Test oracles, not part of the package: a high-accuracy reference
+integrator (Dormand-Prince 5(4) with adaptive steps) for the closed-form
+flows, and a plain recursive tree walk for the compiled expressions.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from filippov.errors import NonFiniteStateError
+from filippov.errors import EvalDomainError, NonFiniteStateError
+from filippov.expr import BinOp, Call, Neg, Num, Var
 
 _DP_A = np.zeros((7, 7))
 _DP_A[1, :1] = (1 / 5,)
@@ -57,3 +59,69 @@ def integrate_adaptive(f: Callable[[float, np.ndarray], np.ndarray], y0,
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
     return y
+
+
+def evaluate_tree(node, point) -> float:
+    """Evaluate an expression tree by walking it recursively, with the
+    domain rules and messages that the package documents: an integral
+    exponent is raised as an integer, a non-integral one needs a
+    non-negative base, division by zero, the square root of a negative
+    number, an overflow and a non-finite result are errors."""
+    x = dict(zip(("x1", "x2", "x3"), (float(v) for v in point)))
+
+    def power(base, exponent):
+        if float(exponent).is_integer():
+            try:
+                return base ** int(exponent)
+            except ZeroDivisionError:
+                raise EvalDomainError(
+                    "zero raised to a negative power") from None
+            except OverflowError:
+                raise EvalDomainError("overflow in power") from None
+        if base < 0.0:
+            raise EvalDomainError("negative base with non-integer exponent "
+                                  "is undefined over the reals")
+        return base ** exponent
+
+    def call(func, value):
+        if func == "sqrt":
+            if value < 0.0:
+                raise EvalDomainError("square root of a negative number")
+            return math.sqrt(value)
+        if func == "exp":
+            try:
+                return math.exp(value)
+            except OverflowError:
+                raise EvalDomainError("overflow in exp") from None
+        return {"sin": math.sin, "cos": math.cos, "abs": abs}[func](value)
+
+    def walk(node):
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Var):
+            return x[node.name]
+        if isinstance(node, Neg):
+            return -walk(node.operand)
+        if isinstance(node, Call):
+            return call(node.func, walk(node.arg))
+        assert isinstance(node, BinOp)
+        left, right = walk(node.left), walk(node.right)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            if right == 0.0:
+                raise EvalDomainError("division by zero")
+            return left / right
+        return power(left, right)
+
+    try:
+        value = walk(node)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise EvalDomainError(str(exc)) from None
+    if not math.isfinite(value):
+        raise EvalDomainError("expression value is not finite")
+    return value

@@ -154,6 +154,28 @@ def test_classify_degenerate_exit(capsys, tmp_path):
     assert "error: degenerate:" in err
 
 
+@pytest.mark.parametrize("switch", [
+    "(" * 400 + "x1" + ")" * 400,
+    " + ".join(["x1"] + ["0*x2"] * 1199),
+])
+def test_classify_too_deep_expression_is_a_syntax_error(capsys, tmp_path,
+                                                        switch):
+    path = write_spec(tmp_path, dict(NORMAL_FORM_STABLE, H=switch))
+    code, out, err = run(capsys, "classify", "--system", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: expr-syntax:")
+    assert err.count("\n") == 1
+
+
+def test_classify_long_sum_runs(capsys, tmp_path):
+    path = write_spec(tmp_path, NORMAL_FORM_STABLE)
+    want = run(capsys, "classify", "--system", path)
+    long_sum = " + ".join(["x1"] + ["0*x2"] * 399)
+    path = write_spec(tmp_path, dict(NORMAL_FORM_STABLE, H=long_sum))
+    assert run(capsys, "classify", "--system", path) == want
+
+
 def test_classify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "classify", "--system",
                        str(tmp_path / "nope.json"))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,10 @@ from filippov.errors import (
     ExprSyntaxError,
     UnknownIdentifierError,
 )
+from filippov.core import FilippovSystem
 from filippov.expr import (
+    MAX_DEPTH,
+    MAX_NESTING,
     BinOp,
     Call,
     Neg,
@@ -20,6 +25,7 @@ from filippov.expr import (
     jacobian_fd,
     parse_expr,
 )
+from oracles import evaluate_tree
 
 # expressions exercised throughout the suite; also the round-trip corpus
 CORPUS = [
@@ -77,6 +83,35 @@ def test_unknown_identifier():
         parse_expr("x1 + y2")
     with pytest.raises(UnknownIdentifierError):
         parse_expr("tan(x1)")
+
+
+@pytest.mark.parametrize("opening,closing", [
+    ("(", ")"), ("sin(", ")"), ("-", ""), ("2^", ""),
+])
+def test_nesting_limit(opening, closing):
+    ok = opening * MAX_NESTING + "x1" + closing * MAX_NESTING
+    parse_expr(ok)
+    too_deep = opening + ok + closing
+    with pytest.raises(ExprSyntaxError) as exc_info:
+        parse_expr(too_deep)
+    assert "nesting deeper than" in str(exc_info.value)
+    # the offset points into the opening one level too deep
+    assert len(opening) * MAX_NESTING < exc_info.value.offset \
+        <= len(opening) * (MAX_NESTING + 1)
+
+
+def test_tree_depth_limit():
+    # a sum of n terms is n levels deep; evaluation walks no recursion
+    total = " + ".join(["x1"] * MAX_DEPTH)
+    assert ScalarField.parse(total)((1.0, 0.0, 0.0)) == MAX_DEPTH
+    assert format_expr(parse_expr(total)) == total
+    with pytest.raises(ExprSyntaxError) as exc_info:
+        parse_expr(total + " - x2")
+    assert "expression tree deeper than" in str(exc_info.value)
+    assert exc_info.value.offset == 1
+    product = "*".join(["x2"] * (MAX_DEPTH + 1))
+    with pytest.raises(ExprSyntaxError):
+        parse_expr(product)
 
 
 def test_empty_and_trailing_garbage():
@@ -150,6 +185,86 @@ def _random_tree(rng, depth):
         return Call(func, _random_tree(rng, depth - 1))
     op = str(rng.choice(["+", "-", "*", "/", "^"]))
     return BinOp(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def _outcome(fn, *args):
+    """("value", bits) or ("error", message): equal outcomes are equal
+    bit for bit, signed zeros included."""
+    try:
+        return ("value", float(fn(*args)).hex())
+    except EvalDomainError as exc:
+        return ("error", str(exc))
+
+
+# points with zeros, negative coordinates and a large one
+_POINTS = list(itertools.product((0.0, -1.5, 0.7, 2.0), repeat=3))
+_POINTS += [(-0.0, 3.0, -2.5), (1e200, -1e-3, 0.0), (-4.0, -4.0, -4.0)]
+
+
+def test_compiled_evaluation_matches_tree_walk():
+    rng = np.random.default_rng(5)
+    errors = 0
+    for _ in range(300):
+        tree = _random_tree(rng, 4)
+        for point in _POINTS[::5]:
+            want = _outcome(evaluate_tree, tree, point)
+            assert _outcome(evaluate, tree, point) == want
+            assert _outcome(ScalarField(tree), point) == want
+            errors += want[0] == "error"
+    assert errors > 100  # the corpus reaches the domain errors too
+
+
+def test_compiled_vector_field_matches_tree_walk():
+    # components evaluate in order, so the first failing one names the error
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        trees = tuple(_random_tree(rng, 3) for _ in range(3))
+        field = VectorField(trees)
+        for point in _POINTS[::7]:
+            want = [_outcome(evaluate_tree, t, point) for t in trees]
+            failed = [o for o in want if o[0] == "error"]
+            try:
+                got = [("value", float(v).hex()) for v in field(point)]
+            except EvalDomainError as exc:
+                got = [("error", str(exc))]
+            assert got == (failed[:1] or want)
+
+
+@pytest.mark.parametrize("text", [
+    "x1^0", "x1^2", "x1^3", "x1^-2", "0^-1", "(1e200)^2", "1/0",
+    "sqrt(-1)", "exp(1e4)", "x1^2.5", "(x1 - 1)^0.5", "sin(1e300*x1)",
+])
+def test_domain_errors_match_tree_walk(text):
+    tree = parse_expr(text)
+    outcomes = set()
+    for x1 in (0.0, -0.0, -2.0, 3.0, 1e200, -1e200):
+        point = (x1, 1.0, -1.0)
+        want = _outcome(evaluate_tree, tree, point)
+        assert _outcome(evaluate, tree, point) == want
+        assert _outcome(ScalarField(tree), point) == want
+        outcomes.add(want[0])
+    if text in ("0^-1", "(1e200)^2", "1/0", "sqrt(-1)", "exp(1e4)"):
+        assert outcomes == {"error"}
+    if text in ("x1^2", "x1^3", "x1^-2"):
+        assert outcomes == {"value", "error"}
+
+
+def test_fields_of_one_shape_share_their_code():
+    # literals, negated ones included, are bound from a tuple: systems that
+    # differ only in their coefficients run the same compiled code
+    rng = np.random.default_rng(3)
+    codes = {"left": set(), "right": set(), "switch": set()}
+    for _ in range(50):
+        k = [repr(float(v)) for v in rng.uniform(-3.0, 3.0, size=9)]
+        system = FilippovSystem.parse(
+            (f"{k[0]}*x1 + x2 + {k[1]}*x1^2", f"{k[2]}*x1 + x3",
+             f"{k[3]}*x1 - {k[4]}*x2*x3"),
+            (k[5], f"{k[6]} + {k[7]}*sin(x2)", "-1"),
+            f"x1 + {k[8]}*x2^2")
+        for name in codes:
+            codes[name].add(getattr(system, name).compiled.__code__)
+    assert {name: len(seen) for name, seen in codes.items()} == \
+        {"left": 1, "right": 1, "switch": 1}
 
 
 def test_negative_literal_formats_with_parens():

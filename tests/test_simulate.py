@@ -1,8 +1,11 @@
 import csv
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from filippov.cli import main
 from filippov.core import (
     FilippovSystem,
     FoldKind,
@@ -37,6 +40,21 @@ def normal_form_system(a, b, c, d):
     )
 
 
+def nonlinear_texts(a, b, c, d):
+    """The normal form of (a, b, c, d) plus terms of order two and more
+    that use every operator and function of the expression language."""
+    tau_l, sigma_l, delta_l = a - 1.0, b - a, -b
+    return {
+        "fL": [f"{tau_l}*x1 + x2 + 0.2*x1^2 - 0.1*x2*x3",
+               f"{-sigma_l}*x1 + x3 + 0.1*sin(x2)*x2 - 0.05*x1*x3",
+               f"{delta_l}*x1 + 0.2*x3^2/(1 + x2^2) + 0.03*abs(x1)^1.5"],
+        "fR": ["-1 + 0.1*x2", f"{c} + 0.1*(exp(x3) - 1) - 0.05*x1^3",
+               f"{-d} + 0.05*sqrt(1 + x1^2)*x2 - 0.02*cos(x1)*x3"],
+        "H": "x1 + 0.1*x2^2 - 0.15*x3^2 + 0.05*x2*x3"
+             " + 0.01*(1 + x2^2)^-1 - 0.01",
+    }
+
+
 # --------------------------------------------------------------------------
 # general Filippov simulation
 # --------------------------------------------------------------------------
@@ -48,6 +66,43 @@ def test_single_left_segment_converges():
     orbit = simulate(system, (1.0, 1.0, 1.0), SimConfig(dt=2e-3, t_max=40.0))
     assert orbit.terminal is Terminal.CONVERGED
     assert [seg.regime for seg in orbit.segments] == ["L"]
+
+
+# SHA-256 of the orbits of test_orbits_golden: a change to expression
+# evaluation or to the simulator that moves any sample by one bit fails it
+GOLDEN_ORBITS_SHA256 = (
+    "01af8c2c59ce0926bae3aa201e425f37e958149e86d737afa26c16e2896b25f4")
+GOLDEN_ORBIT_CSV_SHA256 = (
+    "162ff1fb7cb1408e9784a52bbc5b42e2db540917901e056fdca94cef02543f8d")
+
+
+def test_orbits_golden(tmp_path, capsys):
+    # the linear parts have return multipliers 0.578 and 1.259: one orbit
+    # spirals in by sliding, the other out
+    digest = hashlib.sha256()
+    for abcd in ((-0.2, 5, -0.2, 3), (0.4, 5, -0.5, 6)):
+        texts = nonlinear_texts(*abcd)
+        system = FilippovSystem.parse(texts["fL"], texts["fR"], texts["H"])
+        orbit = simulate(system, (-0.02, 0.0, -0.05),
+                         SimConfig(dt=1e-2, t_max=10.0))
+        assert len(orbit.segments) >= 8
+        digest.update(f"{orbit.terminal.value}|{orbit.detail}\n".encode())
+        for seg in orbit.segments:
+            for sample in seg.samples:
+                row = ",".join(repr(float(v)) for v in sample)
+                digest.update(f"{seg.regime},{row}\n".encode())
+    assert digest.hexdigest() == GOLDEN_ORBITS_SHA256
+
+    spec = dict(nonlinear_texts(-0.2, 5, -0.2, 3), x_star=[0, 0, 0])
+    (tmp_path / "system.json").write_text(json.dumps(spec))
+    out = tmp_path / "orbit.csv"
+    code = main(["orbit-system", "--system", str(tmp_path / "system.json"),
+                 "--x0=-0.02,0,-0.05", "--t-max", "5", "--dt", "0.01",
+                 "--out", str(out)])
+    assert code == 0
+    assert "terminal: timeout" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        GOLDEN_ORBIT_CSV_SHA256
 
 
 def test_alternating_regular_and_slide_segments():
