@@ -52,7 +52,6 @@ from .sweep import render_grid, sweep
 
 FIG_PANEL_A = (-1.2, -0.2, 0.2, 1.2)
 FIG_PANEL_B = (0.5, 2.0, 5.0)
-STEPS = DEFAULT_EVENT_CONFIG.steps_per_rotation
 
 
 def _slug(exc: Exception) -> str:
@@ -87,7 +86,9 @@ def _print_lambda(result: LambdaResult) -> None:
 
 
 def _event_config(args) -> EventConfig:
-    return EventConfig(steps_per_rotation=args.steps)
+    """The event tolerances; ``--steps`` is accepted and ignored, since
+    the regular segment's search takes no steps."""
+    return DEFAULT_EVENT_CONFIG
 
 
 def cmd_lambda(args) -> int:
@@ -135,7 +136,10 @@ def cmd_classify(args) -> int:
     print(f"case: rotational, alpha={verdict.alpha!r} beta={verdict.beta!r} "
           f"gamma={verdict.gamma!r}")
     print(f"hybrid params: a={p.a!r} b={p.b!r} c={p.c!r} d={p.d!r}")
-    result = return_multiplier(p, _event_config(args))
+    try:
+        result = return_multiplier(p, _event_config(args))
+    except FilippovError as exc:
+        return _fail(exc)
     _print_lambda(result)
     return 0
 
@@ -244,8 +248,39 @@ def cmd_check_decay_orbits(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with each of its own usage errors as one ``error: usage:``
+    line and exit code 2 (subcommand parsers inherit the class)."""
+
+    def error(self, message):
+        self.exit(_usage(message))
+
+
+# "--x0 -0.02,0,-0.05": a value with a leading minus, which argparse would
+# read as an option unless it is joined to its option with "="
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1].startswith("--") and "=" not in joined[-1] \
+                and _NEGATIVE_VALUE.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
+def _add_steps_option(p) -> None:
+    p.add_argument("--steps", type=int, default=1,
+                   help="ignored, kept for one release: the regular "
+                        "segment's search takes no steps (below 1 is still "
+                        "a usage error)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="filippov",
         description="Stability of boundary equilibria of three-dimensional "
                     "Filippov systems")
@@ -256,14 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
                                       "system for parameters (a, b, c, d)")
     for name in "abcd":
         p.add_argument(f"--{name}", type=float, required=True)
-    p.add_argument("--steps", type=int, default=STEPS,
-                   help=f"stepping resolution per rotation (default {STEPS})")
+    _add_steps_option(p)
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("classify", help="full stability chain for a system "
                                         "file")
     p.add_argument("--system", required=True, help="system spec JSON file")
-    p.add_argument("--steps", type=int, default=STEPS)
+    _add_steps_option(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sweep", help="classify a (c, d) grid for fixed "
@@ -278,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nd", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "pgm"), default="csv")
-    p.add_argument("--steps", type=int, default=STEPS)
+    _add_steps_option(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("orbit", help="export a hybrid-system orbit as CSV")
@@ -310,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-range", type=_parse_range, default=(0.0, 10.0),
                    metavar="LO:HI")
     p.add_argument("--format", choices=("csv", "pgm", "both"), default="both")
-    p.add_argument("--steps", type=int, default=STEPS)
+    _add_steps_option(p)
     p.set_defaults(func=cmd_fig_c)
 
     p = sub.add_parser("check-appendix-b",
@@ -325,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     for name in ("steps", "trials"):  # counts: below 1 is a usage error

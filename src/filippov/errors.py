@@ -99,6 +99,11 @@ class NotRotationalError(FilippovError):
     rotational return map does not apply."""
 
 
+class ToleranceNotMetError(FilippovError):
+    """An event's refinement missed its tolerance within its iteration
+    limit."""
+
+
 # --- simulation ---
 
 class RepellingSlidingEncounteredError(FilippovError):

@@ -6,9 +6,15 @@ planar linear flow on that plane (switching back when they reach the line
 y1 = y2 = 0).  Both flows are evaluated from explicit spectral formulas,
 never by numerical integration.  The sliding segment's return is the
 exact first root of its closed form, for every eigenstructure of the
-planar block.  The regular segment's event is located by fixed stepping
-tied to the rotation period plus secant refinement (with a bisection
-fallback).
+planar block.  The regular segment's return is found on
+h(t) = e^{-alpha t} y1(t) = u1 e^{(mu - alpha) t} + R cos(beta t - phi),
+half turn by half turn of the rotation, with sign and Lipschitz root
+exclusion (Moore, *Interval Analysis*, 1966): the search either brackets
+the first root, which a secant refines to a tolerance relative to R, or
+proves that the leg never returns.  It has no step size, step budget or
+norm floor.  Against a 50-digit mpmath reference, the multipliers agree
+to 1.4e-14 relative at worst on 715 random returning sets (see the
+README).
 
 The multiplier of the first-return map to the line decides stability:
 values below 1 (or an orbit that never returns and decays) mean the
@@ -18,6 +24,7 @@ origin attracts, values above 1 mean it repels.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Union
@@ -29,6 +36,7 @@ from .errors import (
     FilippovError,
     NearDegenerateError,
     NotRotationalError,
+    ToleranceNotMetError,
 )
 from .spectrum import (
     NormalFormParams,
@@ -51,6 +59,7 @@ __all__ = [
 
 # A return multiplier within this distance of 1 makes no stability claim.
 MARGINAL_TOL = 1e-9
+_EPS = sys.float_info.epsilon
 
 
 def _marginal(value):
@@ -90,31 +99,28 @@ class HybridParams:
 
 @dataclass(frozen=True)
 class EventConfig:
-    """Tuning knobs for event location.
+    """Tolerances of event location.
 
-    The sliding return is exact, so ``steps_per_rotation``,
-    ``max_secant_iters``, ``norm_floor`` and ``max_segments`` apply to the
-    regular segment only; ``norm_ceiling`` also bounds the return point of
-    the slide.  ``max_segments`` bounds the stepping iterations of the
-    regular segment; exceeding it is treated as divergence, with a
-    diagnostic.
+    ``secant_tol`` and ``max_secant_iters`` apply to the regular segment's
+    plane hit: its secant stops once |h| <= secant_tol * R (R the
+    amplitude of the rotating part of y1 e^{-alpha t}), and raises
+    :class:`ToleranceNotMetError` when it has not within
+    ``max_secant_iters``.  A hit of either segment beyond ``norm_ceiling``
+    counts as divergence.  The sliding return is exact, and the regular
+    search needs no step count, step budget or norm floor.
     """
 
-    steps_per_rotation: int = 256
     secant_tol: float = 1e-12
     max_secant_iters: int = 60
-    norm_floor: float = 1e-6
     norm_ceiling: float = 1e6
-    max_segments: int = 10000
 
     def __post_init__(self):
-        if self.steps_per_rotation <= 0 or self.max_secant_iters <= 0 \
-                or self.max_segments <= 0:
-            raise ValueError("iteration counts must be positive")
-        if self.secant_tol <= 0.0:
+        if self.max_secant_iters <= 0:
+            raise ValueError("max_secant_iters must be positive")
+        if not self.secant_tol > 0.0:
             raise ValueError("secant_tol must be positive")
-        if not (0.0 < self.norm_floor < 1.0 < self.norm_ceiling):
-            raise ValueError("need 0 < norm_floor < 1 < norm_ceiling")
+        if not self.norm_ceiling > 1.0:
+            raise ValueError("norm_ceiling must exceed 1")
 
 
 DEFAULT_EVENT_CONFIG = EventConfig()
@@ -198,8 +204,8 @@ class SegmentEvent:
 
 @dataclass(frozen=True)
 class Termination:
-    """A flow segment ended without an event (norm threshold, step
-    limit, or a non-oscillatory slide with no root)."""
+    """A flow segment ended without an event: it provably never returns,
+    it overflowed, or its hit lies beyond the norm ceiling."""
 
     status: LambdaStatus  # one of the UNDEFINED_* values
     detail: str
@@ -219,12 +225,14 @@ class ReturnOutcome:
 # matrices and closed-form flows
 # --------------------------------------------------------------------------
 
+def _left_rows(a: float, b: float) -> tuple[tuple[float, ...], ...]:
+    return ((a - 1.0, 1.0, 0.0), (a - b, 0.0, 1.0), (-b, 0.0, 0.0))
+
+
 def left_matrix(a: float, b: float) -> np.ndarray:
     """Matrix of the regular piece; eigenvalues -1 and (a +/- i*w)/2
     with w = sqrt(4b - a^2), eigenvector (1, -a, b) for -1."""
-    return np.array([[a - 1.0, 1.0, 0.0],
-                     [a - b, 0.0, 1.0],
-                     [-b, 0.0, 0.0]])
+    return np.array(_left_rows(a, b))
 
 
 def slide_block(c: float, d: float) -> np.ndarray:
@@ -232,36 +240,62 @@ def slide_block(c: float, d: float) -> np.ndarray:
     return np.array([[c, 1.0], [-d, 0.0]])
 
 
-def _spiral_flow(M, mu: float, alpha: float, beta: float, y0,
-                 ) -> Callable[[float], tuple[float, float, float]]:
-    """Closed-form flow of a 3x3 matrix with spectrum {mu, alpha +/- i*beta}.
+class _SpiralSplit(NamedTuple):
+    """A start y0 split along the spectrum {mu, alpha +/- i*beta} of a 3x3
+    matrix M, so that the flow is
+    y(t) = e^{mu t} u + e^{alpha t} (cos(beta t) w + sin(beta t) g);
+    ``dy`` = M y0 and ``ddy`` = M^2 y0 are y'(0) and y''(0)."""
 
-    Splits y0 into its component along the real eigendirection (via the
-    annihilating quadratic of the complex pair) and its component in the
-    rotation plane, then evolves each part explicitly.
-    """
-    m = np.asarray(M, dtype=float)
-    y = np.asarray(y0, dtype=float)
-    my = m @ y
-    s_y = m @ my - 2.0 * alpha * my + (alpha * alpha + beta * beta) * y
+    u: tuple[float, float, float]
+    w: tuple[float, float, float]
+    g: tuple[float, float, float]
+    dy: tuple[float, float, float]
+    ddy: tuple[float, float, float]
+
+
+def _spiral_split(M, mu: float, alpha: float, beta: float, y0,
+                  ) -> _SpiralSplit:
+    """Split y0 into its component u along the real eigendirection (via
+    the annihilating quadratic of the complex pair) and its component w in
+    the rotation plane, in pure floats.  M is an array or a sequence of
+    rows."""
+    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = (
+        M.tolist() if isinstance(M, np.ndarray) else M)
+
+    def mul(v1, v2, v3):
+        return (m11 * v1 + m12 * v2 + m13 * v3,
+                m21 * v1 + m22 * v2 + m23 * v3,
+                m31 * v1 + m32 * v2 + m33 * v3)
+
+    y1, y2, y3 = y0
+    dy = mul(y1, y2, y3)
+    ddy = mul(*dy)
+    rot = alpha * alpha + beta * beta
     denom = (mu - alpha) ** 2 + beta * beta
-    ur = s_y / denom
-    w = y - ur
-    g = (m @ w - alpha * w) / beta
-    u1, u2, u3 = float(ur[0]), float(ur[1]), float(ur[2])
-    w1, w2, w3 = float(w[0]), float(w[1]), float(w[2])
-    g1, g2, g3 = float(g[0]), float(g[1]), float(g[2])
+    two_alpha = 2.0 * alpha
+    u = ((ddy[0] - two_alpha * dy[0] + rot * y1) / denom,
+         (ddy[1] - two_alpha * dy[1] + rot * y2) / denom,
+         (ddy[2] - two_alpha * dy[2] + rot * y3) / denom)
+    w = (y1 - u[0], y2 - u[1], y3 - u[2])
+    mw = mul(*w)
+    g = ((mw[0] - alpha * w[0]) / beta, (mw[1] - alpha * w[1]) / beta,
+         (mw[2] - alpha * w[2]) / beta)
+    return _SpiralSplit(u, w, g, dy, ddy)
 
-    def flow(t: float) -> tuple[float, float, float]:
-        er = math.exp(mu * t)
-        ec = math.exp(alpha * t)
-        co = math.cos(beta * t)
-        si = math.sin(beta * t)
-        return (er * u1 + ec * (co * w1 + si * g1),
-                er * u2 + ec * (co * w2 + si * g2),
-                er * u3 + ec * (co * w3 + si * g3))
 
-    return flow
+def _spiral_at(split: _SpiralSplit, mu: float, alpha: float, beta: float,
+               t: float) -> tuple[float, float, float]:
+    """Closed-form flow at time t of a 3x3 matrix with spectrum
+    {mu, alpha +/- i*beta}, from a split start: each part evolves
+    explicitly."""
+    (u1, u2, u3), (w1, w2, w3), (g1, g2, g3) = split.u, split.w, split.g
+    er = math.exp(mu * t)
+    ec = math.exp(alpha * t)
+    co = math.cos(beta * t)
+    si = math.sin(beta * t)
+    return (er * u1 + ec * (co * w1 + si * g1),
+            er * u2 + ec * (co * w2 + si * g2),
+            er * u3 + ec * (co * w3 + si * g3))
 
 
 # Planar slide flow: eigenvalue structure of [[c, 1], [-d, 0]].
@@ -336,9 +370,9 @@ def flow_left(params: HybridParams, y0, t: float) -> np.ndarray:
     """Closed-form regular flow at time t >= 0."""
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    flow = _spiral_flow(left_matrix(params.a, params.b),
-                        *_hybrid_spectrum(params.a, params.b), y0)
-    return np.array(flow(float(t)))
+    spectrum = _hybrid_spectrum(params.a, params.b)
+    split = _spiral_split(_left_rows(params.a, params.b), *spectrum, y0)
+    return np.array(_spiral_at(split, *spectrum, float(t)))
 
 
 def flow_slide(params: HybridParams, y0, t: float) -> np.ndarray:
@@ -363,99 +397,161 @@ def _norm3(y: tuple[float, float, float]) -> float:
     return math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
 
 
-def _refine_root(flow, lo: float, m_lo: float, hi: float, m_hi: float,
-                 cfg: EventConfig):
-    """Secant iteration on t -> flow(t)[0] inside a sign-change bracket,
-    falling back to bisection whenever an iterate leaves the bracket."""
-    if m_hi == 0.0:
-        return hi, flow(hi)
-    a_t, a_m = lo, m_lo
-    b_t, b_m = hi, m_hi
-    t0, f0 = a_t, a_m
-    t1, f1 = b_t, b_m
-    best_t, best_y, best_m = b_t, flow(b_t), abs(b_m)
-    for _ in range(cfg.max_secant_iters):
-        if f1 != f0:
-            t2 = t1 - f1 * (t1 - t0) / (f1 - f0)
-        else:
+def _refine_root(f, lo: float, f_lo: float, hi: float, f_hi: float,
+                 tol: float, max_iters: int) -> float:
+    """Secant iteration on f inside a bracket with f_lo < 0 <= f_hi,
+    falling back to bisection whenever an iterate leaves the bracket.
+    Returns the first point with |f| <= tol, or the next secant iterate
+    where that is closer to the root; raises
+    :class:`ToleranceNotMetError` when none comes within max_iters."""
+    if abs(f_hi) <= tol:
+        return hi
+    a_t, b_t = lo, hi
+    t0, f0 = lo, f_lo
+    t1, f1 = hi, f_hi
+    closest = abs(f_hi)
+    for _ in range(max_iters):
+        t2 = t1 - f1 * (t1 - t0) / (f1 - f0) if f1 != f0 else a_t
+        if not a_t < t2 < b_t:
             t2 = 0.5 * (a_t + b_t)
-        if not (a_t < t2 < b_t):
-            t2 = 0.5 * (a_t + b_t)
-        y2 = flow(t2)
-        f2 = y2[0]
-        if abs(f2) <= cfg.secant_tol * max(1.0, _norm3(y2)):
-            return t2, y2
-        if abs(f2) < best_m:
-            best_t, best_y, best_m = t2, y2, abs(f2)
-        if (f2 > 0.0) == (a_m > 0.0):
-            a_t, a_m = t2, f2
+        f2 = f(t2)
+        if abs(f2) <= tol:
+            # one more secant step, kept where it lands closer to the root
+            t3 = t2 - f2 * (t2 - t1) / (f2 - f1) if f2 != f1 else t2
+            if t3 != t2 and a_t < t3 < b_t and abs(f(t3)) < abs(f2):
+                return t3
+            return t2
+        closest = min(closest, abs(f2))
+        if f2 < 0.0:
+            a_t = t2
         else:
-            b_t, b_m = t2, f2
+            b_t = t2
         t0, f0 = t1, f1
         t1, f1 = t2, f2
-    return best_t, best_y  # tolerance not met; proceed with the best point
+    raise ToleranceNotMetError(
+        f"plane hit not refined to |h| <= {tol:.3g} in {max_iters} secant "
+        f"iterations (closest {closest:.3g})")
 
 
-def _find_crossing(flow, dt: float, cfg: EventConfig):
-    """Step a closed-form flow until its first coordinate leaves y1 < 0,
-    then refine.  Returns ("event", t, y) or ("converged"|"diverged",
-    detail).
+def _half_turn_bracket(terms, lo: float, v_lo, hi: float, v_hi, peak: float,
+                       rot_max: float, rising: bool):
+    """The first root of h on [lo, hi], a stretch of one half turn of the
+    rotation on which h(lo) < 0: a bracket (lo, h(lo), hi, h(hi)) on
+    which h rises through zero, or None.
+
+    ``terms(t)`` gives h and the two parts of its slope: that of the real
+    mode, of one sign throughout, and that of the rotation, of one sign
+    on the half turn (positive when ``rising``) and largest in magnitude,
+    ``rot_max``, at ``peak``.  A stretch on which one part outweighs the
+    other is monotone, and the signs at its ends decide.  On any other
+    stretch a root is excluded by the Lipschitz test
+    |h(lo)| + |h(hi)| > L (hi - lo), and the stretch is halved when that
+    fails; one that can be halved no further is a touch of zero.
+    Stretches are searched from the left, so the first bracket holds the
+    first root.
     """
-    try:
-        y = flow(0.0)
-    except OverflowError:
-        return ("diverged", "overflow at segment start")
-    norm0 = _norm3(y)
-    if norm0 < cfg.norm_floor:
-        return ("converged", "norm below floor at segment start")
-    if norm0 > cfg.norm_ceiling:
-        return ("diverged", "norm above ceiling at segment start")
-    t_prev = 0.0
-    m_prev = y[0]
-    if abs(m_prev) <= cfg.secant_tol * max(1.0, norm0):
-        # trivial root at the segment start: advance one full step before
-        # arming detection (the orbit enters the interior quadratically)
-        t_prev = dt
-        y = flow(dt)
-        m_prev = y[0]
-        nrm = _norm3(y)
-        if nrm < cfg.norm_floor:
-            return ("converged", "norm below floor")
-        if nrm > cfg.norm_ceiling:
-            return ("diverged", "norm above ceiling")
-        if m_prev > 0.0:
-            # left the interior within the very first step; bracket against
-            # a point just past the excluded trivial root
-            lo = dt * 1e-9
-            y_lo = flow(lo)
-            m_lo = y_lo[0]
-            if m_lo < 0.0:
-                t_hit, y_hit = _refine_root(flow, lo, m_lo, dt, m_prev, cfg)
-                return ("event", t_hit, y_hit)
-    steps = 0
-    while steps < cfg.max_segments:
-        steps += 1
-        t_cur = t_prev + dt
-        try:
-            y = flow(t_cur)
-        except OverflowError:
-            return ("diverged", "overflow during stepping")
-        m_cur = y[0]
-        if not (math.isfinite(m_cur) and math.isfinite(y[1])
-                and math.isfinite(y[2])):
-            return ("diverged", "non-finite state")
-        if m_cur >= 0.0 and m_prev < 0.0:
-            t_hit, y_hit = _refine_root(flow, t_prev, m_prev, t_cur, m_cur,
-                                        cfg)
-            return ("event", t_hit, y_hit)
-        nrm = _norm3(y)
-        if nrm < cfg.norm_floor:
-            return ("converged", "norm below floor")
-        if nrm > cfg.norm_ceiling:
-            return ("diverged", "norm above ceiling")
-        t_prev, m_prev = t_cur, m_cur
-    return ("diverged",
-            f"no event within {cfg.max_segments} steps (step limit)")
+    ends = [(hi, v_hi)]
+    while ends:
+        hi, v_hi = ends[-1]
+        h_lo, e_lo, r_lo = v_lo
+        h_hi, e_hi, r_hi = v_hi
+        exp_min, exp_max = abs(e_lo), abs(e_hi)
+        if exp_min > exp_max:
+            exp_min, exp_max = exp_max, exp_min
+        rot_min, rot_top = abs(r_lo), abs(r_hi)
+        if rot_min > rot_top:
+            rot_min, rot_top = rot_top, rot_min
+        if lo <= peak <= hi:
+            rot_top = rot_max
+        if e_lo == 0.0 or (e_lo > 0.0) == rising or rot_min > exp_max:
+            up = rising
+        elif exp_min > rot_top:
+            up = e_lo > 0.0
+        else:
+            up = None
+            if abs(h_lo) + abs(h_hi) <= (exp_max + rot_top) * (hi - lo):
+                mid = 0.5 * (lo + hi)
+                if lo < mid < hi:
+                    ends.append((mid, terms(mid)))
+                    continue
+                # at the resolution of t, |h| <= L (hi - lo) at both ends:
+                # h touches zero at hi to within its rounding
+                return lo, h_lo, hi, 0.0
+        if up and h_hi >= 0.0:
+            return lo, h_lo, hi, h_hi
+        lo, v_lo = ends.pop()
+    return None
+
+
+def _plane_bracket(split: _SpiralSplit, y1_0: float, lam: float, beta: float,
+                   terms):
+    """A bracket (lo, h(lo), hi, h(hi)) of the first positive root of
+    h(t) = e^{-alpha t} y1(t) = u1 e^{lam t} + R cos(beta t - phi),
+    lam = mu - alpha, or None when the flow never reaches y1 = 0.
+
+    The search runs over the half turns between zeros of
+    sin(beta t - phi) (see :func:`_half_turn_bracket`).  It ends at a
+    root, or at the horizon past which |u1| e^{lam t} > R with u1 < 0, so
+    that h stays negative: with lam > 0 that is t = log(R / |u1|) / lam,
+    with lam = 0 it is every t once |u1| > R.  With lam = 0 and
+    |u1| <= R, h reaches its peak u1 + R >= 0 where the first rising half
+    turn ends.  With lam < 0, or u1 > 0, a root comes on the first rising
+    half turn on which the rotation outweighs the real mode; with lam < 0
+    and -u1 > R, h < 0 until t = log(-u1 / R) / -lam, where the search
+    starts.  A start on the plane (the trivial root h(0) = 0) must
+    enter y1 < 0, with h'(0) < 0, or h'(0) = 0 and h''(0) < 0.  Taylor's
+    bound with L2 >= |h''|, or L3 >= |h'''|, over a window of at most a
+    half turn and 1 / lam keeps h < 0 on (0, -h'(0) / L2], or
+    (0, -h''(0) / L3], within the window; the search starts there.
+    """
+    u1, w1, g1 = split.u[0], split.w[0], split.g[0]
+    amp = math.hypot(w1, g1)
+    if amp <= 16.0 * _EPS * (abs(u1) + abs(y1_0)):
+        # a rotating part at the rounding level of the split: the start
+        # lies on the real eigendirection, and h keeps the sign of u1 <= 0
+        return None
+    if u1 < 0.0 and lam >= 0.0 and (-u1 > amp or (lam > 0.0
+                                                  and -u1 == amp)):
+        return None
+    horizon = math.inf
+    if lam > 0.0 and u1 < 0.0:
+        horizon = math.log(amp / -u1) / lam
+    start = 0.0
+    if y1_0 == 0.0:
+        window = math.pi / beta
+        if lam > 0.0:
+            window = min(window, 1.0 / lam)
+        grow = abs(u1) * math.exp(max(lam, 0.0) * window)
+        h1 = split.dy[0]
+        if h1 < 0.0:
+            start = -h1 / (lam * lam * grow + beta * beta * amp)
+        elif h1 == 0.0 and split.ddy[0] < 0.0:
+            start = -split.ddy[0] / (abs(lam) ** 3 * grow + beta ** 3 * amp)
+        else:
+            raise ValueError("the regular flow from y0 leaves y1 <= 0 at once")
+        start = min(start, window)
+    elif lam < 0.0 and -u1 > amp:
+        start = math.log(-u1 / amp) / -lam
+    phi = math.atan2(g1, w1)
+    if lam == 0.0:  # h peaks at u1 + R >= 0 where each rising half turn ends
+        horizon = (phi + 2.0 * math.pi
+                   * math.ceil((beta * start - phi) / (2.0 * math.pi))) / beta
+    k = math.floor((beta * start - phi) / math.pi)
+    lo, v_lo = start, terms(start)
+    while lo < horizon:
+        hi = min((phi + (k + 1) * math.pi) / beta, horizon)
+        if hi > lo:
+            v_hi = terms(hi)
+            found = _half_turn_bracket(terms, lo, v_lo, hi, v_hi,
+                                       (phi + (k + 0.5) * math.pi) / beta,
+                                       beta * amp, k % 2 == 1)
+            if found is not None:
+                return found
+            lo, v_lo = hi, v_hi
+        k += 1
+    if lam == 0.0:  # the first peak, u1 + R >= 0, is zero to rounding
+        return lo, v_lo[0], lo, 0.0
+    return None
 
 
 def _termination(kind: str, detail: str) -> Termination:
@@ -466,15 +562,39 @@ def _termination(kind: str, detail: str) -> Termination:
 
 def _plane_hit_spiral(M, mu: float, alpha: float, beta: float, y0,
                       cfg: EventConfig) -> Union[SegmentEvent, Termination]:
-    """First time the regular flow from y0 (with y1 <= 0) reaches y1 = 0."""
-    flow = _spiral_flow(M, mu, alpha, beta, y0)
-    dt = 2.0 * math.pi / (beta * cfg.steps_per_rotation)
-    result = _find_crossing(flow, dt, cfg)
-    if result[0] != "event":
-        return _termination(result[0], result[1] + " (regular segment)")
-    _, t_hit, y_hit = result
-    return SegmentEvent(t_hit, (y_hit[0], y_hit[1], y_hit[2]),
-                        "regular-to-slide")
+    """First time the regular flow from y0 (with y1 <= 0) reaches y1 = 0,
+    or the reason it never does.  A leg that never returns has mu >=
+    alpha, so it converges when mu < 0 and diverges otherwise; an
+    overflow or a hit beyond ``norm_ceiling`` diverges.  The hit is
+    refined on h to ``secant_tol`` times the rotation's amplitude R."""
+    split = _spiral_split(M, mu, alpha, beta, y0)
+    u1, w1, g1 = split.u[0], split.w[0], split.g[0]
+    lam = mu - alpha
+
+    def terms(t: float) -> tuple[float, float, float]:
+        """h(t) and the slopes of its real and rotating parts."""
+        e = u1 * math.exp(lam * t)
+        co = math.cos(beta * t)
+        si = math.sin(beta * t)
+        return e + w1 * co + g1 * si, lam * e, beta * (g1 * co - w1 * si)
+
+    try:
+        bracket = _plane_bracket(split, float(y0[0]), lam, beta, terms)
+        if bracket is None:
+            return _termination("converged" if mu < 0.0 else "diverged",
+                                "never returns: the real mode outweighs "
+                                "the rotation (regular segment)")
+        t_hit = _refine_root(lambda t: terms(t)[0], *bracket,
+                             cfg.secant_tol * math.hypot(w1, g1),
+                             cfg.max_secant_iters)
+        y_hit = _spiral_at(split, mu, alpha, beta, t_hit)
+    except OverflowError:
+        return _termination("diverged",
+                            "overflow before the plane hit (regular segment)")
+    if not _norm3(y_hit) <= cfg.norm_ceiling:
+        return _termination("diverged", "norm above ceiling at the plane "
+                                        "hit (regular segment)")
+    return SegmentEvent(t_hit, y_hit, "regular-to-slide")
 
 
 def _line_hit_block(c: float, d: float, y2_0: float, y3_0: float,
@@ -589,11 +709,13 @@ def first_hit_plane(params: HybridParams, y0,
                     cfg: EventConfig = DEFAULT_EVENT_CONFIG,
                     ) -> Union[SegmentEvent, Termination]:
     """First positive time at which the regular flow from y0 (in
-    y1 <= 0) reaches the switching plane, or the reason it never does."""
-    y0 = tuple(float(v) for v in y0)
-    if y0[0] > 1e-9 * max(1.0, _norm3(y0)):
+    y1 <= 0) reaches the switching plane, or the reason it never does.
+    Raises ValueError for y1 > 0, and for a start on the plane from
+    which the flow does not enter y1 < 0."""
+    y0 = tuple(map(float, y0))
+    if y0[0] > 0.0:
         raise ValueError("y0 must lie in the half-space y1 <= 0")
-    return _plane_hit_spiral(left_matrix(params.a, params.b),
+    return _plane_hit_spiral(_left_rows(params.a, params.b),
                              *_hybrid_spectrum(params.a, params.b), y0, cfg)
 
 
@@ -708,7 +830,7 @@ def return_map(a: float, b: float, cfg: EventConfig = DEFAULT_EVENT_CONFIG,
     if not (math.isfinite(b) and b > a * a / 4.0):  # also rejects a NaN
         raise ConstraintViolationError(
             f"need finite b > a^2/4, got a = {a:g}, b = {b:g}")
-    head = _slide_start(_plane_hit_spiral(left_matrix(a, b),
+    head = _slide_start(_plane_hit_spiral(_left_rows(a, b),
                                           *_hybrid_spectrum(a, b),
                                           (0.0, 0.0, -1.0), cfg), cfg)
     if isinstance(head, ReturnOutcome):

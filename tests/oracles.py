@@ -1,10 +1,13 @@
-"""Test oracles, not part of the package: a high-accuracy reference
-integrator (Dormand-Prince 5(4) with adaptive steps) for the closed-form
-flows, and a plain recursive tree walk for the compiled expressions.
+"""Test oracles, not part of the package: reference linear flows and
+return multipliers (mpmath's ``expm`` at 30 and 50 digits, or, where
+mpmath is not installed, a high-accuracy Dormand-Prince 5(4) integrator
+with adaptive steps), and a plain recursive tree walk for the compiled
+expressions.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable
 
@@ -12,6 +15,21 @@ import numpy as np
 
 from filippov.errors import EvalDomainError, NonFiniteStateError
 from filippov.expr import BinOp, Call, Neg, Num, Var
+
+try:
+    import mpmath as mp
+except ImportError:  # the adaptive integrator stands in
+    mp = None
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies
+except ImportError:  # a seeded numpy loop stands in
+    given = None
+
+# Relative accuracy of return_reference: a 50-digit value rounded to a
+# float, or the adaptive integrator's (rtol 1e-12 on two segments)
+REFERENCE_RTOL = 1e-16 if mp is not None else 1e-9
 
 _DP_A = np.zeros((7, 7))
 _DP_A[1, :1] = (1 / 5,)
@@ -59,6 +77,94 @@ def integrate_adaptive(f: Callable[[float, np.ndarray], np.ndarray], y0,
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
     return y
+
+
+def _flow_at(M, y0):
+    """t -> (exp(M t) y0, M exp(M t) y0): mpmath's ``expm`` at the
+    working precision, or ``integrate_adaptive`` when mpmath is missing."""
+    M = np.asarray(M, dtype=float)
+    if mp is None:
+        def at(t):
+            y = integrate_adaptive(lambda s, v: M @ v, y0, t)
+            return y, M @ y
+        return at
+    A = mp.matrix(M.tolist())
+    y_start = mp.matrix([mp.mpf(v) for v in y0])
+
+    def at(t):
+        y = mp.expm(A * t) * y_start
+        return y, A * y
+    return at
+
+
+def _precision(dps: int):
+    return mp.workdps(dps) if mp is not None else contextlib.nullcontext()
+
+
+def flow_reference(M, y0, t: float, dps: int = 30) -> np.ndarray:
+    """exp(M t) y0 for a square matrix M, at ``dps`` digits (or by the
+    adaptive integrator)."""
+    with _precision(dps):
+        y = _flow_at(M, y0)(t if mp is None else mp.mpf(t))[0]
+        return np.array([float(v) for v in y])
+
+
+def _reference_root(flow, t_guess: float, dps: int):
+    """The root of the first coordinate of ``flow`` next to t_guess.  It
+    must change sign across t_guess +/- 1e-6 (relative); Newton's method
+    from t_guess then runs to ``dps`` digits.  With the adaptive
+    integrator, one Newton step from t_guess already reaches its
+    accuracy."""
+    width = 1e-6 * max(1.0, t_guess)
+    if mp is not None:
+        t_guess, width = mp.mpf(t_guess), mp.mpf(width)
+    assert flow(t_guess - width)[0][0] * flow(t_guess + width)[0][0] < 0, \
+        "no sign change around the given root"
+    t = t_guess
+    for _ in range(1 if mp is None else 20):
+        y, slope = flow(t)
+        step = y[0] / slope[0]
+        t -= step
+        if mp is None or abs(step) <= mp.mpf(10) ** -dps * max(1, abs(t)):
+            return t
+    raise AssertionError("Newton's method did not converge")
+
+
+def return_reference(M, c: float, d: float, t_plane: float, t_line: float,
+                     dps: int = 50) -> float:
+    """The return multiplier from (0, 0, -1) of a regular piece with
+    matrix M and a slide with block [[c, 1], [-d, 0]], independently of
+    the closed forms: each flow is ``expm`` at ``dps`` digits (or the
+    adaptive integrator), and each event the root of its monitor next to
+    the time the package found, t_plane for the plane hit and t_line for
+    the slide's return (see :func:`_reference_root`).  Agrees with the
+    exact value to REFERENCE_RTOL relative."""
+    with _precision(dps + 10):
+        regular = _flow_at(M, (0.0, 0.0, -1.0))
+        y = regular(_reference_root(regular, t_plane, dps))[0]
+        slide = _flow_at([[c, 1.0], [-d, 0.0]], (y[1], y[2]))
+        z = slide(_reference_root(slide, t_line, dps))[0]
+        return float(-z[1])
+
+
+def for_all(examples: int, seed: int, strategy, draw):
+    """Run a property test, a function of one case, over ``examples``
+    cases: drawn by hypothesis from ``strategy(strategies)`` where it is
+    installed (derandomized, no example database), else by ``draw(rng)``
+    from a numpy generator seeded with ``seed``."""
+    def decorate(check):
+        if given is not None:
+            return settings(max_examples=examples, deadline=None,
+                            derandomize=True, database=None)(
+                given(strategy(strategies))(check))
+
+        def run():
+            rng = np.random.default_rng(seed)
+            for _ in range(examples):
+                check(draw(rng))
+        run.__name__ = run.__qualname__ = check.__name__
+        return run
+    return decorate
 
 
 def evaluate_tree(node, point) -> float:

@@ -11,10 +11,10 @@ import pytest
 
 import filippov as fp
 from filippov.hybrid import (
-    EventConfig,
     HybridParams,
     LambdaStatus,
     first_return,
+    left_matrix,
     return_multiplier,
     return_multiplier_normal_form,
 )
@@ -34,6 +34,7 @@ from filippov.stability import (
     classify_equilibrium,
 )
 from filippov.sweep import CellVerdict, cell_centers, sweep
+from oracles import REFERENCE_RTOL, return_reference
 
 # Regression constants: first computed values of the three headline
 # multipliers, cross-checked against the empirical oracle below.
@@ -313,16 +314,14 @@ def test_criterion_10_parameter_plane_panels():
 
 
 def test_criterion_11_event_pipeline_convergence(defined_sample):
-    fine = EventConfig(steps_per_rotation=512)
+    # every defined multiplier against the 50-digit reference (expm, with
+    # each event the root next to the package's)
     worst = 0.0
-    ok = True
     for params, closed_value in defined_sample:
-        refined = return_multiplier(params, fine)
-        if not refined.defined:
-            ok = False
-            break
-        worst = max(worst, abs(refined.value - closed_value)
-                    / max(1.0, closed_value))
-    ok = ok and worst < 1e-7
-    report(11, "halving the step changes no defined multiplier", ok,
-           f"worst relative change {worst:.2e}")
+        out = first_return(params, -1.0)
+        ref = return_reference(left_matrix(params.a, params.b), params.c,
+                               params.d, *(ev.t_hit for ev in out.events))
+        worst = max(worst, abs(closed_value - ref) / ref)
+    ok = worst <= max(1e-13, REFERENCE_RTOL)
+    report(11, "defined multipliers match the high-precision reference", ok,
+           f"worst relative error {worst:.2e}")

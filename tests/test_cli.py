@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from filippov import cli
 from filippov.cli import main
+from filippov.hybrid import EventConfig
 
 
 def run(capsys, *argv):
@@ -242,6 +244,53 @@ def test_orbit_system_bad_x0(capsys, tmp_path):
                        str(tmp_path / "o.csv"))
     assert code == 2
     assert "usage" in err
+
+
+def test_orbit_system_negative_x0_needs_no_equals_sign(capsys, tmp_path):
+    path = write_spec(tmp_path, NORMAL_FORM_STABLE)
+    texts = []
+    for x0 in (("--x0", "-0.02,0,-0.05"), ("--x0=-0.02,0,-0.05",)):
+        out_path = tmp_path / f"orbit{len(texts)}.csv"
+        code, _, err = run(capsys, "orbit-system", "--system", path, *x0,
+                           "--t-max", "2", "--dt", "0.01",
+                           "--out", str(out_path))
+        assert code == 0, err
+        texts.append(out_path.read_text())
+    assert texts[0] == texts[1]
+    code, out, _ = run(capsys, "lambda", "--a", "-0.2", "--b", "0.5",
+                       "--c", "-0.5", "--d", "8")
+    assert code == 0 and "verdict: unstable" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("lambda", "--a", "0.2"),                      # missing options
+    ("lambda", "--a", "0.2", "--b", "5", "--c", "0.2", "--d", "1",
+     "--bogus", "3"),                              # unknown option
+    ("lambda", "--a", "x", "--b", "5", "--c", "0.2", "--d", "1"),
+    ("no-such-command",),
+    (),
+    ("sweep", "--a", "0.2", "--b", "5", "--c-range", "1", "--d-range",
+     "0:1", "--nc", "4", "--nd", "4", "--out", "grid.csv"),
+    ("fig-c", "--out", "panels", "--format", "gif"),
+])
+def test_argparse_errors_are_one_usage_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: usage: ") and err.count("\n") == 1
+
+
+def test_missed_tolerance_is_a_failure(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_event_config",
+                        lambda args: EventConfig(max_secant_iters=1))
+    path = write_spec(tmp_path, NORMAL_FORM_STABLE)
+    for argv in (("lambda", "--a", "0.2", "--b", "5", "--c", "0.2",
+                  "--d", "1"),
+                 ("classify", "--system", path)):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: tolerance-not-met: ")
+        assert err.count("\n") == 1
 
 
 def test_fig_panels_small(capsys, tmp_path):

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from filippov.errors import ConstraintViolationError, NotRotationalError
+from filippov.errors import (
+    ConstraintViolationError,
+    NotRotationalError,
+    ToleranceNotMetError,
+)
 from filippov.hybrid import (
     EventConfig,
     HybridParams,
@@ -23,8 +27,13 @@ from filippov.hybrid import (
     return_multiplier_normal_form,
     slide_block,
 )
-from filippov.spectrum import NormalFormParams, normal_form_from_spectrum
-from oracles import integrate_adaptive
+from filippov.hybrid import _plane_hit_spiral
+from filippov.spectrum import (
+    NormalFormParams,
+    companion_matrix,
+    normal_form_from_spectrum,
+)
+from oracles import REFERENCE_RTOL, flow_reference, for_all, return_reference
 
 FIG_STABLE = (0.2, 5.0, 0.2, 1.0)
 FIG_UNSTABLE = (-0.2, 0.5, -0.5, 8.0)
@@ -57,10 +66,17 @@ def test_params_validation():
 
 
 def test_event_config_validation():
-    with pytest.raises(ValueError):
-        EventConfig(norm_floor=2.0)
-    with pytest.raises(ValueError):
-        EventConfig(steps_per_rotation=0)
+    EventConfig(secant_tol=1e-6, max_secant_iters=1, norm_ceiling=1.5)
+    for bad in ({"secant_tol": 0.0}, {"secant_tol": -1e-12},
+                {"secant_tol": math.nan}, {"max_secant_iters": 0},
+                {"max_secant_iters": -3}, {"norm_ceiling": 1.0},
+                {"norm_ceiling": 0.5}, {"norm_ceiling": math.nan}):
+        with pytest.raises(ValueError):
+            EventConfig(**bad)
+    # the stepping search's knobs are gone
+    for gone in ("steps_per_rotation", "max_segments", "norm_floor"):
+        with pytest.raises(TypeError):
+            EventConfig(**{gone: 1})
 
 
 # --------------------------------------------------------------------------
@@ -107,21 +123,19 @@ def test_flow_slide_rejects_off_plane_start():
 
 
 def test_flows_match_adaptive_integrator():
-    # 200 random (params, y0, t): closed forms vs the reference
-    # integrator, 1e-9 relative
+    # 200 random (params, y0, t): closed forms vs the reference flow
+    # (expm at 30 digits, or the adaptive integrator), 1e-9 relative
     rng = np.random.default_rng(2024)
     for _ in range(200):
         params = random_valid_params(rng)
         t = rng.uniform(0.0, 20.0)
         y0 = rng.uniform(-2, 2, size=3)
-        M = left_matrix(params.a, params.b)
-        ref = integrate_adaptive(lambda s, y: M @ y, y0, t)
+        ref = flow_reference(left_matrix(params.a, params.b), y0, t)
         got = flow_left(params, y0, t)
         assert np.max(np.abs(got - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
         z0 = np.array([0.0, rng.uniform(0.1, 2.0), rng.uniform(-2, 2)])
-        N = slide_block(params.c, params.d)
-        ref2 = integrate_adaptive(lambda s, z: N @ z, z0[1:], t)
+        ref2 = flow_reference(slide_block(params.c, params.d), z0[1:], t)
         got2 = flow_slide(params, z0, t)
         assert got2[0] == 0.0
         assert np.max(np.abs(got2[1:] - ref2)) <= 1e-9 * max(1.0, np.max(np.abs(ref2)))
@@ -132,15 +146,13 @@ def test_flow_slide_real_and_resonant_blocks():
     params = HybridParams(-1.0, 1.0, -1.0, 0.09)
     z0 = np.array([0.0, 1.0, 0.3])
     for t in (0.5, 3.0, 10.0):
-        ref = integrate_adaptive(
-            lambda s, z: slide_block(-1.0, 0.09) @ z, z0[1:], t)
+        ref = flow_reference(slide_block(-1.0, 0.09), z0[1:], t)
         got = flow_slide(params, z0, t)
         assert np.max(np.abs(got[1:] - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
     # resonant: d = c^2/4 exactly
     params = HybridParams(-1.0, 1.0, -2.0, 1.0)
     for t in (0.5, 3.0):
-        ref = integrate_adaptive(
-            lambda s, z: slide_block(-2.0, 1.0) @ z, z0[1:], t)
+        ref = flow_reference(slide_block(-2.0, 1.0), z0[1:], t)
         got = flow_slide(params, z0, t)
         assert np.max(np.abs(got[1:] - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
@@ -184,6 +196,22 @@ def test_plane_hit_eigenline_start_converges():
     result = first_hit_plane(params, y0)
     assert isinstance(result, Termination)
     assert result.status is LambdaStatus.UNDEFINED_CONVERGED
+
+
+def test_plane_hit_near_eigenline_start_returns():
+    # off the decaying eigendirection the rotation, 1e-3 and 1e-8 of the
+    # start, outlasts the real mode (alpha = -0.1 > mu = -1): the first
+    # root comes late, after the search skips the stretch where
+    # |u1| e^{(mu - alpha) t} > R
+    a, b = -0.2, 5.0
+    params = HybridParams(a, b, -0.2, 3.0)
+    for off in (1e-3, 1e-8):
+        y0 = -0.1 * np.array([1.0, -a, b]) + np.array([0.0, off, 0.0])
+        ev = first_hit_plane(params, y0)
+        assert isinstance(ev, SegmentEvent)
+        times = np.linspace(0.0, ev.t_hit, 1002)[1:-1]
+        assert all(flow_left(params, y0, t)[0] < 0.0 for t in times)
+        assert abs(ev.y_hit[0]) <= 1e-12 * np.linalg.norm(ev.y_hit)
 
 
 def test_plane_hit_homogeneity():
@@ -341,7 +369,7 @@ def test_return_map_matches_return_multiplier():
 # (a, b) panels of the array-vs-scalar corpus, and the (c, d) cells every
 # panel adds to its seeded draws, with the outcome they are there for
 CORPUS_PANELS = ((0.2, 5.0), (-0.2, 0.5), (1.2, 0.5), (-1.2, 2.0),
-                 (-3.9, 3.8125),  # regular segment decays: all converge
+                 (-3.9, 3.8125),  # regular segment never returns: all converge
                  (0.9, 0.2125))   # regular segment grows: all diverge
 CORPUS_CELLS = (
     ((0.2, 5.0), 1.0, 0.25 + 1e-11, "overflow at the return"),
@@ -355,7 +383,7 @@ CORPUS_CELLS = (
     ((0.2, 5.0), 1.8, 0.81 + 1e-13, "slide grows without returning"),
     ((0.2, 5.0), 0.0, 1e-13, "slide grows without returning"),
     ((-0.2, 0.5), -1.8, 0.81, "slide decays without returning"),
-    ((-3.9, 3.8125), 0.2, 1.0, "norm below floor"),
+    ((-3.9, 3.8125), 0.2, 1.0, "never returns"),
     ((0.9, 0.2125), 0.2, 1.0, "norm above ceiling"),
 )
 
@@ -430,21 +458,165 @@ def test_lambda_arrays_stable():
     assert lam.stable.tolist() == [True, False, False, True, False]
 
 
+def reference_multiplier(params):
+    """Lambda of a returning set from the 50-digit reference, its events
+    bracketed next to the package's."""
+    out = first_return(params, -1.0)
+    assert out.status == "returned"
+    return return_reference(left_matrix(params.a, params.b), params.c,
+                            params.d, *(ev.t_hit for ev in out.events))
+
+
 def test_step_refinement_convergence():
-    # doubling the stepping resolution must not move a defined value
+    # a defined value matches the 50-digit reference (the regular search
+    # has no step size left to refine)
     rng = np.random.default_rng(5)
-    fine = EventConfig(steps_per_rotation=512)
     checked = 0
     while checked < 20:
         params = random_valid_params(rng)
-        coarse_val = return_multiplier(params)
-        if not coarse_val.defined:
+        value = return_multiplier(params)
+        if not value.defined:
             continue
-        fine_val = return_multiplier(params, fine)
-        assert fine_val.defined
-        assert abs(fine_val.value - coarse_val.value) \
-            <= 1e-7 * max(1.0, coarse_val.value)
+        ref = reference_multiplier(params)
+        assert abs(value.value - ref) <= max(1e-13, REFERENCE_RTOL) * ref
         checked += 1
+
+
+def test_missed_secant_tolerance_raises():
+    # one secant step from the search's bracket does not reach 1e-12
+    params = HybridParams(*FIG_STABLE)
+    with pytest.raises(ToleranceNotMetError, match="1 secant iterations"):
+        return_multiplier(params, EventConfig(max_secant_iters=1))
+    assert return_multiplier(params, EventConfig(max_secant_iters=8)) \
+        == return_multiplier(params)
+
+
+# --------------------------------------------------------------------------
+# properties of the regular segment's search, over valid (a, b) with
+# a in [-4, 4], b - a^2/4 in [0.05, 6], and over normal-form spectra
+# --------------------------------------------------------------------------
+
+def draw_ab(rng):
+    a = rng.uniform(-4.0, 4.0)
+    return a, a * a / 4 + rng.uniform(0.05, 6.0)
+
+
+def ab_strategy(st):
+    return st.tuples(st.floats(-4.0, 4.0), st.floats(0.05, 6.0)).map(
+        lambda case: (case[0], case[0] ** 2 / 4 + case[1]))
+
+
+def draw_spectrum(rng):
+    return (rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0),
+            rng.uniform(0.2, 3.0))
+
+
+def spectrum_strategy(st):
+    return st.tuples(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0),
+                     st.floats(0.2, 3.0))
+
+
+def companion_of(mu, alpha, beta):
+    rot = alpha * alpha + beta * beta
+    return companion_matrix(mu + 2 * alpha, 2 * mu * alpha + rot, mu * rot)
+
+
+def assert_first_root(M, ev):
+    """y1 < 0 along exp(M t) (0, 0, -1) at 1,000 times in (0, t_hit),
+    from numpy's eigendecomposition of M rather than the closed form."""
+    lams, vecs = np.linalg.eig(M)
+    coef = np.linalg.solve(vecs, np.array([0.0, 0.0, -1.0]))
+    times = np.linspace(0.0, ev.t_hit, 1002)[1:-1]
+    y1 = (np.exp(np.outer(times, lams)) * (vecs[0] * coef)).sum(axis=1).real
+    assert np.all(y1 < 0.0), times[np.argmax(y1 >= 0.0)]
+
+
+@for_all(300, 61, ab_strategy, draw_ab)
+def test_plane_hit_is_first_root(case):
+    a, b = case
+    ev = first_hit_plane(HybridParams(a, b, 0.2, 1.0), (0.0, 0.0, -1.0))
+    if isinstance(ev, SegmentEvent):
+        assert_first_root(left_matrix(a, b), ev)
+    else:
+        assert a < -2.0 or "norm above ceiling" in ev.detail
+
+
+def check_normal_form_plane_hit(case):
+    mu, alpha, beta = case
+    M = companion_of(mu, alpha, beta)
+    ev = _plane_hit_spiral(M, mu, alpha, beta, (0.0, 0.0, -1.0),
+                           EventConfig())
+    if isinstance(ev, SegmentEvent):
+        assert_first_root(M, ev)
+    elif "never returns" in ev.detail:
+        assert mu >= alpha
+        assert ev.status is (LambdaStatus.UNDEFINED_CONVERGED if mu < 0
+                             else LambdaStatus.UNDEFINED_DIVERGED)
+    else:
+        assert "norm above ceiling" in ev.detail or "overflow" in ev.detail
+
+
+@for_all(300, 62, spectrum_strategy, draw_spectrum)
+def test_normal_form_plane_hit_is_first_root(case):
+    check_normal_form_plane_hit(case)
+
+
+def test_plane_hit_edge_spectra():
+    # mu = alpha: h = u1 + R cos(beta t - phi) first touches zero at a peak
+    tiny = 1.6374907590191384e-176
+    check_normal_form_plane_hit((tiny, tiny, 1.0))
+    nf = NormalFormParams(3 * tiny, 2 * tiny * tiny + 1.0, tiny, -0.5, 1.0)
+    assert return_multiplier_normal_form(nf).status is LambdaStatus.MARGINAL
+    # a fast real mode and a slow rotation: the trivial root's exclusion
+    # must reach past the rounding of h near t = 0
+    check_normal_form_plane_hit((3.0, 0.25, 0.201171875))
+    check_normal_form_plane_hit((-1.0, -1.0, 1.5))
+    check_normal_form_plane_hit((0.5, 0.5, 0.3))
+
+
+def draw_below_minus_two(rng):
+    a = rng.uniform(-4.0, -2.0)
+    return a, a * a / 4 + rng.uniform(0.05, 6.0)
+
+
+def below_minus_two_strategy(st):
+    return st.tuples(st.floats(-4.0, -2.0, exclude_max=True),
+                     st.floats(0.05, 6.0)).map(
+        lambda case: (case[0], case[0] ** 2 / 4 + case[1]))
+
+
+@for_all(200, 63, below_minus_two_strategy, draw_below_minus_two)
+def test_below_minus_two_never_returns(case):
+    # alpha = a/2 < -1 = mu: the decaying real mode outweighs the rotation
+    result = return_multiplier(HybridParams(*case, 0.2, 1.0))
+    assert result.status is LambdaStatus.UNDEFINED_CONVERGED
+    assert "never returns" in result.detail
+
+
+def draw_config_case(rng):
+    return (*draw_ab(rng), 10.0 ** rng.uniform(-15.0, -6.0),
+            int(rng.integers(1, 101)))
+
+
+def config_strategy(st):
+    return st.tuples(ab_strategy(st), st.floats(-15.0, -6.0),
+                     st.integers(1, 100)).map(
+        lambda case: (*case[0], 10.0 ** case[1], case[2]))
+
+
+@for_all(300, 64, config_strategy, draw_config_case)
+def test_statuses_do_not_depend_on_the_search_tolerances(case):
+    # the search's own knobs move no status; a refinement that misses its
+    # tolerance raises.  (norm_ceiling defines divergence, so it is fixed)
+    a, b, tol, iters = case
+    params = HybridParams(a, b, -0.5, 2.0)
+    try:
+        got = return_multiplier(params, EventConfig(secant_tol=tol,
+                                                     max_secant_iters=iters))
+    except ToleranceNotMetError:
+        assert iters < 60 or tol < 1e-13
+        return
+    assert got.status is return_multiplier(params).status
 
 
 def test_sign_structure_at_plane_hits():
