@@ -13,7 +13,9 @@ classification, fold classification, and the sliding vector field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from pathlib import Path
 
@@ -57,6 +59,43 @@ class FilippovSystem:
     def parse(cls, left, right, switch: str) -> "FilippovSystem":
         return cls(VectorField.parse(left), VectorField.parse(right),
                    ScalarField.parse(switch))
+
+    @cached_property
+    def rates_and_fields(self):
+        """One function (x1, x2, x3) -> (grad H . f_L, grad H . f_R, f_L,
+        f_R, (H, grad H)) on float tuples, with the exact gradient: the
+        package's one computation of the normal rates."""
+        value_and_gradient = self.switch.compiled_gradient
+        left, right = self.left.compiled, self.right.compiled
+
+        def rates_and_fields(x1: float, x2: float, x3: float):
+            h_grad = value_and_gradient(x1, x2, x3)
+            _, g1, g2, g3 = h_grad
+            f_left = l1, l2, l3 = left(x1, x2, x3)
+            f_right = r1, r2, r3 = right(x1, x2, x3)
+            return (g1 * l1 + g2 * l2 + g3 * l3, g1 * r1 + g2 * r2 + g3 * r3,
+                    f_left, f_right, h_grad)
+        return rates_and_fields
+
+    @cached_property
+    def sliding(self):
+        """The Filippov sliding vector field as one function (x1, x2, x3)
+        -> 3-tuple: the convex combination of the two fields that is
+        tangent to the surface.  Raises DegenerateSlidingError where the
+        two normal rates coincide."""
+        rates_and_fields = self.rates_and_fields
+
+        def sliding(x1: float, x2: float, x3: float):
+            rate_l, rate_r, (l1, l2, l3), (r1, r2, r3), _ = \
+                rates_and_fields(x1, x2, x3)
+            gap = rate_l - rate_r
+            if abs(gap) <= TANGENCY_TOL * (abs(rate_l) + abs(rate_r) + 1.0):
+                raise DegenerateSlidingError(
+                    f"normal rates coincide ({rate_l:.3e} vs {rate_r:.3e})")
+            return ((rate_l * r1 - rate_r * l1) / gap,
+                    (rate_l * r2 - rate_r * l2) / gap,
+                    (rate_l * r3 - rate_r * l3) / gap)
+        return sliding
 
 
 @dataclass(frozen=True)
@@ -161,6 +200,10 @@ class BoundaryData:
                    p, q, A, B, phi, det_phi, ptq)
 
 
+def _floats(x) -> tuple[float, float, float]:
+    return float(x[0]), float(x[1]), float(x[2])
+
+
 def boundary_data(system: FilippovSystem, x_star) -> BoundaryData:
     """Compute the boundary-equilibrium quantities of a system at x_star.
 
@@ -173,11 +216,10 @@ def boundary_data(system: FilippovSystem, x_star) -> BoundaryData:
         raise NotAnEquilibriumError(
             f"left field at x_star has norm {np.linalg.norm(f_left):.3e} "
             f"(tolerance {EQ_TOL:g})")
-    h_val = system.switch(x_star)
+    h_val, *p = system.switch.compiled_gradient(*_floats(x_star))
     if abs(h_val) > EQ_TOL:
         raise NotAnEquilibriumError(
             f"|H(x_star)| = {abs(h_val):.3e} exceeds {EQ_TOL:g}")
-    p = gradient_fd(system.switch, x_star)
     q = system.right(x_star)
     A = jacobian_fd(system.left, x_star)
     return BoundaryData.from_local_data(x_star, p, q, A)
@@ -201,13 +243,11 @@ class FoldKind(Enum):
 
 
 def _rates_and_fields(system: FilippovSystem, x):
-    """(grad H . f_L, grad H . f_R, f_L, f_R, grad H) at x: the package's
-    one computation of the normal rates."""
-    x = np.asarray(x, dtype=float)
-    grad = gradient_fd(system.switch, x)
-    f_left, f_right = system.left(x), system.right(x)
-    return (float(grad @ f_left), float(grad @ f_right), f_left, f_right,
-            grad)
+    """(grad H . f_L, grad H . f_R, f_L, f_R, grad H) at x, from
+    :attr:`FilippovSystem.rates_and_fields`."""
+    rate_l, rate_r, f_left, f_right, h_grad = \
+        system.rates_and_fields(*_floats(x))
+    return rate_l, rate_r, f_left, f_right, h_grad[1:]
 
 
 def normal_rates(system: FilippovSystem, x) -> tuple[float, float]:
@@ -216,16 +256,15 @@ def normal_rates(system: FilippovSystem, x) -> tuple[float, float]:
     return _rates_and_fields(system, x)[:2]
 
 
-def _rate_scale(grad: np.ndarray, field_value: np.ndarray) -> float:
-    return max(1.0, float(np.linalg.norm(grad) * np.linalg.norm(field_value)))
+def _rate_scale(grad, field_value) -> float:
+    return max(1.0, math.hypot(*grad) * math.hypot(*field_value))
 
 
 def classify_region(system: FilippovSystem, x) -> RegionKind:
     """Classify a surface point by the signs of the two normal rates."""
-    x = np.asarray(x, dtype=float)
-    if abs(system.switch(x)) > EQ_TOL:
-        raise NotOnSurfaceError(
-            f"|H(x)| = {abs(system.switch(x)):.3e} exceeds {EQ_TOL:g}")
+    h_val = system.switch(x)
+    if abs(h_val) > EQ_TOL:
+        raise NotOnSurfaceError(f"|H(x)| = {abs(h_val):.3e} exceeds {EQ_TOL:g}")
     rate_l, rate_r, f_left, f_right, grad = _rates_and_fields(system, x)
     tol_l = TANGENCY_TOL * _rate_scale(grad, f_left)
     tol_r = TANGENCY_TOL * _rate_scale(grad, f_right)
@@ -249,7 +288,6 @@ def fold_curvature(system: FilippovSystem, x) -> float:
 
 def classify_fold(system: FilippovSystem, x) -> FoldKind:
     """Classify a tangency-curve point by the sign of the fold curvature."""
-    x = np.asarray(x, dtype=float)
     rate_l, _, f_left, _, grad = _rates_and_fields(system, x)
     scale_l = _rate_scale(grad, f_left)
     if abs(rate_l) > TANGENCY_TOL * scale_l:
@@ -266,11 +304,5 @@ def classify_fold(system: FilippovSystem, x) -> FoldKind:
 
 
 def sliding_field(system: FilippovSystem, x) -> np.ndarray:
-    """Filippov sliding vector field at x: the convex combination of the
-    two fields that is tangent to the surface."""
-    rate_l, rate_r, f_left, f_right, _ = _rates_and_fields(system, x)
-    gap = rate_l - rate_r
-    if abs(gap) <= TANGENCY_TOL * (abs(rate_l) + abs(rate_r) + 1.0):
-        raise DegenerateSlidingError(
-            f"normal rates coincide ({rate_l:.3e} vs {rate_r:.3e})")
-    return (rate_l * f_right - rate_r * f_left) / gap
+    """Filippov sliding vector field at x (:attr:`FilippovSystem.sliding`)."""
+    return np.array(system.sliding(*_floats(x)))

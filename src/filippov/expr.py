@@ -7,7 +7,10 @@ then unary minus, then ``* /``, then ``+ -``), parentheses, and the
 functions sin, cos, exp, sqrt, abs.  Whitespace is ignored.  Parentheses,
 calls, unary minus and ``^`` nest at most :data:`MAX_NESTING` levels, and
 a tree is at most :data:`MAX_DEPTH` levels deep (a sum of n terms is n
-deep); deeper text is an :class:`~filippov.errors.ExprSyntaxError`.
+deep); deeper text is an :class:`~filippov.errors.ExprSyntaxError`.  At
+that depth the trees' own recursive ``==``, ``repr`` and ``hash`` stay
+well inside Python's recursion limit (they fail from about 320 levels
+under pytest, 340 in a bare process).
 
 Parsed expressions are immutable trees.  A field is evaluated by one
 generated Python function of (x1, x2, x3): straight-line code with one
@@ -18,6 +21,12 @@ from a tuple, so fields that differ only in their coefficients share one
 compiled code object.  Evaluation either returns a finite float or
 raises :class:`~filippov.errors.EvalDomainError` -- NaN and infinity
 never propagate silently.
+
+A scalar field's gradient is exact: the generator differentiates the
+same straight-line code in forward mode, emitting tangent assignments
+after the value assignments (:attr:`ScalarField.compiled_gradient`).
+Central differences (:func:`gradient_fd`, :func:`jacobian_fd`) remain
+for the Jacobian of a vector field and for second derivatives.
 """
 
 from __future__ import annotations
@@ -41,12 +50,13 @@ __all__ = [
 VARIABLES = ("x1", "x2", "x3")
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 
-# Input limits, so that the recursive parser and format_expr stay well
-# inside Python's recursion limit: one nesting level costs the parser up
-# to six frames, one tree level costs format_expr one.  (Evaluation walks
-# trees without recursion.)
+# Input limits, so that the recursive parser, format_expr and the
+# dataclasses' ``==``/``repr``/``hash`` stay well inside Python's
+# recursion limit: one nesting level costs the parser up to six frames,
+# one tree level costs format_expr one and ``==`` or ``repr`` about three.
+# (Evaluation walks trees without recursion.)
 MAX_NESTING = 100
-MAX_DEPTH = 500
+MAX_DEPTH = 250
 
 # Relative step for central differences: ~cbrt(eps) scaled, balancing
 # truncation against round-off for twice-differentiable fields.
@@ -363,9 +373,27 @@ def _exp(value: float) -> float:
         raise EvalDomainError("overflow in exp") from None
 
 
+def _dpow(base: float, exponent: float) -> float:
+    """d(base ^ exponent) / d base where ``_pow(base, exponent)`` is
+    defined; raises ZeroDivisionError or OverflowError where it is not
+    finite."""
+    if exponent == 0.0:
+        return 0.0
+    if float(exponent).is_integer():
+        return exponent * base ** (int(exponent) - 1)
+    return exponent * base ** (exponent - 1.0)
+
+
+def _sign(value: float) -> float:
+    """d abs(u) / du, taken as 0 at u = 0, where central differences
+    also give 0."""
+    return 1.0 if value > 0.0 else -1.0 if value < 0.0 else 0.0
+
+
 # The generated code reaches the helpers by these names; every name in
 # its source comes from these tables or from the generator itself.
 _NAMESPACE = {"_pow": _pow, "_div": _div, "_sqrt": _sqrt, "_exp": _exp,
+              "_dpow": _dpow, "_sign": _sign, "log": math.log,
               "sin": math.sin, "cos": math.cos, "abs": abs,
               "isfinite": math.isfinite, "EvalDomainError": EvalDomainError}
 _VAR_NAMES = {"x1": "x1", "x2": "x2", "x3": "x3"}
@@ -385,7 +413,7 @@ def _whole_exponent(node: BinOp) -> int | None:
     return None
 
 
-def _straight_line(roots) -> tuple[str, list]:
+def _straight_line(roots, gradient: bool = False) -> tuple[str, list]:
     """The source of ``_bind(constants)``, which returns a function of
     (x1, x2, x3) computing every root, and the constants it binds.
 
@@ -393,9 +421,13 @@ def _straight_line(roots) -> tuple[str, list]:
     walk (left operand, right operand, then the node), so the results
     and the first error raised are the walk's.  Literals, and negated
     ones (negation is exact), become constants.  The walk is iterative,
-    so no depth of tree exhausts the stack."""
+    so no depth of tree exhausts the stack.
+
+    With ``gradient`` (one root), the function returns the root's value
+    and its three partial derivatives: the same value assignments, then
+    the forward-mode tangent assignments of :func:`_tangent_lines`."""
     constants, body, results = [], [], []
-    temps = 0
+    ops = []  # (name, operation, operand names) of each assignment
     for root in roots:
         names = []  # the operands computed so far
         todo = [root]  # a node to visit, or (node,) to compute it
@@ -421,21 +453,43 @@ def _straight_line(roots) -> tuple[str, list]:
             else:
                 node, = node
                 kind = type(node)
-                if kind is Neg:
-                    code = f"-{names.pop()}"
-                elif kind is Call:
-                    code = f"{_CALL_NAMES[node.func]}({names.pop()})"
-                elif (power := _whole_exponent(node)) is not None:
-                    code = f"{names.pop()} ** {power}"
+                # the operation: "neg", a function's name, a binary
+                # operator, or the whole exponent n of ``u ** n``
+                op = _whole_exponent(node) if kind is BinOp else None
+                if kind is BinOp and op is None:
+                    op = node.op
+                    operands = tuple(names[-2:])
+                    del names[-2:]
+                    code = _BINOP_FORMATS[op].format(*operands)
                 else:
-                    right = names.pop()
-                    code = _BINOP_FORMATS[node.op].format(names.pop(), right)
-                names.append(f"t{temps}")
-                body.append(f"t{temps} = {code}")
-                temps += 1
+                    operands = (names.pop(),)
+                    if kind is Neg:
+                        op, code = "neg", f"-{operands[0]}"
+                    elif kind is Call:
+                        op = node.func
+                        code = f"{_CALL_NAMES[op]}({operands[0]})"
+                    else:
+                        code = f"{operands[0]} ** {op}"
+                name = f"t{len(ops)}"
+                ops.append((name, op, operands))
+                names.append(name)
+                body.append(f"{name} = {code}")
         results.append(names.pop())
         body.append(f"if not isfinite({results[-1]}): "
                     "raise EvalDomainError('expression value is not finite')")
+    tail = []
+    if gradient:
+        tangent_lines, partials = _tangent_lines(tuple(ops), results[0])
+        if tangent_lines:
+            tail = ["        try:",
+                    *(f"            {line}" for line in tangent_lines),
+                    "        except (ArithmeticError, ValueError):",
+                    f"            raise {_NOT_FINITE} from None"]
+        checked = " and ".join(f"isfinite({p})" for p in partials
+                               if p.isidentifier())
+        if checked:
+            tail.append(f"        if not ({checked}): raise {_NOT_FINITE}")
+        results += partials
     unpack = ", ".join(f"c{i}" for i in range(len(constants)))
     lines = ["def _bind(_c):",
              f"    {unpack}, = _c" if constants else "    pass",
@@ -447,9 +501,99 @@ def _straight_line(roots) -> tuple[str, list]:
              "            raise EvalDomainError('overflow in power') from None",
              "        except (ValueError, ZeroDivisionError) as exc:",
              "            raise EvalDomainError(str(exc)) from None",
+             *tail,
              f"        return {', '.join(results)}",
              "    return field"]
     return "\n".join(lines), constants
+
+
+_NOT_FINITE = "EvalDomainError('derivative is not finite')"
+_ZERO = (0, 0, 0)
+# the factor d op(u) / du of each function, in terms of u's name and the
+# result's
+_CALL_DERIVATIVES = {"sin": "cos({u})", "cos": "-sin({u})", "exp": "{w}",
+                     "sqrt": "0.5 / {w}", "abs": "_sign({u})"}
+
+
+@lru_cache(maxsize=512)
+def _tangent_lines(ops: tuple, root: str) -> tuple[tuple, tuple]:
+    """Forward-mode tangent assignments for the value assignments ``ops``
+    (Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 3), and the
+    three names or literals holding the root's partial derivatives.
+    ``ops`` holds names and operations only, no literal values, so fields
+    of one shape share one result.
+
+    A tangent is three entries, one per partial derivative: 0 or 1 when
+    it is known to be that, else the name of a value or of a tangent
+    assignment.  Zeros and ones are propagated without emitting code, so
+    literals and variables cost no line, and ``c * x1`` costs none.  The
+    lines only read values that the value assignments computed, so they
+    can follow them."""
+    tangents = {"x1": (1, 0, 0), "x2": (0, 1, 0), "x3": (0, 0, 1)}
+    lines = []
+
+    def emit(code: str) -> str:
+        lines.append(f"d{len(lines)} = {code}")
+        return f"d{len(lines) - 1}"
+
+    def text(entry) -> str:
+        return entry if isinstance(entry, str) else f"{entry}.0"
+
+    def add(a, b):
+        if a == 0:
+            return b
+        return a if b == 0 else emit(f"{text(a)} + {text(b)}")
+
+    def sub(a, b):
+        if b == 0:
+            return a
+        return emit(f"-{text(b)}" if a == 0 else f"{text(a)} - {text(b)}")
+
+    def mul(factor: str, entry):
+        if entry == 0:
+            return 0
+        return factor if entry == 1 else emit(f"{factor} * {entry}")
+
+    def chain(factor_code: str, du):
+        """The tangent factor * du, the factor's line emitted only if used."""
+        if du == _ZERO:
+            return _ZERO
+        factor = factor_code if factor_code.isidentifier() else emit(factor_code)
+        return tuple(mul(factor, e) for e in du)
+
+    for name, op, operands in ops:
+        u = operands[0]
+        du = tangents.get(u, _ZERO)
+        if op == "neg":
+            tangent = tuple(sub(0, e) for e in du)
+        elif op in _CALL_DERIVATIVES:
+            tangent = chain(_CALL_DERIVATIVES[op].format(u=u, w=name), du)
+        elif type(op) is int:  # u ** n
+            tangent = (_ZERO if op == 0 else du if op == 1 else
+                       chain(f"{op} * {u}" if op == 2 else
+                             f"{op} * {u} ** {op - 1}", du))
+        else:
+            v = operands[1]
+            dv = tangents.get(v, _ZERO)
+            if op == "+":
+                tangent = tuple(map(add, du, dv))
+            elif op == "-":
+                tangent = tuple(map(sub, du, dv))
+            elif op == "*":
+                tangent = tuple(add(mul(v, a), mul(u, b))
+                                for a, b in zip(du, dv))
+            elif op == "/":  # (du - w dv) / v; v != 0 once w is computed
+                nums = [sub(a, mul(name, b)) for a, b in zip(du, dv)]
+                tangent = tuple(0 if num == 0 else emit(f"{text(num)} / {v}")
+                                for num in nums)
+            elif dv == _ZERO:  # u ^ v with v constant in x
+                tangent = chain(f"_dpow({u}, {v})", du)
+            else:  # v u^(v-1) du + w log(u) dv, defined for u > 0 only
+                tangent = tuple(map(add, chain(f"_dpow({u}, {v})", du),
+                                    chain(f"{name} * log({u})", dv)))
+        if tangent != _ZERO:
+            tangents[name] = tangent
+    return tuple(lines), tuple(text(e) for e in tangents.get(root, _ZERO))
 
 
 @lru_cache(maxsize=512)
@@ -460,8 +604,8 @@ def _binder(source: str):
     return namespace["_bind"]
 
 
-def _compile(roots):
-    source, constants = _straight_line(roots)
+def _compile(roots, gradient: bool = False):
+    source, constants = _straight_line(roots, gradient)
     return _binder(source)(tuple(constants))
 
 
@@ -497,6 +641,18 @@ class ScalarField:
     @cached_property
     def compiled(self) -> Callable[[float, float, float], float]:
         return compile_expr(self.expr)
+
+    @cached_property
+    def compiled_gradient(self) -> Callable[[float, float, float],
+                                            tuple[float, float, float, float]]:
+        """One function (x1, x2, x3) -> (h, dh/dx1, dh/dx2, dh/dx3).
+
+        Its value is ``compiled``'s, bit for bit, and it raises where
+        ``compiled`` raises; it also raises
+        :class:`~filippov.errors.EvalDomainError` where a partial
+        derivative is not finite (``sqrt(x1)`` at 0) or not defined
+        (``x1^x2`` at x1 <= 0)."""
+        return _compile((self.expr,), gradient=True)
 
     def __call__(self, point) -> float:
         return self.compiled(float(point[0]), float(point[1]), float(point[2]))

@@ -4,7 +4,11 @@ This module is the package's independent cross-check: it never uses the
 closed-form flows.  General nonlinear systems are integrated with
 classic fixed-step 4th-order steps inside each regime (left field, right
 field, or sliding).  Sliding motion integrates the sliding vector field
-with a projection back onto the surface after every step.
+with a projection back onto the surface after every step.  Every regime
+steps on float tuples with the parsed fields' compiled functions; the
+switching function's gradient (normal rates, sliding field, projection)
+is the exact one that :attr:`filippov.expr.ScalarField.compiled_gradient`
+generates, not a finite difference.
 
 The piecewise-linear hybrid system gets its own small fixed-step engine
 (same semantics, float-tuple arithmetic), which provides the empirical
@@ -35,7 +39,7 @@ from .core import (
     classify_region,
     fold_curvature,
     normal_rates,
-    sliding_field,
+    sliding_field,  # not called here; perfbench/spans.py wraps this binding
 )
 from .errors import (
     CorrectionDivergedError,
@@ -123,54 +127,65 @@ def _locate(step, x_from, h: float, x_hi, m_hi: float, monitor,
     return hi, x_hi
 
 
+def _rk4_tuple(f, y, h: float):
+    """One classic 4th-order step of dy/dt = f(y1, y2, y3) on a 3-tuple
+    of floats."""
+    y1, y2, y3 = y
+    k11, k12, k13 = f(y1, y2, y3)
+    k21, k22, k23 = f(y1 + 0.5 * h * k11, y2 + 0.5 * h * k12,
+                      y3 + 0.5 * h * k13)
+    k31, k32, k33 = f(y1 + 0.5 * h * k21, y2 + 0.5 * h * k22,
+                      y3 + 0.5 * h * k23)
+    k41, k42, k43 = f(y1 + h * k31, y2 + h * k32, y3 + h * k33)
+    return (y1 + h / 6.0 * (k11 + 2.0 * (k21 + k31) + k41),
+            y2 + h / 6.0 * (k12 + 2.0 * (k22 + k32) + k42),
+            y3 + h / 6.0 * (k13 + 2.0 * (k23 + k33) + k43))
+
+
 # --------------------------------------------------------------------------
 # general Filippov simulation
 # --------------------------------------------------------------------------
 
-def _rk4(f, x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 class _Sim:
-    """State machine for one simulation run."""
+    """State machine for one simulation run.  The state ``x`` is a
+    3-tuple of floats."""
 
     def __init__(self, system: FilippovSystem, x0, cfg: SimConfig,
                  stop: Optional[Callable[[float, np.ndarray], bool]] = None):
         self.system = system
         self.cfg = cfg
         self.stop = stop
-        self.x = np.asarray(x0, dtype=float).copy()
-        if not np.all(np.isfinite(self.x)):
+        x1, x2, x3 = np.asarray(x0, dtype=float)
+        self.x = (float(x1), float(x2), float(x3))
+        if not all(map(math.isfinite, self.x)):
             raise NonFiniteStateError("initial state is not finite")
         self.t = 0.0
         self.segments: list[Segment] = []
-        self.h = system.switch
+        self.h = system.switch.compiled
         self.terminal: Optional[Terminal] = None
         self.detail = ""
 
     # -- surface projection ---------------------------------------------
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        grad = gradient_fd(self.h, x)
-        gg = float(grad @ grad)
+    def project(self, x):
+        """x moved along grad H by the Newton step -H / |grad H|^2."""
+        h, g1, g2, g3 = self.system.switch.compiled_gradient(*x)
+        gg = g1 * g1 + g2 * g2 + g3 * g3
         if gg == 0.0:
             return x
-        return x - (self.h(x) / gg) * grad
+        s = h / gg
+        return (x[0] - s * g1, x[1] - s * g2, x[2] - s * g3)
 
     # -- bookkeeping ----------------------------------------------------
 
     def begin_segment(self, regime: str) -> Segment:
         seg = Segment(regime)
-        seg.samples.append((self.t, *map(float, self.x)))
+        seg.samples.append((self.t, *self.x))
         self.segments.append(seg)
         return seg
 
     def check_terminal(self) -> bool:
-        norm = float(np.linalg.norm(self.x))
+        norm = math.hypot(*self.x)
         if not math.isfinite(norm):
             raise NonFiniteStateError(f"state not finite at t = {self.t:g}")
         if norm < self.cfg.norm_floor:
@@ -179,7 +194,7 @@ class _Sim:
         if norm > self.cfg.norm_ceiling:
             self.terminal = Terminal.DIVERGED
             return True
-        if self.stop is not None and self.stop(self.t, self.x):
+        if self.stop is not None and self.stop(self.t, np.array(self.x)):
             self.terminal = Terminal.REACHED_EVENT
             return True
         if self.t >= self.cfg.t_max:
@@ -218,16 +233,17 @@ class _Sim:
     def run_regular(self, regime: str) -> Optional[str]:
         """Integrate the left or right field until a surface hit or a
         terminal condition; returns the next regime or None."""
-        f = self.system.left if regime == "L" else self.system.right
+        f = (self.system.left if regime == "L" else self.system.right).compiled
+        h = self.h
         interior = -1.0 if regime == "L" else 1.0
         seg = self.begin_segment(regime)
-        armed = abs(self.h(self.x)) > self.cfg.on_surface_tol
+        armed = abs(h(*self.x)) > self.cfg.on_surface_tol
         while True:
             if self.check_terminal():
                 return None
             dt = min(self.cfg.dt, self.cfg.t_max - self.t)
-            x_new = _rk4(f, self.x, dt)
-            h_new = self.h(x_new)
+            x_new = _rk4_tuple(f, self.x, dt)
+            h_new = h(*x_new)
             if not armed:
                 if h_new * interior > self.cfg.on_surface_tol:
                     armed = True
@@ -236,25 +252,27 @@ class _Sim:
                         f"{regime}-segment left its own side at "
                         f"t = {self.t:g} before re-entering it")
             elif h_new * interior <= 0.0:
-                tau, x_ev = _locate(lambda x, tau: _rk4(f, x, tau), self.x,
-                                    dt, x_new, h_new, self.h,
-                                    self.cfg.event_refine_tol)
+                tau, x_ev = _locate(lambda x, tau: _rk4_tuple(f, x, tau),
+                                    self.x, dt, x_new, h_new,
+                                    lambda x: h(*x), self.cfg.event_refine_tol)
                 self.t += tau
                 self.x = x_ev
-                seg.samples.append((self.t, *map(float, self.x)))
+                seg.samples.append((self.t, *self.x))
                 return self.regime_on_surface(self.x)
             self.t += dt
             self.x = x_new
-            seg.samples.append((self.t, *map(float, self.x)))
+            seg.samples.append((self.t, *self.x))
 
     # -- sliding-regime integration -----------------------------------------
 
     def run_slide(self) -> Optional[str]:
         seg = self.begin_segment("S")
-        self.x = self.project(self.x)
-        rate_left = lambda x: normal_rates(self.system, x)[0]
-        field = lambda x: sliding_field(self.system, x)
-        step = lambda x, tau: self.project(_rk4(field, x, tau))
+        project = self.project
+        rates = self.system.rates_and_fields
+        field = self.system.sliding
+        rate_left = lambda x: rates(*x)[0]
+        step = lambda x, tau: project(_rk4_tuple(field, x, tau))
+        self.x = project(self.x)
         armed = rate_left(self.x) > self.cfg.event_refine_tol
         wobbles = 0
         while True:
@@ -262,7 +280,7 @@ class _Sim:
                 return None
             dt = min(self.cfg.dt, self.cfg.t_max - self.t)
             x_new = step(self.x, dt)
-            rate_new, rate_r = normal_rates(self.system, x_new)
+            rate_new, rate_r = rates(*x_new)[:2]
             if rate_r >= 0.0:
                 raise RepellingSlidingEncounteredError(
                     f"right field stopped pointing at the surface during "
@@ -277,7 +295,7 @@ class _Sim:
                 if curv < 0.0:
                     self.t += tau
                     self.x = x_ev
-                    seg.samples.append((self.t, *map(float, self.x)))
+                    seg.samples.append((self.t, *self.x))
                     return "L"  # visible fold: exit into the left domain
                 # grazed the invisible side of the tangency curve; keep
                 # sliding and re-arm once the rate is clearly positive again
@@ -289,19 +307,19 @@ class _Sim:
                         "invisible side; aborting")
             self.t += dt
             self.x = x_new
-            seg.samples.append((self.t, *map(float, self.x)))
+            seg.samples.append((self.t, *self.x))
 
     # -- main loop -------------------------------------------------
 
     def run(self) -> Orbit:
-        h0 = self.h(self.x)
+        h0 = self.h(*self.x)
         if h0 < -self.cfg.on_surface_tol:
             regime = "L"
         elif h0 > self.cfg.on_surface_tol:
             regime = "R"
         else:
             if self.check_terminal():
-                return Orbit([Segment("L", [(0.0, *map(float, self.x))])],
+                return Orbit([Segment("L", [(0.0, *self.x)])],
                              self.terminal, self.detail)
             regime = self.regime_on_surface(self.x)
         while regime is not None:
@@ -333,21 +351,6 @@ def simulate(system: FilippovSystem, x0, cfg: SimConfig,
 # --------------------------------------------------------------------------
 # hybrid-system engine (independent of the closed forms)
 # --------------------------------------------------------------------------
-
-def _rk4_tuple(f, y, h: float):
-    """One classic 4th-order step of dy/dt = f(y1, y2, y3) on a 3-tuple
-    of floats."""
-    y1, y2, y3 = y
-    k11, k12, k13 = f(y1, y2, y3)
-    k21, k22, k23 = f(y1 + 0.5 * h * k11, y2 + 0.5 * h * k12,
-                      y3 + 0.5 * h * k13)
-    k31, k32, k33 = f(y1 + 0.5 * h * k21, y2 + 0.5 * h * k22,
-                      y3 + 0.5 * h * k23)
-    k41, k42, k43 = f(y1 + h * k31, y2 + h * k32, y3 + h * k33)
-    return (y1 + h / 6.0 * (k11 + 2.0 * (k21 + k31) + k41),
-            y2 + h / 6.0 * (k12 + 2.0 * (k22 + k32) + k42),
-            y3 + h / 6.0 * (k13 + 2.0 * (k23 + k33) + k43))
-
 
 def _run_hybrid(params: HybridParams, z0: float, cfg: SimConfig,
                 stop_at_return: bool, record: bool):
@@ -402,9 +405,16 @@ def _run_hybrid(params: HybridParams, z0: float, cfg: SimConfig,
             h = min(dt, cfg.t_max - t)
             y_new = _rk4_tuple(f, y, h)
             m_new = interior * y_new[idx]
-            if not armed and m_new > 0.0:
-                armed = True
-            if armed and m_new <= 0.0:
+            if not armed:
+                # as in _Sim.run_regular: a leg that crosses to the other
+                # side before it has entered its own is not a return
+                if m_new > 0.0:
+                    armed = True
+                elif m_new < -10.0 * cfg.on_surface_tol:
+                    raise FilippovError(
+                        f"{regime}-segment left its own side at t = {t:g} "
+                        "before re-entering it")
+            elif m_new <= 0.0:
                 tau, y_ev = _locate(lambda s, tau: _rk4_tuple(f, s, tau), y,
                                     h, y_new, y_new[idx], lambda s: s[idx],
                                     cfg.event_refine_tol)
@@ -499,7 +509,7 @@ def trace_tangency_curve(system: FilippovSystem, bd: BoundaryData,
         return np.array([h_field(x), rate_left(x)])
 
     def two_jac(x):
-        return np.vstack([gradient_fd(h_field, x),
+        return np.vstack([h_field.compiled_gradient(*x)[1:],
                           gradient_fd(rate_left, x)])
 
     def correct(x):

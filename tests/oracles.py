@@ -1,25 +1,41 @@
 """Test oracles, not part of the package: reference linear flows and
 return multipliers (mpmath's ``expm`` at 30 and 50 digits, or, where
 mpmath is not installed, a high-accuracy Dormand-Prince 5(4) integrator
-with adaptive steps), and a plain recursive tree walk for the compiled
-expressions.
+with adaptive steps), a plain recursive tree walk for the compiled
+expressions, and reference gradients (sympy's derivatives at 30 digits,
+or central differences where sympy is not installed).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from typing import Callable
 
 import numpy as np
 
 from filippov.errors import EvalDomainError, NonFiniteStateError
-from filippov.expr import BinOp, Call, Neg, Num, Var
+from filippov.expr import (
+    FD_REL_STEP,
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    ScalarField,
+    Var,
+    gradient_fd,
+)
 
 try:
     import mpmath as mp
 except ImportError:  # the adaptive integrator stands in
     mp = None
+
+try:
+    import sympy
+except ImportError:  # central differences stand in
+    sympy = None
 
 try:
     from hypothesis import given, settings
@@ -231,3 +247,98 @@ def evaluate_tree(node, point) -> float:
     if not math.isfinite(value):
         raise EvalDomainError("expression value is not finite")
     return value
+
+
+# Accuracy of gradient_reference: relative to its largest component, and
+# a round-off relative to the function's value.  At 30 digits the first
+# is a float's rounding and the second nil; central differences add
+# truncation, and about eps / FD_REL_STEP of the value in round-off.
+GRADIENT_RTOL = 1e-13 if sympy is not None else 1e-4
+GRADIENT_VALUE_RTOL = 0.0 if sympy is not None else 1e-10
+
+
+def _sympy_tree(node, symbols):
+    """A tree as a sympy expression over real symbols; literals exactly
+    (integral ones as integers, so that negative bases keep integral
+    powers real)."""
+    if isinstance(node, Num):
+        value = node.value
+        return (sympy.Integer(int(value)) if value.is_integer()
+                else sympy.Rational(value))
+    if isinstance(node, Var):
+        return symbols[node.name]
+    if isinstance(node, Neg):
+        return -_sympy_tree(node.operand, symbols)
+    if isinstance(node, Call):
+        func = {"sin": sympy.sin, "cos": sympy.cos, "exp": sympy.exp,
+                "sqrt": sympy.sqrt, "abs": sympy.Abs}[node.func]
+        return func(_sympy_tree(node.arg, symbols))
+    left = _sympy_tree(node.left, symbols)
+    right = _sympy_tree(node.right, symbols)
+    return {"+": sympy.Add, "-": lambda a, b: a - b, "*": sympy.Mul,
+            "/": lambda a, b: a / b, "^": sympy.Pow}[node.op](left, right)
+
+
+def gradient_reference(node, point):
+    """The gradient of a tree at a point, as three floats, or None where
+    a partial derivative is not a finite real number.  With sympy, each
+    partial derivative is differentiated symbolically and evaluated at
+    30 digits at the exact point; without it, central differences
+    (:func:`filippov.expr.gradient_fd`) stand in, and a stencil point
+    outside the domain, an estimate that halving the step moves, or a
+    coordinate beyond 1e8 gives None.  Agrees with the exact gradient to
+    GRADIENT_RTOL relative to its largest component (or to 1), plus
+    GRADIENT_VALUE_RTOL of the function's value."""
+    if sympy is None:
+        # a step of 6e-6 |x| does not resolve sin(x) at x = 1e200: the
+        # estimates at both steps read about 0
+        if max(abs(float(v)) for v in point) > 1e8:
+            return None
+        field = ScalarField(node)
+        try:
+            coarse = gradient_fd(field, point)
+            fine = _central_differences(field, point, FD_REL_STEP / 2.0)
+        except EvalDomainError:
+            return None
+        # where halving the step moves the estimate, differences do not
+        # resolve the function (cos(exp(exp(x))) at x = 2)
+        scale = max(1.0, *map(abs, fine))
+        if max(abs(a - b) for a, b in zip(coarse, fine)) > 1e-6 * scale:
+            return None
+        return tuple(float(v) for v in coarse)
+    with mp.workdps(30):
+        try:
+            partials = [mp.mpmathify(v) for v in _sympy_gradient(node)(
+                *(mp.mpf(float(v)) for v in point))]
+        except (ArithmeticError, ValueError):  # a division by zero
+            return None
+        # sympy's forms of a real function may pass through complex
+        # intermediates, e.g. (-x)^2.5 as (-1)^2.5 x^2.5
+        partials = [v.real if isinstance(v, mp.mpc) and v.imag == 0 else v
+                    for v in partials]
+        if not all(isinstance(v, mp.mpf) and mp.isfinite(v)
+                   for v in partials):
+            return None
+        return tuple(float(v) for v in partials)
+
+
+def _central_differences(field, point, rel_step: float):
+    grad = []
+    for i in range(3):
+        step = rel_step * max(1.0, abs(float(point[i])))
+        plus, minus = list(map(float, point)), list(map(float, point))
+        plus[i] += step
+        minus[i] -= step
+        grad.append((field(plus) - field(minus)) / (2.0 * step))
+    return grad
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_gradient(node):
+    """sympy's three partial derivatives of a tree, as one mpmath
+    function of (x1, x2, x3)."""
+    symbols = {name: sympy.Symbol(name, real=True)
+               for name in ("x1", "x2", "x3")}
+    expr = _sympy_tree(node, symbols)
+    args = [symbols[name] for name in ("x1", "x2", "x3")]
+    return sympy.lambdify(args, [sympy.diff(expr, x) for x in args], "mpmath")

@@ -4,6 +4,7 @@ import pytest
 
 from filippov import cli
 from filippov.cli import main
+from filippov.expr import MAX_DEPTH
 from filippov.hybrid import EventConfig
 
 
@@ -173,7 +174,8 @@ def test_classify_too_deep_expression_is_a_syntax_error(capsys, tmp_path,
 def test_classify_long_sum_runs(capsys, tmp_path):
     path = write_spec(tmp_path, NORMAL_FORM_STABLE)
     want = run(capsys, "classify", "--system", path)
-    long_sum = " + ".join(["x1"] + ["0*x2"] * 399)
+    # MAX_DEPTH levels deep: the lowest 0*x2 adds one to the sum's
+    long_sum = " + ".join(["x1"] + ["0*x2"] * (MAX_DEPTH - 2))
     path = write_spec(tmp_path, dict(NORMAL_FORM_STABLE, H=long_sum))
     assert run(capsys, "classify", "--system", path) == want
 

@@ -166,15 +166,16 @@ def test_classify_region_cases():
 
 
 def test_classify_region_takes_one_gradient(monkeypatch):
-    # the rates and both tolerance scales share one FD gradient of H
-    import filippov.core as core
+    # the rates and both tolerance scales share one evaluation of the
+    # generated gradient of H
+    system = region_system(1, -1)
     calls = []
-    gradient = core.gradient_fd
-    monkeypatch.setattr(core, "gradient_fd", lambda field, point: (
-        calls.append(point) or gradient(field, point)))
-    assert classify_region(region_system(1, -1), (0, 0, 0)) \
+    gradient = system.switch.compiled_gradient
+    monkeypatch.setitem(system.switch.__dict__, "compiled_gradient",
+                        lambda *x: calls.append(x) or gradient(*x))
+    assert classify_region(system, (0, 0, 0)) \
         is RegionKind.ATTRACTING_SLIDING
-    assert len(calls) == 1
+    assert calls == [(0.0, 0.0, 0.0)]
 
 
 def test_classify_region_requires_surface_point():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from filippov.expr import (
     jacobian_fd,
     parse_expr,
 )
-from oracles import evaluate_tree
+from oracles import (
+    GRADIENT_RTOL,
+    GRADIENT_VALUE_RTOL,
+    evaluate_tree,
+    gradient_reference,
+)
 
 # expressions exercised throughout the suite; also the round-trip corpus
 CORPUS = [
@@ -104,6 +110,8 @@ def test_tree_depth_limit():
     # a sum of n terms is n levels deep; evaluation walks no recursion
     total = " + ".join(["x1"] * MAX_DEPTH)
     assert ScalarField.parse(total)((1.0, 0.0, 0.0)) == MAX_DEPTH
+    assert ScalarField.parse(total).compiled_gradient(1.0, 0.0, 0.0) == \
+        (MAX_DEPTH, MAX_DEPTH, 0.0, 0.0)
     assert format_expr(parse_expr(total)) == total
     with pytest.raises(ExprSyntaxError) as exc_info:
         parse_expr(total + " - x2")
@@ -112,6 +120,16 @@ def test_tree_depth_limit():
     product = "*".join(["x2"] * (MAX_DEPTH + 1))
     with pytest.raises(ExprSyntaxError):
         parse_expr(product)
+
+
+def test_deepest_trees_compare_print_and_hash():
+    # the dataclasses' own ==, repr and hash recurse once or more per
+    # level; at MAX_DEPTH they stay inside the recursion limit
+    total = " + ".join(f"x{1 + i % 3}" for i in range(MAX_DEPTH))
+    one, two = parse_expr(total), parse_expr(total)
+    assert one == two and one is not two
+    assert repr(one) == repr(two)
+    assert hash(one) == hash(two)
 
 
 def test_empty_and_trailing_garbage():
@@ -253,7 +271,7 @@ def test_fields_of_one_shape_share_their_code():
     # literals, negated ones included, are bound from a tuple: systems that
     # differ only in their coefficients run the same compiled code
     rng = np.random.default_rng(3)
-    codes = {"left": set(), "right": set(), "switch": set()}
+    codes = {"left": set(), "right": set(), "switch": set(), "gradient": set()}
     for _ in range(50):
         k = [repr(float(v)) for v in rng.uniform(-3.0, 3.0, size=9)]
         system = FilippovSystem.parse(
@@ -261,10 +279,11 @@ def test_fields_of_one_shape_share_their_code():
              f"{k[3]}*x1 - {k[4]}*x2*x3"),
             (k[5], f"{k[6]} + {k[7]}*sin(x2)", "-1"),
             f"x1 + {k[8]}*x2^2")
-        for name in codes:
+        for name in ("left", "right", "switch"):
             codes[name].add(getattr(system, name).compiled.__code__)
+        codes["gradient"].add(system.switch.compiled_gradient.__code__)
     assert {name: len(seen) for name, seen in codes.items()} == \
-        {"left": 1, "right": 1, "switch": 1}
+        {"left": 1, "right": 1, "switch": 1, "gradient": 1}
 
 
 def test_negative_literal_formats_with_parens():
@@ -278,6 +297,111 @@ def test_roundtrip_random_trees():
     for _ in range(300):
         tree = _random_tree(rng, 4)
         assert parse_expr(format_expr(tree)) == tree
+
+
+# --------------------------------------------------------------------------
+# exact gradients
+# --------------------------------------------------------------------------
+
+def _gradient_outcome(field, point):
+    """The four floats of compiled_gradient, or its error message."""
+    try:
+        return field.compiled_gradient(*(float(v) for v in point))
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+def _ulp_sensitivity(tree, point, want) -> float:
+    """How far the reference gradient moves when one coordinate of the
+    point moves by one ulp.  A float evaluation's values carry rounding
+    errors of that size, so an ill-conditioned case (cos of 1e200) may
+    differ from the reference by as much."""
+    moved = 0.0
+    for i in range(3):
+        nudged = list(point)
+        nudged[i] = math.nextafter(float(nudged[i]), math.inf)
+        other = gradient_reference(tree, nudged)
+        if other is None:
+            return math.inf
+        moved = max(moved, *(abs(a - b) for a, b in zip(other, want)))
+    return moved
+
+
+def test_gradient_matches_reference_on_random_trees():
+    # the value is compiled's bit for bit, errors are compiled's, and the
+    # partials agree with sympy's derivatives (30 digits) to 1e-13 of the
+    # largest one, beyond what the point's own rounding moves them
+    # (without sympy, with central differences, to their accuracy)
+    rng = np.random.default_rng(8)
+    compared = undefined = not_finite = 0
+    for _ in range(300):
+        tree = _random_tree(rng, 4)
+        field = ScalarField(tree)
+        for point in _POINTS[::5]:
+            value = _outcome(field, point)
+            got = _gradient_outcome(field, point)
+            if value[0] == "error":
+                assert got == value[1]
+                continue
+            if isinstance(got, str):
+                assert got == "derivative is not finite"
+                not_finite += 1
+                continue
+            assert float(got[0]).hex() == value[1]
+            want = gradient_reference(tree, point)
+            if want is None:  # e.g. sympy's form of (-x3)^2.167 at 0
+                undefined += 1
+                continue
+            scale = max(1.0, *map(abs, want))
+            tol = (GRADIENT_RTOL * scale + GRADIENT_VALUE_RTOL * abs(got[0])
+                   + 8.0 * _ulp_sensitivity(tree, point, want))
+            assert max(abs(a - b) for a, b in zip(got[1:], want)) <= tol, \
+                (format_expr(tree), point)
+            compared += 1
+    assert compared > 2000 and not_finite > 20 and undefined < 300
+
+
+# (text, point, exact gradient): general powers, with hand derivatives
+_POWER_CASES = [
+    ("(1 + x2^2)^-1", (0.3, -0.7, 2.0),
+     (0.0, 1.4 / (1 + 0.49) ** 2, 0.0)),
+    ("abs(x1)^1.5", (-0.64, 0.0, 1.0), (-1.5 * 0.8, 0.0, 0.0)),
+    ("abs(x1)^1.5", (0.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+    ("x1^-2", (-0.5, 0.0, 0.0), (16.0, 0.0, 0.0)),
+    ("x1^2.5", (4.0, 0.0, 0.0), (20.0, 0.0, 0.0)),
+    ("x1^3 - x2^0 + x3^1", (-2.0, 5.0, 7.0), (12.0, 0.0, 1.0)),
+    ("2^x1", (3.0, 0.0, 0.0), (8.0 * math.log(2.0), 0.0, 0.0)),
+    ("(x1 + 3)^x2", (-1.0, 2.0, 0.0), (4.0, 4.0 * math.log(2.0), 0.0)),
+    ("x1^(2*x2)", (-3.0, 1.0, 0.0), None),  # d/dx2 needs log(-3)
+    ("sqrt(x1)", (0.0, 1.0, 1.0), None),  # 1 / (2 sqrt(0))
+    ("x1^0.5", (0.0, 1.0, 1.0), None),
+]
+
+
+@pytest.mark.parametrize("text, point, want", _POWER_CASES)
+def test_gradient_of_general_powers(text, point, want):
+    field = ScalarField.parse(text)
+    got = _gradient_outcome(field, point)
+    if want is None:  # the value is defined, a partial derivative is not
+        field(point)
+        assert got == "derivative is not finite"
+        return
+    assert got[0] == field(point)
+    assert max(abs(a - b) for a, b in zip(got[1:], want)) <= \
+        1e-14 * max(1.0, *map(abs, want))
+    reference = gradient_reference(parse_expr(text), point)
+    if reference is not None:
+        assert max(abs(a - b) for a, b in zip(got[1:], reference)) <= \
+            GRADIENT_RTOL * max(1.0, *map(abs, want))
+
+
+def test_gradient_of_literals_and_variables_costs_no_line():
+    # zero and unit tangents are propagated while generating: c*x1 + x2
+    # has the tangent (c, 1, 0), and no tangent assignment is emitted
+    code = ScalarField.parse("2.5*x1 + x2 - 3").compiled_gradient.__code__
+    assert not any(name.startswith("d") for name in code.co_varnames)
+    assert ScalarField.parse("2.5*x1 + x2 - 3").compiled_gradient(
+        1.0, 2.0, 3.0) == (1.5, 2.5, 1.0, 0.0)
 
 
 # --------------------------------------------------------------------------

@@ -69,11 +69,14 @@ def test_single_left_segment_converges():
 
 
 # SHA-256 of the orbits of test_orbits_golden: a change to expression
-# evaluation or to the simulator that moves any sample by one bit fails it
+# evaluation or to the simulator that moves any sample by one bit fails it.
+# Pinned with the exact gradient of H and float-tuple RK4 steps; against
+# the central-difference gradient and numpy steps, the orbits keep their
+# regimes and sample counts and move by at most 2.4e-14.
 GOLDEN_ORBITS_SHA256 = (
-    "01af8c2c59ce0926bae3aa201e425f37e958149e86d737afa26c16e2896b25f4")
+    "c2d916fc9e9418c67d30a6dba92133baa711ab2739e8ff90dafd516821efc6f6")
 GOLDEN_ORBIT_CSV_SHA256 = (
-    "162ff1fb7cb1408e9784a52bbc5b42e2db540917901e056fdca94cef02543f8d")
+    "be3434c9df7a60d10f8177108a80da3b835ab77a4d4766752763be07aa2b2917")
 
 
 def test_orbits_golden(tmp_path, capsys):
@@ -269,18 +272,32 @@ def test_empirical_needs_a_return_before_t_max():
 
 
 def test_hybrid_event_in_final_partial_step():
-    # t_max = 3.25 leaves a last step of 0.25 < dt, and the regular leg
-    # crosses y1 = 0 inside it.  Bisecting a full step of dt instead
-    # brackets a later sign change of this coarse RK4 orbit, at t = 4.11.
-    cfg = SimConfig(dt=1.5, t_max=3.25)
-    orbit = simulate_hybrid(HybridParams(-0.2, 5, -0.2, 3), -1.0, cfg)
+    # t_max = 3.25 leaves a last step of 0.25 < dt, and the regular leg,
+    # in y1 < 0 from its first step on, crosses y1 = 0 inside it.  A full
+    # step of dt from t = 3 shows no sign change: this coarse RK4 orbit's
+    # next one is at t = 6.32.
+    cfg = SimConfig(dt=1.0, t_max=3.25)
+    orbit = simulate_hybrid(HybridParams(-0.6, 5, -0.2, 3), -1.0, cfg)
     regular = orbit.segments[0]
     assert regular.regime == "L" and regular.samples[-2][0] == 3.0
+    assert all(sample[1] < 0.0 for sample in regular.samples[1:-1])
     t_hit, y1 = regular.samples[-1][:2]
     assert 3.0 < t_hit <= cfg.t_max and y1 == 0.0
     assert all(sample[0] <= cfg.t_max
                for seg in orbit.segments for sample in seg.samples)
     assert orbit.terminal is Terminal.TIMEOUT
+
+
+def test_hybrid_regular_leg_on_the_wrong_side_fails():
+    # at dt = 1.5 the first RK4 step of this regular leg lands at
+    # y1 = 0.343, on the sliding side, before the leg has entered y1 < 0:
+    # an error, as in the general engine, not a silent return
+    cfg = SimConfig(dt=1.5, t_max=3.25)
+    params = HybridParams(-0.2, 5, -0.2, 3)
+    with pytest.raises(FilippovError, match="left its own side at t = 0 "):
+        simulate_hybrid(params, -1.0, cfg)
+    with pytest.raises(FilippovError, match="left its own side"):
+        return_multiplier_empirical(params, SimConfig(dt=1.5, t_max=50.0))
 
 
 def test_filippov_realization_reproduces_return_iterates():
