@@ -36,7 +36,6 @@ from .expr import (
     parse_expr,
 )
 from .hybrid import (
-    EventConfig,
     HybridParams,
     LambdaArrays,
     LambdaResult,

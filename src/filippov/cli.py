@@ -20,13 +20,7 @@ import numpy as np
 from . import __version__
 from .core import boundary_data, load_system_spec
 from .errors import FilippovError
-from .hybrid import (
-    DEFAULT_EVENT_CONFIG,
-    EventConfig,
-    HybridParams,
-    LambdaResult,
-    return_multiplier,
-)
+from .hybrid import HybridParams, LambdaResult, return_multiplier
 from .simulate import (
     SimConfig,
     export_orbit,
@@ -85,16 +79,10 @@ def _print_lambda(result: LambdaResult) -> None:
     print(f"verdict: {_verdict_line(result)}")
 
 
-def _event_config(args) -> EventConfig:
-    """The event tolerances; ``--steps`` is accepted and ignored, since
-    the regular segment's search takes no steps."""
-    return DEFAULT_EVENT_CONFIG
-
-
 def cmd_lambda(args) -> int:
     try:
         params = HybridParams(args.a, args.b, args.c, args.d)
-        result = return_multiplier(params, _event_config(args))
+        result = return_multiplier(params)
     except FilippovError as exc:
         return _fail(exc)
     _print_lambda(result)
@@ -137,7 +125,7 @@ def cmd_classify(args) -> int:
           f"gamma={verdict.gamma!r}")
     print(f"hybrid params: a={p.a!r} b={p.b!r} c={p.c!r} d={p.d!r}")
     try:
-        result = return_multiplier(p, _event_config(args))
+        result = return_multiplier(p)
     except FilippovError as exc:
         return _fail(exc)
     _print_lambda(result)
@@ -157,7 +145,7 @@ def _parse_range(text: str) -> tuple[float, float]:
 def cmd_sweep(args) -> int:
     try:
         grid = sweep(args.a, args.b, args.c_range, args.d_range,
-                     args.nc, args.nd, _event_config(args))
+                     args.nc, args.nd)
         render_grid(grid, args.out, args.format)
     except (FilippovError, OSError, ValueError) as exc:
         return _fail(exc)
@@ -196,14 +184,13 @@ def cmd_orbit_system(args) -> int:
 
 
 def cmd_fig_c(args) -> int:
-    cfg = _event_config(args)
     start = time.perf_counter()
     try:
         os.makedirs(args.out, exist_ok=True)
         for a in FIG_PANEL_A:
             for b in FIG_PANEL_B:
                 grid = sweep(a, b, args.c_range, args.d_range, args.nc,
-                             args.nd, cfg)
+                             args.nd)
                 stem = os.path.join(args.out, f"sweep_a{a:g}_b{b:g}")
                 if args.format in ("csv", "both"):
                     render_grid(grid, stem + ".csv", "csv")
@@ -272,13 +259,6 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def _add_steps_option(p) -> None:
-    p.add_argument("--steps", type=int, default=1,
-                   help="ignored, kept for one release: the regular "
-                        "segment's search takes no steps (below 1 is still "
-                        "a usage error)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="filippov",
@@ -291,13 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
                                       "system for parameters (a, b, c, d)")
     for name in "abcd":
         p.add_argument(f"--{name}", type=float, required=True)
-    _add_steps_option(p)
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("classify", help="full stability chain for a system "
                                         "file")
     p.add_argument("--system", required=True, help="system spec JSON file")
-    _add_steps_option(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sweep", help="classify a (c, d) grid for fixed "
@@ -312,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nd", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "pgm"), default="csv")
-    _add_steps_option(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("orbit", help="export a hybrid-system orbit as CSV")
@@ -344,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-range", type=_parse_range, default=(0.0, 10.0),
                    metavar="LO:HI")
     p.add_argument("--format", choices=("csv", "pgm", "both"), default="both")
-    _add_steps_option(p)
     p.set_defaults(func=cmd_fig_c)
 
     p = sub.add_parser("check-appendix-b",
@@ -364,9 +340,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    for name in ("steps", "trials"):  # counts: below 1 is a usage error
-        if getattr(args, name, 1) < 1:
-            return _usage(f"--{name} must be a positive integer")
+    if getattr(args, "trials", 1) < 1:  # a count: below 1 is a usage error
+        return _usage("--trials must be a positive integer")
+    if getattr(args, "seed", 0) < 0:
+        return _usage("--seed must be a non-negative integer")
+    if hasattr(args, "t_max"):  # orbit, orbit-system: SimConfig's rule
+        try:
+            SimConfig(dt=args.dt, t_max=args.t_max)
+        except ValueError as exc:
+            return _usage(f"--dt, --t-max: {exc}")
+    z0 = getattr(args, "z0", -1.0)
+    if not (math.isfinite(z0) and z0 < 0.0):
+        return _usage("--z0 must be finite and negative")
     for name in ("nc", "nd"):  # grid sizes: below 2 is a usage error
         if getattr(args, name, 2) < 2:
             return _usage(f"--{name} must be at least 2")

@@ -11,10 +11,13 @@ h(t) = e^{-alpha t} y1(t) = u1 e^{(mu - alpha) t} + R cos(beta t - phi),
 half turn by half turn of the rotation, with sign and Lipschitz root
 exclusion (Moore, *Interval Analysis*, 1966): the search either brackets
 the first root, which a secant refines to a tolerance relative to R, or
-proves that the leg never returns.  It has no step size, step budget or
-norm floor.  Against a 50-digit mpmath reference, the multipliers agree
-to 1.4e-14 relative at worst on 715 random returning sets (see the
-README).
+proves that the leg never returns.  It has no step size, step budget,
+norm floor or norm ceiling.  The return map is linear in the start, so
+the size of a hit says nothing about stability: a segment diverges only
+when it provably never returns while its dominant mode grows, or when its
+hit overflows (an OverflowError or a non-finite value).  Against a
+50-digit mpmath reference, the multipliers agree to 1.4e-14 relative at
+worst on 715 random returning sets (see the README).
 
 The multiplier of the first-return map to the line decides stability:
 values below 1 (or an orbit that never returns and decays) mean the
@@ -47,8 +50,7 @@ from .spectrum import (
 )
 
 __all__ = [
-    "HybridParams", "EventConfig", "DEFAULT_EVENT_CONFIG",
-    "LambdaStatus", "LambdaResult", "MARGINAL_TOL",
+    "HybridParams", "LambdaStatus", "LambdaResult", "MARGINAL_TOL",
     "SegmentEvent", "Termination", "ReturnOutcome",
     "left_matrix", "slide_block",
     "flow_left", "flow_slide",
@@ -60,6 +62,11 @@ __all__ = [
 # A return multiplier within this distance of 1 makes no stability claim.
 MARGINAL_TOL = 1e-9
 _EPS = sys.float_info.epsilon
+# The regular segment's secant stops once |h| <= _SECANT_TOL * R (R the
+# amplitude of the rotating part of y1 e^{-alpha t}), and raises
+# ToleranceNotMetError when it has not within _MAX_SECANT_ITERS.
+_SECANT_TOL = 1e-12
+_MAX_SECANT_ITERS = 60
 
 
 def _marginal(value):
@@ -95,35 +102,6 @@ class HybridParams:
         if c > 0.0 and d <= c * c / 4.0:
             raise ConstraintViolationError(
                 f"with c = {c:g} > 0, d = {d:g} must exceed c^2/4 = {c * c / 4.0:g}")
-
-
-@dataclass(frozen=True)
-class EventConfig:
-    """Tolerances of event location.
-
-    ``secant_tol`` and ``max_secant_iters`` apply to the regular segment's
-    plane hit: its secant stops once |h| <= secant_tol * R (R the
-    amplitude of the rotating part of y1 e^{-alpha t}), and raises
-    :class:`ToleranceNotMetError` when it has not within
-    ``max_secant_iters``.  A hit of either segment beyond ``norm_ceiling``
-    counts as divergence.  The sliding return is exact, and the regular
-    search needs no step count, step budget or norm floor.
-    """
-
-    secant_tol: float = 1e-12
-    max_secant_iters: int = 60
-    norm_ceiling: float = 1e6
-
-    def __post_init__(self):
-        if self.max_secant_iters <= 0:
-            raise ValueError("max_secant_iters must be positive")
-        if not self.secant_tol > 0.0:
-            raise ValueError("secant_tol must be positive")
-        if not self.norm_ceiling > 1.0:
-            raise ValueError("norm_ceiling must exceed 1")
-
-
-DEFAULT_EVENT_CONFIG = EventConfig()
 
 
 class LambdaStatus(Enum):
@@ -204,8 +182,9 @@ class SegmentEvent:
 
 @dataclass(frozen=True)
 class Termination:
-    """A flow segment ended without an event: it provably never returns,
-    it overflowed, or its hit lies beyond the norm ceiling."""
+    """A flow segment ended without an event: it provably never returns
+    (it converges or diverges at the rate of its dominant mode), or its
+    hit overflows (diverges)."""
 
     status: LambdaStatus  # one of the UNDEFINED_* values
     detail: str
@@ -393,10 +372,6 @@ def flow_slide(params: HybridParams, y0, t: float) -> np.ndarray:
 # event location
 # --------------------------------------------------------------------------
 
-def _norm3(y: tuple[float, float, float]) -> float:
-    return math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
-
-
 def _refine_root(f, lo: float, f_lo: float, hi: float, f_hi: float,
                  tol: float, max_iters: int) -> float:
     """Secant iteration on f inside a bracket with f_lo < 0 <= f_hi,
@@ -561,12 +536,12 @@ def _termination(kind: str, detail: str) -> Termination:
 
 
 def _plane_hit_spiral(M, mu: float, alpha: float, beta: float, y0,
-                      cfg: EventConfig) -> Union[SegmentEvent, Termination]:
+                      ) -> Union[SegmentEvent, Termination]:
     """First time the regular flow from y0 (with y1 <= 0) reaches y1 = 0,
     or the reason it never does.  A leg that never returns has mu >=
-    alpha, so it converges when mu < 0 and diverges otherwise; an
-    overflow or a hit beyond ``norm_ceiling`` diverges.  The hit is
-    refined on h to ``secant_tol`` times the rotation's amplitude R."""
+    alpha, so it converges when mu < 0 and diverges otherwise; a hit
+    that overflows (or is not finite) diverges.  The hit is refined on h
+    to ``_SECANT_TOL`` times the rotation's amplitude R."""
     split = _spiral_split(M, mu, alpha, beta, y0)
     u1, w1, g1 = split.u[0], split.w[0], split.g[0]
     lam = mu - alpha
@@ -585,20 +560,19 @@ def _plane_hit_spiral(M, mu: float, alpha: float, beta: float, y0,
                                 "never returns: the real mode outweighs "
                                 "the rotation (regular segment)")
         t_hit = _refine_root(lambda t: terms(t)[0], *bracket,
-                             cfg.secant_tol * math.hypot(w1, g1),
-                             cfg.max_secant_iters)
+                             _SECANT_TOL * math.hypot(w1, g1),
+                             _MAX_SECANT_ITERS)
         y_hit = _spiral_at(split, mu, alpha, beta, t_hit)
     except OverflowError:
+        y_hit = (math.inf,) * 3
+    if not math.isfinite(math.hypot(*y_hit)):
         return _termination("diverged",
                             "overflow before the plane hit (regular segment)")
-    if not _norm3(y_hit) <= cfg.norm_ceiling:
-        return _termination("diverged", "norm above ceiling at the plane "
-                                        "hit (regular segment)")
     return SegmentEvent(t_hit, y_hit, "regular-to-slide")
 
 
 def _line_hit_block(c: float, d: float, y2_0: float, y3_0: float,
-                    cfg: EventConfig) -> Union[SegmentEvent, Termination]:
+                    ) -> Union[SegmentEvent, Termination]:
     """First time the sliding flow from (0, y2_0, y3_0), y2_0 > 0,
     reaches y2 = 0: the exact first root of the closed form."""
     modes = _planar_modes(c, d, y2_0, y3_0)
@@ -635,12 +609,10 @@ def _line_hit_block(c: float, d: float, y2_0: float, y3_0: float,
                                     "(sliding segment)")
             y3_hit = modes.at(t_hit)[1]
     except OverflowError:
+        y3_hit = math.inf
+    if not math.isfinite(y3_hit):
         return _termination("diverged",
                             "overflow at the return (sliding segment)")
-    if abs(y3_hit) > cfg.norm_ceiling:
-        return _termination("diverged",
-                            "norm above ceiling at the return "
-                            "(sliding segment)")
     return SegmentEvent(float(t_hit), (0.0, 0.0, float(y3_hit)),
                         "slide-to-return")
 
@@ -651,15 +623,14 @@ _DEFINED, _MARGINAL, _CONVERGED, _DIVERGED = range(4)
 
 
 def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
-                     cfg: EventConfig) -> LambdaArrays:
+                     ) -> LambdaArrays:
     """:func:`_line_hit_block` and the verdict on its return, over arrays
     of valid (c, d) sliding from one start (0, y2_0, y3_0), y2_0 > 0.
 
     Every block kind is evaluated on every cell and the cell's own kind
     selects the result.  A slide without a return decays or grows at its
-    dominant rate; overflow and non-finite values are divergence, as are
-    returns beyond ``norm_ceiling``; a return at or above the origin is
-    convergence.
+    dominant rate; a return that overflows (is not finite) is divergence;
+    a return at or above the origin is convergence.
     """
     with np.errstate(all="ignore"):
         disc = c * c - 4.0 * d
@@ -693,7 +664,7 @@ def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
         y3 = np.where(is_complex, y3_c, np.where(is_real, y3_r, y3_s))
         value = -y3
         status = np.select(
-            [~returns, ~(np.abs(y3) <= cfg.norm_ceiling), y3 >= 0.0,
+            [~returns, ~np.isfinite(y3), y3 >= 0.0,
              _marginal(value)],
             [np.where(rate < 0.0, _CONVERGED, _DIVERGED), _DIVERGED,
              _CONVERGED, _MARGINAL], _DEFINED)
@@ -706,7 +677,6 @@ def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
 # --------------------------------------------------------------------------
 
 def first_hit_plane(params: HybridParams, y0,
-                    cfg: EventConfig = DEFAULT_EVENT_CONFIG,
                     ) -> Union[SegmentEvent, Termination]:
     """First positive time at which the regular flow from y0 (in
     y1 <= 0) reaches the switching plane, or the reason it never does.
@@ -716,24 +686,23 @@ def first_hit_plane(params: HybridParams, y0,
     if y0[0] > 0.0:
         raise ValueError("y0 must lie in the half-space y1 <= 0")
     return _plane_hit_spiral(_left_rows(params.a, params.b),
-                             *_hybrid_spectrum(params.a, params.b), y0, cfg)
+                             *_hybrid_spectrum(params.a, params.b), y0)
 
 
 def first_hit_line(params: HybridParams, y0,
-                   cfg: EventConfig = DEFAULT_EVENT_CONFIG,
                    ) -> Union[SegmentEvent, Termination]:
     """First positive time at which the sliding flow from y0 (on the
     plane, with y2 > 0) reaches the return line y1 = y2 = 0."""
     y0 = tuple(float(v) for v in y0)
-    if abs(y0[0]) > 1e-9 * max(1.0, _norm3(y0)):
+    if abs(y0[0]) > 1e-9 * max(1.0, math.hypot(*y0)):
         raise ValueError("y0 is not on the switching plane")
     if y0[1] <= 0.0:
         raise ValueError("y0 must have y2 > 0")
-    return _line_hit_block(params.c, params.d, y0[1], y0[2], cfg)
+    return _line_hit_block(params.c, params.d, y0[1], y0[2])
 
 
 def _slide_start(plane_result: Union[SegmentEvent, Termination],
-                 cfg: EventConfig) -> Union[SegmentEvent, ReturnOutcome]:
+                 ) -> Union[SegmentEvent, ReturnOutcome]:
     """The regular-segment event the slide starts from, or the outcome
     when the return is decided without a slide: the regular segment
     ended without an event, or its plane hit lies on the return line."""
@@ -741,9 +710,9 @@ def _slide_start(plane_result: Union[SegmentEvent, Termination],
     if isinstance(ev1, Termination):
         return ReturnOutcome(_outcome_of(ev1), None, ev1.detail)
     y2h, y3h = ev1.y_hit[1], ev1.y_hit[2]
-    tol = cfg.secant_tol * max(1.0, _norm3(ev1.y_hit))
-    if y2h <= tol:
-        # the plane hit landed on the return line itself
+    if y2h <= 1e-12 * math.hypot(*ev1.y_hit):
+        # the plane hit landed on the return line itself, to rounding
+        # relative to its size (the map is linear in the start)
         if y3h >= 0.0:
             return ReturnOutcome("converged", None,
                                  "return at or above the origin", (ev1,))
@@ -753,13 +722,13 @@ def _slide_start(plane_result: Union[SegmentEvent, Termination],
 
 
 def _compose_return(plane_result: Union[SegmentEvent, Termination],
-                    c: float, d: float, cfg: EventConfig) -> ReturnOutcome:
+                    c: float, d: float) -> ReturnOutcome:
     """Finish a first-return computation given the regular-segment result
     (which depends only on a, b, and the start point)."""
-    ev1 = _slide_start(plane_result, cfg)
+    ev1 = _slide_start(plane_result)
     if isinstance(ev1, ReturnOutcome):
         return ev1
-    ev2 = _line_hit_block(c, d, ev1.y_hit[1], ev1.y_hit[2], cfg)
+    ev2 = _line_hit_block(c, d, ev1.y_hit[1], ev1.y_hit[2])
     if isinstance(ev2, Termination):
         return ReturnOutcome(_outcome_of(ev2), None, ev2.detail, (ev1,))
     zeta = ev2.y_hit[2]
@@ -769,15 +738,14 @@ def _compose_return(plane_result: Union[SegmentEvent, Termination],
     return ReturnOutcome("returned", zeta, "", (ev1, ev2))
 
 
-def first_return(params: HybridParams, z: float,
-                 cfg: EventConfig = DEFAULT_EVENT_CONFIG) -> ReturnOutcome:
+def first_return(params: HybridParams, z: float) -> ReturnOutcome:
     """Compose the regular and sliding segments from (0, 0, z), z < 0,
     and report the third coordinate of the first return to the line."""
     z = float(z)
     if not z < 0.0:
         raise ValueError("z must be negative")
-    ev1 = first_hit_plane(params, (0.0, 0.0, z), cfg)
-    return _compose_return(ev1, params.c, params.d, cfg)
+    ev1 = first_hit_plane(params, (0.0, 0.0, z))
+    return _compose_return(ev1, params.c, params.d)
 
 
 def _outcome_of(term: Termination) -> str:
@@ -793,11 +761,10 @@ def _result_from_outcome(out: ReturnOutcome) -> LambdaResult:
     return LambdaResult(LambdaStatus.UNDEFINED_DIVERGED, None, out.detail)
 
 
-def return_multiplier(params: HybridParams,
-                      cfg: EventConfig = DEFAULT_EVENT_CONFIG) -> LambdaResult:
+def return_multiplier(params: HybridParams) -> LambdaResult:
     """The return-map multiplier: minus the image of -1 under the first
     return to the line, or the reason it is undefined."""
-    return _result_from_outcome(first_return(params, -1.0, cfg))
+    return _result_from_outcome(first_return(params, -1.0))
 
 
 def slide_domain(c, d) -> tuple[np.ndarray, np.ndarray]:
@@ -816,7 +783,7 @@ def slide_domain(c, d) -> tuple[np.ndarray, np.ndarray]:
     return valid, outside
 
 
-def return_map(a: float, b: float, cfg: EventConfig = DEFAULT_EVENT_CONFIG,
+def return_map(a: float, b: float,
                ) -> Callable[[np.ndarray, np.ndarray], LambdaArrays]:
     """The return multiplier over arrays of (c, d), for fixed (a, b).
 
@@ -832,7 +799,7 @@ def return_map(a: float, b: float, cfg: EventConfig = DEFAULT_EVENT_CONFIG,
             f"need finite b > a^2/4, got a = {a:g}, b = {b:g}")
     head = _slide_start(_plane_hit_spiral(_left_rows(a, b),
                                           *_hybrid_spectrum(a, b),
-                                          (0.0, 0.0, -1.0), cfg), cfg)
+                                          (0.0, 0.0, -1.0)))
     if isinstance(head, ReturnOutcome):
         # decided before any slide: every (c, d) has the same multiplier
         result = _result_from_outcome(head)
@@ -848,14 +815,12 @@ def return_map(a: float, b: float, cfg: EventConfig = DEFAULT_EVENT_CONFIG,
         if isinstance(head, ReturnOutcome):
             return LambdaArrays(np.full(c.shape, result.status, dtype=object),
                                 np.full(c.shape, value))
-        return _line_hit_arrays(c, d, head.y_hit[1], head.y_hit[2], cfg)
+        return _line_hit_arrays(c, d, head.y_hit[1], head.y_hit[2])
 
     return multiplier
 
 
-def return_multiplier_normal_form(nf: NormalFormParams,
-                                  cfg: EventConfig = DEFAULT_EVENT_CONFIG,
-                                  ) -> LambdaResult:
+def return_multiplier_normal_form(nf: NormalFormParams) -> LambdaResult:
     """Return multiplier of the five-parameter reduction.
 
     The regular piece must have a complex pair; three real eigenvalues
@@ -873,6 +838,5 @@ def return_multiplier_normal_form(nf: NormalFormParams,
             f"regular piece has three real eigenvalues {eigs.lams}")
     assert isinstance(eigs, RealPlusPair)
     ev1 = _plane_hit_spiral(M, eigs.real_eig, eigs.alpha, eigs.beta,
-                            (0.0, 0.0, -1.0), cfg)
-    return _result_from_outcome(_compose_return(ev1, nf.tau_s, nf.delta_s,
-                                                cfg))
+                            (0.0, 0.0, -1.0))
+    return _result_from_outcome(_compose_return(ev1, nf.tau_s, nf.delta_s))

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -57,26 +57,29 @@ __all__ = [
 ]
 
 
+# Events are bisected until |monitor| <= _EVENT_REFINE_TOL.  A state
+# whose norm falls below _NORM_FLOOR has converged, one above
+# _NORM_CEILING has diverged.  |H| <= _ON_SURFACE_TOL is on the surface.
+_EVENT_REFINE_TOL = 1e-10
+_NORM_FLOOR = 1e-6
+_NORM_CEILING = 1e6
+_ON_SURFACE_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed-step simulation settings."""
+    """Fixed-step simulation settings: the step ``dt`` (finite, above the
+    event tolerance 1e-10) and the time limit ``t_max`` (finite,
+    positive)."""
 
     dt: float = 1e-3
-    event_refine_tol: float = 1e-10
     t_max: float = 100.0
-    norm_floor: float = 1e-6
-    norm_ceiling: float = 1e6
-    on_surface_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.t_max <= 0.0:
-            raise ValueError("dt and t_max must be positive")
-        if not 0.0 < self.event_refine_tol < self.dt:
-            raise ValueError("need 0 < event_refine_tol < dt")
-        if not (0.0 < self.norm_floor < 1.0 < self.norm_ceiling):
-            raise ValueError("need 0 < norm_floor < 1 < norm_ceiling")
-        if self.on_surface_tol <= 0.0:
-            raise ValueError("on_surface_tol must be positive")
+        if not (_EVENT_REFINE_TOL < self.dt < math.inf
+                and 0.0 < self.t_max < math.inf):
+            raise ValueError(f"need a finite dt > {_EVENT_REFINE_TOL:g} "
+                             "and a finite t_max > 0")
 
 
 class Terminal(Enum):
@@ -150,11 +153,9 @@ class _Sim:
     """State machine for one simulation run.  The state ``x`` is a
     3-tuple of floats."""
 
-    def __init__(self, system: FilippovSystem, x0, cfg: SimConfig,
-                 stop: Optional[Callable[[float, np.ndarray], bool]] = None):
+    def __init__(self, system: FilippovSystem, x0, cfg: SimConfig):
         self.system = system
         self.cfg = cfg
-        self.stop = stop
         x1, x2, x3 = np.asarray(x0, dtype=float)
         self.x = (float(x1), float(x2), float(x3))
         if not all(map(math.isfinite, self.x)):
@@ -188,14 +189,11 @@ class _Sim:
         norm = math.hypot(*self.x)
         if not math.isfinite(norm):
             raise NonFiniteStateError(f"state not finite at t = {self.t:g}")
-        if norm < self.cfg.norm_floor:
+        if norm < _NORM_FLOOR:
             self.terminal = Terminal.CONVERGED
             return True
-        if norm > self.cfg.norm_ceiling:
+        if norm > _NORM_CEILING:
             self.terminal = Terminal.DIVERGED
-            return True
-        if self.stop is not None and self.stop(self.t, np.array(self.x)):
-            self.terminal = Terminal.REACHED_EVENT
             return True
         if self.t >= self.cfg.t_max:
             self.terminal = Terminal.TIMEOUT
@@ -237,7 +235,7 @@ class _Sim:
         h = self.h
         interior = -1.0 if regime == "L" else 1.0
         seg = self.begin_segment(regime)
-        armed = abs(h(*self.x)) > self.cfg.on_surface_tol
+        armed = abs(h(*self.x)) > _ON_SURFACE_TOL
         while True:
             if self.check_terminal():
                 return None
@@ -245,16 +243,16 @@ class _Sim:
             x_new = _rk4_tuple(f, self.x, dt)
             h_new = h(*x_new)
             if not armed:
-                if h_new * interior > self.cfg.on_surface_tol:
+                if h_new * interior > _ON_SURFACE_TOL:
                     armed = True
-                elif h_new * interior < -10.0 * self.cfg.on_surface_tol:
+                elif h_new * interior < -10.0 * _ON_SURFACE_TOL:
                     raise FilippovError(
                         f"{regime}-segment left its own side at "
                         f"t = {self.t:g} before re-entering it")
             elif h_new * interior <= 0.0:
                 tau, x_ev = _locate(lambda x, tau: _rk4_tuple(f, x, tau),
                                     self.x, dt, x_new, h_new,
-                                    lambda x: h(*x), self.cfg.event_refine_tol)
+                                    lambda x: h(*x), _EVENT_REFINE_TOL)
                 self.t += tau
                 self.x = x_ev
                 seg.samples.append((self.t, *self.x))
@@ -273,7 +271,7 @@ class _Sim:
         rate_left = lambda x: rates(*x)[0]
         step = lambda x, tau: project(_rk4_tuple(field, x, tau))
         self.x = project(self.x)
-        armed = rate_left(self.x) > self.cfg.event_refine_tol
+        armed = rate_left(self.x) > _EVENT_REFINE_TOL
         wobbles = 0
         while True:
             if self.check_terminal():
@@ -286,11 +284,11 @@ class _Sim:
                     f"right field stopped pointing at the surface during "
                     f"sliding at t = {self.t:g}")
             if not armed:
-                if rate_new > self.cfg.event_refine_tol:
+                if rate_new > _EVENT_REFINE_TOL:
                     armed = True
             elif rate_new <= 0.0:
                 tau, x_ev = _locate(step, self.x, dt, x_new, rate_new,
-                                    rate_left, self.cfg.event_refine_tol)
+                                    rate_left, _EVENT_REFINE_TOL)
                 curv = fold_curvature(self.system, x_ev)
                 if curv < 0.0:
                     self.t += tau
@@ -313,9 +311,9 @@ class _Sim:
 
     def run(self) -> Orbit:
         h0 = self.h(*self.x)
-        if h0 < -self.cfg.on_surface_tol:
+        if h0 < -_ON_SURFACE_TOL:
             regime = "L"
-        elif h0 > self.cfg.on_surface_tol:
+        elif h0 > _ON_SURFACE_TOL:
             regime = "R"
         else:
             if self.check_terminal():
@@ -331,9 +329,7 @@ class _Sim:
         return Orbit(self.segments, self.terminal, self.detail)
 
 
-def simulate(system: FilippovSystem, x0, cfg: SimConfig,
-             stop: Optional[Callable[[float, np.ndarray], bool]] = None,
-             ) -> Orbit:
+def simulate(system: FilippovSystem, x0, cfg: SimConfig) -> Orbit:
     """Run the event-driven Filippov integration from x0.
 
     Orbits follow the left field in H < 0 and the right field in H > 0;
@@ -345,7 +341,7 @@ def simulate(system: FilippovSystem, x0, cfg: SimConfig,
     The norm floor/ceiling terminations are measured from the origin;
     translate the system so the equilibrium of interest sits there.
     """
-    return _Sim(system, x0, cfg, stop).run()
+    return _Sim(system, x0, cfg).run()
 
 
 # --------------------------------------------------------------------------
@@ -371,8 +367,8 @@ def _run_hybrid(params: HybridParams, z0: float, cfg: SimConfig,
     legs = {"L": (f_left, 0, -1.0, "regular segment"),
             "S": (f_slide, 1, 1.0, "sliding segment")}
     dt = cfg.dt
-    floor2 = cfg.norm_floor * cfg.norm_floor
-    ceil2 = cfg.norm_ceiling * cfg.norm_ceiling
+    floor2 = _NORM_FLOOR * _NORM_FLOOR
+    ceil2 = _NORM_CEILING * _NORM_CEILING
     t = 0.0
     y = (0.0, 0.0, float(z0))
     segments: list[Segment] = []
@@ -410,14 +406,14 @@ def _run_hybrid(params: HybridParams, z0: float, cfg: SimConfig,
                 # side before it has entered its own is not a return
                 if m_new > 0.0:
                     armed = True
-                elif m_new < -10.0 * cfg.on_surface_tol:
+                elif m_new < -10.0 * _ON_SURFACE_TOL:
                     raise FilippovError(
                         f"{regime}-segment left its own side at t = {t:g} "
                         "before re-entering it")
             elif m_new <= 0.0:
                 tau, y_ev = _locate(lambda s, tau: _rk4_tuple(f, s, tau), y,
                                     h, y_new, y_new[idx], lambda s: s[idx],
-                                    cfg.event_refine_tol)
+                                    _EVENT_REFINE_TOL)
                 t += tau
                 y = y_ev[:idx] + (0.0,) + y_ev[idx + 1:]
                 if record:
@@ -477,7 +473,7 @@ def return_multiplier_empirical(params: HybridParams,
                             orbit.detail or "norm below floor")
     if orbit.terminal is Terminal.DIVERGED:
         return LambdaResult(LambdaStatus.UNDEFINED_DIVERGED, None,
-                            orbit.detail or "norm above ceiling")
+                            orbit.detail)  # the leg it diverged in
     raise FilippovError(
         f"empirical return-multiplier run ended with {orbit.terminal.value} "
         "before the first return; raise t_max")

@@ -1,10 +1,11 @@
 """Parameter-plane sweeps of the return multiplier.
 
 For fixed (a, b), cells of a (c, d) grid are classified blue (multiplier
-below 1, or orbit decayed below the norm floor), red (above 1, or orbit
-exceeded the norm ceiling), white (parameters outside the valid region:
-c > 0 with d < c^2/4, d <= 0, or b <= a^2/4), or gray (marginal value or
-a per-cell numerical failure).  Cells are evaluated at their centers.
+below 1, or an orbit proved to decay without returning), red (above 1,
+or an orbit proved to grow without returning, or one whose return
+overflows), white (parameters outside the valid region: c > 0 with
+d < c^2/4, d <= 0, or b <= a^2/4), or gray (marginal value or a per-cell
+numerical failure).  Cells are evaluated at their centers.
 
 The regular segment of the return map depends only on (a, b), so it is
 computed once per grid; the slides of all cells are then evaluated as
@@ -24,8 +25,6 @@ import numpy as np
 
 from .errors import FilippovError
 from .hybrid import (
-    DEFAULT_EVENT_CONFIG,
-    EventConfig,
     HybridParams,
     LambdaArrays,
     LambdaStatus,
@@ -80,8 +79,7 @@ def cell_centers(lo: float, hi: float, count: int) -> list[float]:
 
 
 def sweep(a: float, b: float, c_range: tuple[float, float],
-          d_range: tuple[float, float], nc: int, nd: int,
-          cfg: EventConfig = DEFAULT_EVENT_CONFIG) -> SweepGrid:
+          d_range: tuple[float, float], nc: int, nd: int) -> SweepGrid:
     """Evaluate the verdict on an nc x nd grid of cell centers, all cells
     in one call of :func:`return_map`.  Gray cells are logged once per
     grid: their count and the first one's reason."""
@@ -103,7 +101,7 @@ def sweep(a: float, b: float, c_range: tuple[float, float],
                       "piece does not rotate, every cell is not-applicable",
                       stacklevel=2)
     else:
-        multiplier = return_map(a, b, cfg)
+        multiplier = return_map(a, b)
         cells, white = slide_domain(c, d)
         # neither white nor valid: d = c^2/4 exactly with c > 0, or a
         # non-finite centre; HybridParams gives the reason

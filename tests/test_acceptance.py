@@ -234,7 +234,7 @@ def test_criterion_08_trichotomy_with_simulation():
     verdict_c = classify_equilibrium(fp.boundary_data(system_c, (0, 0, 0)))
     ok_c = isinstance(verdict_c, Rotational)
     orbit_c = simulate(system_c, (0.0, 0.0, -1.0),
-                       SimConfig(dt=2e-3, t_max=500.0, norm_floor=1e-6))
+                       SimConfig(dt=2e-3, t_max=500.0))
     ok_c = ok_c and orbit_c.terminal is fp.Terminal.CONVERGED
     t_end = orbit_c.segments[-1].samples[-1][0]
     ok_c = ok_c and t_end <= 500.0

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import shlex
+import tempfile
+from pathlib import Path
 
 import pytest
 
-from filippov import cli
-from filippov.cli import main
+from filippov import hybrid
+from filippov.cli import build_parser, main
 from filippov.expr import MAX_DEPTH
-from filippov.hybrid import EventConfig
+from oracles import for_all
 
 
 def run(capsys, *argv):
@@ -60,18 +65,11 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_count_options_below_one_are_usage_errors(capsys, tmp_path):
-    path = write_spec(tmp_path, NORMAL_FORM_STABLE)
-    abcd = ("--a", "0.2", "--b", "5", "--c", "0.2", "--d", "1")
-    for argv in (
-            ("lambda", *abcd, "--steps", "-5"),
-            ("lambda", *abcd, "--steps", "0"),
-            ("classify", "--system", path, "--steps", "-5"),
-            ("sweep", "--a", "0.2", "--b", "5", "--c-range=-1:1",
-             "--d-range=0.25:2", "--nc", "4", "--nd", "4",
-             "--out", str(tmp_path / "grid.csv"), "--steps", "-5"),
-            ("fig-c", "--out", str(tmp_path / "panels"), "--nc", "4",
-             "--nd", "4", "--steps", "-5"),
-            ("check-appendix-b", "--trials", "-1")):
+    for argv in (("check-appendix-b", "--trials", "-1"),
+                 ("check-appendix-b", "--trials", "0"),
+                 ("check-appendix-b", "--trials", "2", "--seed", "-1"),
+                 ("fig-c", "--out", str(tmp_path / "panels"), "--nc", "0",
+                  "--nd", "4")):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
@@ -80,6 +78,8 @@ def test_count_options_below_one_are_usage_errors(capsys, tmp_path):
 
 
 SWEEP = ("sweep", "--a", "0.2", "--b", "5", "--format", "csv")
+ORBIT = ("orbit", "--a", "-0.2", "--b", "5", "--c", "-0.2", "--d", "3")
+ORBIT_SYSTEM = ("orbit-system", "--system", "system.json", "--x0", "1,0,0")
 
 
 @pytest.mark.parametrize("argv", [
@@ -93,6 +93,22 @@ SWEEP = ("sweep", "--a", "0.2", "--b", "5", "--format", "csv")
     (*SWEEP, "--c-range=-1:1", "--d-range=0.25:2", "--nc", "4", "--nd", "0"),
     (*SWEEP, "--c-range=1:-1", "--d-range=0.25:2", "--nc", "4", "--nd", "4"),
     (*SWEEP, "--c-range=-1:1", "--d-range=nan:2", "--nc", "4", "--nd", "4"),
+    # simulation times must be finite and positive (a non-finite --t-max
+    # never ends a periodic orbit), --z0 finite and negative
+    (*ORBIT, "--z0", "-1", "--t-max", "inf"),
+    (*ORBIT, "--z0", "-1", "--t-max", "nan"),
+    (*ORBIT, "--z0", "-1", "--t-max", "0"),
+    (*ORBIT, "--z0", "-1", "--t-max", "1", "--dt", "nan"),
+    (*ORBIT, "--z0", "-1", "--t-max", "1", "--dt", "-1"),
+    (*ORBIT, "--z0", "-1", "--t-max", "1", "--dt", "1e-11"),
+    (*ORBIT, "--z0", "nan", "--t-max", "1"),
+    (*ORBIT, "--z0", "-inf", "--t-max", "1"),
+    (*ORBIT, "--z0", "0", "--t-max", "1"),
+    (*ORBIT_SYSTEM, "--t-max", "inf"),
+    (*ORBIT_SYSTEM, "--t-max", "nan"),
+    (*ORBIT_SYSTEM, "--t-max", "-2"),
+    (*ORBIT_SYSTEM, "--t-max", "1", "--dt", "inf"),
+    (*ORBIT_SYSTEM, "--t-max", "1", "--dt", "0"),
 ])
 def test_grid_options_are_usage_errors(capsys, tmp_path, argv):
     out_path = tmp_path / ("panels" if argv[0] == "fig-c" else "grid.csv")
@@ -111,13 +127,6 @@ def test_fig_c_unwritable_output_fails_cleanly(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_lambda_steps_option(capsys):
-    code, out, _ = run(capsys, "lambda", "--a", "0.2", "--b", "5",
-                       "--c", "0.2", "--d", "1", "--steps", "512")
-    assert code == 0
-    assert "asymptotically stable" in out
 
 
 def test_classify_rotational_chain(capsys, tmp_path):
@@ -274,6 +283,8 @@ def test_orbit_system_negative_x0_needs_no_equals_sign(capsys, tmp_path):
     ("sweep", "--a", "0.2", "--b", "5", "--c-range", "1", "--d-range",
      "0:1", "--nc", "4", "--nd", "4", "--out", "grid.csv"),
     ("fig-c", "--out", "panels", "--format", "gif"),
+    ("lambda", "--a", "0.2", "--b", "5", "--c", "0.2", "--d", "1",
+     "--steps", "512"),                            # a removed option
 ])
 def test_argparse_errors_are_one_usage_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -283,8 +294,7 @@ def test_argparse_errors_are_one_usage_line(capsys, argv):
 
 
 def test_missed_tolerance_is_a_failure(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_event_config",
-                        lambda args: EventConfig(max_secant_iters=1))
+    monkeypatch.setattr(hybrid, "_MAX_SECANT_ITERS", 1)
     path = write_spec(tmp_path, NORMAL_FORM_STABLE)
     for argv in (("lambda", "--a", "0.2", "--b", "5", "--c", "0.2",
                   "--d", "1"),
@@ -315,3 +325,105 @@ def test_check_decay_orbit_suite(capsys):
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
+
+
+# --------------------------------------------------------------------------
+# every invocation runs or fails with one line: argv drawn from a fixed
+# vocabulary, with grids of at most 8 cells a side, --t-max <= 1 and
+# --trials <= 20 so that each run is short
+# --------------------------------------------------------------------------
+
+# each option's values: (good, bad), a good one drawn four times in five
+NUMBERS = (("2", "0.5", "-1", "0", "5"), ("nan", "inf", "x"))
+SIZES = (("2", "8"), ("nan", "-1", "0", "x", "0.5"))
+TIMES = (("0.5", "1"), ("nan", "inf", "-1", "0", "x"))
+RANGES = (("-1:1", "0:2"), ("1:-1", "nan:1", "0:inf", "x", "2"))
+SYSTEMS = (("system.json",), ("missing.json",))
+ABCD = {f"--{name}": NUMBERS for name in "abcd"}
+SUBCOMMANDS = {
+    "lambda": ABCD,
+    "classify": {"--system": SYSTEMS},
+    "sweep": {"--a": NUMBERS, "--b": NUMBERS, "--c-range": RANGES,
+              "--d-range": RANGES, "--nc": SIZES, "--nd": SIZES,
+              "--out": (("grid.csv",), ("no/such/dir/grid.csv",)),
+              "--format": (("csv", "pgm"), ("gif",))},
+    "orbit": {**ABCD, "--z0": (("-1", "-0.5"), ("0", "2", "nan", "inf", "x")),
+              "--t-max": TIMES, "--dt": TIMES, "--out": (("orbit.csv",),) * 2},
+    "orbit-system": {"--system": SYSTEMS,
+                     "--x0": (("0,0,-1", "-0.02,0,-0.05"),
+                              ("1,0", "x,0,0", "nan,0,0")),
+                     "--t-max": TIMES, "--dt": TIMES,
+                     "--out": (("orbit.csv",),) * 2},
+    "fig-c": {"--out": (("panels",),) * 2, "--nc": SIZES, "--nd": SIZES,
+              "--c-range": RANGES, "--d-range": RANGES,
+              "--format": (("csv", "pgm", "both"), ("gif",))},
+    "check-appendix-b": {"--trials": (("2", "20"), SIZES[1]),
+                         "--seed": (("0", "2"), ("-1", "x", "nan"))},
+}
+# options whose defaults would make a run long: never left out
+SIZE_OPTIONS = {"--nc", "--nd", "--trials", "--t-max"}
+EXTRA = ("--steps", "--bogus", "-1")
+
+
+def argv_from(picks, workdir):
+    """An argument list from a sequence of non-negative integers: the
+    subcommand, then each of its options (left out one time in eight,
+    unless its default is slow) with a value from its vocabulary, then,
+    one time in eight, an unknown option or a stray value.  Paths are
+    inside ``workdir``."""
+    picks = iter(picks)
+    command = list(SUBCOMMANDS)[next(picks) % len(SUBCOMMANDS)]
+    argv = [command]
+    for option, (good, bad) in SUBCOMMANDS[command].items():
+        keep, pick = next(picks), next(picks)
+        if keep % 8 == 0 and option not in SIZE_OPTIONS:
+            continue
+        values = good if pick % 5 else bad
+        value = values[pick // 5 % len(values)]
+        if option in ("--out", "--system"):
+            value = str(workdir / value)
+        argv += [option, value]
+    extra = next(picks)
+    if extra % 8 == 0:
+        argv += [EXTRA[extra // 8 % len(EXTRA)], "2"]
+    return argv
+
+
+def picks_strategy(st):
+    return st.lists(st.integers(0, 10 ** 6), min_size=20, max_size=20)
+
+
+def draw_picks(rng):
+    return rng.integers(0, 10 ** 6, size=20).tolist()
+
+
+@for_all(150, 65, picks_strategy, draw_picks)
+def test_every_invocation_exits_0_1_or_2_with_one_error_line(picks):
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        (workdir / "system.json").write_text(json.dumps(NORMAL_FORM_STABLE))
+        argv = argv_from(picks, workdir)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    text = out.getvalue() + err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in text, argv
+    if code:
+        errors = [line for line in err.getvalue().splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1, (argv, err.getvalue())
+
+
+def test_readme_commands_parse():
+    # every documented command of the README's usage block is accepted by
+    # the parser (not run), so a removed option fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("filippov ")]
+    assert len(commands) >= 7
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

@@ -8,8 +8,8 @@ from filippov.errors import (
     NotRotationalError,
     ToleranceNotMetError,
 )
+from filippov import hybrid
 from filippov.hybrid import (
-    EventConfig,
     HybridParams,
     LambdaArrays,
     LambdaResult,
@@ -27,7 +27,8 @@ from filippov.hybrid import (
     return_multiplier_normal_form,
     slide_block,
 )
-from filippov.hybrid import _plane_hit_spiral
+from filippov.hybrid import _SECANT_TOL, _plane_hit_spiral
+from filippov.simulate import SimConfig, Terminal, simulate_hybrid
 from filippov.spectrum import (
     NormalFormParams,
     companion_matrix,
@@ -63,20 +64,6 @@ def test_params_validation():
         HybridParams(0.2, 5.0, 0.2, -1.0)  # d <= 0
     with pytest.raises(ConstraintViolationError):
         HybridParams(0.2, 5.0, 2.0, 0.5)  # c > 0 with d < c^2/4
-
-
-def test_event_config_validation():
-    EventConfig(secant_tol=1e-6, max_secant_iters=1, norm_ceiling=1.5)
-    for bad in ({"secant_tol": 0.0}, {"secant_tol": -1e-12},
-                {"secant_tol": math.nan}, {"max_secant_iters": 0},
-                {"max_secant_iters": -3}, {"norm_ceiling": 1.0},
-                {"norm_ceiling": 0.5}, {"norm_ceiling": math.nan}):
-        with pytest.raises(ValueError):
-            EventConfig(**bad)
-    # the stepping search's knobs are gone
-    for gone in ("steps_per_rotation", "max_segments", "norm_floor"):
-        with pytest.raises(TypeError):
-            EventConfig(**{gone: 1})
 
 
 # --------------------------------------------------------------------------
@@ -255,19 +242,18 @@ def test_line_hit_spiral_is_first_zero():
     # the exact return time of a complex block is the first zero of y2:
     # y2 stays positive before it, and it comes within half a turn
     rng = np.random.default_rng(29)
-    cfg = EventConfig()
     for _ in range(30):
         c = rng.uniform(-2.0, 2.0)
         d = rng.uniform(c * c / 4 + 0.05, c * c / 4 + 5.0)  # complex pair
         params = HybridParams(0.1, 1.0, c, d)
         beta = math.sqrt(4 * d - c * c) / 2
         y0 = (0.0, rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0))
-        ev = first_hit_line(params, y0, cfg)
+        ev = first_hit_line(params, y0)
         assert isinstance(ev, SegmentEvent)
         assert ev.t_hit < math.pi / beta
         for t in np.linspace(0.0, ev.t_hit, 1002)[1:-1]:
             assert flow_slide(params, y0, t)[1] > 0
-        assert abs(flow_slide(params, y0, ev.t_hit)[1]) <= cfg.secant_tol
+        assert abs(flow_slide(params, y0, ev.t_hit)[1]) <= _SECANT_TOL
 
 
 def test_slide_below_norm_floor_still_returns():
@@ -319,13 +305,34 @@ def test_line_hit_requires_positive_y2():
 # first return and the multiplier
 # --------------------------------------------------------------------------
 
+# (a, b, c, d) whose first return is far from 1 in size: the map is
+# linear in z, so the size of a hit must not decide a status
+SCALE_CASES = (
+    (3.0, 2.3, -3.0, 0.5),    # plane hit near 1e9, then the slide decays
+    (0.2, 5.0, 20.0, 101.0),  # a return near 1e14
+    (0.9, 0.2125, 0.2, 1.0),  # a slow rotation: plane hit near 1e6
+    (1.2, 5.0, 0.315, 0.025),  # a fig-c cell with a return near 3e15
+)
+
+
 def test_first_return_linearity():
-    params = HybridParams(*FIG_RETURNING)
-    base = first_return(params, -1.0)
-    assert base.status == "returned"
-    for nu in (0.5, 2.0, 10.0):
-        out = first_return(params, -nu)
-        assert abs(out.zeta / nu - base.zeta) <= 1e-9 * abs(base.zeta)
+    for case in (FIG_RETURNING, *SCALE_CASES):
+        params = HybridParams(*case)
+        base = first_return(params, -1.0)
+        for z in (-1e-20, -1e-6, -0.5, -2.0, -10.0, -1e6):
+            out = first_return(params, z)
+            assert out.status == base.status, (case, z)
+            if base.status == "returned":
+                assert abs(out.zeta / -z - base.zeta) \
+                    <= 1e-12 * abs(base.zeta), (case, z)
+    # the first case's slide (eigenvalues of [[-3, 1], [-0.5, 0]] both
+    # negative) decays without returning; so does the simulator's, from a
+    # start small enough to stay inside its norm ceiling
+    params = HybridParams(*SCALE_CASES[0])
+    assert return_multiplier(params).status is LambdaStatus.UNDEFINED_CONVERGED
+    orbit = simulate_hybrid(params, -1e-4, SimConfig(dt=1e-3, t_max=200.0))
+    assert orbit.terminal is Terminal.CONVERGED
+    assert [seg.regime for seg in orbit.segments] == ["L", "S"]
 
 
 def test_first_return_ratio_exact():
@@ -370,10 +377,11 @@ def test_return_map_matches_return_multiplier():
 # panel adds to its seeded draws, with the outcome they are there for
 CORPUS_PANELS = ((0.2, 5.0), (-0.2, 0.5), (1.2, 0.5), (-1.2, 2.0),
                  (-3.9, 3.8125),  # regular segment never returns: all converge
-                 (0.9, 0.2125))   # regular segment grows: all diverge
+                 (2.0, 1.0 + 1e-6),  # regular segment overflows: all diverge
+                 (0.9, 0.2125))   # plane hit near 1e6: large returns
 CORPUS_CELLS = (
     ((0.2, 5.0), 1.0, 0.25 + 1e-11, "overflow at the return"),
-    ((0.2, 5.0), 20.0, 101.0, "norm above ceiling at the return"),
+    ((0.2, 5.0), 20.0, 101.0, ""),  # a return near 1e14
     ((-0.2, 0.5), -1.8, 0.81 + 1e-6, "return at or above the origin"),
     # resonant within the discriminant tolerance, on both sides of it
     ((0.2, 5.0), -1.8, 0.81 + 1e-13, ""),
@@ -384,7 +392,8 @@ CORPUS_CELLS = (
     ((0.2, 5.0), 0.0, 1e-13, "slide grows without returning"),
     ((-0.2, 0.5), -1.8, 0.81, "slide decays without returning"),
     ((-3.9, 3.8125), 0.2, 1.0, "never returns"),
-    ((0.9, 0.2125), 0.2, 1.0, "norm above ceiling"),
+    ((2.0, 1.0 + 1e-6), 0.2, 1.0, "overflow before the plane hit"),
+    ((0.9, 0.2125), 0.2, 1.0, ""),
 )
 
 
@@ -482,13 +491,15 @@ def test_step_refinement_convergence():
         checked += 1
 
 
-def test_missed_secant_tolerance_raises():
+def test_missed_secant_tolerance_raises(monkeypatch):
     # one secant step from the search's bracket does not reach 1e-12
     params = HybridParams(*FIG_STABLE)
+    want = return_multiplier(params)
+    monkeypatch.setattr(hybrid, "_MAX_SECANT_ITERS", 1)
     with pytest.raises(ToleranceNotMetError, match="1 secant iterations"):
-        return_multiplier(params, EventConfig(max_secant_iters=1))
-    assert return_multiplier(params, EventConfig(max_secant_iters=8)) \
-        == return_multiplier(params)
+        return_multiplier(params)
+    monkeypatch.setattr(hybrid, "_MAX_SECANT_ITERS", 8)
+    assert return_multiplier(params) == want
 
 
 # --------------------------------------------------------------------------
@@ -538,14 +549,13 @@ def test_plane_hit_is_first_root(case):
     if isinstance(ev, SegmentEvent):
         assert_first_root(left_matrix(a, b), ev)
     else:
-        assert a < -2.0 or "norm above ceiling" in ev.detail
+        assert a < -2.0 and "never returns" in ev.detail
 
 
 def check_normal_form_plane_hit(case):
     mu, alpha, beta = case
     M = companion_of(mu, alpha, beta)
-    ev = _plane_hit_spiral(M, mu, alpha, beta, (0.0, 0.0, -1.0),
-                           EventConfig())
+    ev = _plane_hit_spiral(M, mu, alpha, beta, (0.0, 0.0, -1.0))
     if isinstance(ev, SegmentEvent):
         assert_first_root(M, ev)
     elif "never returns" in ev.detail:
@@ -553,7 +563,7 @@ def check_normal_form_plane_hit(case):
         assert ev.status is (LambdaStatus.UNDEFINED_CONVERGED if mu < 0
                              else LambdaStatus.UNDEFINED_DIVERGED)
     else:
-        assert "norm above ceiling" in ev.detail or "overflow" in ev.detail
+        assert "overflow" in ev.detail
 
 
 @for_all(300, 62, spectrum_strategy, draw_spectrum)
@@ -607,16 +617,19 @@ def config_strategy(st):
 @for_all(300, 64, config_strategy, draw_config_case)
 def test_statuses_do_not_depend_on_the_search_tolerances(case):
     # the search's own knobs move no status; a refinement that misses its
-    # tolerance raises.  (norm_ceiling defines divergence, so it is fixed)
+    # tolerance raises
     a, b, tol, iters = case
     params = HybridParams(a, b, -0.5, 2.0)
-    try:
-        got = return_multiplier(params, EventConfig(secant_tol=tol,
-                                                     max_secant_iters=iters))
-    except ToleranceNotMetError:
-        assert iters < 60 or tol < 1e-13
-        return
-    assert got.status is return_multiplier(params).status
+    want = return_multiplier(params).status
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hybrid, "_SECANT_TOL", tol)
+        patch.setattr(hybrid, "_MAX_SECANT_ITERS", iters)
+        try:
+            got = return_multiplier(params)
+        except ToleranceNotMetError:
+            assert iters < 60 or tol < 1e-13
+            return
+    assert got.status is want
 
 
 def test_sign_structure_at_plane_hits():
@@ -632,27 +645,26 @@ def test_events_lie_on_their_manifolds():
     # every located event satisfies its defining equations to the secant
     # tolerance, with a strictly positive hit time
     rng = np.random.default_rng(2718)
-    cfg = EventConfig()
     plane_events = line_events = 0
     for _ in range(60):
         params = random_valid_params(rng)
-        ev = first_hit_plane(params, (0.0, 0.0, -1.0), cfg)
+        ev = first_hit_plane(params, (0.0, 0.0, -1.0))
         if not isinstance(ev, SegmentEvent):
             continue
         plane_events += 1
         scale = max(1.0, float(np.linalg.norm(ev.y_hit)))
         assert ev.t_hit > 0.0
-        assert abs(ev.y_hit[0]) <= cfg.secant_tol * scale
-        if ev.y_hit[1] <= cfg.secant_tol * scale:
+        assert abs(ev.y_hit[0]) <= _SECANT_TOL * scale
+        if ev.y_hit[1] <= _SECANT_TOL * scale:
             continue  # landed on the return line itself
-        ev2 = first_hit_line(params, (0.0, ev.y_hit[1], ev.y_hit[2]), cfg)
+        ev2 = first_hit_line(params, (0.0, ev.y_hit[1], ev.y_hit[2]))
         if not isinstance(ev2, SegmentEvent):
             continue
         line_events += 1
         scale2 = max(1.0, float(np.linalg.norm(ev2.y_hit)))
         assert ev2.t_hit > 0.0
         assert ev2.y_hit[0] == 0.0
-        assert abs(ev2.y_hit[1]) <= cfg.secant_tol * scale2
+        assert abs(ev2.y_hit[1]) <= _SECANT_TOL * scale2
         assert ev2.y_hit[2] < 0.0
     assert plane_events >= 30 and line_events >= 20
 

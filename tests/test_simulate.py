@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,20 @@ from filippov.simulate import (
     simulate_hybrid,
     trace_tangency_curve,
 )
+from filippov.simulate import _ON_SURFACE_TOL
+
+
+def test_sim_config_takes_a_finite_step_and_time_limit():
+    SimConfig(dt=1e-9, t_max=1e-9)
+    for dt, t_max in ((0.0, 1.0), (1e-10, 1.0), (math.nan, 1.0),
+                      (math.inf, 1.0), (1e-3, 0.0), (1e-3, -1.0),
+                      (1e-3, math.nan), (1e-3, math.inf)):
+        with pytest.raises(ValueError):
+            SimConfig(dt=dt, t_max=t_max)
+    for gone in ("event_refine_tol", "norm_floor", "norm_ceiling",
+                 "on_surface_tol"):
+        with pytest.raises(TypeError):
+            SimConfig(**{gone: 1e-3})
 
 
 def normal_form_system(a, b, c, d):
@@ -127,7 +142,7 @@ def test_orbit_invariants():
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
         if seg.regime == "S":
             for (_, x1, x2, x3) in seg.samples:
-                assert abs(system.switch((x1, x2, x3))) <= cfg.on_surface_tol
+                assert abs(system.switch((x1, x2, x3))) <= _ON_SURFACE_TOL
     for prev, nxt in zip(orbit.segments, orbit.segments[1:]):
         end = np.array(prev.samples[-1][1:])
         start = np.array(nxt.samples[0][1:])

@@ -133,7 +133,7 @@ def test_gray_cells_logged_once_per_grid(caplog):
 GOLDEN_PGM_SHA256 = \
     "14c012ca6371a07f207fc150de7dce528c6b7e30620cbff90c5eced9e4866e07"
 GOLDEN_CSV_SHA256 = \
-    "8b1d29b287d7f8df421288f65999d5b804212d86d5e2a61bcb39df784bd1c06f"
+    "a92811399925032ad2e2a1438ff12ac908b18297fcafd8f11a20d3a68b27b2c7"
 
 
 def _numeric(text):
