@@ -49,7 +49,6 @@ from .hybrid import (
     flow_slide,
     return_map,
     return_multiplier,
-    return_multiplier_normal_form,
 )
 from .simulate import (
     Orbit,
@@ -63,15 +62,11 @@ from .simulate import (
     trace_tangency_curve,
 )
 from .spectrum import (
-    NormalFormParams,
     RealPlusPair,
     ThreeReal,
     companion_matrix,
     companion_orbit,
-    crossing_function,
     eig3,
-    nonzero_pair,
-    normal_form_from_spectrum,
 )
 from .stability import (
     Degenerate,

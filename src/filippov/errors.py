@@ -72,11 +72,7 @@ class DegenerateSlidingError(FilippovError):
 
 class NearDegenerateError(FilippovError):
     """The characteristic cubic has (nearly) repeated roots; the caller
-    decides how to proceed.  ``roots`` carries the approximate values."""
-
-    def __init__(self, message: str, roots=None):
-        self.roots = roots
-        super().__init__(message)
+    decides how to proceed."""
 
 
 class NoZeroEigenvalueError(FilippovError):
@@ -92,11 +88,6 @@ class EigenvalueOrderViolationError(FilippovError):
 
 class ConstraintViolationError(FilippovError):
     """Hybrid-system parameters violate their validity constraints."""
-
-
-class NotRotationalError(FilippovError):
-    """The regular-piece matrix has three real eigenvalues, so the
-    rotational return map does not apply."""
 
 
 class ToleranceNotMetError(FilippovError):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -37,16 +37,7 @@ import numpy as np
 from .errors import (
     ConstraintViolationError,
     FilippovError,
-    NearDegenerateError,
-    NotRotationalError,
     ToleranceNotMetError,
-)
-from .spectrum import (
-    NormalFormParams,
-    RealPlusPair,
-    ThreeReal,
-    companion_matrix,
-    eig3,
 )
 
 __all__ = [
@@ -56,7 +47,6 @@ __all__ = [
     "flow_left", "flow_slide",
     "first_hit_plane", "first_hit_line", "first_return",
     "return_multiplier", "return_map", "LambdaArrays", "slide_domain",
-    "return_multiplier_normal_form",
 ]
 
 # A return multiplier within this distance of 1 makes no stability claim.
@@ -236,10 +226,8 @@ def _spiral_split(M, mu: float, alpha: float, beta: float, y0,
                   ) -> _SpiralSplit:
     """Split y0 into its component u along the real eigendirection (via
     the annihilating quadratic of the complex pair) and its component w in
-    the rotation plane, in pure floats.  M is an array or a sequence of
-    rows."""
-    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = (
-        M.tolist() if isinstance(M, np.ndarray) else M)
+    the rotation plane, in pure floats.  M is a sequence of rows."""
+    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = M
 
     def mul(v1, v2, v3):
         return (m11 * v1 + m12 * v2 + m13 * v3,
@@ -738,14 +726,38 @@ def _compose_return(plane_result: Union[SegmentEvent, Termination],
     return ReturnOutcome("returned", zeta, "", (ev1, ev2))
 
 
+def _scale_back(v: float, k: int) -> float:
+    """v * 2**k, infinite where that overflows."""
+    try:
+        return math.ldexp(v, k)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
 def first_return(params: HybridParams, z: float) -> ReturnOutcome:
     """Compose the regular and sliding segments from (0, 0, z), z < 0,
-    and report the third coordinate of the first return to the line."""
+    and report the third coordinate of the first return to the line.
+
+    The map is linear in z.  It runs from z / 2**k in [-2, -1), away from
+    both ends of the float range, and its points are scaled back by the
+    exact factor 2**k; a return beyond the float range diverges."""
     z = float(z)
     if not z < 0.0:
         raise ValueError("z must be negative")
-    ev1 = first_hit_plane(params, (0.0, 0.0, z))
-    return _compose_return(ev1, params.c, params.d)
+    mant, k = math.frexp(z)
+    k -= 1
+    ev1 = first_hit_plane(params, (0.0, 0.0, 2.0 * mant))
+    out = _compose_return(ev1, params.c, params.d)
+    if k == 0:
+        return out
+    events = tuple(replace(ev, y_hit=tuple(_scale_back(v, k)
+                                           for v in ev.y_hit))
+                   for ev in out.events)
+    zeta = None if out.zeta is None else _scale_back(out.zeta, k)
+    if zeta is not None and math.isinf(zeta):
+        return ReturnOutcome("diverged", None, "overflow at the return",
+                             events)
+    return replace(out, zeta=zeta, events=events)
 
 
 def _outcome_of(term: Termination) -> str:
@@ -819,24 +831,3 @@ def return_map(a: float, b: float,
 
     return multiplier
 
-
-def return_multiplier_normal_form(nf: NormalFormParams) -> LambdaResult:
-    """Return multiplier of the five-parameter reduction.
-
-    The regular piece must have a complex pair; three real eigenvalues
-    raise :class:`NotRotationalError` (that case is decided by the
-    eigenvalue classification, not by a return map).
-    """
-    M = companion_matrix(nf.tau_l, nf.sigma_l, nf.delta_l)
-    try:
-        eigs = eig3(M)
-    except NearDegenerateError as exc:
-        raise NotRotationalError(
-            f"regular piece has (nearly) repeated eigenvalues: {exc}") from exc
-    if isinstance(eigs, ThreeReal):
-        raise NotRotationalError(
-            f"regular piece has three real eigenvalues {eigs.lams}")
-    assert isinstance(eigs, RealPlusPair)
-    ev1 = _plane_hit_spiral(M, eigs.real_eig, eigs.alpha, eigs.beta,
-                            (0.0, 0.0, -1.0))
-    return _result_from_outcome(_compose_return(ev1, nf.tau_s, nf.delta_s))

@@ -27,12 +27,10 @@ from .errors import (
 
 __all__ = [
     "ThreeReal", "RealPlusPair", "EigTriple", "eig3",
-    "char_poly_coeffs", "nonzero_pair", "pair_sum_product",
-    "pair_from_sum_product",
-    "NormalFormParams", "normal_form_from_spectrum",
+    "char_poly_coeffs", "pair_sum_product", "pair_from_sum_product",
     "companion_matrix", "companion_from_eigs",
     "decay_eigvectors", "decay_coefficients", "eig_gap_product",
-    "companion_orbit", "crossing_function", "crossing_indicator",
+    "companion_orbit", "crossing_indicator",
     "DISC_TOL", "ZERO_EIG_TOL",
 ]
 
@@ -111,11 +109,9 @@ def eig3(M) -> EigTriple:
     disc = -4.0 * p ** 3 - 27.0 * q * q
 
     if abs(disc) <= DISC_TOL:
-        # repeated roots of the scaled cubic; report approximations
-        approx = np.roots([1.0, -tr, m, -det]) * scale
         raise NearDegenerateError(
             f"characteristic cubic has (nearly) repeated roots "
-            f"(scaled discriminant {disc:.3e})", roots=tuple(approx))
+            f"(scaled discriminant {disc:.3e})")
 
     if disc > 0.0:
         # three distinct real roots (trigonometric form)
@@ -145,9 +141,7 @@ def eig3(M) -> EigTriple:
     b0 = m + real_root * b1
     rad = 4.0 * b0 - b1 * b1
     if rad <= 0.0:
-        approx = np.roots([1.0, -tr, m, -det]) * scale
-        raise NearDegenerateError(
-            "deflated quadratic is not clearly complex", roots=tuple(approx))
+        raise NearDegenerateError("deflated quadratic is not clearly complex")
     alpha = -b1 / 2.0
     beta = math.sqrt(rad) / 2.0
     return RealPlusPair(real_root * scale, alpha * scale, beta * scale)
@@ -166,25 +160,6 @@ def pair_sum_product(M) -> tuple[float, float]:
     return tr, m
 
 
-def nonzero_pair(M, require_distinct: bool = False) -> tuple[complex, complex]:
-    """The two non-zero eigenvalues of a matrix with a zero eigenvalue,
-    as roots of the quadratic factor of its characteristic polynomial.
-
-    Returned in descending order of real part (then imaginary part).
-    With ``require_distinct``, a (nearly) repeated pair raises
-    :class:`NearDegenerateError`.
-    """
-    s, pr = pair_sum_product(M)
-    disc = s * s - 4.0 * pr
-    scale = max(1.0, abs(s), math.sqrt(abs(pr)))
-    if require_distinct and abs(disc) <= (1e-8 * scale) ** 2:
-        raise NearDegenerateError(
-            f"non-zero eigenvalue pair is (nearly) repeated "
-            f"(quadratic discriminant {disc:.3e})",
-            roots=(s / 2.0, s / 2.0))
-    return pair_from_sum_product(s, pr)
-
-
 def pair_from_sum_product(s: float, pr: float) -> tuple[complex, complex]:
     """The roots of lambda^2 - s*lambda + pr, in descending order of real
     part (then imaginary part)."""
@@ -194,56 +169,6 @@ def pair_from_sum_product(s: float, pr: float) -> tuple[complex, complex]:
         return (complex((s + root) / 2.0), complex((s - root) / 2.0))
     beta = math.sqrt(-disc) / 2.0
     return (complex(s / 2.0, beta), complex(s / 2.0, -beta))
-
-
-# --------------------------------------------------------------------------
-# characteristic-polynomial coefficients of the scaled reduction
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NormalFormParams:
-    """Free coefficients of the five-parameter piecewise-linear reduction.
-
-    tau_l, sigma_l, delta_l are the characteristic coefficients of the
-    regular-piece matrix, tau_s and delta_s those of the planar sliding
-    block.  Convention: delta_s is the *product* of the two non-zero
-    sliding eigenvalues divided by gamma squared, and the sliding block
-    is built as [[tau_s, 1], [-delta_s, 0]], whose characteristic
-    polynomial is lambda^2 - tau_s*lambda + delta_s -- i.e. the constant
-    term carries a plus sign, so the block has exactly those eigenvalues.
-    (Writing the full cubic as lambda^3 - tau*lambda^2 - delta*lambda
-    flips the sign of delta; that convention is not used here.)
-    """
-
-    tau_l: float
-    sigma_l: float
-    delta_l: float
-    tau_s: float
-    delta_s: float
-
-
-def normal_form_from_spectrum(alpha: float, beta: float, gamma: float,
-                              pair_sum: float, pair_product: float,
-                              ) -> NormalFormParams:
-    """Characteristic coefficients after rescaling time so the real
-    eigenvalue of the regular piece becomes -1.
-
-    alpha +/- i*beta and -gamma are the regular-piece eigenvalues
-    (beta > 0, gamma > 0); pair_sum and pair_product describe the
-    non-zero sliding eigenvalues.
-    """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    rot = (alpha * alpha + beta * beta) / (gamma * gamma)
-    return NormalFormParams(
-        tau_l=2.0 * alpha / gamma - 1.0,
-        sigma_l=-2.0 * alpha / gamma + rot,
-        delta_l=-rot,
-        tau_s=pair_sum / gamma,
-        delta_s=pair_product / (gamma * gamma),
-    )
 
 
 def companion_matrix(tau: float, sigma: float, delta: float) -> np.ndarray:
@@ -329,25 +254,6 @@ def companion_orbit(lams, t):
     return out if t.ndim else out.reshape(3)
 
 
-def crossing_function(lams, t):
-    """The exponential combination equal to the gap product times the
-    first orbit component; its sign decides whether the decay orbit can
-    re-cross the switching plane.  For an ordered negative triple it
-    vanishes at t = 0 and is strictly negative for t > 0 (the gap
-    product is positive, and the first component stays negative).
-
-    Computed as exp(l3 t) times :func:`crossing_indicator`; the
-    prefactor can underflow to zero for strongly decaying triples at
-    large t, where the indicator still carries the sign.
-    """
-    l1, l2, l3 = _check_ordered_negative(lams)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t must be non-negative")
-    out = np.exp(l3 * t) * _indicator(l1, l2, l3, t)
-    return out if t.ndim else float(out)
-
-
 def _indicator(l1: float, l2: float, l3: float, t):
     a = l1 - l3
     b = l2 - l3
@@ -355,11 +261,13 @@ def _indicator(l1: float, l2: float, l3: float, t):
 
 
 def crossing_indicator(lams, t):
-    """Same sign as the first orbit component (and as
-    :func:`crossing_function`), with the positive decay prefactor
-    removed: b*expm1(a t) - a*expm1(b t) for a = l1 - l3, b = l2 - l3.
-    Cannot underflow on bounded t, so strict-sign checks stay honest
-    where the orbit itself is denormal."""
+    """The gap product times the first orbit component, with the positive
+    decay prefactor exp(l3 t) removed: b*expm1(a t) - a*expm1(b t) for
+    a = l1 - l3, b = l2 - l3.  Its sign decides whether the decay orbit
+    can re-cross the switching plane: for an ordered negative triple it
+    vanishes at t = 0 and is strictly negative for t > 0.  Cannot
+    underflow on bounded t, so strict-sign checks stay honest where the
+    orbit itself is denormal."""
     l1, l2, l3 = _check_ordered_negative(lams)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):

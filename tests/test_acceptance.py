@@ -16,16 +16,15 @@ from filippov.hybrid import (
     first_return,
     left_matrix,
     return_multiplier,
-    return_multiplier_normal_form,
 )
 from filippov.simulate import SimConfig, return_multiplier_empirical, simulate
 from filippov.spectrum import (
     companion_from_eigs,
+    companion_matrix,
     companion_orbit,
     crossing_indicator,
     decay_eigvectors,
     eig_gap_product,
-    normal_form_from_spectrum,
 )
 from filippov.stability import (
     Rotational,
@@ -183,28 +182,42 @@ def test_criterion_06_return_map_homogeneity():
 
 
 def test_criterion_07_time_scaling_invariance():
+    # fixed eigenvalue data at three time scales, through the chain the
+    # CLI runs: local data -> trichotomy -> (a, b, c, d) -> Lambda
     rng = np.random.default_rng(71)
     checked = 0
-    worst = 0.0
+    worst_params = worst = 0.0
     while checked < 10:
         alpha = rng.uniform(-0.8, 0.8)
         beta = rng.uniform(0.5, 3.0)
         c = rng.uniform(-1.5, 1.5)
         d = rng.uniform(c * c / 4 + 0.05, c * c / 4 + 4.0) if c > 0 \
             else rng.uniform(0.05, 4.0)
+        rot = alpha * alpha + beta * beta
+        # companion matrix with eigenvalues -1 and alpha +/- i*beta
+        A = companion_matrix(2 * alpha - 1, rot - 2 * alpha, -rot)
+        want = (2 * alpha, rot, c, d)
         results = []
-        for gamma in (0.5, 1.0, 2.0):
-            nf = normal_form_from_spectrum(alpha * gamma, beta * gamma,
-                                           gamma, c * gamma, d * gamma ** 2)
-            results.append(return_multiplier_normal_form(nf))
-        if not all(r.status is LambdaStatus.DEFINED for r in results):
+        for gamma in (0.3, 1.0, 3.7):
+            verdict = classify_equilibrium(fp.BoundaryData.from_local_data(
+                (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-1.0, c, -d), gamma * A))
+            assert isinstance(verdict, Rotational)
+            hp = verdict.params
+            for got, w in zip((hp.a, hp.b, hp.c, hp.d), want):
+                worst_params = max(worst_params,
+                                   abs(got - w) / max(1.0, abs(w)))
+            results.append(return_multiplier(hp))
+        assert all(r.status is results[1].status for r in results)
+        if results[1].status is not LambdaStatus.DEFINED:
             continue
         ref = results[1].value
         for r in results:
             worst = max(worst, abs(r.value - ref) / max(1.0, ref))
         checked += 1
-    report(7, "multiplier invariant under time scaling (10 samples)",
-           worst <= 1e-8, f"worst relative deviation {worst:.2e}")
+    report(7, "(a, b, c, d) and multiplier invariant under time scaling "
+              "(10 samples)", worst_params <= 1e-12 and worst <= 1e-8,
+           f"worst parameter deviation {worst_params:.2e}, worst relative "
+           f"multiplier deviation {worst:.2e}")
 
 
 def test_criterion_08_trichotomy_with_simulation():

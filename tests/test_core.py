@@ -77,14 +77,14 @@ def test_boundary_data_observability_vanishes_for_orthogonal_eigvec():
 
 
 def test_boundary_data_structural_identity():
-    from filippov.spectrum import nonzero_pair
+    from filippov.spectrum import pair_from_sum_product, pair_sum_product
     bd = boundary_data(normal_form_system(-0.2, 5, -0.2, 3), (0, 0, 0))
     # p^T B = 0 and 0 is an eigenvalue of B
     assert np.linalg.norm(bd.p @ bd.B) <= 1e-8 * max(
         1.0, np.linalg.norm(bd.p) * np.linalg.norm(bd.B))
     assert abs(np.linalg.det(bd.B)) <= 1e-8 * max(1.0, np.linalg.norm(bd.B)) ** 3
     # the zero eigenvalue deflates without complaint
-    pair = nonzero_pair(bd.B)
+    pair = pair_from_sum_product(*pair_sum_product(bd.B))
     assert abs(pair[0].real + pair[1].real - (-0.2)) <= 1e-6
     assert abs((pair[0] * pair[1]).real - 3.0) <= 1e-6
 

@@ -1,13 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from filippov.errors import (
-    ConstraintViolationError,
-    NotRotationalError,
-    ToleranceNotMetError,
-)
+from filippov.errors import ConstraintViolationError, ToleranceNotMetError
 from filippov import hybrid
 from filippov.hybrid import (
     HybridParams,
@@ -24,16 +21,16 @@ from filippov.hybrid import (
     left_matrix,
     return_map,
     return_multiplier,
-    return_multiplier_normal_form,
     slide_block,
 )
-from filippov.hybrid import _SECANT_TOL, _plane_hit_spiral
-from filippov.simulate import SimConfig, Terminal, simulate_hybrid
-from filippov.spectrum import (
-    NormalFormParams,
-    companion_matrix,
-    normal_form_from_spectrum,
+from filippov.hybrid import (
+    _SECANT_TOL,
+    _compose_return,
+    _plane_hit_spiral,
+    _result_from_outcome,
 )
+from filippov.simulate import SimConfig, Terminal, simulate_hybrid
+from filippov.spectrum import companion_matrix
 from oracles import REFERENCE_RTOL, flow_reference, for_all, return_reference
 
 FIG_STABLE = (0.2, 5.0, 0.2, 1.0)
@@ -316,13 +313,22 @@ SCALE_CASES = (
 
 
 def test_first_return_linearity():
+    # the map is linear in z down to the bottom and up to the top of the
+    # float range; a return beyond the range diverges by overflow
     for case in (FIG_RETURNING, *SCALE_CASES):
         params = HybridParams(*case)
         base = first_return(params, -1.0)
-        for z in (-1e-20, -1e-6, -0.5, -2.0, -10.0, -1e6):
+        for z in (-1e-300, -1e-160, -1e-20, -1e-6, -0.5, -2.0, -10.0, -1e6,
+                  -1e160, -1e300):
             out = first_return(params, z)
+            if base.status == "returned" and abs(base.zeta) > 1.0 \
+                    and -z > sys.float_info.max / abs(base.zeta):
+                assert out.status == "diverged", (case, z)
+                assert "overflow" in out.detail, (case, z)
+                continue
             assert out.status == base.status, (case, z)
-            if base.status == "returned":
+            if base.status == "returned" \
+                    and abs(out.zeta) >= sys.float_info.min:
                 assert abs(out.zeta / -z - base.zeta) \
                     <= 1e-12 * abs(base.zeta), (case, z)
     # the first case's slide (eigenvalues of [[-3, 1], [-0.5, 0]] both
@@ -555,7 +561,7 @@ def test_plane_hit_is_first_root(case):
 def check_normal_form_plane_hit(case):
     mu, alpha, beta = case
     M = companion_of(mu, alpha, beta)
-    ev = _plane_hit_spiral(M, mu, alpha, beta, (0.0, 0.0, -1.0))
+    ev = _plane_hit_spiral(M.tolist(), mu, alpha, beta, (0.0, 0.0, -1.0))
     if isinstance(ev, SegmentEvent):
         assert_first_root(M, ev)
     elif "never returns" in ev.detail:
@@ -575,8 +581,10 @@ def test_plane_hit_edge_spectra():
     # mu = alpha: h = u1 + R cos(beta t - phi) first touches zero at a peak
     tiny = 1.6374907590191384e-176
     check_normal_form_plane_hit((tiny, tiny, 1.0))
-    nf = NormalFormParams(3 * tiny, 2 * tiny * tiny + 1.0, tiny, -0.5, 1.0)
-    assert return_multiplier_normal_form(nf).status is LambdaStatus.MARGINAL
+    M = companion_of(tiny, tiny, 1.0).tolist()
+    ev = _plane_hit_spiral(M, tiny, tiny, 1.0, (0.0, 0.0, -1.0))
+    result = _result_from_outcome(_compose_return(ev, -0.5, 1.0))
+    assert result.status is LambdaStatus.MARGINAL
     # a fast real mode and a slow rotation: the trivial root's exclusion
     # must reach past the rounding of h near t = 0
     check_normal_form_plane_hit((3.0, 0.25, 0.201171875))
@@ -667,64 +675,3 @@ def test_events_lie_on_their_manifolds():
         assert abs(ev2.y_hit[1]) <= _SECANT_TOL * scale2
         assert ev2.y_hit[2] < 0.0
     assert plane_events >= 30 and line_events >= 20
-
-
-def test_normal_form_free_coefficients_unstable_real_part():
-    # free coefficients outside the reduced family still flow: regular
-    # piece with eigenvalues {0.5, -0.3 +/- 2i}
-    lam_re, alpha, beta = 0.5, -0.3, 2.0
-    tau = lam_re + 2 * alpha
-    sigma = 2 * lam_re * alpha + alpha ** 2 + beta ** 2
-    delta = lam_re * (alpha ** 2 + beta ** 2)
-    nf = NormalFormParams(tau, sigma, delta, tau_s=-0.5, delta_s=1.0)
-    result = return_multiplier_normal_form(nf)
-    assert result.status in (LambdaStatus.DEFINED,
-                             LambdaStatus.UNDEFINED_DIVERGED,
-                             LambdaStatus.UNDEFINED_CONVERGED)
-
-
-# --------------------------------------------------------------------------
-# five-parameter reduction
-# --------------------------------------------------------------------------
-
-def test_normal_form_multiplier_matches_four_parameter_form():
-    alpha, beta = 0.1, math.sqrt(4.99)
-    nf = normal_form_from_spectrum(alpha, beta, 1.0, 0.2, 1.0)
-    got = return_multiplier_normal_form(nf)
-    want = return_multiplier(HybridParams(*FIG_STABLE))
-    assert got.status is want.status
-    assert abs(got.value - want.value) <= 1e-9 * want.value
-
-
-def test_normal_form_multiplier_time_scaling_invariance():
-    rng = np.random.default_rng(123)
-    checked = 0
-    while checked < 10:
-        alpha = rng.uniform(-0.8, 0.8)
-        beta = rng.uniform(0.5, 3.0)
-        c = rng.uniform(-1.5, 1.5)
-        d = rng.uniform(c * c / 4 + 0.05, c * c / 4 + 4.0) if c > 0 \
-            else rng.uniform(0.05, 4.0)
-        # fixed eigenvalue data, three time scales
-        values = []
-        for gamma in (0.5, 1.0, 2.0):
-            nf = normal_form_from_spectrum(alpha * gamma, beta * gamma, gamma,
-                                           c * gamma, d * gamma ** 2)
-            res = return_multiplier_normal_form(nf)
-            values.append(res)
-        if not values[0].defined:
-            assert all(v.status is values[0].status for v in values)
-            continue
-        ref = values[1].value
-        for v in values:
-            assert v.defined
-            assert abs(v.value - ref) <= 1e-8 * max(1.0, ref)
-        checked += 1
-
-
-def test_normal_form_three_real_eigenvalues_rejected():
-    # companion coefficients of eigenvalues -1, -2, -3
-    nf = NormalFormParams(tau_l=-6.0, sigma_l=11.0, delta_l=-6.0,
-                          tau_s=-1.0, delta_s=0.5)
-    with pytest.raises(NotRotationalError):
-        return_multiplier_normal_form(nf)

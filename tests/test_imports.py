@@ -24,6 +24,32 @@ def test_no_private_names_imported_across_modules():
     assert offenders == []
 
 
+def _package_imports(path: Path) -> set[str]:
+    """The package modules (or, for ``from . import name``, the names) a
+    source file imports, named relative to the package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "filippov":
+                    continue
+                module = module.removeprefix("filippov").lstrip(".")
+            found.update([module] if module
+                         else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("filippov").lstrip(".")
+                         for alias in node.names
+                         if alias.name.split(".")[0] == "filippov")
+    return found
+
+
+def test_hybrid_imports_only_errors():
+    # the return map is the bottom layer: it may grow no dependency on
+    # spectrum, stability or any other module of the package
+    assert _package_imports(PACKAGE / "hybrid.py") == {"errors"}
+
+
 def test_traced_bindings_resolve():
     # perfbench/spans.py wraps these (module, attribute) bindings by name
     # for ``perfbench/run.py --trace 1``; a refactor that drops one would

@@ -8,22 +8,20 @@ from filippov.errors import (
     NearDegenerateError,
     NoZeroEigenvalueError,
 )
+from filippov.hybrid import left_matrix, slide_block
 from filippov.spectrum import (
-    NormalFormParams,
     RealPlusPair,
     ThreeReal,
     char_poly_coeffs,
     companion_from_eigs,
     companion_matrix,
     companion_orbit,
-    crossing_function,
     crossing_indicator,
     decay_coefficients,
     decay_eigvectors,
     eig3,
     eig_gap_product,
-    nonzero_pair,
-    normal_form_from_spectrum,
+    pair_from_sum_product,
     pair_sum_product,
 )
 
@@ -112,6 +110,10 @@ def test_eig3_random_residuals():
 # deflated pair
 # --------------------------------------------------------------------------
 
+def nonzero_pair(M):
+    return pair_from_sum_product(*pair_sum_product(M))
+
+
 def test_nonzero_pair_diag():
     lam1, lam2 = nonzero_pair(np.diag([0.0, -1.0, -2.0]))
     assert {lam1, lam2} == {complex(-1), complex(-2)}
@@ -128,73 +130,35 @@ def test_nonzero_pair_planar_block():
     assert abs(s - c) <= 1e-12 and abs(pr - d) <= 1e-12
 
 
-def test_nonzero_pair_repeated_flagged_on_request():
-    M = np.diag([0.0, -1.0, -1.0])
-    assert nonzero_pair(M) == (complex(-1), complex(-1))
-    with pytest.raises(NearDegenerateError):
-        nonzero_pair(M, require_distinct=True)
-
-
 def test_nonzero_pair_requires_zero_eigenvalue():
     with pytest.raises(NoZeroEigenvalueError):
         nonzero_pair(np.diag([1.0, 2.0, 3.0]))
 
 
 # --------------------------------------------------------------------------
-# scaled characteristic coefficients
+# the four-parameter family's blocks
 # --------------------------------------------------------------------------
 
-def test_normal_form_coefficients_direct():
-    nf = normal_form_from_spectrum(0.0, 1.0, 1.0, -1.0, 0.5)
-    assert nf.tau_l == -1.0
-    assert nf.sigma_l == 1.0
-    assert nf.delta_l == -1.0
-    assert nf.tau_s == -1.0
-    assert nf.delta_s == 0.5
-
-
-def test_normal_form_consistent_with_hybrid_params():
-    # tau_l = a - 1, sigma_l = b - a, delta_l = -b for the matching
-    # hybrid parameters a = 2*alpha/gamma, b = (alpha^2 + beta^2)/gamma^2
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        alpha = rng.uniform(-1, 1)
-        beta = rng.uniform(0.2, 3)
-        gamma = rng.uniform(0.2, 3)
-        a = 2 * alpha / gamma
-        b = (alpha ** 2 + beta ** 2) / gamma ** 2
-        nf = normal_form_from_spectrum(alpha, beta, gamma, -0.3, 0.7)
-        assert abs(nf.tau_l - (a - 1)) <= 1e-12 * max(1, abs(a))
-        assert abs(nf.sigma_l - (b - a)) <= 1e-12 * max(1, abs(b) + abs(a))
-        assert abs(nf.delta_l + b) <= 1e-12 * max(1, abs(b))
-
-
 def test_normal_form_companion_spectrum():
+    # time rescaled so that the real eigenvalue is -1: the regular piece
+    # of the spectrum {-gamma, alpha +/- i*beta} is left_matrix(a, b)
     alpha, beta, gamma = 0.3, 1.7, 2.0
-    nf = normal_form_from_spectrum(alpha, beta, gamma, -1.0, 1.0)
-    M = companion_matrix(nf.tau_l, nf.sigma_l, nf.delta_l)
-    got = eig3(M)
+    a = 2 * alpha / gamma
+    b = (alpha ** 2 + beta ** 2) / gamma ** 2
+    got = eig3(left_matrix(a, b))
     assert isinstance(got, RealPlusPair)
     assert abs(got.real_eig + 1.0) <= 1e-9
-    assert abs(got.alpha - alpha / gamma) <= 1e-9
-    assert abs(got.beta - beta / gamma) <= 1e-9
-
-
-def test_normal_form_rejects_bad_spectrum():
-    with pytest.raises(ValueError):
-        normal_form_from_spectrum(0.1, 0.0, 1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        normal_form_from_spectrum(0.1, 1.0, -1.0, -1.0, 1.0)
+    assert abs(got.alpha - a / 2) <= 1e-9
+    assert abs(got.beta - math.sqrt(4 * b - a * a) / 2) <= 1e-9
 
 
 def test_slide_block_convention():
-    # the planar block [[tau_s, 1], [-delta_s, 0]] has eigenvalues with
-    # sum tau_s and product delta_s (plus sign on the constant term)
-    nf = NormalFormParams(0.0, 0.0, 0.0, tau_s=-0.7, delta_s=0.3)
-    block = np.array([[nf.tau_s, 1.0], [-nf.delta_s, 0.0]])
-    eigs = np.linalg.eigvals(block)
-    assert abs(eigs.sum() - nf.tau_s) <= 1e-12
-    assert abs(eigs.prod() - nf.delta_s) <= 1e-12
+    # the planar block [[c, 1], [-d, 0]] has eigenvalues with sum c and
+    # product d (plus sign on the constant term)
+    c, d = -0.7, 0.3
+    eigs = np.linalg.eigvals(slide_block(c, d))
+    assert abs(eigs.sum() - c) <= 1e-12
+    assert abs(eigs.prod() - d) <= 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -224,11 +188,16 @@ def test_gap_product_positive():
 
 
 def test_crossing_function_hand_value():
-    # (-1) e^{-3t} + 2 e^{-2t} + (-1) e^{-t} at t = 1
+    # the gap product times the first orbit component,
+    # (-1) e^{-3t} + 2 e^{-2t} + (-1) e^{-t}, at t = 1; the indicator is
+    # that without its prefactor e^{-t}
     lams = (-3.0, -2.0, -1.0)
     want = -math.exp(-3) + 2 * math.exp(-2) - math.exp(-1)
-    assert abs(crossing_function(lams, 1.0) - want) <= 1e-12
-    assert crossing_function(lams, 0.0) == 0.0
+    gap = eig_gap_product(lams)
+    assert abs(gap * companion_orbit(lams, 1.0)[0] - want) <= 1e-12
+    assert abs(crossing_indicator(lams, 1.0) - want * math.e) <= 1e-12
+    assert companion_orbit(lams, 0.0)[0] == 0.0
+    assert crossing_indicator(lams, 0.0) == 0.0
 
 
 def test_first_component_negative_for_positive_times():

@@ -146,8 +146,9 @@ def test_hybrid_params_map_scaling_invariance():
 
 def test_hybrid_params_map_validates():
     from filippov.errors import ConstraintViolationError
-    with pytest.raises(ValueError):
-        hybrid_params_from_spectrum(0.1, -1.0, 1.0, 0.2, 1.0)
+    for beta, gamma in ((-1.0, 1.0), (0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError):
+            hybrid_params_from_spectrum(0.1, beta, gamma, 0.2, 1.0)
     with pytest.raises(ConstraintViolationError):
         hybrid_params_from_spectrum(0.1, 1.0, 1.0, 0.2, -1.0)  # d < 0
     with pytest.raises(ConstraintViolationError):
