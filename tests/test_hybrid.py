@@ -31,6 +31,7 @@ from filippov.hybrid import (
 )
 from filippov.simulate import SimConfig, Terminal, simulate_hybrid
 from filippov.spectrum import companion_matrix
+from filippov.stability import hybrid_params_from_spectrum
 from oracles import REFERENCE_RTOL, flow_reference, for_all, return_reference
 
 FIG_STABLE = (0.2, 5.0, 0.2, 1.0)
@@ -575,6 +576,31 @@ def check_normal_form_plane_hit(case):
 @for_all(300, 62, spectrum_strategy, draw_spectrum)
 def test_normal_form_plane_hit_is_first_root(case):
     check_normal_form_plane_hit(case)
+
+
+def test_normal_form_multiplier_time_scaling_invariance():
+    rng = np.random.default_rng(123)
+    checked = 0
+    while checked < 10:
+        alpha = rng.uniform(-0.8, 0.8)
+        beta = rng.uniform(0.5, 3.0)
+        c = rng.uniform(-1.5, 1.5)
+        d = rng.uniform(c * c / 4 + 0.05, c * c / 4 + 4.0) if c > 0 \
+            else rng.uniform(0.05, 4.0)
+        # fixed eigenvalue data, three time scales
+        values = []
+        for gamma in (0.5, 1.0, 2.0):
+            hp = hybrid_params_from_spectrum(alpha * gamma, beta * gamma,
+                                             gamma, c * gamma, d * gamma ** 2)
+            values.append(return_multiplier(hp))
+        if not values[0].defined:
+            assert all(v.status is values[0].status for v in values)
+            continue
+        ref = values[1].value
+        for v in values:
+            assert v.defined
+            assert abs(v.value - ref) <= 1e-8 * max(1.0, ref)
+        checked += 1
 
 
 def test_plane_hit_edge_spectra():
