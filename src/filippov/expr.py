@@ -22,16 +22,18 @@ compiled code object.  Evaluation either returns a finite float or
 raises :class:`~filippov.errors.EvalDomainError` -- NaN and infinity
 never propagate silently.
 
-A scalar field's gradient is exact: the generator differentiates the
-same straight-line code in forward mode, emitting tangent assignments
-after the value assignments (:attr:`ScalarField.compiled_gradient`).
-Central differences (:func:`gradient_fd`, :func:`jacobian_fd`) remain
-for the Jacobian of a vector field and for second derivatives.
+First derivatives are exact: the generator differentiates the same
+straight-line code in forward mode, emitting tangent assignments after
+the value assignments (:attr:`ScalarField.compiled_gradient`,
+:attr:`VectorField.compiled_jacobian`).  Central differences
+(:func:`gradient_fd`, :func:`jacobian_fd`) remain only for second
+derivatives and tests.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Union
@@ -92,6 +94,8 @@ class Call:
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
+# trees are immutable, so every parsed variable can be one of these
+_VAR_NODES = {name: Var(name) for name in VARIABLES}
 
 
 # --------------------------------------------------------------------------
@@ -101,8 +105,14 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 _OPERATOR_CHARS = "+-*/^()"
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Return (kind, value, offset) triples; offsets are 1-based."""
+# ASCII runs of a literal's or a name's characters, taken in one step
+_ASCII_DIGITS = re.compile(r"[0-9.]*")
+_ASCII_NAME = re.compile(r"[A-Za-z0-9_]*")
+
+
+def _tokenize(text: str) -> list[tuple[str, str | float, int]]:
+    """Return (kind, value, offset) triples; offsets are 1-based.  A
+    literal's value is its float."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -115,7 +125,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             i += 1
             continue
         if ch.isdigit() or ch == ".":
-            j = i
+            j = _ASCII_DIGITS.match(text, i).end()
             while j < n and (text[j].isdigit() or text[j] == "."):
                 j += 1
             if j < n and text[j] in "eE":
@@ -132,11 +142,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             except ValueError:
                 raise ExprSyntaxError(f"bad numeric literal '{lit}'", i + 1,
                                       expected="a number") from None
-            tokens.append(("num", repr(value), i + 1))
+            tokens.append(("num", value, i + 1))
             i = j
             continue
         if ch.isalpha() or ch == "_":
-            j = i
+            j = _ASCII_NAME.match(text, i).end()
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("ident", text[i:j], i + 1))
@@ -161,18 +171,10 @@ class _Parser:
         self.pos = 0
         self.level = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect_op(self, op: str) -> None:
-        kind, value, offset = self.peek()
+        kind, value, offset = self.tokens[self.pos]
         if kind == "op" and value == op:
-            self.advance()
+            self.pos += 1
             return
         found = "end of input" if kind == "eof" else f"'{value}'"
         raise ExprSyntaxError(f"found {found}", offset, expected=f'"{op}"')
@@ -190,9 +192,9 @@ class _Parser:
     def expr(self) -> Expr:
         node = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, _ = self.tokens[self.pos]
             if kind == "op" and value in "+-":
-                self.advance()
+                self.pos += 1
                 node = BinOp(value, node, self.term())
             else:
                 return node
@@ -201,37 +203,38 @@ class _Parser:
     def term(self) -> Expr:
         node = self.unary()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, _ = self.tokens[self.pos]
             if kind == "op" and value in "*/":
-                self.advance()
+                self.pos += 1
                 node = BinOp(value, node, self.unary())
             else:
                 return node
 
     # unary := '-' unary | power
     def unary(self) -> Expr:
-        kind, value, offset = self.peek()
+        kind, value, offset = self.tokens[self.pos]
         if kind == "op" and value == "-":
-            self.advance()
+            self.pos += 1
             return Neg(self.nested(self.unary, offset))
         return self.power()
 
     # power := atom ('^' unary)?   -- right-associative, allows x^-2
     def power(self) -> Expr:
         node = self.atom()
-        kind, value, offset = self.peek()
+        kind, value, offset = self.tokens[self.pos]
         if kind == "op" and value == "^":
-            self.advance()
+            self.pos += 1
             return BinOp("^", node, self.nested(self.unary, offset))
         return node
 
     def atom(self) -> Expr:
-        kind, value, offset = self.advance()
+        kind, value, offset = self.tokens[self.pos]
+        self.pos += 1
         if kind == "num":
-            return Num(float(value))
+            return Num(value)
         if kind == "ident":
-            if value in VARIABLES:
-                return Var(value)
+            if value in _VAR_NODES:
+                return _VAR_NODES[value]
             if value in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.nested(self.expr, offset)
@@ -267,7 +270,7 @@ def parse_expr(text: str) -> Expr:
         raise ExprSyntaxError("empty expression", 1, expected="an expression")
     parser = _Parser(text)
     node = parser.expr()
-    kind, value, offset = parser.peek()
+    kind, value, offset = parser.tokens[parser.pos]
     if kind != "eof":
         raise ExprSyntaxError(f"found '{value}'", offset,
                               expected="end of input or an operator")
@@ -397,8 +400,9 @@ _NAMESPACE = {"_pow": _pow, "_div": _div, "_sqrt": _sqrt, "_exp": _exp,
               "sin": math.sin, "cos": math.cos, "abs": abs,
               "isfinite": math.isfinite, "EvalDomainError": EvalDomainError}
 _VAR_NAMES = {"x1": "x1", "x2": "x2", "x3": "x3"}
-_CALL_NAMES = {"sin": "sin", "cos": "cos", "exp": "_exp", "sqrt": "_sqrt",
-               "abs": "abs"}
+# the code of each operation but ``u ** n``, from its operands' names
+_UNARY_FORMATS = {"neg": "-{}", "sin": "sin({})", "cos": "cos({})",
+                  "exp": "_exp({})", "sqrt": "_sqrt({})", "abs": "abs({})"}
 _BINOP_FORMATS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
                   "/": "_div({}, {})", "^": "_pow({}, {})"}
 
@@ -413,24 +417,20 @@ def _whole_exponent(node: BinOp) -> int | None:
     return None
 
 
-def _straight_line(roots, gradient: bool = False) -> tuple[str, list]:
-    """The source of ``_bind(constants)``, which returns a function of
-    (x1, x2, x3) computing every root, and the constants it binds.
+def _program(roots) -> tuple[tuple, list]:
+    """A hashable program computing every root, and the constants it reads.
 
-    Each operation is one assignment, in the post-order of a recursive
-    walk (left operand, right operand, then the node), so the results
-    and the first error raised are the walk's.  Literals, and negated
-    ones (negation is exact), become constants.  The walk is iterative,
-    so no depth of tree exhausts the stack.
-
-    With ``gradient`` (one root), the function returns the root's value
-    and its three partial derivatives: the same value assignments, then
-    the forward-mode tangent assignments of :func:`_tangent_lines`."""
-    constants, body, results = [], [], []
-    ops = []  # (name, operation, operand names) of each assignment
+    The program is ``(ops, results, n_constants)``: one ``(name, operation,
+    operand names)`` per operation, in the post-order of a recursive walk,
+    so the results and the first error raised are the walk's; and each
+    root's name with the number of operations done once it is known.
+    Literals, negated ones too, become the constants c0, c1, ..., so
+    fields that differ only in their coefficients share a program.  The
+    walk is iterative, so no depth of tree exhausts the stack."""
+    constants, ops, results = [], [], []
     for root in roots:
         names = []  # the operands computed so far
-        todo = [root]  # a node to visit, or (node,) to compute it
+        todo = [root]  # a node to visit, or (node, operation) to compute
         while todo:
             node = todo.pop()
             kind = type(node)
@@ -442,69 +442,27 @@ def _straight_line(roots, gradient: bool = False) -> tuple[str, list]:
             elif kind is Neg and type(node.operand) is Num:
                 names.append(f"c{len(constants)}")
                 constants.append(-node.operand.value)
+            elif kind is BinOp:
+                whole = _whole_exponent(node)
+                todo.append((node, node.op if whole is None else whole))
+                if whole is None:
+                    todo.append(node.right)
+                todo.append(node.left)
             elif kind is not tuple:
-                todo.append((node,))
-                if kind is BinOp:
-                    if _whole_exponent(node) is None:
-                        todo.append(node.right)
-                    todo.append(node.left)
-                else:
-                    todo.append(node.arg if kind is Call else node.operand)
+                todo.append((node, node.func if kind is Call else "neg"))
+                todo.append(node.arg if kind is Call else node.operand)
             else:
-                node, = node
-                kind = type(node)
-                # the operation: "neg", a function's name, a binary
-                # operator, or the whole exponent n of ``u ** n``
-                op = _whole_exponent(node) if kind is BinOp else None
-                if kind is BinOp and op is None:
-                    op = node.op
-                    operands = tuple(names[-2:])
+                node, op = node
+                if type(node) is BinOp and type(op) is str:
+                    operands = (names[-2], names[-1])
                     del names[-2:]
-                    code = _BINOP_FORMATS[op].format(*operands)
                 else:
                     operands = (names.pop(),)
-                    if kind is Neg:
-                        op, code = "neg", f"-{operands[0]}"
-                    elif kind is Call:
-                        op = node.func
-                        code = f"{_CALL_NAMES[op]}({operands[0]})"
-                    else:
-                        code = f"{operands[0]} ** {op}"
                 name = f"t{len(ops)}"
                 ops.append((name, op, operands))
                 names.append(name)
-                body.append(f"{name} = {code}")
-        results.append(names.pop())
-        body.append(f"if not isfinite({results[-1]}): "
-                    "raise EvalDomainError('expression value is not finite')")
-    tail = []
-    if gradient:
-        tangent_lines, partials = _tangent_lines(tuple(ops), results[0])
-        if tangent_lines:
-            tail = ["        try:",
-                    *(f"            {line}" for line in tangent_lines),
-                    "        except (ArithmeticError, ValueError):",
-                    f"            raise {_NOT_FINITE} from None"]
-        checked = " and ".join(f"isfinite({p})" for p in partials
-                               if p.isidentifier())
-        if checked:
-            tail.append(f"        if not ({checked}): raise {_NOT_FINITE}")
-        results += partials
-    unpack = ", ".join(f"c{i}" for i in range(len(constants)))
-    lines = ["def _bind(_c):",
-             f"    {unpack}, = _c" if constants else "    pass",
-             "    def field(x1, x2, x3):",
-             "        try:",
-             *(f"            {line}" for line in body),
-             # only ``b ** n`` lets an OverflowError through
-             "        except OverflowError:",
-             "            raise EvalDomainError('overflow in power') from None",
-             "        except (ValueError, ZeroDivisionError) as exc:",
-             "            raise EvalDomainError(str(exc)) from None",
-             *tail,
-             f"        return {', '.join(results)}",
-             "    return field"]
-    return "\n".join(lines), constants
+        results.append((names.pop(), len(ops)))
+    return (tuple(ops), tuple(results), len(constants)), constants
 
 
 _NOT_FINITE = "EvalDomainError('derivative is not finite')"
@@ -515,13 +473,11 @@ _CALL_DERIVATIVES = {"sin": "cos({u})", "cos": "-sin({u})", "exp": "{w}",
                      "sqrt": "0.5 / {w}", "abs": "_sign({u})"}
 
 
-@lru_cache(maxsize=512)
-def _tangent_lines(ops: tuple, root: str) -> tuple[tuple, tuple]:
+def _tangent_lines(ops: tuple, roots) -> tuple[tuple, tuple]:
     """Forward-mode tangent assignments for the value assignments ``ops``
-    (Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 3), and the
-    three names or literals holding the root's partial derivatives.
-    ``ops`` holds names and operations only, no literal values, so fields
-    of one shape share one result.
+    (Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 3), and for
+    each of the ``roots`` the three names or literals holding its partial
+    derivatives.
 
     A tangent is three entries, one per partial derivative: 0 or 1 when
     it is known to be that, else the name of a value or of a tangent
@@ -593,20 +549,74 @@ def _tangent_lines(ops: tuple, root: str) -> tuple[tuple, tuple]:
                                     chain(f"{name} * log({u})", dv)))
         if tangent != _ZERO:
             tangents[name] = tangent
-    return tuple(lines), tuple(text(e) for e in tangents.get(root, _ZERO))
+    return tuple(lines), tuple(
+        tuple(text(e) for e in tangents.get(root, _ZERO)) for root in roots)
+
+
+def _source(program: tuple, derivatives: bool) -> str:
+    """The source of ``_bind(constants)`` for a program of
+    :func:`_program`; ``_bind`` returns a function of (x1, x2, x3).
+
+    It returns one root's value, or the tuple of several.  With
+    ``derivatives``, the tangent assignments of :func:`_tangent_lines`
+    follow the value assignments, and one root's value comes with its
+    three partials, several roots' values with their gradients' rows."""
+    ops, results, n_constants = program
+    body, done = [], 0
+    for result, end in results:
+        for name, op, operands in ops[done:end]:
+            formats = _BINOP_FORMATS if len(operands) == 2 else _UNARY_FORMATS
+            code = (f"{operands[0]} ** {op}" if type(op) is int
+                    else formats[op].format(*operands))
+            body.append(f"{name} = {code}")
+        done = end
+        body.append(f"if not isfinite({result}): "
+                    "raise EvalDomainError('expression value is not finite')")
+    values = [result for result, _ in results]
+    tail = []
+    if derivatives:
+        tangent_lines, partials = _tangent_lines(ops, values)
+        if tangent_lines:
+            tail = ["        try:",
+                    *(f"            {line}" for line in tangent_lines),
+                    "        except (ArithmeticError, ValueError):",
+                    f"            raise {_NOT_FINITE} from None"]
+        checked = " and ".join(f"isfinite({p})" for row in partials
+                               for p in row if p.isidentifier())
+        if checked:
+            tail.append(f"        if not ({checked}): raise {_NOT_FINITE}")
+        rows = ", ".join(f"({', '.join(row)})" for row in partials)
+        values = ([values[0], *partials[0]] if len(values) == 1 else
+                  [f"({', '.join(values)})", f"({rows})"])
+    unpack = ", ".join(f"c{i}" for i in range(n_constants))
+    lines = ["def _bind(_c):",
+             f"    {unpack}, = _c" if n_constants else "    pass",
+             "    def field(x1, x2, x3):",
+             "        try:",
+             *(f"            {line}" for line in body),
+             # only ``b ** n`` lets an OverflowError through
+             "        except OverflowError:",
+             "            raise EvalDomainError('overflow in power') from None",
+             "        except (ValueError, ZeroDivisionError) as exc:",
+             "            raise EvalDomainError(str(exc)) from None",
+             *tail,
+             f"        return {', '.join(values)}",
+             "    return field"]
+    return "\n".join(lines)
 
 
 @lru_cache(maxsize=512)
-def _binder(source: str):
-    """Compile generated source once; fields of one shape share it."""
+def _binder(program: tuple, derivatives: bool):
+    """Compile a program once; a shape seen before costs a walk and a bind."""
     namespace = dict(_NAMESPACE)
-    exec(compile(source, "<filippov.expr>", "exec"), namespace)
+    exec(compile(_source(program, derivatives), "<filippov.expr>", "exec"),
+         namespace)
     return namespace["_bind"]
 
 
-def _compile(roots, gradient: bool = False):
-    source, constants = _straight_line(roots, gradient)
-    return _binder(source)(tuple(constants))
+def _compile(roots, derivatives: bool = False):
+    program, constants = _program(roots)
+    return _binder(program, derivatives)(tuple(constants))
 
 
 def compile_expr(node: Expr) -> Callable[[float, float, float], float]:
@@ -652,7 +662,7 @@ class ScalarField:
         :class:`~filippov.errors.EvalDomainError` where a partial
         derivative is not finite (``sqrt(x1)`` at 0) or not defined
         (``x1^x2`` at x1 <= 0)."""
-        return _compile((self.expr,), gradient=True)
+        return _compile((self.expr,), derivatives=True)
 
     def __call__(self, point) -> float:
         return self.compiled(float(point[0]), float(point[1]), float(point[2]))
@@ -682,6 +692,13 @@ class VectorField:
         """One function returning the three components, evaluated in
         order: the first component that fails names the error."""
         return _compile(self.components)
+
+    @cached_property
+    def compiled_jacobian(self) -> Callable[[float, float, float], tuple]:
+        """One function (x1, x2, x3) -> ((f1, f2, f3), J): row i of the
+        exact Jacobian J is the gradient of component i.  It raises as
+        :attr:`ScalarField.compiled_gradient` does."""
+        return _compile(self.components, derivatives=True)
 
     def __call__(self, point) -> np.ndarray:
         return np.array(self.compiled(float(point[0]), float(point[1]),

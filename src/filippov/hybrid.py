@@ -742,8 +742,8 @@ def first_return(params: HybridParams, z: float) -> ReturnOutcome:
     both ends of the float range, and its points are scaled back by the
     exact factor 2**k; a return beyond the float range diverges."""
     z = float(z)
-    if not z < 0.0:
-        raise ValueError("z must be negative")
+    if not -math.inf < z < 0.0:
+        raise ValueError("z must be finite and negative")
     mant, k = math.frexp(z)
     k -= 1
     ev1 = first_hit_plane(params, (0.0, 0.0, 2.0 * mant))

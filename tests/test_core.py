@@ -191,7 +191,7 @@ def test_fold_curvature_matches_matrix_formula():
     # for a linear left field A x with linear H, the curvature at x is
     # p^T A^2 x exactly
     system = normal_form_system(-0.2, 5, -0.2, 3)
-    A = jacobian_fd(system.left, np.zeros(3))
+    A = boundary_data(system, (0, 0, 0)).A
     p = np.array([1.0, 0.0, 0.0])
     rng = np.random.default_rng(3)
     for _ in range(10):

@@ -9,6 +9,7 @@ from filippov.errors import (
     ExprSyntaxError,
     UnknownIdentifierError,
 )
+from filippov import expr
 from filippov.core import FilippovSystem
 from filippov.expr import (
     MAX_DEPTH,
@@ -271,7 +272,8 @@ def test_fields_of_one_shape_share_their_code():
     # literals, negated ones included, are bound from a tuple: systems that
     # differ only in their coefficients run the same compiled code
     rng = np.random.default_rng(3)
-    codes = {"left": set(), "right": set(), "switch": set(), "gradient": set()}
+    codes = {"left": set(), "right": set(), "switch": set(), "gradient": set(),
+             "jacobian": set()}
     for _ in range(50):
         k = [repr(float(v)) for v in rng.uniform(-3.0, 3.0, size=9)]
         system = FilippovSystem.parse(
@@ -282,8 +284,56 @@ def test_fields_of_one_shape_share_their_code():
         for name in ("left", "right", "switch"):
             codes[name].add(getattr(system, name).compiled.__code__)
         codes["gradient"].add(system.switch.compiled_gradient.__code__)
+        codes["jacobian"].add(system.left.compiled_jacobian.__code__)
     assert {name: len(seen) for name, seen in codes.items()} == \
-        {"left": 1, "right": 1, "switch": 1, "gradient": 1}
+        {"left": 1, "right": 1, "switch": 1, "gradient": 1, "jacobian": 1}
+
+
+def test_a_shape_seen_before_writes_no_source(monkeypatch):
+    # the walk keys the compiled code by the program, not by its source:
+    # a system that differs from one seen before only in its coefficients
+    # is compiled without writing any source text
+    writes = []
+    source = expr._source
+    monkeypatch.setattr(expr, "_source",
+                        lambda *args: writes.append(args) or source(*args))
+
+    def compile_all(k):
+        system = FilippovSystem.parse(
+            (f"{k}*x1 + x2 - 0.25*x3^3", f"-{k}*x1 + sin(x3)", f"{k}/x2"),
+            (f"{k}", "-1", f"exp({k}*x1)"), f"x1 + {k}*x2*x3 + 7")
+        for field in (system.left, system.right, system.switch):
+            field.compiled(1.0, 2.0, 3.0)
+        system.left.compiled_jacobian(1.0, 2.0, 3.0)
+        system.switch.compiled_gradient(1.0, 2.0, 3.0)
+
+    expr._binder.cache_clear()
+    compile_all(1.5)
+    assert len(writes) == 5  # three value functions and two with derivatives
+    compile_all(0.375)
+    compile_all(1e-3)
+    assert len(writes) == 5
+
+
+def test_literal_tokens_keep_their_float():
+    # a literal's float is parsed once, and the messages that quote a
+    # literal show that float
+    assert parse_expr("0.1") == Num(0.1)
+    assert parse_expr("2.50e-3*x1") == BinOp("*", Num(0.0025), Var("x1"))
+    assert parse_expr(".5 + 5.") == BinOp("+", Num(0.5), Num(5.0))
+    cases = [
+        ("1..2", 1, "bad numeric literal '1..2', expected a number"),
+        ("1e", 2, "found 'e', expected end of input or an operator"),
+        ("2 3", 3, "found '3.0', expected end of input or an operator"),
+        ("x1 2.50", 4, "found '2.5', expected end of input or an operator"),
+        (".", 1, "bad numeric literal '.', expected a number"),
+    ]
+    for text, offset, message in cases:
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            parse_expr(text)
+        assert exc_info.value.offset == offset
+        assert str(exc_info.value) == \
+            f"syntax error at offset {offset}: {message}"
 
 
 def test_negative_literal_formats_with_parens():
@@ -480,6 +530,68 @@ def test_jacobian_polynomial_vs_symbolic(exprs, jac_fn):
         got = jacobian_fd(field, point)
         scale = max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1e-6 * scale
+        values, exact = field.compiled_jacobian(*map(float, point))
+        assert values == field.compiled(*map(float, point))
+        assert np.max(np.abs(np.array(exact) - want)) <= 1e-13 * scale
+
+
+def _jacobian_outcome(field, point):
+    """compiled_jacobian's values and rows, or its error message."""
+    try:
+        return field.compiled_jacobian(*(float(v) for v in point))
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+def test_jacobian_matches_reference_on_random_trees():
+    # the values are compiled's bit for bit and its errors are compiled's;
+    # each row is the component's compiled gradient bit for bit, and
+    # agrees with sympy's partial derivatives to 1e-13 of the row's
+    # largest entry, beyond what the point's own rounding moves them
+    rng = np.random.default_rng(12)
+    compared = not_finite = 0
+    for _ in range(100):
+        trees = tuple(_random_tree(rng, 3) for _ in range(3))
+        field = VectorField(trees)
+        for point in _POINTS[::7]:
+            got = _jacobian_outcome(field, point)
+            try:
+                values = field.compiled(*map(float, point))
+            except EvalDomainError as exc:
+                assert got == str(exc)
+                continue
+            gradients = [_gradient_outcome(ScalarField(tree), point)
+                         for tree in trees]
+            if isinstance(got, str):
+                assert got == "derivative is not finite"
+                assert "derivative is not finite" in gradients
+                not_finite += 1
+                continue
+            assert got[0] == values
+            for tree, row, gradient in zip(trees, got[1], gradients):
+                assert (gradient[0], *row) == gradient
+                want = gradient_reference(tree, point)
+                if want is None:
+                    continue
+                tol = (GRADIENT_RTOL * max(1.0, *map(abs, want))
+                       + GRADIENT_VALUE_RTOL * abs(gradient[0])
+                       + 8.0 * _ulp_sensitivity(tree, point, want))
+                assert max(abs(a - b) for a, b in zip(row, want)) <= tol, \
+                    (format_expr(tree), point)
+                compared += 1
+    assert compared > 300 and not_finite > 5
+
+
+def test_jacobian_derivative_not_finite():
+    # the values are defined, a partial derivative is not
+    field = VectorField.parse(["x1", "sqrt(x2)", "x3^0.5"])
+    assert field.compiled(1.0, 0.0, 4.0) == (1.0, 0.0, 2.0)
+    for point in ((1.0, 0.0, 4.0), (1.0, 4.0, 0.0)):
+        with pytest.raises(EvalDomainError,
+                           match="^derivative is not finite$"):
+            field.compiled_jacobian(*point)
+    assert field.compiled_jacobian(1.0, 4.0, 4.0) == ((1.0, 2.0, 2.0), (
+        (1.0, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.0, 0.25)))
 
 
 def test_fields_reject_bad_shapes():

@@ -342,6 +342,20 @@ def test_first_return_linearity():
     assert [seg.regime for seg in orbit.segments] == ["L", "S"]
 
 
+def test_first_return_rejects_a_start_that_is_not_finite():
+    # the start is checked before it is scaled; a start at the top of the
+    # float range still runs
+    params = HybridParams(*FIG_RETURNING)
+    for z in (-math.inf, math.nan, 0.0, 1.0):
+        with pytest.raises(ValueError,
+                           match="^z must be finite and negative$"):
+            first_return(params, z)
+    base = first_return(params, -1.0)
+    out = first_return(params, -1e308)
+    assert base.status == out.status == "returned"
+    assert abs(out.zeta / 1e308 - base.zeta) <= 1e-12 * abs(base.zeta)
+
+
 def test_first_return_ratio_exact():
     params = HybridParams(*FIG_RETURNING)
     one = first_return(params, -1.0)
