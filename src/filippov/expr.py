@@ -105,9 +105,8 @@ _VAR_NODES = {name: Var(name) for name in VARIABLES}
 _OPERATOR_CHARS = "+-*/^()"
 
 
-# ASCII runs of a literal's or a name's characters, taken in one step
-_ASCII_DIGITS = re.compile(r"[0-9.]*")
-_ASCII_NAME = re.compile(r"[A-Za-z0-9_]*")
+# a name's characters: ``\w`` is str.isalnum() or "_"
+_NAME = re.compile(r"\w*")
 
 
 def _tokenize(text: str) -> list[tuple[str, str | float, int]]:
@@ -125,7 +124,7 @@ def _tokenize(text: str) -> list[tuple[str, str | float, int]]:
             i += 1
             continue
         if ch.isdigit() or ch == ".":
-            j = _ASCII_DIGITS.match(text, i).end()
+            j = i
             while j < n and (text[j].isdigit() or text[j] == "."):
                 j += 1
             if j < n and text[j] in "eE":
@@ -146,9 +145,7 @@ def _tokenize(text: str) -> list[tuple[str, str | float, int]]:
             i = j
             continue
         if ch.isalpha() or ch == "_":
-            j = _ASCII_NAME.match(text, i).end()
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+            j = _NAME.match(text, i).end()
             tokens.append(("ident", text[i:j], i + 1))
             i = j
             continue
@@ -510,10 +507,18 @@ def _tangent_lines(ops: tuple, roots) -> tuple[tuple, tuple]:
             return 0
         return factor if entry == 1 else emit(f"{factor} * {entry}")
 
-    def chain(factor_code: str, du):
-        """The tangent factor * du, the factor's line emitted only if used."""
+    def chain(factor_code: str, du, guarded: bool = False):
+        """The tangent factor * du, the factor's line emitted only if used.
+        A ``guarded`` factor may be infinite where u = 0 (that of sqrt(u)
+        or u^v); each entry then takes factor * 0 as 0, as abs's
+        derivative at 0 does, so ``x1*sqrt(x1^2 + x2^2)`` has the
+        gradient 0 at the origin."""
         if du == _ZERO:
             return _ZERO
+        if guarded:
+            return tuple(0 if e == 0 else emit(factor_code) if e == 1 else
+                         emit(f"0.0 if {e} == 0.0 else {factor_code} * {e}")
+                         for e in du)
         factor = factor_code if factor_code.isidentifier() else emit(factor_code)
         return tuple(mul(factor, e) for e in du)
 
@@ -523,7 +528,8 @@ def _tangent_lines(ops: tuple, roots) -> tuple[tuple, tuple]:
         if op == "neg":
             tangent = tuple(sub(0, e) for e in du)
         elif op in _CALL_DERIVATIVES:
-            tangent = chain(_CALL_DERIVATIVES[op].format(u=u, w=name), du)
+            tangent = chain(_CALL_DERIVATIVES[op].format(u=u, w=name), du,
+                            guarded=op == "sqrt")
         elif type(op) is int:  # u ** n
             tangent = (_ZERO if op == 0 else du if op == 1 else
                        chain(f"{op} * {u}" if op == 2 else
@@ -542,11 +548,11 @@ def _tangent_lines(ops: tuple, roots) -> tuple[tuple, tuple]:
                 nums = [sub(a, mul(name, b)) for a, b in zip(du, dv)]
                 tangent = tuple(0 if num == 0 else emit(f"{text(num)} / {v}")
                                 for num in nums)
-            elif dv == _ZERO:  # u ^ v with v constant in x
-                tangent = chain(f"_dpow({u}, {v})", du)
-            else:  # v u^(v-1) du + w log(u) dv, defined for u > 0 only
-                tangent = tuple(map(add, chain(f"_dpow({u}, {v})", du),
-                                    chain(f"{name} * log({u})", dv)))
+            else:  # u ^ v: v u^(v-1) du
+                tangent = chain(f"_dpow({u}, {v})", du, guarded=True)
+                if dv != _ZERO:  # + w log(u) dv, defined for u > 0 only
+                    tangent = tuple(map(add, tangent,
+                                        chain(f"{name} * log({u})", dv)))
         if tangent != _ZERO:
             tangents[name] = tangent
     return tuple(lines), tuple(

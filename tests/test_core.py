@@ -26,6 +26,7 @@ from filippov.errors import (
     TangentRightFieldError,
 )
 from filippov.expr import jacobian_fd
+from filippov.stability import classify_equilibrium
 
 
 def linear_system(fr=("-1", "0", "0")):
@@ -104,6 +105,21 @@ def test_boundary_data_translated_equilibrium():
     assert abs(bd.det_phi - 1.0) <= 1e-6
     rate_l, rate_r = normal_rates(system, bd.x_star)
     assert abs(rate_l) <= 1e-8 and abs(rate_r - bd.ptq) <= 1e-8
+
+
+def test_boundary_data_where_a_sqrt_of_zero_has_a_zero_tangent():
+    # x1*sqrt(x1^2 + x2^2) is C^1 at 0 with zero partials, though the
+    # derivative of its sqrt is not finite there: A is the linear part's,
+    # and the verdict is the normal form's
+    linear = normal_form_system(-0.2, 5, -0.2, 3)
+    left = ("-1.2*x1 + x2 + x1*sqrt(x1^2 + x2^2)",
+            "-5.2*x1 + x3 + x3*(x1^2 + x3^2)^0.5", "-5*x1")
+    system = FilippovSystem.parse(left, ("-1", "-0.2", "-3"), "x1")
+    bd = boundary_data(system, (0, 0, 0))
+    # exactly: central differences with step h read x1*|x1|'s partial as h
+    assert np.array_equal(bd.A, boundary_data(linear, (0, 0, 0)).A)
+    p = classify_equilibrium(bd).params
+    assert np.allclose((p.a, p.b, p.c, p.d), (-0.2, 5, -0.2, 3), atol=1e-12)
 
 
 def test_boundary_data_rejects_non_equilibrium():

@@ -425,6 +425,12 @@ _POWER_CASES = [
     ("x1^(2*x2)", (-3.0, 1.0, 0.0), None),  # d/dx2 needs log(-3)
     ("sqrt(x1)", (0.0, 1.0, 1.0), None),  # 1 / (2 sqrt(0))
     ("x1^0.5", (0.0, 1.0, 1.0), None),
+    # sqrt(u) at u = 0, times a tangent of u that is 0 there, gives 0, as
+    # abs's derivative at 0 does: the product is C^1 with zero partials
+    ("x1*sqrt(x1^2 + x2^2)", (0.0, 0.0, 1.0), (0.0, 0.0, 0.0)),
+    ("x2*(x1^2 + x2^2)^0.5", (0.0, 0.0, 1.0), (0.0, 0.0, 0.0)),
+    ("sqrt(x1^2)", (0.0, 0.0, 1.0), (0.0, 0.0, 0.0)),
+    ("sqrt(x1^2 + x2)", (0.0, 0.0, 1.0), None),  # a tangent of 1 in x2
 ]
 
 
