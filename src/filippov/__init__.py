@@ -20,6 +20,7 @@ from .core import (
     classify_fold,
     classify_region,
     fold_curvature,
+    is_observable,
     load_system_spec,
     normal_rates,
     sliding_field,

@@ -25,6 +25,7 @@ from .errors import (
     DegenerateGradientError,
     DegenerateSlidingError,
     FilippovError,
+    NonFiniteDataError,
     NotAnEquilibriumError,
     NotOnSurfaceError,
     NotOnTangencyCurveError,
@@ -32,11 +33,12 @@ from .errors import (
 )
 from .expr import ScalarField, VectorField, gradient_fd
 from .expr import jacobian_fd  # not called; perfbench/spans.py wraps it here
+from .spectrum import det3
 
 __all__ = [
-    "EQ_TOL", "TANGENCY_TOL",
+    "EQ_TOL", "TANGENCY_TOL", "PBH_TOL",
     "FilippovSystem", "SystemSpec", "load_system_spec", "system_spec_from_dict",
-    "BoundaryData", "boundary_data",
+    "BoundaryData", "boundary_data", "is_observable",
     "RegionKind", "FoldKind",
     "normal_rates", "classify_region", "fold_curvature", "classify_fold",
     "sliding_field",
@@ -46,6 +48,9 @@ __all__ = [
 EQ_TOL = 1e-8
 # Base tolerance for sign classifications, scaled by local magnitudes.
 TANGENCY_TOL = 1e-9
+# |det phi| at or below PBH_TOL times the product of its row norms fails
+# the observability (genericity) requirement.
+PBH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,9 @@ class BoundaryData:
     the right field, A the Jacobian of the left field, and
     B = (I - q p^T / p^T q) A the Jacobian of the sliding field; the
     observability matrix phi stacks p^T, p^T A, p^T A^2.  p^T B = 0
-    structurally, so 0 is always an eigenvalue of B.
+    structurally, so 0 is always an eigenvalue of B.  det_phi is reported
+    but not tested: it scales as s^3 when both fields are scaled by s, and
+    can leave the float range; :func:`is_observable` decides instead.
     """
 
     x_star: tuple[float, float, float]
@@ -180,25 +187,62 @@ class BoundaryData:
         Performs the degeneracy checks on p and p^T q but does not (and
         cannot) verify that x_star is an equilibrium; use
         :func:`boundary_data` for the full construction from a system.
+        Computes on floats, with B formed as A - (q / p^T q)(p^T A), and
+        builds the arrays once at the end.  Raises NonFiniteDataError
+        when p, q, A, p^T q, B or p^T A^2 is not finite.
         """
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        A = np.asarray(A, dtype=float)
-        norm_p = float(np.linalg.norm(p))
-        norm_q = float(np.linalg.norm(q))
+        p = p1, p2, p3 = _floats(p)
+        q = q1, q2, q3 = _floats(q)
+        (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = A = \
+            tuple(_floats(row) for row in (A.tolist() if hasattr(A, "tolist")
+                                           else A))
+        _require_finite("p", p)
+        _require_finite("q", q)
+        _require_finite("A", A[0] + A[1] + A[2])
+        norm_p = math.hypot(*p)
         if norm_p <= TANGENCY_TOL:
             raise DegenerateGradientError(
                 "switching-function gradient vanishes at the equilibrium")
-        ptq = float(p @ q)
-        if abs(ptq) <= TANGENCY_TOL * norm_p * norm_q:
+        ptq = p1 * q1 + p2 * q2 + p3 * q3
+        _require_finite("p^T q", (ptq,))
+        if abs(ptq) <= TANGENCY_TOL * norm_p * math.hypot(*q):
             raise TangentRightFieldError(
                 "right field is tangent to the surface at the equilibrium "
                 f"(p.q = {ptq:.3e})")
-        B = (np.eye(3) - np.outer(q, p) / ptq) @ A
-        phi = np.vstack([p, p @ A, p @ A @ A])
-        det_phi = float(np.linalg.det(phi))
-        return cls(tuple(float(v) for v in np.asarray(x_star, dtype=float)),
-                   p, q, A, B, phi, det_phi, ptq)
+        pa = r1, r2, r3 = (p1 * a11 + p2 * a21 + p3 * a31,
+                           p1 * a12 + p2 * a22 + p3 * a32,
+                           p1 * a13 + p2 * a23 + p3 * a33)
+        pa2 = (r1 * a11 + r2 * a21 + r3 * a31,
+               r1 * a12 + r2 * a22 + r3 * a32,
+               r1 * a13 + r2 * a23 + r3 * a33)
+        w = (q1 / ptq, q2 / ptq, q3 / ptq)
+        B = tuple((a1 - wi * r1, a2 - wi * r2, a3 - wi * r3)
+                  for (a1, a2, a3), wi in zip(A, w))
+        _require_finite("p^T A^2", pa2)
+        _require_finite("B", B[0] + B[1] + B[2])
+        phi = (p, pa, pa2)
+        return cls(_floats(x_star), np.array(p), np.array(q), np.array(A),
+                   np.array(B), np.array(phi), det3(phi), ptq)
+
+
+def _require_finite(name: str, values) -> None:
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteDataError(f"{name} is not finite at the equilibrium")
+
+
+def is_observable(phi) -> bool:
+    """The observability (genericity) requirement on phi (rows p^T,
+    p^T A, p^T A^2): |det phi| exceeds PBH_TOL times the product of its
+    row norms.  Scaling a row scales both sides alike, so the test runs
+    on unit rows: it cannot overflow, and scaling the fields in time
+    does not change it."""
+    unit = []
+    for row in phi.tolist() if hasattr(phi, "tolist") else phi:
+        norm = math.hypot(*row)
+        if norm == 0.0:
+            return False
+        unit.append([v / norm for v in row])
+    return abs(det3(unit)) > PBH_TOL
 
 
 def _floats(x) -> tuple[float, float, float]:

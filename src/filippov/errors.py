@@ -55,6 +55,11 @@ class DegenerateGradientError(FilippovError):
     """The switching-function gradient vanishes at the point."""
 
 
+class NonFiniteDataError(FilippovError):
+    """A quantity of the local data at the equilibrium (p, q, A, or one
+    derived from them) is not a finite number."""
+
+
 class NotOnSurfaceError(FilippovError):
     """The point does not lie on the switching surface to tolerance."""
 

@@ -38,6 +38,7 @@ from .core import (
     RegionKind,
     classify_region,
     fold_curvature,
+    is_observable,
     normal_rates,
     sliding_field,  # not called here; perfbench/spans.py wraps this binding
 )
@@ -494,7 +495,7 @@ def trace_tangency_curve(system: FilippovSystem, bd: BoundaryData,
     """
     if arc_span <= 0.0 or n < 2:
         raise ValueError("need arc_span > 0 and n >= 2")
-    if abs(bd.det_phi) <= 1e-12:
+    if not is_observable(bd.phi):
         raise CorrectionDivergedError(
             "observability matrix is singular: the tangency curve is not "
             "guaranteed to be a curve here")

@@ -26,7 +26,7 @@ from .errors import (
 )
 
 __all__ = [
-    "ThreeReal", "RealPlusPair", "EigTriple", "eig3",
+    "ThreeReal", "RealPlusPair", "EigTriple", "eig3", "det3",
     "char_poly_coeffs", "pair_sum_product", "pair_from_sum_product",
     "companion_matrix", "companion_from_eigs",
     "decay_eigvectors", "decay_coefficients", "eig_gap_product",
@@ -60,19 +60,29 @@ class RealPlusPair:
 EigTriple = Union[ThreeReal, RealPlusPair]
 
 
+def _entries(M) -> tuple[float, ...]:
+    """The nine entries of a 3x3 array-like, row by row, as floats."""
+    (a, b, c), (d, e, f), (g, h, i) = M.tolist() if hasattr(M, "tolist") else M
+    return (float(a), float(b), float(c), float(d), float(e), float(f),
+            float(g), float(h), float(i))
+
+
+def det3(M) -> float:
+    """Determinant of a 3x3 matrix by cofactor expansion along row one."""
+    return _coeffs(*_entries(M))[2]
+
+
 def char_poly_coeffs(M) -> tuple[float, float, float]:
     """Coefficients (tr, m, det) of det(lambda I - M) =
     lambda^3 - tr*lambda^2 + m*lambda - det, where m is the sum of the
     principal 2x2 minors."""
-    M = np.asarray(M, dtype=float)
-    tr = float(np.trace(M))
-    m = float(
-        M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1]
-        + M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
-        + M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    )
-    det = float(np.linalg.det(M))
-    return tr, m, det
+    return _coeffs(*_entries(M))
+
+
+def _coeffs(a, b, c, d, e, f, g, h, i) -> tuple[float, float, float]:
+    return (a + e + i,
+            e * i - f * h + a * i - c * g + a * e - b * d,
+            a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
 
 
 def _cbrt(x: float) -> float:
@@ -96,12 +106,12 @@ def eig3(M) -> EigTriple:
     norm-scaled matrix; magnitudes below DISC_TOL raise
     :class:`NearDegenerateError` (repeated roots -- the caller decides).
     """
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
+    entries = _entries(M)
+    if not all(map(math.isfinite, entries)):
         raise ValueError("matrix has non-finite entries")
-    norm = float(np.linalg.norm(M))
+    norm = math.hypot(*entries)
     scale = norm if norm > 0.0 else 1.0
-    tr, m, det = char_poly_coeffs(M / scale)
+    tr, m, det = _coeffs(*(v / scale for v in entries))
 
     # depressed cubic t^3 + p t + q via lambda = t + tr/3
     p = m - tr * tr / 3.0
@@ -150,14 +160,23 @@ def eig3(M) -> EigTriple:
 def pair_sum_product(M) -> tuple[float, float]:
     """Sum and product of the two eigenvalues left after deflating the
     zero eigenvalue of M (these equal the trace and the sum of principal
-    2x2 minors when one eigenvalue is zero)."""
-    M = np.asarray(M, dtype=float)
-    tr, m, det = char_poly_coeffs(M)
-    norm = max(1.0, float(np.linalg.norm(M)))
-    if abs(det) > ZERO_EIG_TOL * norm ** 3:
+    2x2 minors when one eigenvalue is zero).
+
+    The test |det M| <= ZERO_EIG_TOL * max(1, |M|)^3 runs on M scaled by
+    a power of two into a norm below 2.  Such a scaling is exact, so the
+    sum and product are those of M itself, and the test cannot overflow.
+    """
+    entries = _entries(M)
+    norm = math.hypot(*entries)
+    k = max(0, math.frexp(norm)[1] - 1)
+    scale, inv = math.ldexp(1.0, k), math.ldexp(1.0, -k)
+    tr, m, det = _coeffs(*(v * inv for v in entries))
+    ratio = abs(det) / max(inv, norm * inv) ** 3
+    if ratio > ZERO_EIG_TOL:
         raise NoZeroEigenvalueError(
-            f"matrix determinant {det:.3e} is not zero to tolerance")
-    return tr, m
+            "matrix determinant is not zero to tolerance "
+            f"(|det M| / max(1, |M|)^3 = {ratio:.3e})")
+    return tr * scale, m * scale * scale
 
 
 def pair_from_sum_product(s: float, pr: float) -> tuple[complex, complex]:

@@ -13,12 +13,11 @@ eigenvalues, yield a Degenerate verdict rather than a guess.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
-from .core import BoundaryData
+from .core import BoundaryData, is_observable
 from .errors import NearDegenerateError, NoZeroEigenvalueError
 from .hybrid import HybridParams
 from .spectrum import (
@@ -32,12 +31,9 @@ __all__ = [
     "UnstableRightward", "UnstableEigenvalue", "StableNode", "Rotational",
     "Degenerate", "StabilityVerdict",
     "classify_equilibrium", "hybrid_params_from_spectrum",
-    "PBH_TOL", "SIGN_TOL", "DISTINCT_GAP_TOL",
+    "SIGN_TOL", "DISTINCT_GAP_TOL",
 ]
 
-# |det(obs)| below PBH_TOL times its row-norm bound fails the
-# observability (genericity) requirement.
-PBH_TOL = 1e-9
 # Eigenvalue sign calls use this tolerance, scaled by the matrix norm;
 # values inside the band give Degenerate verdicts.
 SIGN_TOL = 1e-10
@@ -118,29 +114,28 @@ def hybrid_params_from_spectrum(alpha: float, beta: float, gamma: float,
 
 
 def classify_equilibrium(bd: BoundaryData) -> StabilityVerdict:
-    """Apply the trichotomy to boundary-equilibrium data."""
+    """Apply the trichotomy to boundary-equilibrium data (on floats: the
+    arrays are read once)."""
     if bd.ptq > 0.0:
         return UnstableRightward(bd.ptq)
 
     # observability (genericity) requirement
-    rows = [np.linalg.norm(bd.phi[i]) for i in range(3)]
-    det_scale = max(rows[0] * rows[1] * rows[2], 1e-300)
-    if abs(bd.det_phi) <= PBH_TOL * det_scale:
+    if not is_observable(bd.phi):
         return Degenerate(
             "observability matrix is singular (an eigenvector of the left "
             "Jacobian is orthogonal to the surface normal)")
 
-    norm_a = float(np.linalg.norm(bd.A))
-    norm_b = float(np.linalg.norm(bd.B))
+    A, B = bd.A.tolist(), bd.B.tolist()
+    norm_a = math.hypot(*A[0], *A[1], *A[2])
     ztol_a = SIGN_TOL * max(1.0, norm_a)
-    ztol_b = SIGN_TOL * max(1.0, norm_b)
+    ztol_b = SIGN_TOL * max(1.0, math.hypot(*B[0], *B[1], *B[2]))
 
     try:
-        eigs_a = eig3(bd.A)
+        eigs_a = eig3(A)
     except NearDegenerateError:
         return Degenerate("left Jacobian has (nearly) repeated eigenvalues")
     try:
-        s_sum, s_prod = pair_sum_product(bd.B)
+        s_sum, s_prod = pair_sum_product(B)
     except NoZeroEigenvalueError as exc:
         return Degenerate(f"sliding Jacobian lacks its zero eigenvalue: {exc}")
     pair = pair_from_sum_product(s_sum, s_prod)

@@ -2,8 +2,9 @@
 return multipliers (mpmath's ``expm`` at 30 and 50 digits, or, where
 mpmath is not installed, a high-accuracy Dormand-Prince 5(4) integrator
 with adaptive steps), a plain recursive tree walk for the compiled
-expressions, and reference gradients (sympy's derivatives at 30 digits,
-or central differences where sympy is not installed).
+expressions, reference gradients (sympy's derivatives at 30 digits,
+or central differences where sympy is not installed), and the local
+data and trichotomy branch by numpy's array arithmetic and eigenvalues.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from filippov.core import PBH_TOL
 from filippov.errors import EvalDomainError, NonFiniteStateError
 from filippov.expr import (
     FD_REL_STEP,
@@ -26,6 +28,8 @@ from filippov.expr import (
     Var,
     gradient_fd,
 )
+from filippov.spectrum import DISC_TOL, ZERO_EIG_TOL
+from filippov.stability import DISTINCT_GAP_TOL, SIGN_TOL
 
 try:
     import mpmath as mp
@@ -342,3 +346,60 @@ def _sympy_gradient(node):
     expr = _sympy_tree(node, symbols)
     args = [symbols[name] for name in ("x1", "x2", "x3")]
     return sympy.lambdify(args, [sympy.diff(expr, x) for x in args], "mpmath")
+
+
+def local_data_reference(p, q, A):
+    """(p^T q, B, phi, det phi) by numpy's array arithmetic, the
+    determinant by LU (``np.linalg.det``): the formulas the package used
+    before it computed the local data on floats."""
+    p, q, A = (np.asarray(v, dtype=float) for v in (p, q, A))
+    ptq = float(p @ q)
+    B = (np.eye(3) - np.outer(q, p) / ptq) @ A
+    phi = np.vstack([p, p @ A, p @ A @ A])
+    return ptq, B, phi, float(np.linalg.det(phi))
+
+
+def branch_reference(p, q, A) -> str:
+    """The branch of the trichotomy, as the name of the verdict class of
+    ``filippov.stability``, from :func:`local_data_reference` and numpy's
+    eigenvalues (``np.linalg.eigvals``) in place of ``eig3``: the same
+    tests and tolerances, none of the package's arithmetic."""
+    ptq, B, phi, det_phi = local_data_reference(p, q, A)
+    if ptq > 0.0:
+        return "UnstableRightward"
+    if abs(det_phi) <= PBH_TOL * np.prod(np.linalg.norm(phi, axis=1)):
+        return "Degenerate"
+    A = np.asarray(A, dtype=float)
+    norm_a, norm_b = float(np.linalg.norm(A)), float(np.linalg.norm(B))
+    ztol_a = SIGN_TOL * max(1.0, norm_a)
+    ztol_b = SIGN_TOL * max(1.0, norm_b)
+    lams = np.linalg.eigvals(A / norm_a)
+    # the discriminant of the norm-scaled characteristic cubic
+    disc = ((lams[0] - lams[1]) * (lams[0] - lams[2])
+            * (lams[1] - lams[2])) ** 2
+    if abs(disc) <= DISC_TOL:
+        return "Degenerate"
+    if abs(np.linalg.det(B)) > ZERO_EIG_TOL * max(1.0, norm_b) ** 3:
+        return "Degenerate"
+    mu = np.linalg.eigvals(B)
+    pair_sum = float(np.sum(mu).real)
+    pair_product = float((mu[0] * mu[1] + mu[0] * mu[2]
+                          + mu[1] * mu[2]).real)
+    real = sorted(float(v.real) * norm_a for v in lams if v.imag == 0.0)
+    top = real[-1]
+    if top > ztol_a:
+        return "UnstableEigenvalue"
+    if pair_sum * pair_sum - 4.0 * pair_product >= 0.0:
+        top_b = max(np.roots([1.0, -pair_sum, pair_product]).real)
+        if top_b > ztol_b:
+            return "UnstableEigenvalue"
+        if top_b >= -ztol_b:
+            return "Degenerate"
+    if len(real) == 3:
+        if min(real[1] - real[0], real[2] - real[1]) <= \
+                DISTINCT_GAP_TOL * norm_a or top >= -ztol_a:
+            return "Degenerate"
+        return "StableNode"
+    if abs(top) <= ztol_a:
+        return "Degenerate"
+    return "Rotational"

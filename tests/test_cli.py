@@ -138,6 +138,28 @@ def test_classify_rotational_chain(capsys, tmp_path):
     assert "asymptotically stable" in out
 
 
+def test_classify_is_time_scale_free(capsys, tmp_path):
+    # both fields scaled by 1e100: phi's last row reaches 1e200, yet the
+    # verdict and the multiplier are those of the unscaled system
+    def spec(s):
+        return {"fL": [f"{s}*(0.2*x1 + x2 + x1^2)", f"{s}*(-5*x1 + x3)",
+                       f"{s}*(-1*x1)"],
+                "fR": [f"{s}*(-1)", f"{s}*0.5", f"{s}*(-3)"],
+                "H": "x1 + 0.1*x2^2", "x_star": [0, 0, 0]}
+
+    def multiplier(out):
+        line, = (x for x in out.splitlines() if x.startswith("lambda: "))
+        return float(line.removeprefix("lambda: "))
+    code, out, _ = run(capsys, "classify", "--system", write_spec(tmp_path,
+                                                                   spec(1)))
+    assert code == 0 and "verdict: unstable" in out
+    want = multiplier(out)
+    code, out, err = run(capsys, "classify", "--system",
+                         write_spec(tmp_path, spec("1e100")))
+    assert (code, err) == (0, "")
+    assert abs(multiplier(out) - want) <= 1e-12 * want
+
+
 def test_classify_stable_node_chain(capsys, tmp_path):
     stable_node = {
         "fL": ["-6*x1 + x2", "-11*x1 + x3", "-6*x1"],

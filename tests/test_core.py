@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from filippov.core import (
+    BoundaryData,
     FilippovSystem,
     FoldKind,
     RegionKind,
@@ -11,6 +13,7 @@ from filippov.core import (
     classify_fold,
     classify_region,
     fold_curvature,
+    is_observable,
     load_system_spec,
     normal_rates,
     sliding_field,
@@ -20,6 +23,7 @@ from filippov.errors import (
     DegenerateGradientError,
     DegenerateSlidingError,
     FilippovError,
+    NonFiniteDataError,
     NotAnEquilibriumError,
     NotOnSurfaceError,
     NotOnTangencyCurveError,
@@ -75,6 +79,33 @@ def test_boundary_data_observability_vanishes_for_orthogonal_eigvec():
         ("0", "0", "-1"), "x3")
     bd2 = boundary_data(system2, (0, 0, 0))
     assert abs(bd2.det_phi) > 1e-3
+
+
+def test_local_data_must_be_finite():
+    p, q, A = [1.0, 0.0, 0.0], [-1.0, 0.2, -1.0], [[-0.8, 1.0, 0.0],
+                                                  [-4.8, 0.0, 1.0],
+                                                  [-5.0, 0.0, 0.0]]
+    BoundaryData.from_local_data((0, 0, 0), p, q, A)
+    for name, bad in (
+            ("p", ([1.0, float("nan"), 0.0], q, A)),
+            ("q", (p, [-1.0, float("inf"), -1.0], A)),
+            ("A", (p, q, [A[0], [-4.8, float("-inf"), 1.0], A[2]])),
+            ("p^T q", ([1e200, 0.0, 0.0], [-1e200, 0.0, 0.0], A)),
+            ("p^T A^2", (p, q, [[v * 1e160 for v in row] for row in A]))):
+        with pytest.raises(NonFiniteDataError, match=re.escape(name)):
+            BoundaryData.from_local_data((0, 0, 0), *bad)
+
+
+def test_observability_is_relative():
+    # |det phi| / (|p| |p^T A| |p^T A^2|): scaling a row changes neither
+    # side, from 1e-100 to 1e100; -I leaves p^T A parallel to p
+    phi = [[1.0, 0.0, 0.0], [-0.8, 1.0, 0.0], [-4.16, -0.8, 1.0]]
+    for s in (1e-100, 1e-5, 1.0, 1e100):
+        assert is_observable([phi[0], [v * s for v in phi[1]],
+                              [v * s * s for v in phi[2]]])
+        assert not is_observable([phi[0], [-v * s for v in phi[0]],
+                                  [v * s * s for v in phi[0]]])
+    assert not is_observable(np.zeros((3, 3)))
 
 
 def test_boundary_data_structural_identity():

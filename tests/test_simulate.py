@@ -386,6 +386,21 @@ def test_trace_tangency_curve_nonlinear_surface():
         assert abs(system.switch(x)) + abs(rate_l) <= 1e-8
 
 
+def test_trace_tangency_curve_is_time_scale_free():
+    # f_L scaled by 1e-5 leaves the tangency curve where it is; |det phi|
+    # is 1e-15 there, but the observability test is relative
+    def system(s):
+        return FilippovSystem.parse(
+            (f"{s}*(-1.2*x1 + x2)", f"{s}*(-4.8*x1 + x3)",
+             f"{s}*(-5*x1 + 0.1*x3^2)"), ("-1", "-0.2", "-3"),
+            "x1 + 0.2*x3^2")
+    want = trace_tangency_curve(system(1), boundary_data(system(1), (0, 0, 0)),
+                                0.4, 8)
+    slow = system(1e-5)
+    got = trace_tangency_curve(slow, boundary_data(slow, (0, 0, 0)), 0.4, 8)
+    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
+
+
 def test_equilibrium_is_degenerate_fold():
     system = normal_form_system(-0.2, 5, -0.2, 3)
     assert classify_fold(system, (0.0, 0.0, 0.0)) is FoldKind.DEGENERATE

@@ -106,6 +106,29 @@ def test_eig3_random_residuals():
     assert n_real > 20 and n_pair > 20
 
 
+def test_eig3_rejects_non_finite_entries():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            eig3([[-1.0, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 0.0, -3.0]])
+
+
+def test_determinant_matches_lu():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        M = rng.uniform(-3, 3, size=(3, 3)) * 10.0 ** rng.uniform(-3, 3)
+        bound = 1e-14 * np.linalg.norm(M) ** 3
+        assert abs(char_poly_coeffs(M)[2] - np.linalg.det(M)) <= bound
+
+
+def test_array_likes_give_the_same_results():
+    M = companion_matrix(0.2 - 1.0, 5.0 - 0.2, -5.0)
+    B = np.array([[0.0, 0.0, 0.0], [0.3, 0.2, 1.0], [-0.1, -1.0, 0.0]])
+    for form in (M.tolist(), tuple(map(tuple, M.tolist())), list(M)):
+        assert char_poly_coeffs(form) == char_poly_coeffs(M)
+        assert eig3(form) == eig3(M)
+    assert pair_sum_product(B.tolist()) == pair_sum_product(B)
+
+
 # --------------------------------------------------------------------------
 # deflated pair
 # --------------------------------------------------------------------------
@@ -128,6 +151,19 @@ def test_nonzero_pair_planar_block():
     assert abs(lam2 - complex(0.1, -math.sqrt(0.99))) <= 1e-12
     s, pr = pair_sum_product(M)
     assert abs(s - c) <= 1e-12 and abs(pr - d) <= 1e-12
+
+
+def test_pair_sum_product_is_exact_under_binary_scaling():
+    # the zero test runs on a power-of-two rescaled matrix, which is
+    # exact: the sum and product scale as s and s^2, bit for bit, and
+    # nothing overflows on the way
+    B = np.array([[0.0, 0.0, 0.0], [0.3, 0.2, 1.0], [-0.1, -1.0, 0.0]])
+    s0, p0 = pair_sum_product(B)
+    for k in (-400, -60, 0, 60, 500):
+        s = 2.0 ** k
+        assert pair_sum_product(s * B) == (s0 * s, p0 * s * s)
+    with pytest.raises(NoZeroEigenvalueError):
+        nonzero_pair(1e300 * np.diag([1.0, 2.0, 3.0]))
 
 
 def test_nonzero_pair_requires_zero_eigenvalue():

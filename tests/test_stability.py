@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from filippov.core import BoundaryData
-from filippov.spectrum import companion_matrix
+from filippov.errors import NearDegenerateError
+from filippov.spectrum import ThreeReal, companion_matrix, eig3
 from filippov.stability import (
     Degenerate,
     Rotational,
@@ -12,6 +13,7 @@ from filippov.stability import (
     classify_equilibrium,
     hybrid_params_from_spectrum,
 )
+from oracles import branch_reference, for_all, local_data_reference
 
 
 def bd_from(p, q, A):
@@ -153,3 +155,140 @@ def test_hybrid_params_map_validates():
         hybrid_params_from_spectrum(0.1, 1.0, 1.0, 0.2, -1.0)  # d < 0
     with pytest.raises(ConstraintViolationError):
         hybrid_params_from_spectrum(0.1, 1.0, 1.0, 2.0, 0.5)  # c>0, d<c^2/4
+
+
+# --------------------------------------------------------------------------
+# against the numpy oracle, and under time scaling
+# --------------------------------------------------------------------------
+
+BRANCHES = ("Rotational", "StableNode", "UnstableRightward",
+            "UnstableEigenvalue", "Degenerate")
+
+
+def local_data_case(case):
+    """(p, q, A) aimed at one branch of the trichotomy, from ``(branch,
+    variant, u)`` with u twelve numbers in [0, 1].  Built in companion
+    coordinates (p = e1, q = (q0, ts, -ds), so that the sliding pair
+    solves l^2 - ts l + ds = 0), then rotated; the degenerate variant 2
+    instead makes p orthogonal to an eigenvector of A."""
+    branch, variant, u = case
+    alpha, beta, gamma = -0.8 + 1.6 * u[0], 0.5 + 2.5 * u[1], 0.5 + 1.5 * u[2]
+    ts = -1.5 + 3.0 * u[3]
+    low = ts * ts / 4.0 + 0.05 if ts > 0.0 else 0.05
+    ds = low + 4.0 * u[4]
+    roots = [complex(alpha, beta), complex(alpha, -beta), complex(-gamma)]
+    q0 = -1.0
+    if branch == 1:  # three distinct negative eigenvalues
+        m1 = 0.3 + u[5]
+        m2 = m1 * (1.3 + u[6])
+        roots = [complex(-m1), complex(-m2), complex(-m2 * (1.3 + u[7]))]
+    elif branch == 2:
+        q0 = 1.0
+    elif branch == 3:
+        if variant == 0:
+            roots[2] = complex(gamma)
+        else:
+            ds = -ds
+    elif branch == 4:
+        if variant == 0:  # a repeated real eigenvalue
+            roots = [complex(-gamma * (1.5 + 1.5 * u[5])), complex(-gamma),
+                     complex(-gamma)]
+        elif variant == 1:  # a zero eigenvalue in the sliding pair
+            ds, ts = 0.0, -abs(ts) - 0.1
+    r1, r2, r3 = roots
+    A = companion_matrix((r1 + r2 + r3).real,
+                         (r1 * r2 + r1 * r3 + r2 * r3).real, (r1 * r2 * r3).real)
+    p, q = np.array([1.0, 0.0, 0.0]), np.array([q0, ts, -ds])
+    if branch == 4 and variant == 2:
+        A = np.diag([-gamma, -gamma * (1.5 + u[5]), -gamma * (3.0 + u[6])])
+        p = np.array([0.0, 0.5 + u[7], 0.5 + u[3]])
+        q = -p + np.array([0.0, -p[2], p[1]]) * u[4]
+    c1, s1 = np.cos(6.0 * u[8]), np.sin(6.0 * u[8])
+    c2, s2 = np.cos(6.0 * u[9]), np.sin(6.0 * u[9])
+    Q = (np.array([[c1, -s1, 0.0], [s1, c1, 0.0], [0.0, 0.0, 1.0]])
+         @ np.array([[1.0, 0.0, 0.0], [0.0, c2, -s2], [0.0, s2, c2]]))
+    return Q @ p, Q @ q, Q @ A @ Q.T
+
+
+def case_strategy(st):
+    return st.tuples(st.integers(0, 4), st.integers(0, 2),
+                     st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12))
+
+
+def draw_case(rng):
+    return (int(rng.integers(5)), int(rng.integers(3)),
+            [float(v) for v in rng.uniform(size=12)])
+
+
+def _eigs_against_numpy(A):
+    """The largest distance from eig3's eigenvalues of A to numpy's, or
+    None where eig3 reports (nearly) repeated ones."""
+    try:
+        got = eig3(A)
+    except NearDegenerateError:
+        return None
+    want = np.linalg.eigvals(A)
+    if isinstance(got, ThreeReal):
+        assert all(v.imag == 0.0 for v in want)
+        return float(np.max(np.abs(np.sort(want.real) - got.lams)))
+    pair = complex(got.alpha, got.beta)
+    real = min(want, key=lambda v: abs(v.imag))
+    top = max(want, key=lambda v: v.imag)
+    return max(abs(real - got.real_eig), abs(top - pair))
+
+
+def test_local_data_and_branch_match_numpy_oracle():
+    seen = set()
+    eps = np.finfo(float).eps
+
+    @for_all(300, 11, case_strategy, draw_case)
+    def check(case):
+        p, q, A = local_data_case(case)
+        bd = bd_from(p, q, A)
+        ptq, B, phi, det_phi = local_data_reference(p, q, A)
+        abs_pa = np.abs(p) @ np.abs(A)
+        assert abs(bd.ptq - ptq) <= 4 * eps * float(np.abs(p) @ np.abs(q))
+        assert np.all(np.abs(bd.phi[1] - phi[1]) <= 4 * eps * abs_pa)
+        assert np.all(np.abs(bd.phi[2] - phi[2])
+                      <= 8 * eps * (abs_pa @ np.abs(A)))
+        bound_b = np.abs(A) + np.outer(np.abs(q / ptq), abs_pa)
+        assert np.all(np.abs(bd.B - B) <= 8 * eps * bound_b)
+        rows = np.prod(np.linalg.norm(phi, axis=1))
+        assert abs(bd.det_phi - det_phi) <= 1e-13 * rows
+        norm_a = np.linalg.norm(A)
+        gap = _eigs_against_numpy(A)
+        assert gap is None or gap <= 1e-12 * max(1.0, norm_a)
+        branch = type(classify_equilibrium(bd)).__name__
+        assert branch == branch_reference(p, q, A)
+        seen.add(branch)
+
+    check()
+    assert seen == set(BRANCHES)
+
+
+def _branch_and_params(verdict):
+    params = verdict.params if isinstance(verdict, Rotational) else None
+    return type(verdict).__name__, params
+
+
+def test_time_scaled_local_data_keep_branch_and_params():
+    # s q and s A are the local data of both fields scaled by s > 0, a
+    # change of time scale: the branch and (a, b, c, d) stay, also where
+    # p^T A^2 and det phi are near or beyond the range of a float
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(100):
+        p, q, A = local_data_case(draw_case(rng))
+        branch, params = _branch_and_params(classify_equilibrium(
+            bd_from(p, q, A)))
+        seen.add(branch)
+        for s in (1e10, 1e50, 1e100, 1e150):
+            got, got_params = _branch_and_params(classify_equilibrium(
+                bd_from(p, s * q, s * A)))
+            assert got == branch, (s, p, q, A)
+            if params is not None:
+                for name in "abcd":
+                    want = getattr(params, name)
+                    assert abs(getattr(got_params, name) - want) <= \
+                        1e-12 * max(1.0, abs(want))
+    assert seen == set(BRANCHES)
