@@ -31,7 +31,8 @@ from .errors import (
     NotOnTangencyCurveError,
     TangentRightFieldError,
 )
-from .expr import ScalarField, VectorField, gradient_fd
+from .expr import (ScalarField, VectorField, compile_rates_and_fields,
+                   gradient_fd)
 from .expr import jacobian_fd  # not called; perfbench/spans.py wraps it here
 from .spectrum import det3
 
@@ -68,20 +69,9 @@ class FilippovSystem:
 
     @cached_property
     def rates_and_fields(self):
-        """One function (x1, x2, x3) -> (grad H . f_L, grad H . f_R, f_L,
-        f_R, (H, grad H)) on float tuples, with the exact gradient: the
-        package's one computation of the normal rates."""
-        value_and_gradient = self.switch.compiled_gradient
-        left, right = self.left.compiled, self.right.compiled
-
-        def rates_and_fields(x1: float, x2: float, x3: float):
-            h_grad = value_and_gradient(x1, x2, x3)
-            _, g1, g2, g3 = h_grad
-            f_left = l1, l2, l3 = left(x1, x2, x3)
-            f_right = r1, r2, r3 = right(x1, x2, x3)
-            return (g1 * l1 + g2 * l2 + g3 * l3, g1 * r1 + g2 * r2 + g3 * r3,
-                    f_left, f_right, h_grad)
-        return rates_and_fields
+        """:func:`filippov.expr.compile_rates_and_fields` of the system:
+        the package's one computation of the normal rates."""
+        return compile_rates_and_fields(self.switch, self.left, self.right)
 
     @cached_property
     def sliding(self):

@@ -45,7 +45,7 @@ from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "parse_expr", "format_expr", "evaluate", "compile_expr",
-    "ScalarField", "VectorField",
+    "ScalarField", "VectorField", "compile_rates_and_fields",
     "gradient_fd", "jacobian_fd", "FD_REL_STEP", "MAX_NESTING", "MAX_DEPTH",
 ]
 
@@ -559,16 +559,11 @@ def _tangent_lines(ops: tuple, roots) -> tuple[tuple, tuple]:
         tuple(text(e) for e in tangents.get(root, _ZERO)) for root in roots)
 
 
-def _source(program: tuple, derivatives: bool) -> str:
-    """The source of ``_bind(constants)`` for a program of
-    :func:`_program`; ``_bind`` returns a function of (x1, x2, x3).
-
-    It returns one root's value, or the tuple of several.  With
-    ``derivatives``, the tangent assignments of :func:`_tangent_lines`
-    follow the value assignments, and one root's value comes with its
-    three partials, several roots' values with their gradients' rows."""
-    ops, results, n_constants = program
-    body, done = [], 0
+def _value_lines(ops: tuple, results, done: int) -> list:
+    """One try statement computing the roots ``results`` of a program of
+    :func:`_program` from operation ``done`` on, each value checked in
+    turn."""
+    body = []
     for result, end in results:
         for name, op, operands in ops[done:end]:
             formats = _BINOP_FORMATS if len(operands) == 2 else _UNARY_FORMATS
@@ -578,51 +573,75 @@ def _source(program: tuple, derivatives: bool) -> str:
         done = end
         body.append(f"if not isfinite({result}): "
                     "raise EvalDomainError('expression value is not finite')")
+    # only ``b ** n`` lets an OverflowError through
+    return ["        try:", *(f"            {line}" for line in body),
+            "        except OverflowError:",
+            "            raise EvalDomainError('overflow in power') from None",
+            "        except (ValueError, ZeroDivisionError) as exc:",
+            "            raise EvalDomainError(str(exc)) from None"]
+
+
+def _source(program: tuple, layout: str) -> str:
+    """The source of ``_bind(constants)`` for a program of
+    :func:`_program`; ``_bind`` returns a function of (x1, x2, x3).
+
+    With ``layout`` "values" it returns one root's value, or the tuple of
+    several.  With "derivatives" the tangent assignments of
+    :func:`_tangent_lines` follow the value assignments, and one root's
+    value comes with its three partials, several roots' values with their
+    gradients' rows.  With "rates" the roots are H and the components of
+    f_L and f_R, H's tangent assignments precede the fields' values (so
+    the first error is the one that H's gradient, f_L and f_R, called in
+    turn, would raise), and it returns (grad H . f_L, grad H . f_R, f_L,
+    f_R, (H, grad H))."""
+    ops, results, n_constants = program
     values = [result for result, _ in results]
-    tail = []
-    if derivatives:
-        tangent_lines, partials = _tangent_lines(ops, values)
+    split = 1 if layout == "rates" else len(results)
+    head_end = results[split - 1][1]  # the operations of the first roots
+    lines = _value_lines(ops, results[:split], 0)
+    if layout != "values":
+        tangent_lines, partials = _tangent_lines(ops[:head_end],
+                                                 values[:split])
         if tangent_lines:
-            tail = ["        try:",
-                    *(f"            {line}" for line in tangent_lines),
-                    "        except (ArithmeticError, ValueError):",
-                    f"            raise {_NOT_FINITE} from None"]
+            lines += ["        try:",
+                      *(f"            {line}" for line in tangent_lines),
+                      "        except (ArithmeticError, ValueError):",
+                      f"            raise {_NOT_FINITE} from None"]
         checked = " and ".join(f"isfinite({p})" for row in partials
                                for p in row if p.isidentifier())
         if checked:
-            tail.append(f"        if not ({checked}): raise {_NOT_FINITE}")
+            lines.append(f"        if not ({checked}): raise {_NOT_FINITE}")
+    if layout == "rates":
+        lines += _value_lines(ops, results[1:], head_end)
+        grad, f_left, f_right = partials[0], values[1:4], values[4:]
+        values = [*(" + ".join(map("{} * {}".format, grad, f))
+                    for f in (f_left, f_right)),
+                  *(f"({', '.join(row)})"
+                    for row in (f_left, f_right, (values[0], *grad)))]
+    elif layout == "derivatives":
         rows = ", ".join(f"({', '.join(row)})" for row in partials)
         values = ([values[0], *partials[0]] if len(values) == 1 else
                   [f"({', '.join(values)})", f"({rows})"])
     unpack = ", ".join(f"c{i}" for i in range(n_constants))
-    lines = ["def _bind(_c):",
-             f"    {unpack}, = _c" if n_constants else "    pass",
-             "    def field(x1, x2, x3):",
-             "        try:",
-             *(f"            {line}" for line in body),
-             # only ``b ** n`` lets an OverflowError through
-             "        except OverflowError:",
-             "            raise EvalDomainError('overflow in power') from None",
-             "        except (ValueError, ZeroDivisionError) as exc:",
-             "            raise EvalDomainError(str(exc)) from None",
-             *tail,
-             f"        return {', '.join(values)}",
-             "    return field"]
-    return "\n".join(lines)
+    return "\n".join(["def _bind(_c):",
+                      f"    {unpack}, = _c" if n_constants else "    pass",
+                      "    def field(x1, x2, x3):", *lines,
+                      f"        return {', '.join(values)}",
+                      "    return field"])
 
 
 @lru_cache(maxsize=512)
-def _binder(program: tuple, derivatives: bool):
+def _binder(program: tuple, layout: str):
     """Compile a program once; a shape seen before costs a walk and a bind."""
     namespace = dict(_NAMESPACE)
-    exec(compile(_source(program, derivatives), "<filippov.expr>", "exec"),
+    exec(compile(_source(program, layout), "<filippov.expr>", "exec"),
          namespace)
     return namespace["_bind"]
 
 
-def _compile(roots, derivatives: bool = False):
+def _compile(roots, layout: str = "values"):
     program, constants = _program(roots)
-    return _binder(program, derivatives)(tuple(constants))
+    return _binder(program, layout)(tuple(constants))
 
 
 def compile_expr(node: Expr) -> Callable[[float, float, float], float]:
@@ -668,7 +687,7 @@ class ScalarField:
         :class:`~filippov.errors.EvalDomainError` where a partial
         derivative is not finite (``sqrt(x1)`` at 0) or not defined
         (``x1^x2`` at x1 <= 0)."""
-        return _compile((self.expr,), derivatives=True)
+        return _compile((self.expr,), "derivatives")
 
     def __call__(self, point) -> float:
         return self.compiled(float(point[0]), float(point[1]), float(point[2]))
@@ -704,11 +723,21 @@ class VectorField:
         """One function (x1, x2, x3) -> ((f1, f2, f3), J): row i of the
         exact Jacobian J is the gradient of component i.  It raises as
         :attr:`ScalarField.compiled_gradient` does."""
-        return _compile(self.components, derivatives=True)
+        return _compile(self.components, "derivatives")
 
     def __call__(self, point) -> np.ndarray:
         return np.array(self.compiled(float(point[0]), float(point[1]),
                                       float(point[2])))
+
+
+def compile_rates_and_fields(switch: ScalarField, left: VectorField,
+                             right: VectorField):
+    """One function (x1, x2, x3) -> (grad H . f_L, grad H . f_R, f_L, f_R,
+    (H, grad H)) with H = ``switch``.  Its floats are those of
+    ``switch.compiled_gradient``, ``left.compiled`` and ``right.compiled``
+    bit for bit, and it raises what the first of them to fail raises."""
+    return _compile((switch.expr, *left.components, *right.components),
+                    "rates")
 
 
 # --------------------------------------------------------------------------

@@ -16,9 +16,10 @@ return-multiplier oracle and the orbit exporter.  It walks the regular
 and the sliding leg with one loop.
 
 Every event (surface hit, fold exit, return) of both engines is located
-by one bisection, :func:`_locate`, on the substep that crossed.  The
-closed forms in :mod:`filippov.hybrid` refine their roots separately, so
-that this cross-check shares no numerical code with what it checks.
+on the substep that crossed by one refiner, :func:`_locate`, which uses
+the Illinois method (modified regula falsi).  The closed forms in
+:mod:`filippov.hybrid` refine their roots separately, by secant steps,
+so that this cross-check shares no numerical code with what it checks.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ __all__ = [
 ]
 
 
-# Events are bisected until |monitor| <= _EVENT_REFINE_TOL.  A state
+# Events are refined until |monitor| <= _EVENT_REFINE_TOL.  A state
 # whose norm falls below _NORM_FLOOR has converged, one above
 # _NORM_CEILING has diverged.  |H| <= _ON_SURFACE_TOL is on the surface.
 _EVENT_REFINE_TOL = 1e-10
@@ -107,27 +108,40 @@ class Orbit:
 # event location
 # --------------------------------------------------------------------------
 
-def _locate(step, x_from, h: float, x_hi, m_hi: float, monitor,
-            tol: float):
-    """Bisect (0, h] for the time at which ``monitor(step(x_from, tau))``
+def _locate(step, x_from, m_from: float, h: float, x_hi, m_hi: float,
+            monitor, tol: float):
+    """Find the time in (0, h] at which ``monitor(step(x_from, tau))``
     changes sign, given the substep of length h that the caller has just
-    taken: it ends at ``x_hi``, where the monitor reads ``m_hi``, past the
-    sign change.  Returns (tau, state) as soon as |monitor| <= tol, else
-    the upper end of the bracket once it can no longer be halved (at most
-    80 halvings)."""
-    lo, hi = 0.0, h
+    taken: the monitor reads ``m_from`` at x_from, and ``m_hi`` at the
+    substep's end ``x_hi``, past the sign change.
+
+    Each point interpolates the bracket's ends linearly, and the value at
+    an end kept twice in a row is halved (the Illinois method: Dowell &
+    Jarratt, BIT 11, 1971).  The midpoint replaces a point that falls
+    outside the bracket or on an end, and the one after three that kept
+    the same end.  Returns (tau, state) as soon as |monitor| <= tol, else
+    the upper end of the bracket once it can no longer shrink (at most 80
+    points)."""
+    lo, m_lo, hi = 0.0, m_from, h
+    kept = 0  # n > 0: the upper end kept by the last n points; n < 0: lower
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        x_mid = step(x_from, mid)
-        m_mid = monitor(x_mid)
-        if abs(m_mid) <= tol:
-            return mid, x_mid
-        if (m_mid > 0.0) == (m_hi > 0.0):
-            hi, x_hi, m_hi = mid, x_mid, m_mid
+        tau = hi - m_hi * (hi - lo) / (m_hi - m_lo)
+        if abs(kept) > 2 or not lo < tau < hi:
+            tau = 0.5 * (lo + hi)
+            if not lo < tau < hi:
+                break
+        x_tau = step(x_from, tau)
+        m_tau = monitor(x_tau)
+        if abs(m_tau) <= tol:
+            return tau, x_tau
+        if (m_tau > 0.0) == (m_from > 0.0):
+            lo, m_lo = tau, m_tau
+            kept = max(kept, 0) + 1
+            m_hi *= 0.5 if kept > 1 else 1.0
         else:
-            lo = mid
+            hi, x_hi, m_hi = tau, x_tau, m_tau
+            kept = min(kept, 0) - 1
+            m_lo *= 0.5 if kept < -1 else 1.0
     return hi, x_hi
 
 
@@ -236,7 +250,8 @@ class _Sim:
         h = self.h
         interior = -1.0 if regime == "L" else 1.0
         seg = self.begin_segment(regime)
-        armed = abs(h(*self.x)) > _ON_SURFACE_TOL
+        h_now = h(*self.x)
+        armed = abs(h_now) > _ON_SURFACE_TOL
         while True:
             if self.check_terminal():
                 return None
@@ -252,7 +267,7 @@ class _Sim:
                         f"t = {self.t:g} before re-entering it")
             elif h_new * interior <= 0.0:
                 tau, x_ev = _locate(lambda x, tau: _rk4_tuple(f, x, tau),
-                                    self.x, dt, x_new, h_new,
+                                    self.x, h_now, dt, x_new, h_new,
                                     lambda x: h(*x), _EVENT_REFINE_TOL)
                 self.t += tau
                 self.x = x_ev
@@ -260,6 +275,7 @@ class _Sim:
                 return self.regime_on_surface(self.x)
             self.t += dt
             self.x = x_new
+            h_now = h_new
             seg.samples.append((self.t, *self.x))
 
     # -- sliding-regime integration -----------------------------------------
@@ -272,7 +288,8 @@ class _Sim:
         rate_left = lambda x: rates(*x)[0]
         step = lambda x, tau: project(_rk4_tuple(field, x, tau))
         self.x = project(self.x)
-        armed = rate_left(self.x) > _EVENT_REFINE_TOL
+        rate_now = rate_left(self.x)
+        armed = rate_now > _EVENT_REFINE_TOL
         wobbles = 0
         while True:
             if self.check_terminal():
@@ -288,8 +305,8 @@ class _Sim:
                 if rate_new > _EVENT_REFINE_TOL:
                     armed = True
             elif rate_new <= 0.0:
-                tau, x_ev = _locate(step, self.x, dt, x_new, rate_new,
-                                    rate_left, _EVENT_REFINE_TOL)
+                tau, x_ev = _locate(step, self.x, rate_now, dt, x_new,
+                                    rate_new, rate_left, _EVENT_REFINE_TOL)
                 curv = fold_curvature(self.system, x_ev)
                 if curv < 0.0:
                     self.t += tau
@@ -306,6 +323,7 @@ class _Sim:
                         "invisible side; aborting")
             self.t += dt
             self.x = x_new
+            rate_now = rate_new
             seg.samples.append((self.t, *self.x))
 
     # -- main loop -------------------------------------------------
@@ -413,8 +431,8 @@ def _run_hybrid(params: HybridParams, z0: float, cfg: SimConfig,
                         "before re-entering it")
             elif m_new <= 0.0:
                 tau, y_ev = _locate(lambda s, tau: _rk4_tuple(f, s, tau), y,
-                                    h, y_new, y_new[idx], lambda s: s[idx],
-                                    _EVENT_REFINE_TOL)
+                                    y[idx], h, y_new, y_new[idx],
+                                    lambda s: s[idx], _EVENT_REFINE_TOL)
                 t += tau
                 y = y_ev[:idx] + (0.0,) + y_ev[idx + 1:]
                 if record:

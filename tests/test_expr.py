@@ -460,6 +460,52 @@ def test_gradient_of_literals_and_variables_costs_no_line():
         1.0, 2.0, 3.0) == (1.5, 2.5, 1.0, 0.0)
 
 
+def _rates_outcome(rates_and_fields, point):
+    """The hex of each float that ``rates_and_fields`` returns, flattened,
+    or its error message."""
+    try:
+        rate_l, rate_r, f_left, f_right, h_grad = rates_and_fields(*point)
+    except EvalDomainError as exc:
+        return str(exc)
+    return tuple(float(v).hex()
+                 for v in (rate_l, rate_r, *f_left, *f_right, *h_grad))
+
+
+def test_rates_and_fields_is_the_three_calls_bit_for_bit():
+    # one generated function returns what H's gradient, f_L and f_R, called
+    # in turn, return, bit for bit; where it fails, it raises the message
+    # of the first of the three to fail
+    rng = np.random.default_rng(12)
+    compared, first_failing = 0, {"switch": 0, "left": 0, "right": 0}
+    for _ in range(150):
+        trees = [_random_tree(rng, 3) for _ in range(7)]
+        switch = ScalarField(trees[0])
+        left, right = VectorField(trees[1:4]), VectorField(trees[4:])
+        stage = []
+
+        def three_calls(x1, x2, x3):
+            stage[:] = ["switch"]
+            h_grad = _, g1, g2, g3 = switch.compiled_gradient(x1, x2, x3)
+            stage[:] = ["left"]
+            f_left = l1, l2, l3 = left.compiled(x1, x2, x3)
+            stage[:] = ["right"]
+            f_right = r1, r2, r3 = right.compiled(x1, x2, x3)
+            stage[:] = []
+            return (g1 * l1 + g2 * l2 + g3 * l3, g1 * r1 + g2 * r2 + g3 * r3,
+                    f_left, f_right, h_grad)
+
+        fused = expr.compile_rates_and_fields(switch, left, right)
+        for point in _POINTS[::3]:
+            point = tuple(map(float, point))
+            want = _rates_outcome(three_calls, point)
+            assert _rates_outcome(fused, point) == want
+            if stage:
+                first_failing[stage[0]] += 1
+            else:
+                compared += 1
+    assert compared > 1500 and min(first_failing.values()) > 300
+
+
 # --------------------------------------------------------------------------
 # finite differences
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import json
 import math
 
@@ -30,7 +31,9 @@ from filippov.simulate import (
     simulate_hybrid,
     trace_tangency_curve,
 )
-from filippov.simulate import _ON_SURFACE_TOL
+from filippov.simulate import _EVENT_REFINE_TOL, _ON_SURFACE_TOL, _locate
+
+simulate_module = importlib.import_module("filippov.simulate")
 
 
 def test_sim_config_takes_a_finite_step_and_time_limit():
@@ -85,24 +88,32 @@ def test_single_left_segment_converges():
 
 # SHA-256 of the orbits of test_orbits_golden: a change to expression
 # evaluation or to the simulator that moves any sample by one bit fails it.
-# Pinned with the exact gradient of H and float-tuple RK4 steps; against
-# the central-difference gradient and numpy steps, the orbits keep their
-# regimes and sample counts and move by at most 2.4e-14.
+# Pinned with events located by the Illinois method; against bisection to
+# the same monitor tolerance, the orbits keep their regimes, segment and
+# sample counts and terminals, and move by at most 4.8e-8 in t (a slow
+# fold exit) and 4.8e-10 in the state.
 GOLDEN_ORBITS_SHA256 = (
-    "c2d916fc9e9418c67d30a6dba92133baa711ab2739e8ff90dafd516821efc6f6")
+    "61c2c9e097ba91dfa2327c5b96603b4ab6c1e12f5a172685425558bbf30f09a6")
 GOLDEN_ORBIT_CSV_SHA256 = (
-    "be3434c9df7a60d10f8177108a80da3b835ab77a4d4766752763be07aa2b2917")
+    "c1cd60ea77a1874f875bddc4597876b7b391bdd79695e5ccac716e87e5a60f73")
+
+
+# the linear parts have return multipliers 0.578 and 1.259: one orbit
+# spirals in by sliding, the other out
+GOLDEN_ABCD = ((-0.2, 5, -0.2, 3), (0.4, 5, -0.5, 6))
+
+
+def golden_orbit(abcd) -> Orbit:
+    texts = nonlinear_texts(*abcd)
+    system = FilippovSystem.parse(texts["fL"], texts["fR"], texts["H"])
+    return simulate(system, (-0.02, 0.0, -0.05),
+                    SimConfig(dt=1e-2, t_max=10.0))
 
 
 def test_orbits_golden(tmp_path, capsys):
-    # the linear parts have return multipliers 0.578 and 1.259: one orbit
-    # spirals in by sliding, the other out
     digest = hashlib.sha256()
-    for abcd in ((-0.2, 5, -0.2, 3), (0.4, 5, -0.5, 6)):
-        texts = nonlinear_texts(*abcd)
-        system = FilippovSystem.parse(texts["fL"], texts["fR"], texts["H"])
-        orbit = simulate(system, (-0.02, 0.0, -0.05),
-                         SimConfig(dt=1e-2, t_max=10.0))
+    for abcd in GOLDEN_ABCD:
+        orbit = golden_orbit(abcd)
         assert len(orbit.segments) >= 8
         digest.update(f"{orbit.terminal.value}|{orbit.detail}\n".encode())
         for seg in orbit.segments:
@@ -121,6 +132,78 @@ def test_orbits_golden(tmp_path, capsys):
     assert "terminal: timeout" in capsys.readouterr().out
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         GOLDEN_ORBIT_CSV_SHA256
+
+
+def test_events_take_few_monitor_evaluations(monkeypatch):
+    # a guard on event location that does not depend on timing: bisecting
+    # the crossing substep took about 19 monitor evaluations per event on
+    # these orbits, the Illinois method takes about 2.5
+    events, evaluations = [], []
+
+    def counting(*args):
+        *head, monitor, tol = args
+        events.append(args)
+        return _locate(*head, lambda x: evaluations.append(x) or monitor(x),
+                       tol)
+
+    monkeypatch.setattr(simulate_module, "_locate", counting)
+    for abcd in GOLDEN_ABCD:
+        golden_orbit(abcd)
+    assert len(events) >= 15
+    assert len(evaluations) / len(events) <= 6.0
+
+
+def locate_in_time(monitor, h: float, tol: float):
+    """_locate on a substep that moves time itself, from 0: returns the
+    point's tau, the monitor there and the number of evaluations."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return monitor(x[0])
+
+    tau, x = _locate(lambda x, tau: (x[0] + tau,), (0.0,), monitor(0.0), h,
+                     (h,), monitor(h), counted, tol)
+    assert x == (tau,)
+    return tau, monitor(tau), len(calls)
+
+
+@pytest.mark.parametrize("monitor, h", [
+    (lambda t: math.exp(t) - 2.0, 1.0),
+    (lambda t: math.cos(t) - 0.1, 2.0),
+    (lambda t: 0.5 - t ** 3, 1.0),
+    (lambda t: 1e-3 * math.atan(20.0 * (t - 0.013)), 0.02),
+    (lambda t: -1e4 * (t - 0.9) * (t + 0.5), 1.0),
+])
+def test_locate_reaches_the_tolerance_in_few_evaluations(monitor, h):
+    tau, m, evaluations = locate_in_time(monitor, h, _EVENT_REFINE_TOL)
+    assert 0.0 < tau <= h
+    assert abs(m) <= _EVENT_REFINE_TOL
+    assert evaluations <= 8
+
+
+@pytest.mark.parametrize("monitor, root", [
+    # a flat stretch far above the jump: every interpolated point falls
+    # on the bracket's upper end
+    (lambda t: 1e300 if t < 0.37 else -1.0, 0.37),
+    # a kink: nearly flat up to it, then steep, so that every interpolated
+    # point falls on the lower end
+    (lambda t: 1e-200 * (0.37 - t) if t < 0.37 else 0.37 - t, 0.37),
+    # a kink at the root, and a flat stretch before a steep drop: the
+    # interpolated points keep one end, and every third is a midpoint
+    (lambda t: 0.37 - t if t < 0.37 else 1e6 * (0.37 - t), 0.37),
+    (lambda t: 1.0 if t < 0.6 else 1.0 - 1e8 * (t - 0.6), 0.6 + 1e-8),
+])
+def test_locate_ends_past_the_sign_change(monitor, root):
+    # with no tolerance to stop at, the bracket closes on the sign change
+    # through midpoints where interpolation stalls or keeps one end, and
+    # the point returned is its upper end (interpolation alone would stay
+    # at 1.0 or creep from 0.0)
+    tau, m, evaluations = locate_in_time(monitor, 1.0, 0.0)
+    assert 0.0 < tau <= 1.0
+    assert m <= 0.0
+    assert abs(tau - root) <= 1e-9
+    assert evaluations <= 80
 
 
 def test_alternating_regular_and_slide_segments():
