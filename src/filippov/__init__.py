@@ -62,13 +62,7 @@ from .simulate import (
     simulate_hybrid,
     trace_tangency_curve,
 )
-from .spectrum import (
-    RealPlusPair,
-    ThreeReal,
-    companion_matrix,
-    companion_orbit,
-    eig3,
-)
+from .spectrum import RealPlusPair, ThreeReal, eig3
 from .stability import (
     Degenerate,
     Rotational,

@@ -15,8 +15,6 @@ import re
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .core import boundary_data, load_system_spec
 from .errors import FilippovError
@@ -26,13 +24,6 @@ from .simulate import (
     export_orbit,
     simulate,
     simulate_hybrid,
-)
-from .spectrum import (
-    companion_from_eigs,
-    companion_orbit,
-    crossing_indicator,
-    decay_eigvectors,
-    eig_gap_product,
 )
 from .stability import (
     Degenerate,
@@ -203,38 +194,6 @@ def cmd_fig_c(args) -> int:
     return 0
 
 
-def cmd_check_decay_orbits(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    t_grid = np.logspace(-4, 2, 101)[1:]  # 100 points in (1e-4, 1e2]
-    failures = 0
-    for _ in range(args.trials):
-        mags = 10.0 ** rng.uniform(-2.0, 2.0, size=3)
-        lams = tuple(sorted(-mags))
-        if not (lams[0] < lams[1] < lams[2] < 0.0):
-            continue
-        mat = companion_from_eigs(lams)
-        vecs = decay_eigvectors(lams)
-        for lam, vec in zip(lams, vecs):
-            residual = np.linalg.norm(mat @ vec - lam * vec)
-            scale = max(1.0, np.linalg.norm(mat) * np.linalg.norm(vec))
-            if residual > 1e-8 * scale:
-                failures += 1
-        start = companion_orbit(lams, 0.0)
-        if np.max(np.abs(start - np.array([0.0, 0.0, -1.0]))) > 1e-12:
-            failures += 1
-        if eig_gap_product(lams) <= 0.0:
-            failures += 1
-        # sign of the first orbit component, in the underflow-free form
-        if np.any(crossing_indicator(lams, t_grid) >= 0.0):
-            failures += 1
-    if failures:
-        print(f"FAIL: {failures} violations over {args.trials} trials")
-        return 1
-    print(f"PASS: decay orbits stay left of the switching plane "
-          f"({args.trials} trials)")
-    return 0
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse, with each of its own usage errors as one ``error: usage:``
     line and exit code 2 (subcommand parsers inherit the class)."""
@@ -323,13 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "pgm", "both"), default="both")
     p.set_defaults(func=cmd_fig_c)
 
-    p = sub.add_parser("check-appendix-b",
-                       help="verify that closed-form decay orbits (three "
-                            "distinct negative eigenvalues) never re-cross "
-                            "the switching plane")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_check_decay_orbits)
     return parser
 
 
@@ -340,10 +292,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    if getattr(args, "trials", 1) < 1:  # a count: below 1 is a usage error
-        return _usage("--trials must be a positive integer")
-    if getattr(args, "seed", 0) < 0:
-        return _usage("--seed must be a non-negative integer")
     if hasattr(args, "t_max"):  # orbit, orbit-system: SimConfig's rule
         try:
             SimConfig(dt=args.dt, t_max=args.t_max)

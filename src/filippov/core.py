@@ -298,10 +298,10 @@ def _rate_scale(grad, field_value) -> float:
 
 def classify_region(system: FilippovSystem, x) -> RegionKind:
     """Classify a surface point by the signs of the two normal rates."""
-    h_val = system.switch(x)
+    rate_l, rate_r, f_left, f_right, (h_val, *grad) = \
+        system.rates_and_fields(*_floats(x))
     if abs(h_val) > EQ_TOL:
         raise NotOnSurfaceError(f"|H(x)| = {abs(h_val):.3e} exceeds {EQ_TOL:g}")
-    rate_l, rate_r, f_left, f_right, grad = _rates_and_fields(system, x)
     tol_l = TANGENCY_TOL * _rate_scale(grad, f_left)
     tol_r = TANGENCY_TOL * _rate_scale(grad, f_right)
     if abs(rate_l) <= tol_l or abs(rate_r) <= tol_r:

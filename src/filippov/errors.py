@@ -85,10 +85,6 @@ class NoZeroEigenvalueError(FilippovError):
     that does not have one."""
 
 
-class EigenvalueOrderViolationError(FilippovError):
-    """Eigenvalue triple is not strictly ordered and negative."""
-
-
 # --- hybrid system ---
 
 class ConstraintViolationError(FilippovError):

@@ -5,10 +5,6 @@ solved by the depressed-cubic discriminant method (trigonometric form for
 three real roots, Cardano for one real root plus a complex pair), and the
 known zero eigenvalue of a sliding Jacobian is deflated analytically from
 the trace and the sum of principal 2x2 minors.
-
-The module also houses the closed-form forward orbit of the companion
-system with three distinct negative eigenvalues started at (0, 0, -1),
-used to verify that such orbits never re-cross the switching plane.
 """
 
 from __future__ import annotations
@@ -17,20 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
-from .errors import (
-    EigenvalueOrderViolationError,
-    NearDegenerateError,
-    NoZeroEigenvalueError,
-)
+from .errors import NearDegenerateError, NoZeroEigenvalueError
 
 __all__ = [
     "ThreeReal", "RealPlusPair", "EigTriple", "eig3", "det3",
     "char_poly_coeffs", "pair_sum_product", "pair_from_sum_product",
-    "companion_matrix", "companion_from_eigs",
-    "decay_eigvectors", "decay_coefficients", "eig_gap_product",
-    "companion_orbit", "crossing_indicator",
     "DISC_TOL", "ZERO_EIG_TOL",
 ]
 
@@ -162,20 +149,23 @@ def pair_sum_product(M) -> tuple[float, float]:
     zero eigenvalue of M (these equal the trace and the sum of principal
     2x2 minors when one eigenvalue is zero).
 
-    The test |det M| <= ZERO_EIG_TOL * max(1, |M|)^3 runs on M scaled by
-    a power of two into a norm below 2.  Such a scaling is exact, so the
-    sum and product are those of M itself, and the test cannot overflow.
+    The test |det M| <= ZERO_EIG_TOL * |M|^3 runs on M scaled by a power
+    of two into a norm in [1, 2) (below 1 if |M| is subnormal).  Such a
+    scaling is exact, so the sum and product are those of M itself, and
+    the test neither overflows nor underflows.
     """
     entries = _entries(M)
     norm = math.hypot(*entries)
-    k = max(0, math.frexp(norm)[1] - 1)
+    if norm == 0.0:
+        return 0.0, 0.0
+    k = max(-1022, math.frexp(norm)[1] - 1)  # 2**-k stays finite
     scale, inv = math.ldexp(1.0, k), math.ldexp(1.0, -k)
     tr, m, det = _coeffs(*(v * inv for v in entries))
-    ratio = abs(det) / max(inv, norm * inv) ** 3
+    ratio = abs(det) / (norm * inv) ** 3
     if ratio > ZERO_EIG_TOL:
         raise NoZeroEigenvalueError(
             "matrix determinant is not zero to tolerance "
-            f"(|det M| / max(1, |M|)^3 = {ratio:.3e})")
+            f"(|det M| / |M|^3 = {ratio:.3e})")
     return tr * scale, m * scale * scale
 
 
@@ -188,108 +178,3 @@ def pair_from_sum_product(s: float, pr: float) -> tuple[complex, complex]:
         return (complex((s + root) / 2.0), complex((s - root) / 2.0))
     beta = math.sqrt(-disc) / 2.0
     return (complex(s / 2.0, beta), complex(s / 2.0, -beta))
-
-
-def companion_matrix(tau: float, sigma: float, delta: float) -> np.ndarray:
-    """The 3x3 companion-form matrix with characteristic polynomial
-    lambda^3 - tau*lambda^2 + sigma*lambda - delta."""
-    return np.array([[tau, 1.0, 0.0],
-                     [-sigma, 0.0, 1.0],
-                     [delta, 0.0, 0.0]])
-
-
-def companion_from_eigs(lams) -> np.ndarray:
-    l1, l2, l3 = (float(v) for v in lams)
-    return companion_matrix(l1 + l2 + l3,
-                            l1 * l2 + l1 * l3 + l2 * l3,
-                            l1 * l2 * l3)
-
-
-# --------------------------------------------------------------------------
-# closed-form decay orbit for three distinct negative eigenvalues
-# --------------------------------------------------------------------------
-
-def _check_ordered_negative(lams) -> tuple[float, float, float]:
-    l1, l2, l3 = (float(v) for v in lams)
-    if not (l1 < l2 < l3 < 0.0):
-        raise EigenvalueOrderViolationError(
-            f"eigenvalues must satisfy l1 < l2 < l3 < 0, got {(l1, l2, l3)}")
-    return l1, l2, l3
-
-
-def decay_eigvectors(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvectors of the companion matrix for the given triple: the
-    vector for eigenvalue l_i is (1, -(l_j + l_k), l_j * l_k) with j, k
-    the complementary indices."""
-    l1, l2, l3 = _check_ordered_negative(lams)
-    v1 = np.array([1.0, -(l2 + l3), l2 * l3])
-    v2 = np.array([1.0, -(l3 + l1), l3 * l1])
-    v3 = np.array([1.0, -(l1 + l2), l1 * l2])
-    return v1, v2, v3
-
-
-def eig_gap_product(lams) -> float:
-    """(l1 - l2)(l2 - l3)(l3 - l1); positive for an ordered triple."""
-    l1, l2, l3 = _check_ordered_negative(lams)
-    return (l1 - l2) * (l2 - l3) * (l3 - l1)
-
-
-def decay_coefficients(lams) -> tuple[float, float, float]:
-    """Expansion coefficients of the orbit started at (0, 0, -1) in the
-    eigenvector basis of :func:`decay_eigvectors`."""
-    l1, l2, l3 = _check_ordered_negative(lams)
-    gap = eig_gap_product(lams)
-    return (l2 - l3) / gap, (l3 - l1) / gap, (l1 - l2) / gap
-
-
-def companion_orbit(lams, t):
-    """Closed-form forward orbit, from (0, 0, -1), of the companion
-    system whose eigenvalues are the given strictly ordered negative
-    triple.  ``t`` may be a scalar (returns shape (3,)) or an array
-    (returns shape (3, n)).
-
-    Evaluated as (0, 0, -1) + sum_i k_i expm1(l_i t) v_i, which is the
-    eigenbasis expansion with the exact initial condition pulled out;
-    this avoids the cancellation the plain exponential form suffers for
-    clustered eigenvalues and small t.
-    """
-    l1, l2, l3 = _check_ordered_negative(lams)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t must be non-negative")
-    k1, k2, k3 = decay_coefficients(lams)
-    v1, v2, v3 = decay_eigvectors(lams)
-    e1 = np.expm1(l1 * t)
-    e2 = np.expm1(l2 * t)
-    e3 = np.expm1(l3 * t)
-    out = (k1 * np.multiply.outer(v1, e1)
-           + k2 * np.multiply.outer(v2, e2)
-           + k3 * np.multiply.outer(v3, e3))
-    out[2] -= 1.0
-    # the first component is sign-critical at both ends of the t range:
-    # the factored form is exact at t = 0 and keeps the (negative) sign
-    # where the expm1 expansion would leave only cancellation residue
-    out[0] = np.exp(l3 * t) * _indicator(l1, l2, l3, t) / eig_gap_product(lams)
-    return out if t.ndim else out.reshape(3)
-
-
-def _indicator(l1: float, l2: float, l3: float, t):
-    a = l1 - l3
-    b = l2 - l3
-    return b * np.expm1(a * t) - a * np.expm1(b * t)
-
-
-def crossing_indicator(lams, t):
-    """The gap product times the first orbit component, with the positive
-    decay prefactor exp(l3 t) removed: b*expm1(a t) - a*expm1(b t) for
-    a = l1 - l3, b = l2 - l3.  Its sign decides whether the decay orbit
-    can re-cross the switching plane: for an ordered negative triple it
-    vanishes at t = 0 and is strictly negative for t > 0.  Cannot
-    underflow on bounded t, so strict-sign checks stay honest where the
-    orbit itself is denormal."""
-    l1, l2, l3 = _check_ordered_negative(lams)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t must be non-negative")
-    out = _indicator(l1, l2, l3, t)
-    return out if t.ndim else float(out)

@@ -127,8 +127,8 @@ def classify_equilibrium(bd: BoundaryData) -> StabilityVerdict:
 
     A, B = bd.A.tolist(), bd.B.tolist()
     norm_a = math.hypot(*A[0], *A[1], *A[2])
-    ztol_a = SIGN_TOL * max(1.0, norm_a)
-    ztol_b = SIGN_TOL * max(1.0, math.hypot(*B[0], *B[1], *B[2]))
+    ztol_a = SIGN_TOL * norm_a
+    ztol_b = SIGN_TOL * math.hypot(*B[0], *B[1], *B[2])
 
     try:
         eigs_a = eig3(A)

@@ -4,7 +4,10 @@ mpmath is not installed, a high-accuracy Dormand-Prince 5(4) integrator
 with adaptive steps), a plain recursive tree walk for the compiled
 expressions, reference gradients (sympy's derivatives at 30 digits,
 or central differences where sympy is not installed), and the local
-data and trichotomy branch by numpy's array arithmetic and eigenvalues.
+data and trichotomy branch by numpy's array arithmetic and eigenvalues,
+and the closed-form decay orbit of Appendix B: the companion system with
+three distinct negative eigenvalues, started at (0, 0, -1), never
+re-crosses the switching plane (the lemma ``StableNode`` rests on).
 """
 
 from __future__ import annotations
@@ -371,15 +374,15 @@ def branch_reference(p, q, A) -> str:
         return "Degenerate"
     A = np.asarray(A, dtype=float)
     norm_a, norm_b = float(np.linalg.norm(A)), float(np.linalg.norm(B))
-    ztol_a = SIGN_TOL * max(1.0, norm_a)
-    ztol_b = SIGN_TOL * max(1.0, norm_b)
+    ztol_a = SIGN_TOL * norm_a
+    ztol_b = SIGN_TOL * norm_b
     lams = np.linalg.eigvals(A / norm_a)
     # the discriminant of the norm-scaled characteristic cubic
     disc = ((lams[0] - lams[1]) * (lams[0] - lams[2])
             * (lams[1] - lams[2])) ** 2
     if abs(disc) <= DISC_TOL:
         return "Degenerate"
-    if abs(np.linalg.det(B)) > ZERO_EIG_TOL * max(1.0, norm_b) ** 3:
+    if abs(np.linalg.det(B)) > ZERO_EIG_TOL * norm_b ** 3:
         return "Degenerate"
     mu = np.linalg.eigvals(B)
     pair_sum = float(np.sum(mu).real)
@@ -403,3 +406,108 @@ def branch_reference(p, q, A) -> str:
     if abs(top) <= ztol_a:
         return "Degenerate"
     return "Rotational"
+
+
+# --------------------------------------------------------------------------
+# closed-form decay orbit for three distinct negative eigenvalues
+# --------------------------------------------------------------------------
+
+def companion_matrix(tau: float, sigma: float, delta: float) -> np.ndarray:
+    """The 3x3 companion-form matrix with characteristic polynomial
+    lambda^3 - tau*lambda^2 + sigma*lambda - delta."""
+    return np.array([[tau, 1.0, 0.0],
+                     [-sigma, 0.0, 1.0],
+                     [delta, 0.0, 0.0]])
+
+
+def companion_from_eigs(lams) -> np.ndarray:
+    l1, l2, l3 = (float(v) for v in lams)
+    return companion_matrix(l1 + l2 + l3,
+                            l1 * l2 + l1 * l3 + l2 * l3,
+                            l1 * l2 * l3)
+
+
+def _check_ordered_negative(lams) -> tuple[float, float, float]:
+    l1, l2, l3 = (float(v) for v in lams)
+    if not (l1 < l2 < l3 < 0.0):
+        raise ValueError(
+            f"eigenvalues must satisfy l1 < l2 < l3 < 0, got {(l1, l2, l3)}")
+    return l1, l2, l3
+
+
+def decay_eigvectors(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvectors of the companion matrix for the given triple: the
+    vector for eigenvalue l_i is (1, -(l_j + l_k), l_j * l_k) with j, k
+    the complementary indices."""
+    l1, l2, l3 = _check_ordered_negative(lams)
+    v1 = np.array([1.0, -(l2 + l3), l2 * l3])
+    v2 = np.array([1.0, -(l3 + l1), l3 * l1])
+    v3 = np.array([1.0, -(l1 + l2), l1 * l2])
+    return v1, v2, v3
+
+
+def eig_gap_product(lams) -> float:
+    """(l1 - l2)(l2 - l3)(l3 - l1); positive for an ordered triple."""
+    l1, l2, l3 = _check_ordered_negative(lams)
+    return (l1 - l2) * (l2 - l3) * (l3 - l1)
+
+
+def decay_coefficients(lams) -> tuple[float, float, float]:
+    """Expansion coefficients of the orbit started at (0, 0, -1) in the
+    eigenvector basis of :func:`decay_eigvectors`."""
+    l1, l2, l3 = _check_ordered_negative(lams)
+    gap = eig_gap_product(lams)
+    return (l2 - l3) / gap, (l3 - l1) / gap, (l1 - l2) / gap
+
+
+def companion_orbit(lams, t):
+    """Closed-form forward orbit, from (0, 0, -1), of the companion
+    system whose eigenvalues are the given strictly ordered negative
+    triple.  ``t`` may be a scalar (returns shape (3,)) or an array
+    (returns shape (3, n)).
+
+    Evaluated as (0, 0, -1) + sum_i k_i expm1(l_i t) v_i, which is the
+    eigenbasis expansion with the exact initial condition pulled out;
+    this avoids the cancellation the plain exponential form suffers for
+    clustered eigenvalues and small t.
+    """
+    l1, l2, l3 = _check_ordered_negative(lams)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("t must be non-negative")
+    k1, k2, k3 = decay_coefficients(lams)
+    v1, v2, v3 = decay_eigvectors(lams)
+    e1 = np.expm1(l1 * t)
+    e2 = np.expm1(l2 * t)
+    e3 = np.expm1(l3 * t)
+    out = (k1 * np.multiply.outer(v1, e1)
+           + k2 * np.multiply.outer(v2, e2)
+           + k3 * np.multiply.outer(v3, e3))
+    out[2] -= 1.0
+    # the first component is sign-critical at both ends of the t range:
+    # the factored form is exact at t = 0 and keeps the (negative) sign
+    # where the expm1 expansion would leave only cancellation residue
+    out[0] = np.exp(l3 * t) * _indicator(l1, l2, l3, t) / eig_gap_product(lams)
+    return out if t.ndim else out.reshape(3)
+
+
+def _indicator(l1: float, l2: float, l3: float, t):
+    a = l1 - l3
+    b = l2 - l3
+    return b * np.expm1(a * t) - a * np.expm1(b * t)
+
+
+def crossing_indicator(lams, t):
+    """The gap product times the first orbit component, with the positive
+    decay prefactor exp(l3 t) removed: b*expm1(a t) - a*expm1(b t) for
+    a = l1 - l3, b = l2 - l3.  Its sign decides whether the decay orbit
+    can re-cross the switching plane: for an ordered negative triple it
+    vanishes at t = 0 and is strictly negative for t > 0.  Cannot
+    underflow on bounded t, so strict-sign checks stay honest where the
+    orbit itself is denormal."""
+    l1, l2, l3 = _check_ordered_negative(lams)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("t must be non-negative")
+    out = _indicator(l1, l2, l3, t)
+    return out if t.ndim else float(out)

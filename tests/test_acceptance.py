@@ -18,14 +18,6 @@ from filippov.hybrid import (
     return_multiplier,
 )
 from filippov.simulate import SimConfig, return_multiplier_empirical, simulate
-from filippov.spectrum import (
-    companion_from_eigs,
-    companion_matrix,
-    companion_orbit,
-    crossing_indicator,
-    decay_eigvectors,
-    eig_gap_product,
-)
 from filippov.stability import (
     Rotational,
     StableNode,
@@ -33,7 +25,16 @@ from filippov.stability import (
     classify_equilibrium,
 )
 from filippov.sweep import CellVerdict, cell_centers, sweep
-from oracles import REFERENCE_RTOL, return_reference
+from oracles import (
+    REFERENCE_RTOL,
+    companion_from_eigs,
+    companion_matrix,
+    companion_orbit,
+    crossing_indicator,
+    decay_eigvectors,
+    eig_gap_product,
+    return_reference,
+)
 
 # Regression constants: first computed values of the three headline
 # multipliers, cross-checked against the empirical oracle below.

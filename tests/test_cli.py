@@ -65,15 +65,11 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_count_options_below_one_are_usage_errors(capsys, tmp_path):
-    for argv in (("check-appendix-b", "--trials", "-1"),
-                 ("check-appendix-b", "--trials", "0"),
-                 ("check-appendix-b", "--trials", "2", "--seed", "-1"),
-                 ("fig-c", "--out", str(tmp_path / "panels"), "--nc", "0",
-                  "--nd", "4")):
-        code, out, err = run(capsys, *argv)
-        assert code == 2, argv
-        assert out == ""
-        assert err.startswith("error: usage: ") and err.count("\n") == 1
+    code, out, err = run(capsys, "fig-c", "--out", str(tmp_path / "panels"),
+                         "--nc", "0", "--nd", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: usage: ") and err.count("\n") == 1
     assert not (tmp_path / "panels").exists()
 
 
@@ -307,6 +303,7 @@ def test_orbit_system_negative_x0_needs_no_equals_sign(capsys, tmp_path):
     ("fig-c", "--out", "panels", "--format", "gif"),
     ("lambda", "--a", "0.2", "--b", "5", "--c", "0.2", "--d", "1",
      "--steps", "512"),                            # a removed option
+    ("check-appendix-b", "--trials", "100"),       # a removed subcommand
 ])
 def test_argparse_errors_are_one_usage_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -338,12 +335,6 @@ def test_fig_panels_small(capsys, tmp_path):
     assert "sweep_a0.2_b5.csv" in files
 
 
-def test_check_decay_orbit_suite(capsys):
-    code, out, _ = run(capsys, "check-appendix-b", "--trials", "100")
-    assert code == 0
-    assert out.startswith("PASS")
-
-
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
@@ -351,8 +342,8 @@ def test_version_flag(capsys):
 
 # --------------------------------------------------------------------------
 # every invocation runs or fails with one line: argv drawn from a fixed
-# vocabulary, with grids of at most 8 cells a side, --t-max <= 1 and
-# --trials <= 20 so that each run is short
+# vocabulary, with grids of at most 8 cells a side and --t-max <= 1 so
+# that each run is short
 # --------------------------------------------------------------------------
 
 # each option's values: (good, bad), a good one drawn four times in five
@@ -379,11 +370,9 @@ SUBCOMMANDS = {
     "fig-c": {"--out": (("panels",),) * 2, "--nc": SIZES, "--nd": SIZES,
               "--c-range": RANGES, "--d-range": RANGES,
               "--format": (("csv", "pgm", "both"), ("gif",))},
-    "check-appendix-b": {"--trials": (("2", "20"), SIZES[1]),
-                         "--seed": (("0", "2"), ("-1", "x", "nan"))},
 }
 # options whose defaults would make a run long: never left out
-SIZE_OPTIONS = {"--nc", "--nd", "--trials", "--t-max"}
+SIZE_OPTIONS = {"--nc", "--nd", "--t-max"}
 EXTRA = ("--steps", "--bogus", "-1")
 
 
@@ -439,13 +428,17 @@ def test_every_invocation_exits_0_1_or_2_with_one_error_line(picks):
 
 def test_readme_commands_parse():
     # every documented command of the README's usage block is accepted by
-    # the parser (not run), so a removed option fails here
+    # the parser (not run), so a removed option fails here; and every
+    # subcommand of the parser is documented there, so an added or
+    # removed one cannot drift from the docs
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
     block = block.split("```", 1)[0].replace("\\\n", " ")
     commands = [shlex.split(line) for line in block.splitlines()
                 if line.startswith("filippov ")]
-    assert len(commands) >= 7
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+    subcommands, = (action.choices for action in parser._actions
+                    if action.dest == "command")
+    assert {argv[1] for argv in commands} == set(subcommands)

@@ -213,15 +213,17 @@ def test_classify_region_cases():
 
 
 def test_classify_region_takes_one_gradient(monkeypatch):
-    # the rates and both tolerance scales share one call of the generated
-    # function of H's gradient and both fields; the separate ones of
-    # H's gradient and of each field are not called
+    # the on-surface check, the rates and both tolerance scales share one
+    # call of the generated function of H, its gradient and both fields;
+    # the separate ones of H, of H's gradient and of each field are not
+    # called
     system = region_system(1, -1)
     calls = []
     rates_and_fields = system.rates_and_fields
     monkeypatch.setitem(system.__dict__, "rates_and_fields",
                         lambda *x: calls.append(x) or rates_and_fields(*x))
-    for field, name in ((system.switch, "compiled_gradient"),
+    for field, name in ((system.switch, "compiled"),
+                        (system.switch, "compiled_gradient"),
                         (system.left, "compiled"), (system.right, "compiled")):
         monkeypatch.setitem(field.__dict__, name, None)
     assert classify_region(system, (0, 0, 0)) \

@@ -30,9 +30,14 @@ from filippov.hybrid import (
     _result_from_outcome,
 )
 from filippov.simulate import SimConfig, Terminal, simulate_hybrid
-from filippov.spectrum import companion_matrix
 from filippov.stability import hybrid_params_from_spectrum
-from oracles import REFERENCE_RTOL, flow_reference, for_all, return_reference
+from oracles import (
+    REFERENCE_RTOL,
+    companion_matrix,
+    flow_reference,
+    for_all,
+    return_reference,
+)
 
 FIG_STABLE = (0.2, 5.0, 0.2, 1.0)
 FIG_UNSTABLE = (-0.2, 0.5, -0.5, 8.0)

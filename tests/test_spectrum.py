@@ -3,26 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from filippov.errors import (
-    EigenvalueOrderViolationError,
-    NearDegenerateError,
-    NoZeroEigenvalueError,
-)
+from filippov.errors import NearDegenerateError, NoZeroEigenvalueError
 from filippov.hybrid import left_matrix, slide_block
 from filippov.spectrum import (
     RealPlusPair,
     ThreeReal,
     char_poly_coeffs,
+    eig3,
+    pair_from_sum_product,
+    pair_sum_product,
+)
+from oracles import (
     companion_from_eigs,
     companion_matrix,
     companion_orbit,
     crossing_indicator,
     decay_coefficients,
     decay_eigvectors,
-    eig3,
     eig_gap_product,
-    pair_from_sum_product,
-    pair_sum_product,
 )
 
 
@@ -171,6 +169,20 @@ def test_nonzero_pair_requires_zero_eigenvalue():
         nonzero_pair(np.diag([1.0, 2.0, 3.0]))
 
 
+def test_zero_eigenvalue_test_is_relative():
+    # |det M| <= ZERO_EIG_TOL * |M|^3 has no floor at |M| = 1: a small
+    # matrix without a zero eigenvalue is not taken to have one, and a
+    # small one with it keeps its pair, down to a subnormal norm
+    for s in (1e-5, 1e-150, 1e-300):
+        with pytest.raises(NoZeroEigenvalueError):
+            pair_sum_product(s * np.eye(3))
+    s, pr = pair_sum_product(np.diag([0.0, -1e-150, -2e-150]))
+    assert abs(s + 3e-150) <= 1e-15 * 3e-150
+    assert abs(pr - 2e-300) <= 1e-15 * 2e-300
+    assert pair_sum_product(np.diag([0.0, 1e-320, 3e-320])) == (4e-320, 0.0)
+    assert pair_sum_product(np.zeros((3, 3))) == (0.0, 0.0)
+
+
 # --------------------------------------------------------------------------
 # the four-parameter family's blocks
 # --------------------------------------------------------------------------
@@ -198,7 +210,7 @@ def test_slide_block_convention():
 
 
 # --------------------------------------------------------------------------
-# decay orbit (three distinct negative eigenvalues)
+# the oracle's decay orbit (three distinct negative eigenvalues)
 # --------------------------------------------------------------------------
 
 def test_decay_orbit_initial_condition():
@@ -263,9 +275,9 @@ def test_orbit_satisfies_companion_ode():
 
 
 def test_decay_orbit_validates_input():
-    with pytest.raises(EigenvalueOrderViolationError):
+    with pytest.raises(ValueError, match="l1 < l2 < l3 < 0"):
         companion_orbit((-1.0, -2.0, -3.0), 1.0)  # wrong order
-    with pytest.raises(EigenvalueOrderViolationError):
+    with pytest.raises(ValueError, match="l1 < l2 < l3 < 0"):
         companion_orbit((-2.0, -1.0, 0.5), 1.0)  # not all negative
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-negative"):
         companion_orbit((-3.0, -2.0, -1.0), -1.0)  # negative time

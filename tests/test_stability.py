@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from filippov.core import BoundaryData
+from filippov.core import BoundaryData, FilippovSystem, boundary_data
 from filippov.errors import NearDegenerateError
-from filippov.spectrum import ThreeReal, companion_matrix, eig3
+from filippov.hybrid import return_multiplier
+from filippov.spectrum import ThreeReal, eig3
 from filippov.stability import (
     Degenerate,
     Rotational,
@@ -13,7 +14,12 @@ from filippov.stability import (
     classify_equilibrium,
     hybrid_params_from_spectrum,
 )
-from oracles import branch_reference, for_all, local_data_reference
+from oracles import (
+    branch_reference,
+    companion_matrix,
+    for_all,
+    local_data_reference,
+)
 
 
 def bd_from(p, q, A):
@@ -282,7 +288,7 @@ def test_time_scaled_local_data_keep_branch_and_params():
         branch, params = _branch_and_params(classify_equilibrium(
             bd_from(p, q, A)))
         seen.add(branch)
-        for s in (1e10, 1e50, 1e100, 1e150):
+        for s in (1e-150, 1e-100, 1e-50, 1e-10, 1e10, 1e50, 1e100, 1e150):
             got, got_params = _branch_and_params(classify_equilibrium(
                 bd_from(p, s * q, s * A)))
             assert got == branch, (s, p, q, A)
@@ -292,3 +298,35 @@ def test_time_scaled_local_data_keep_branch_and_params():
                     assert abs(getattr(got_params, name) - want) <= \
                         1e-12 * max(1.0, abs(want))
     assert seen == set(BRANCHES)
+
+
+def _scaled_chain(s):
+    # a nonlinear rotational system and a nonlinear stable node, both
+    # fields scaled by s: the chain the CLI runs, to the verdict and the
+    # return multiplier
+    rotational = FilippovSystem.parse(
+        (f"{s!r}*(0.2*x1 + x2 + x1^2)", f"{s!r}*(-5*x1 + x3)", f"{s!r}*(-x1)"),
+        (f"{s!r}*(-1)", f"{s!r}*0.5", f"{s!r}*(-3)"), "x1 + 0.1*x2^2")
+    node = FilippovSystem.parse(
+        (f"{s!r}*(-6*x1 + x2 + x2^2)", f"{s!r}*(-11*x1 + x3)",
+         f"{s!r}*(-6*x1)"),
+        (f"{s!r}*(-1)", f"{s!r}*(-3)", f"{s!r}*(-2)"), "x1")
+    verdict = classify_equilibrium(boundary_data(rotational, (0, 0, 0)))
+    node_verdict = classify_equilibrium(boundary_data(node, (0, 0, 0)))
+    assert isinstance(verdict, Rotational), verdict
+    assert isinstance(node_verdict, StableNode), node_verdict
+    return verdict.params, return_multiplier(verdict.params)
+
+
+@pytest.mark.parametrize("s", [1e-150, 1e-100, 1e-50, 1.0, 1e50, 1e100,
+                               1e150])
+def test_verdict_and_multiplier_do_not_depend_on_time_scale(s):
+    # every sign tolerance is relative to a norm, with no floor at 1, so
+    # a slow system is not read as degenerate
+    want_params, want = _scaled_chain(1.0)
+    params, got = _scaled_chain(s)
+    for name in "abcd":
+        assert abs(getattr(params, name) - getattr(want_params, name)) <= \
+            1e-12 * abs(getattr(want_params, name))
+    assert got.status is want.status
+    assert abs(got.value - want.value) <= 1e-12 * want.value
