@@ -78,12 +78,14 @@ class FilippovSystem:
         """The Filippov sliding vector field as one function (x1, x2, x3)
         -> 3-tuple: the convex combination of the two fields that is
         tangent to the surface.  Raises DegenerateSlidingError where the
-        two normal rates coincide."""
+        two normal rates coincide.  Given ``rates``, the result of
+        :attr:`rates_and_fields` at the same point, it computes them
+        from that instead of calling it again."""
         rates_and_fields = self.rates_and_fields
 
-        def sliding(x1: float, x2: float, x3: float):
+        def sliding(x1: float, x2: float, x3: float, rates=None):
             rate_l, rate_r, (l1, l2, l3), (r1, r2, r3), _ = \
-                rates_and_fields(x1, x2, x3)
+                rates_and_fields(x1, x2, x3) if rates is None else rates
             gap = rate_l - rate_r
             if abs(gap) <= TANGENCY_TOL * (abs(rate_l) + abs(rate_r) + 1.0):
                 raise DegenerateSlidingError(

@@ -145,11 +145,11 @@ def _locate(step, x_from, m_from: float, h: float, x_hi, m_hi: float,
     return hi, x_hi
 
 
-def _rk4_tuple(f, y, h: float):
+def _rk4_tuple(f, y, h: float, k1=None):
     """One classic 4th-order step of dy/dt = f(y1, y2, y3) on a 3-tuple
-    of floats."""
+    of floats; ``k1``, if given, is f(y)."""
     y1, y2, y3 = y
-    k11, k12, k13 = f(y1, y2, y3)
+    k11, k12, k13 = f(y1, y2, y3) if k1 is None else k1
     k21, k22, k23 = f(y1 + 0.5 * h * k11, y2 + 0.5 * h * k12,
                       y3 + 0.5 * h * k13)
     k31, k32, k33 = f(y1 + 0.5 * h * k21, y2 + 0.5 * h * k22,
@@ -286,17 +286,22 @@ class _Sim:
         rates = self.system.rates_and_fields
         field = self.system.sliding
         rate_left = lambda x: rates(*x)[0]
-        step = lambda x, tau: project(_rk4_tuple(field, x, tau))
+        # every substep starts at self.x; k1, set below, is its first stage
+        step = lambda x, tau: project(_rk4_tuple(field, x, tau, k1))
         self.x = project(self.x)
-        rate_now = rate_left(self.x)
-        armed = rate_now > _EVENT_REFINE_TOL
+        rates_now = rates(*self.x)
+        armed = rates_now[0] > _EVENT_REFINE_TOL
         wobbles = 0
         while True:
             if self.check_terminal():
                 return None
             dt = min(self.cfg.dt, self.cfg.t_max - self.t)
+            # first same as last: the rates the monitor took at the last
+            # step's end give this step's first stage
+            k1 = field(*self.x, rates_now)
             x_new = step(self.x, dt)
-            rate_new, rate_r = rates(*x_new)[:2]
+            rates_new = rates(*x_new)
+            rate_new, rate_r = rates_new[:2]
             if rate_r >= 0.0:
                 raise RepellingSlidingEncounteredError(
                     f"right field stopped pointing at the surface during "
@@ -305,7 +310,7 @@ class _Sim:
                 if rate_new > _EVENT_REFINE_TOL:
                     armed = True
             elif rate_new <= 0.0:
-                tau, x_ev = _locate(step, self.x, rate_now, dt, x_new,
+                tau, x_ev = _locate(step, self.x, rates_now[0], dt, x_new,
                                     rate_new, rate_left, _EVENT_REFINE_TOL)
                 curv = fold_curvature(self.system, x_ev)
                 if curv < 0.0:
@@ -323,7 +328,7 @@ class _Sim:
                         "invisible side; aborting")
             self.t += dt
             self.x = x_new
-            rate_now = rate_new
+            rates_now = rates_new
             seg.samples.append((self.t, *self.x))
 
     # -- main loop -------------------------------------------------

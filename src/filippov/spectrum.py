@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import NearDegenerateError, NoZeroEigenvalueError
 
@@ -44,7 +43,7 @@ class RealPlusPair:
     beta: float
 
 
-EigTriple = Union[ThreeReal, RealPlusPair]
+EigTriple = ThreeReal | RealPlusPair
 
 
 def _entries(M) -> tuple[float, ...]:
@@ -52,6 +51,14 @@ def _entries(M) -> tuple[float, ...]:
     (a, b, c), (d, e, f), (g, h, i) = M.tolist() if hasattr(M, "tolist") else M
     return (float(a), float(b), float(c), float(d), float(e), float(f),
             float(g), float(h), float(i))
+
+
+def _finite_entries(M) -> tuple[float, ...]:
+    """:func:`_entries`, refusing a NaN or an infinity."""
+    entries = _entries(M)
+    if not all(map(math.isfinite, entries)):
+        raise ValueError("matrix has non-finite entries")
+    return entries
 
 
 def det3(M) -> float:
@@ -93,9 +100,7 @@ def eig3(M) -> EigTriple:
     norm-scaled matrix; magnitudes below DISC_TOL raise
     :class:`NearDegenerateError` (repeated roots -- the caller decides).
     """
-    entries = _entries(M)
-    if not all(map(math.isfinite, entries)):
-        raise ValueError("matrix has non-finite entries")
+    entries = _finite_entries(M)
     norm = math.hypot(*entries)
     scale = norm if norm > 0.0 else 1.0
     tr, m, det = _coeffs(*(v / scale for v in entries))
@@ -152,9 +157,10 @@ def pair_sum_product(M) -> tuple[float, float]:
     The test |det M| <= ZERO_EIG_TOL * |M|^3 runs on M scaled by a power
     of two into a norm in [1, 2) (below 1 if |M| is subnormal).  Such a
     scaling is exact, so the sum and product are those of M itself, and
-    the test neither overflows nor underflows.
+    the test neither overflows nor underflows.  A NaN or infinite entry
+    raises ValueError, as in :func:`eig3`.
     """
-    entries = _entries(M)
+    entries = _finite_entries(M)
     norm = math.hypot(*entries)
     if norm == 0.0:
         return 0.0, 0.0

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from .core import BoundaryData, is_observable
 from .errors import NearDegenerateError, NoZeroEigenvalueError
@@ -86,8 +85,8 @@ class Degenerate:
     reason: str
 
 
-StabilityVerdict = Union[UnstableRightward, UnstableEigenvalue, StableNode,
-                         Rotational, Degenerate]
+StabilityVerdict = (UnstableRightward | UnstableEigenvalue | StableNode
+                    | Rotational | Degenerate)
 
 
 def hybrid_params_from_spectrum(alpha: float, beta: float, gamma: float,

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -347,6 +348,131 @@ def test_roundtrip_random_trees():
     for _ in range(300):
         tree = _random_tree(rng, 4)
         assert parse_expr(format_expr(tree)) == tree
+
+
+# --------------------------------------------------------------------------
+# the skeleton cache: a shape parsed before is built, not parsed
+# --------------------------------------------------------------------------
+
+def _with_literals(tree, values):
+    """``tree`` with its literals, left to right, replaced by ``values``."""
+    if isinstance(tree, Num):
+        return Num(next(values))
+    if isinstance(tree, Neg):
+        return Neg(_with_literals(tree.operand, values))
+    if isinstance(tree, Call):
+        return Call(tree.func, _with_literals(tree.arg, values))
+    if isinstance(tree, BinOp):
+        return BinOp(tree.op, _with_literals(tree.left, values),
+                     _with_literals(tree.right, values))
+    return tree
+
+
+def _same_tree(got, text):
+    want = expr._parse(text)  # the recursive-descent parser, uncached
+    assert got == want and repr(got) == repr(want)
+
+
+def test_cached_trees_are_the_parsers(monkeypatch):
+    # a skeleton is parsed on its first two sightings, the builder is
+    # written on the second, and every later text with that skeleton,
+    # whatever its literals' values and lengths, is built equal to the
+    # parser's tree
+    parsed = []
+    parse = expr._parse
+    monkeypatch.setattr(expr, "_parse",
+                        lambda text: parsed.append(text) or parse(text))
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        expr._BUILDERS.clear()
+        parsed.clear()
+        tree = _random_tree(rng, 4)
+        texts = [format_expr(tree)] * 3
+        for _ in range(3):
+            values = map(float, 10.0 ** rng.uniform(-20, 20, size=64)
+                         * rng.integers(0, 2, size=64))
+            texts.append(format_expr(_with_literals(tree, values)))
+        for text in texts:
+            got, want = parse_expr(text), parse(text)
+            assert got == want and repr(got) == repr(want)
+        assert parsed == texts[:2]
+    # a tree at the depth limit is built without nesting a call
+    parsed.clear()
+    total = " + ".join(["1.5*x1"] * (MAX_DEPTH - 1))
+    for k in ("1.5", "1.5", "2.5e-300", "7"):
+        assert parse_expr(total.replace("1.5", k)) == \
+            parse(total.replace("1.5", k))
+    assert parsed == [total] * 2
+
+
+def test_cache_keeps_the_parsers_errors():
+    for _ in range(2):
+        parse_expr("x1 + 2.5*x2")
+    assert callable(expr._BUILDERS["x1 + #*x2"])
+    cases = [
+        ("x1 + 1.2.3*x2", 6, "bad numeric literal '1.2.3', expected a number"),
+        ("x1 + .*x2", 6, "bad numeric literal '.', expected a number"),
+        ("x1 + \u00b2*x2", 6, "bad numeric literal '\u00b2', expected a number"),
+        ("x1 + #*x2", 6,
+         "unexpected character '#', expected an operand or operator"),
+    ]
+    for text, offset, message in cases:
+        errors = []
+        for parse in (parse_expr, expr._parse):
+            with pytest.raises(ExprSyntaxError) as exc_info:
+                parse(text)
+            errors.append((exc_info.value.offset, str(exc_info.value)))
+        assert errors == [(offset, f"syntax error at offset {offset}: "
+                           f"{message}")] * 2
+    # a non-ASCII digit that float() reads goes to the parser too
+    _same_tree(parse_expr("x1 + \u0663*x2"), "x1 + \u0663*x2")
+    assert parse_expr("x1 + \u0663*x2") == parse_expr("x1 + 3*x2")
+
+
+def test_skeletons_keep_their_names():
+    # the digits of a variable are part of its name, not a literal
+    for _ in range(3):
+        assert parse_expr("x1 + x2") == BinOp("+", Var("x1"), Var("x2"))
+        assert parse_expr("x1 + x3") == BinOp("+", Var("x1"), Var("x3"))
+        assert parse_expr("2*x1") == BinOp("*", Num(2.0), Var("x1"))
+        assert parse_expr("2*x3") == BinOp("*", Num(2.0), Var("x3"))
+    for text in ("x1 + x2", "x1 + x3", "#*x1", "#*x3"):
+        assert callable(expr._BUILDERS[text])
+
+
+def test_literal_scan_splits_as_the_tokenizer():
+    # the scan finds each literal the tokenizer finds, at the same offset
+    # and with the same text, on texts mixing names, exponents and dots
+    rng = np.random.default_rng(13)
+    alphabet = list("x1e.E+-5_ ")
+    for _ in range(4000):
+        text = "".join(rng.choice(alphabet, size=rng.integers(1, 12)))
+        scanned = [(m.start() + 1, m[1]) for m in expr._LITERAL.finditer(text)]
+        try:
+            tokens = expr._tokenize(text)
+        except ExprSyntaxError as exc:
+            # only a literal that float() rejects stops the tokenizer here
+            [bad] = [lit for offset, lit in scanned if offset == exc.offset]
+            assert f"bad numeric literal '{bad}'" in str(exc)
+            tokens = expr._tokenize(text[:exc.offset - 1])
+            scanned = [(o, lit) for o, lit in scanned if o < exc.offset]
+        assert [(o, float(lit)) for o, lit in scanned] == \
+            [(o, value) for kind, value, o in tokens if kind == "num"]
+
+
+def test_cache_is_bounded():
+    # 600 skeletons, each seen twice: the oldest are dropped, and the
+    # bound is a constant, with no option on parse_expr
+    assert list(inspect.signature(parse_expr).parameters) == ["text"]
+    assert expr._MAX_BUILDERS == 512
+    for k in range(600):
+        text = "x1" + " " * k + "+ 1"
+        for _ in range(2):
+            assert parse_expr(text) == BinOp("+", Var("x1"), Num(1.0))
+            assert len(expr._BUILDERS) <= expr._MAX_BUILDERS
+    assert len(expr._BUILDERS) == expr._MAX_BUILDERS
+    assert "x1+ #" not in expr._BUILDERS
+    assert callable(expr._BUILDERS["x1" + " " * 599 + "+ #"])
 
 
 # --------------------------------------------------------------------------

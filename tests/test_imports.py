@@ -70,3 +70,34 @@ def test_traced_bindings_resolve():
         if not callable(getattr(owner, attr, None)):
             missing.append(f"{module}.{cls}.{attr}")
     assert len(spans.FUNCTIONS) >= 20 and missing == []
+
+
+def test_a_fresh_import_releases_the_earlier_one():
+    # typing caches the unions it builds: a module-level typing.Union of
+    # the package's classes kept every earlier import of the package alive
+    # (the benchmark re-imports it for each of its set-ups); ``|`` unions
+    # are not cached
+    import os
+    import subprocess
+    import sys
+
+    code = "\n".join([
+        "import gc, importlib, sys, weakref",
+        "import filippov",
+        "old = [weakref.ref(getattr(sys.modules[f'filippov.{module}'], name))",
+        "       for module, name in (('expr', 'Num'), ('spectrum', 'ThreeReal'),",
+        "                            ('stability', 'Rotational'))]",
+        "filippov.parse_expr('2*x1'), filippov.parse_expr('3*x1')",
+        "for name in [n for n in sys.modules if n.startswith('filippov')]:",
+        "    del sys.modules[name]",
+        "del filippov",
+        "importlib.import_module('filippov')",
+        "gc.collect()",
+        "print(sum(ref() is not None for ref in old))",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ,
+                               "PYTHONPATH": str(PACKAGE.parent)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"

@@ -153,6 +153,34 @@ def test_events_take_few_monitor_evaluations(monkeypatch):
     assert len(evaluations) / len(events) <= 6.0
 
 
+def test_slide_step_makes_five_generated_calls():
+    # first same as last: the rates the fold monitor takes at a slide
+    # step's end give the next step's first RK4 stage, so a step calls the
+    # generated code five times (three stages, the projection's gradient,
+    # the monitor), not six
+    def generated_calls(t_max: float) -> tuple[int, int]:
+        system = FilippovSystem.parse(("1", "x3", "1 + x2^2"),
+                                      ("1", "0", "-1 - x1^2"), "x3")
+        calls = []
+        for owner, name in ((system, "rates_and_fields"),
+                            (system.switch, "compiled_gradient")):
+            generated = getattr(owner, name)
+            # the cached property's value, replaced by a counting one
+            owner.__dict__[name] = \
+                lambda *x, generated=generated: calls.append(x) or generated(*x)
+        orbit = simulate(system, (1.0, 0.0, 0.0),
+                         SimConfig(dt=1e-2, t_max=t_max))
+        assert orbit.terminal is Terminal.TIMEOUT
+        [segment] = orbit.segments
+        assert segment.regime == "S"
+        return len(segment.samples), len(calls)
+
+    samples_short, calls_short = generated_calls(0.5)
+    samples_long, calls_long = generated_calls(1.0)
+    assert samples_long - samples_short == 50
+    assert calls_long - calls_short == 5 * 50
+
+
 def locate_in_time(monitor, h: float, tol: float):
     """_locate on a substep that moves time itself, from 0: returns the
     point's tau, the monitor there and the number of evaluations."""

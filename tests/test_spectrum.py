@@ -110,6 +110,14 @@ def test_eig3_rejects_non_finite_entries():
             eig3([[-1.0, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 0.0, -3.0]])
 
 
+def test_pair_sum_product_rejects_non_finite_entries():
+    # a NaN entry used to slip past the zero-eigenvalue test as (nan, nan)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            pair_sum_product([[bad, 0.0, 0.0], [0.0, 1.0, 0.0],
+                              [0.0, 0.0, 0.0]])
+
+
 def test_determinant_matches_lu():
     rng = np.random.default_rng(3)
     for _ in range(200):
