@@ -63,7 +63,9 @@ def _verdict_line(result: LambdaResult) -> str:
 
 def _print_lambda(result: LambdaResult) -> None:
     print(f"status: {result.status.value}")
-    if result.value is not None:
+    if result.value in (0.0, math.inf):  # beyond the float range
+        print(f"log_lambda: {result.log_value!r}")
+    elif result.value is not None:
         print(f"lambda: {result.value!r}")
     if result.detail:
         print(f"detail: {result.detail}")

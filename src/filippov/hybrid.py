@@ -12,16 +12,21 @@ half turn by half turn of the rotation, with sign and Lipschitz root
 exclusion (Moore, *Interval Analysis*, 1966): the search either brackets
 the first root, which a secant refines to a tolerance relative to R, or
 proves that the leg never returns.  It has no step size, step budget,
-norm floor or norm ceiling.  The return map is linear in the start, so
-the size of a hit says nothing about stability: a segment diverges only
-when it provably never returns while its dominant mode grows, or when its
-hit overflows (an OverflowError or a non-finite value).  Against a
-50-digit mpmath reference, the multipliers agree to 1.4e-14 relative at
-worst on 715 random returning sets (see the README).
+norm floor or norm ceiling.
+
+The return map is linear in the start, so its multiplier is computed as
+log Lambda, a sum of logs of closed-form terms: the plane hit is
+e^{alpha t} v with v = e^{-alpha t} y(t) bounded, and the slide's return
+is log |y3| = r t + log w, with w and the rate r of its block (see
+:func:`_line_hit_block`).  Nothing on the way leaves the float range,
+and the size of a hit decides nothing: a segment diverges only when it
+provably never returns while its dominant mode grows.  Against a
+50-digit mpmath reference, log Lambda agrees to 1e-13 max(1, |log
+Lambda|) on a wide random corpus (see the README).
 
 The multiplier of the first-return map to the line decides stability:
-values below 1 (or an orbit that never returns and decays) mean the
-origin attracts, values above 1 mean it repels.
+log Lambda below 0 (or an orbit that never returns and decays) means the
+origin attracts, above 0 that it repels.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -49,9 +54,11 @@ __all__ = [
     "return_multiplier", "return_map", "LambdaArrays", "slide_domain",
 ]
 
-# A return multiplier within this distance of 1 makes no stability claim.
+# A return multiplier whose log is within this distance of 0 makes no
+# stability claim.
 MARGINAL_TOL = 1e-9
 _EPS = sys.float_info.epsilon
+_LOG_MAX = math.log(sys.float_info.max)  # math.exp(_LOG_MAX) is finite
 # The regular segment's secant stops once |h| <= _SECANT_TOL * R (R the
 # amplitude of the rotating part of y1 e^{-alpha t}), and raises
 # ToleranceNotMetError when it has not within _MAX_SECANT_ITERS.
@@ -59,10 +66,28 @@ _SECANT_TOL = 1e-12
 _MAX_SECANT_ITERS = 60
 
 
-def _marginal(value):
-    """Whether a multiplier (a float or an array) is within MARGINAL_TOL
-    of 1."""
-    return abs(value - 1.0) <= MARGINAL_TOL
+def _marginal(log_value):
+    """Whether a log multiplier (a float or an array) is within
+    MARGINAL_TOL of 0."""
+    return abs(log_value) <= MARGINAL_TOL
+
+
+def _exp(x: float) -> float:
+    """e^x, inf beyond the float range (where math.exp raises)."""
+    return math.exp(x) if x <= _LOG_MAX else math.inf
+
+
+def _discriminant(c, d):
+    """c^2 - 4d of floats or arrays, with the rounding error of c^2 added
+    back (Dekker's exact product, 1971): accurate to a few ulps of itself
+    where c^2 and 4d nearly cancel, as the rates of a slow rotation or a
+    nearly resonant slide need."""
+    split = c * 134217729.0  # 2^27 + 1
+    hi = split - (split - c)
+    lo = c - hi
+    square = c * c
+    return ((square - 4.0 * d)
+            + (((hi * hi - square) + 2.0 * hi * lo) + lo * lo))
 
 
 @dataclass(frozen=True)
@@ -103,11 +128,18 @@ class LambdaStatus(Enum):
 
 @dataclass(frozen=True)
 class LambdaResult:
-    """Outcome of a return-multiplier computation."""
+    """Outcome of a return-multiplier computation: log Lambda where it is
+    defined, which decides the status."""
 
     status: LambdaStatus
-    value: Optional[float] = None
+    log_value: Optional[float] = None
     detail: str = ""
+
+    @property
+    def value(self) -> Optional[float]:
+        """Lambda = exp(log_value): inf or 0.0 beyond the float range,
+        None where undefined."""
+        return None if self.log_value is None else _exp(self.log_value)
 
     @property
     def defined(self) -> bool:
@@ -121,60 +153,76 @@ class LambdaResult:
         if self.status is LambdaStatus.MARGINAL:
             return None
         if self.status is LambdaStatus.DEFINED:
-            return self.value < 1.0
+            return self.log_value < 0.0
         return self.status is LambdaStatus.UNDEFINED_CONVERGED
 
     def __post_init__(self):
         if self.status in (LambdaStatus.DEFINED, LambdaStatus.MARGINAL):
-            if self.value is None or not math.isfinite(self.value) \
-                    or self.value <= 0.0:
+            if self.log_value is None or not math.isfinite(self.log_value):
                 raise FilippovError(
-                    f"a defined multiplier must be finite and positive, "
-                    f"got {self.value!r}")
+                    f"a defined multiplier must have a finite log, "
+                    f"got {self.log_value!r}")
             if (self.status is LambdaStatus.MARGINAL) != \
-                    _marginal(self.value):
+                    _marginal(self.log_value):
                 raise FilippovError("marginal status inconsistent with value")
 
     @classmethod
-    def from_value(cls, value: float, detail: str = "") -> "LambdaResult":
-        """A computed multiplier: marginal within MARGINAL_TOL of 1,
-        defined otherwise."""
-        status = (LambdaStatus.MARGINAL if _marginal(value)
+    def from_log(cls, log_value: float, detail: str = "") -> "LambdaResult":
+        """A computed multiplier from its log: marginal within
+        MARGINAL_TOL of 0, defined otherwise."""
+        status = (LambdaStatus.MARGINAL if _marginal(log_value)
                   else LambdaStatus.DEFINED)
-        return cls(status, value, detail)
+        return cls(status, log_value, detail)
 
 
 class LambdaArrays(NamedTuple):
     """Return multipliers over arrays of (c, d), from :func:`return_map`:
-    the :class:`LambdaStatus` of each (dtype object) and its value (NaN
+    the :class:`LambdaStatus` of each (dtype object) and log Lambda (NaN
     where undefined)."""
 
     status: np.ndarray
-    value: np.ndarray
+    log_value: np.ndarray
+
+    @property
+    def value(self) -> np.ndarray:
+        """Lambda = exp(log_value): inf or 0.0 beyond the float range,
+        NaN where undefined."""
+        with np.errstate(over="ignore", under="ignore"):
+            return np.exp(self.log_value)
 
     @property
     def stable(self) -> np.ndarray:
         """:attr:`LambdaResult.stable` of each multiplier, False where it
         is marginal (test ``status`` for those)."""
         return ((self.status == LambdaStatus.UNDEFINED_CONVERGED)
-                | ((self.status == LambdaStatus.DEFINED) & (self.value < 1.0)))
+                | ((self.status == LambdaStatus.DEFINED)
+                   & (self.log_value < 0.0)))
 
 
 @dataclass(frozen=True)
 class SegmentEvent:
     """A located switching event: the first positive time at which the
-    monitored coordinate of the current flow reaches zero."""
+    monitored coordinate of the current flow reaches zero.  The hit is
+    e^{log_scale} v with v bounded, so that its size is known beyond the
+    float range too."""
 
     t_hit: float
-    y_hit: tuple[float, float, float]
+    v: tuple[float, float, float]
+    log_scale: float
     transition: str  # "regular-to-slide" | "slide-to-return"
+
+    @property
+    def y_hit(self) -> tuple[float, float, float]:
+        """The hit point; a component beyond the float range reads +/-inf
+        or 0."""
+        scale = _exp(self.log_scale)
+        return tuple(x * scale if x else 0.0 for x in self.v)
 
 
 @dataclass(frozen=True)
 class Termination:
-    """A flow segment ended without an event: it provably never returns
-    (it converges or diverges at the rate of its dominant mode), or its
-    hit overflows (diverges)."""
+    """A flow segment ended without an event: it provably never returns,
+    and converges or diverges at the rate of its dominant mode."""
 
     status: LambdaStatus  # one of the UNDEFINED_* values
     detail: str
@@ -188,6 +236,7 @@ class ReturnOutcome:
     zeta: Optional[float]  # third coordinate of the return point
     detail: str = ""
     events: tuple[SegmentEvent, ...] = ()
+    log_ratio: Optional[float] = None  # log(zeta / z) = log Lambda
 
 
 # --------------------------------------------------------------------------
@@ -265,72 +314,16 @@ def _spiral_at(split: _SpiralSplit, mu: float, alpha: float, beta: float,
             er * u3 + ec * (co * w3 + si * g3))
 
 
-# Planar slide flow: eigenvalue structure of [[c, 1], [-d, 0]].
-_PLANAR_COMPLEX = "complex"
-_PLANAR_REAL = "real"
-_PLANAR_RESONANT = "resonant"
-
-
-class _PlanarModes(NamedTuple):
-    """The slide from (y2_0, y3_0) split along the eigenstructure of
-    [[c, 1], [-d, 0]].  ``kind`` fixes the meaning of the rates p, q and
-    of the mode coefficients m = (m2, m3):
-
-    - complex: y(t) = e^{pt} (cos(qt) y0 + sin(qt) m), eigenvalues p +/- iq;
-    - real: y2(t) = m2 e^{pt} + m3 e^{qt}, eigenvalues p > q, whose
-      eigenvectors (1, p - c) = (1, -q) and (1, -p) give y3;
-    - resonant: y(t) = e^{pt} (y0 + t m), double eigenvalue p = q.
-    """
-
-    kind: str
-    p: float
-    q: float
-    y2_0: float
-    y3_0: float
-    m2: float
-    m3: float
-
-    def at(self, t: float) -> tuple[float, float]:
-        """(y2, y3) at time t."""
-        if self.kind == _PLANAR_COMPLEX:
-            ec = math.exp(self.p * t)
-            co = math.cos(self.q * t)
-            si = math.sin(self.q * t)
-            return (ec * (co * self.y2_0 + si * self.m2),
-                    ec * (co * self.y3_0 + si * self.m3))
-        if self.kind == _PLANAR_REAL:
-            e1 = math.exp(self.p * t)
-            e2 = math.exp(self.q * t)
-            return (self.m2 * e1 + self.m3 * e2,
-                    -self.m2 * self.q * e1 - self.m3 * self.p * e2)
-        er = math.exp(self.p * t)
-        return er * (self.y2_0 + t * self.m2), er * (self.y3_0 + t * self.m3)
-
-
-def _planar_modes(c: float, d: float, y2_0: float, y3_0: float,
-                  ) -> _PlanarModes:
-    disc = c * c - 4.0 * d
-    tol = 1e-12 * max(1.0, c * c + 4.0 * abs(d))
-    if disc < -tol:
-        alpha = c / 2.0
-        beta = math.sqrt(-disc) / 2.0
-        return _PlanarModes(_PLANAR_COMPLEX, alpha, beta, y2_0, y3_0,
-                            (c * y2_0 + y3_0 - alpha * y2_0) / beta,
-                            (-d * y2_0 - alpha * y3_0) / beta)
-    if disc > tol:
-        root = math.sqrt(disc)
-        r1 = (c + root) / 2.0
-        r2 = (c - root) / 2.0
-        k1 = (y3_0 + r1 * y2_0) / (r1 - r2)
-        return _PlanarModes(_PLANAR_REAL, r1, r2, y2_0, y3_0, k1, y2_0 - k1)
-    r = c / 2.0
-    return _PlanarModes(_PLANAR_RESONANT, r, r, y2_0, y3_0,
-                        c * y2_0 + y3_0 - r * y2_0, -d * y2_0 - r * y3_0)
+# A slide block [[c, 1], [-d, 0]] is resonant where
+# |c^2 - 4d| <= _RESONANCE_RTOL (c^2 + 4|d|).
+_RESONANCE_RTOL = 1e-12
 
 
 def _hybrid_spectrum(a: float, b: float) -> tuple[float, float, float]:
-    """(mu, alpha, beta) of the regular piece: mu = -1 exactly."""
-    return -1.0, a / 2.0, math.sqrt(4.0 * b - a * a) / 2.0
+    """(mu, alpha, beta) of the regular piece: mu = -1 exactly.  The
+    check b > a*a/4 of HybridParams makes 4b - a^2 > 0 exactly, as a*a/4
+    is a^2/4 rounded to the nearest float."""
+    return -1.0, a / 2.0, math.sqrt(-_discriminant(a, b)) / 2.0
 
 
 def flow_left(params: HybridParams, y0, t: float) -> np.ndarray:
@@ -345,15 +338,30 @@ def flow_left(params: HybridParams, y0, t: float) -> np.ndarray:
 def flow_slide(params: HybridParams, y0, t: float) -> np.ndarray:
     """Closed-form sliding flow at time t >= 0; y0 must lie on the
     switching plane (first component zero) and the first component of the
-    result is exactly zero."""
+    result is exactly zero.
+
+    With p = c/2 and N = [[c, 1], [-d, 0]] - p I, N^2 = (p^2 - d) I, so
+    exp(N t) = C I + S N: C = cos(qt), S = sin(qt)/q for a complex pair
+    p +/- iq, C = cosh(kt), S = sinh(kt)/k for a real pair p +/- k, and
+    C = 1, S = t for a double root."""
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    y0 = np.asarray(y0, dtype=float)
-    if abs(y0[0]) > 1e-9 * max(1.0, float(np.linalg.norm(y0))):
+    y1, y2, y3 = map(float, y0)
+    if abs(y1) > 1e-9 * math.hypot(y1, y2, y3):
         raise ValueError("y0 is not on the switching plane (y1 != 0)")
-    modes = _planar_modes(params.c, params.d, float(y0[1]), float(y0[2]))
-    z2, z3 = modes.at(float(t))
-    return np.array([0.0, z2, z3])
+    c, d, t = params.c, params.d, float(t)
+    p = c / 2.0
+    disc = _discriminant(c, d)
+    half = math.sqrt(abs(disc)) / 2.0
+    if disc < 0.0:
+        co, si = math.cos(half * t), math.sin(half * t) / half
+    elif disc > 0.0:
+        co, si = math.cosh(half * t), math.sinh(half * t) / half
+    else:
+        co, si = 1.0, t
+    e = math.exp(p * t)
+    return np.array([0.0, e * (co * y2 + si * (p * y2 + y3)),
+                     e * (co * y3 - si * (d * y2 + p * y3))])
 
 
 # --------------------------------------------------------------------------
@@ -524,12 +532,12 @@ def _termination(kind: str, detail: str) -> Termination:
 
 
 def _plane_hit_spiral(M, mu: float, alpha: float, beta: float, y0,
-                      ) -> Union[SegmentEvent, Termination]:
+                      ) -> SegmentEvent | Termination:
     """First time the regular flow from y0 (with y1 <= 0) reaches y1 = 0,
     or the reason it never does.  A leg that never returns has mu >=
-    alpha, so it converges when mu < 0 and diverges otherwise; a hit
-    that overflows (or is not finite) diverges.  The hit is refined on h
-    to ``_SECANT_TOL`` times the rotation's amplitude R."""
+    alpha, so it converges when mu < 0 and diverges otherwise.  The hit is
+    refined on h to ``_SECANT_TOL`` times the rotation's amplitude R, and
+    is e^{alpha t} v with v = e^{-alpha t} y(t), the flow of M - alpha."""
     split = _spiral_split(M, mu, alpha, beta, y0)
     u1, w1, g1 = split.u[0], split.w[0], split.g[0]
     lam = mu - alpha
@@ -541,67 +549,59 @@ def _plane_hit_spiral(M, mu: float, alpha: float, beta: float, y0,
         si = math.sin(beta * t)
         return e + w1 * co + g1 * si, lam * e, beta * (g1 * co - w1 * si)
 
-    try:
-        bracket = _plane_bracket(split, float(y0[0]), lam, beta, terms)
-        if bracket is None:
-            return _termination("converged" if mu < 0.0 else "diverged",
-                                "never returns: the real mode outweighs "
-                                "the rotation (regular segment)")
-        t_hit = _refine_root(lambda t: terms(t)[0], *bracket,
-                             _SECANT_TOL * math.hypot(w1, g1),
-                             _MAX_SECANT_ITERS)
-        y_hit = _spiral_at(split, mu, alpha, beta, t_hit)
-    except OverflowError:
-        y_hit = (math.inf,) * 3
-    if not math.isfinite(math.hypot(*y_hit)):
-        return _termination("diverged",
-                            "overflow before the plane hit (regular segment)")
-    return SegmentEvent(t_hit, y_hit, "regular-to-slide")
+    bracket = _plane_bracket(split, float(y0[0]), lam, beta, terms)
+    if bracket is None:
+        return _termination("converged" if mu < 0.0 else "diverged",
+                            "never returns: the real mode outweighs "
+                            "the rotation (regular segment)")
+    t_hit = _refine_root(lambda t: terms(t)[0], *bracket,
+                         _SECANT_TOL * math.hypot(w1, g1), _MAX_SECANT_ITERS)
+    return SegmentEvent(t_hit, _spiral_at(split, lam, 0.0, beta, t_hit),
+                        alpha * t_hit, "regular-to-slide")
 
 
 def _line_hit_block(c: float, d: float, y2_0: float, y3_0: float,
-                    ) -> Union[SegmentEvent, Termination]:
-    """First time the sliding flow from (0, y2_0, y3_0), y2_0 > 0,
-    reaches y2 = 0: the exact first root of the closed form."""
-    modes = _planar_modes(c, d, y2_0, y3_0)
-    try:
-        if modes.kind == _PLANAR_COMPLEX:
-            # y2(t) = e^{pt} R cos(qt - phi) with R = hypot(y2_0, m2) and
-            # phi = atan2(m2, y2_0) in (-pi/2, pi/2), as y2_0 > 0: the first
-            # zero is at qt - phi = pi/2, the only one in (0, pi/q)
-            t_hit = (math.atan2(modes.m2, y2_0) + math.pi / 2.0) / modes.q
-            y3_hit = (math.exp(modes.p * t_hit)
-                      * (modes.m3 * y2_0 - y3_0 * modes.m2)
-                      / math.hypot(y2_0, modes.m2))
-        else:
-            # y2 has at most one positive root (for a real pair only when
-            # m2 < 0, as y2_0 = m2 + m3 > 0 and p > q); without one, the
-            # slide decays or grows at its dominant rate
-            t_hit = None
-            if modes.kind == _PLANAR_REAL:
-                rate = modes.p if modes.m2 != 0.0 else modes.q
-                if modes.m2 < 0.0 and -modes.m3 / modes.m2 > 1.0:
-                    t_hit = (math.log(-modes.m3 / modes.m2)
-                             / (modes.p - modes.q))
-            else:
-                rate = modes.p
-                if modes.m2 < 0.0:
-                    t_hit = -y2_0 / modes.m2
-            if t_hit is None:
-                if rate < 0.0:
-                    return _termination("converged",
-                                        "slide decays without returning "
-                                        "(sliding segment)")
-                return _termination("diverged",
-                                    "slide grows without returning "
-                                    "(sliding segment)")
-            y3_hit = modes.at(t_hit)[1]
-    except OverflowError:
-        y3_hit = math.inf
-    if not math.isfinite(y3_hit):
-        return _termination("diverged",
-                            "overflow at the return (sliding segment)")
-    return SegmentEvent(float(t_hit), (0.0, 0.0, float(y3_hit)),
+                    log_scale: float) -> SegmentEvent | Termination:
+    """First time the sliding flow from e^{log_scale} (0, y2_0, y3_0),
+    y2_0 > 0, reaches y2 = 0: the exact first root of the closed form.
+
+    There y3 = y2' < 0, and log |y3| is a sum of logs.  With p = c/2:
+
+    - a complex pair p +/- iq returns at t = atan2(q y2_0, -n) / q,
+      n = y3_0 + p y2_0, with |y3| = e^{pt} hypot(n, q y2_0), the square
+      root of y3_0^2 + c y2_0 y3_0 + d y2_0^2;
+    - a real pair r1 > r2 (or the double root r1 = r2 = p) returns when
+      w = -(y3_0 + r1 y2_0) > 0, at t = log1p((r1 - r2) y2_0 / w) /
+      (r1 - r2) (t = y2_0 / w for the double root), with
+      |y3| = e^{r1 t} w; otherwise the slide decays or grows at its
+      dominant rate.
+    """
+    disc = _discriminant(c, d)
+    tol = _RESONANCE_RTOL * (c * c + 4.0 * abs(d))
+    p = c / 2.0
+    if disc < -tol:
+        q = math.sqrt(-disc) / 2.0
+        n = y3_0 + p * y2_0
+        t_hit = math.atan2(q * y2_0, -n) / q
+        log_y3 = p * t_hit + math.log(math.hypot(n, q * y2_0))
+    else:
+        # a real pair has c < 0 (HybridParams), so r2 = p - gap/2 carries
+        # no cancellation, and r1 = d / r2
+        gap = math.sqrt(disc) if disc > tol else 0.0
+        r2 = p - gap / 2.0
+        r1 = d / r2 if gap else p
+        w = -(y3_0 + r1 * y2_0)
+        if not w > 0.0:
+            # y2 = k1 e^{r1 t} + k2 e^{r2 t} with k1 = -w / gap >= 0
+            rate = r1 if w else r2
+            if rate < 0.0:
+                return _termination("converged", "slide decays without "
+                                    "returning (sliding segment)")
+            return _termination("diverged", "slide grows without returning "
+                                "(sliding segment)")
+        t_hit = math.log1p(gap * y2_0 / w) / gap if gap else y2_0 / w
+        log_y3 = r1 * t_hit + math.log(w)
+    return SegmentEvent(t_hit, (0.0, 0.0, -1.0), log_scale + log_y3,
                         "slide-to-return")
 
 
@@ -611,61 +611,50 @@ _DEFINED, _MARGINAL, _CONVERGED, _DIVERGED = range(4)
 
 
 def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
-                     ) -> LambdaArrays:
+                     log_scale: float) -> LambdaArrays:
     """:func:`_line_hit_block` and the verdict on its return, over arrays
-    of valid (c, d) sliding from one start (0, y2_0, y3_0), y2_0 > 0.
+    of valid (c, d) sliding from one start e^{log_scale} (0, y2_0, y3_0),
+    y2_0 > 0.
 
     Every block kind is evaluated on every cell and the cell's own kind
     selects the result.  A slide without a return decays or grows at its
-    dominant rate; a return that overflows (is not finite) is divergence;
-    a return at or above the origin is convergence.
+    dominant rate.
     """
     with np.errstate(all="ignore"):
-        disc = c * c - 4.0 * d
-        tol = 1e-12 * np.maximum(1.0, c * c + 4.0 * np.abs(d))
+        disc = _discriminant(c, d)
+        tol = _RESONANCE_RTOL * (c * c + 4.0 * np.abs(d))
         is_complex = disc < -tol
         is_real = disc > tol
-        # complex pair p +/- iq, and the resonant double root p: their
-        # mode coefficients share the numerators n2, n3
         p = c / 2.0
-        n2 = c * y2_0 + y3_0 - p * y2_0
-        n3 = -d * y2_0 - p * y3_0
-        q = np.sqrt(-disc) / 2.0
-        m2, m3 = n2 / q, n3 / q
-        t_c = (np.arctan2(m2, y2_0) + np.pi / 2.0) / q
-        y3_c = np.exp(p * t_c) * (m3 * y2_0 - y3_0 * m2) / np.hypot(y2_0, m2)
-        t_s = -y2_0 / n2
-        y3_s = np.exp(p * t_s) * (y3_0 + t_s * n3)
-        # real pair r1 > r2: y2 = k1 e^{r1 t} + k2 e^{r2 t}
-        root = np.sqrt(disc)
-        r1 = (c + root) / 2.0
-        r2 = (c - root) / 2.0
-        k1 = (y3_0 + r1 * y2_0) / (r1 - r2)
-        k2 = y2_0 - k1
-        ratio = -k2 / k1
-        t_r = np.log(ratio) / (r1 - r2)
-        y3_r = -k1 * r2 * np.exp(r1 * t_r) - k2 * r1 * np.exp(r2 * t_r)
-
-        returns = is_complex | np.where(is_real, (k1 < 0.0) & (ratio > 1.0),
-                                        n2 < 0.0)
-        rate = np.where(is_real, np.where(k1 != 0.0, r1, r2), p)
-        y3 = np.where(is_complex, y3_c, np.where(is_real, y3_r, y3_s))
-        value = -y3
+        root = np.sqrt(np.abs(disc))
+        # complex pair p +/- iq, q = root / 2
+        q = root / 2.0
+        n = y3_0 + p * y2_0
+        t_c = np.arctan2(q * y2_0, -n) / q
+        # real pair r1 > r2 with r1 - r2 = gap, or the double root p
+        gap = np.where(is_real, root, 0.0)
+        r2 = p - gap / 2.0
+        r1 = np.where(is_real, d / r2, p)
+        w = -(y3_0 + r1 * y2_0)
+        t_r = np.where(is_real, np.log1p(gap * y2_0 / w) / gap, y2_0 / w)
+        # one log for every kind
+        log_y3 = np.where(is_complex, p * t_c, r1 * t_r) + np.log(
+            np.where(is_complex, np.hypot(n, q * y2_0), w))
+        log_value = log_scale + log_y3
+        rate = np.where(w != 0.0, r1, r2)
         status = np.select(
-            [~returns, ~np.isfinite(y3), y3 >= 0.0,
-             _marginal(value)],
-            [np.where(rate < 0.0, _CONVERGED, _DIVERGED), _DIVERGED,
-             _CONVERGED, _MARGINAL], _DEFINED)
+            [~(is_complex | (w > 0.0)), _marginal(log_value)],
+            [np.where(rate < 0.0, _CONVERGED, _DIVERGED), _MARGINAL],
+            _DEFINED)
     return LambdaArrays(_STATUSES[status],
-                        np.where(status <= _MARGINAL, value, np.nan))
+                        np.where(status <= _MARGINAL, log_value, np.nan))
 
 
 # --------------------------------------------------------------------------
 # public event / return-map operations
 # --------------------------------------------------------------------------
 
-def first_hit_plane(params: HybridParams, y0,
-                    ) -> Union[SegmentEvent, Termination]:
+def first_hit_plane(params: HybridParams, y0) -> SegmentEvent | Termination:
     """First positive time at which the regular flow from y0 (in
     y1 <= 0) reaches the switching plane, or the reason it never does.
     Raises ValueError for y1 > 0, and for a start on the plane from
@@ -677,86 +666,72 @@ def first_hit_plane(params: HybridParams, y0,
                              *_hybrid_spectrum(params.a, params.b), y0)
 
 
-def first_hit_line(params: HybridParams, y0,
-                   ) -> Union[SegmentEvent, Termination]:
+def first_hit_line(params: HybridParams, y0) -> SegmentEvent | Termination:
     """First positive time at which the sliding flow from y0 (on the
     plane, with y2 > 0) reaches the return line y1 = y2 = 0."""
     y0 = tuple(float(v) for v in y0)
-    if abs(y0[0]) > 1e-9 * max(1.0, math.hypot(*y0)):
+    if abs(y0[0]) > 1e-9 * math.hypot(*y0):
         raise ValueError("y0 is not on the switching plane")
     if y0[1] <= 0.0:
         raise ValueError("y0 must have y2 > 0")
-    return _line_hit_block(params.c, params.d, y0[1], y0[2])
+    size = max(y0[1], abs(y0[2]))  # the slide runs from a start of size 1
+    return _line_hit_block(params.c, params.d, y0[1] / size, y0[2] / size,
+                           math.log(size))
 
 
-def _slide_start(plane_result: Union[SegmentEvent, Termination],
-                 ) -> Union[SegmentEvent, ReturnOutcome]:
+def _slide_start(plane_result: SegmentEvent | Termination,
+                 ) -> SegmentEvent | ReturnOutcome:
     """The regular-segment event the slide starts from, or the outcome
     when the return is decided without a slide: the regular segment
     ended without an event, or its plane hit lies on the return line."""
     ev1 = plane_result
     if isinstance(ev1, Termination):
         return ReturnOutcome(_outcome_of(ev1), None, ev1.detail)
-    y2h, y3h = ev1.y_hit[1], ev1.y_hit[2]
-    if y2h <= 1e-12 * math.hypot(*ev1.y_hit):
+    _, v2, v3 = ev1.v
+    if v2 <= 1e-12 * math.hypot(*ev1.v):
         # the plane hit landed on the return line itself, to rounding
         # relative to its size (the map is linear in the start)
-        if y3h >= 0.0:
+        if v3 >= 0.0:
             return ReturnOutcome("converged", None,
                                  "return at or above the origin", (ev1,))
-        return ReturnOutcome("returned", y3h,
-                             "plane hit on the return line", (ev1,))
+        return ReturnOutcome("returned", ev1.y_hit[2],
+                             "plane hit on the return line", (ev1,),
+                             ev1.log_scale + math.log(-v3))
     return ev1
 
 
-def _compose_return(plane_result: Union[SegmentEvent, Termination],
+def _compose_return(plane_result: SegmentEvent | Termination,
                     c: float, d: float) -> ReturnOutcome:
     """Finish a first-return computation given the regular-segment result
     (which depends only on a, b, and the start point)."""
     ev1 = _slide_start(plane_result)
     if isinstance(ev1, ReturnOutcome):
         return ev1
-    ev2 = _line_hit_block(c, d, ev1.y_hit[1], ev1.y_hit[2])
+    ev2 = _line_hit_block(c, d, ev1.v[1], ev1.v[2], ev1.log_scale)
     if isinstance(ev2, Termination):
         return ReturnOutcome(_outcome_of(ev2), None, ev2.detail, (ev1,))
-    zeta = ev2.y_hit[2]
-    if zeta >= 0.0:
-        return ReturnOutcome("converged", None,
-                             "return at or above the origin", (ev1, ev2))
-    return ReturnOutcome("returned", zeta, "", (ev1, ev2))
-
-
-def _scale_back(v: float, k: int) -> float:
-    """v * 2**k, infinite where that overflows."""
-    try:
-        return math.ldexp(v, k)
-    except OverflowError:
-        return math.copysign(math.inf, v)
+    return ReturnOutcome("returned", ev2.y_hit[2], "", (ev1, ev2),
+                         ev2.log_scale)
 
 
 def first_return(params: HybridParams, z: float) -> ReturnOutcome:
     """Compose the regular and sliding segments from (0, 0, z), z < 0,
     and report the third coordinate of the first return to the line.
 
-    The map is linear in z.  It runs from z / 2**k in [-2, -1), away from
-    both ends of the float range, and its points are scaled back by the
-    exact factor 2**k; a return beyond the float range diverges."""
+    The map is linear in z: it runs from (0, 0, -1), and log(-z) is
+    added to the log scale of each hit.  A point beyond the float range
+    reads +/-inf or 0; ``log_ratio`` is log Lambda for every z."""
     z = float(z)
     if not -math.inf < z < 0.0:
         raise ValueError("z must be finite and negative")
-    mant, k = math.frexp(z)
-    k -= 1
-    ev1 = first_hit_plane(params, (0.0, 0.0, 2.0 * mant))
-    out = _compose_return(ev1, params.c, params.d)
-    if k == 0:
+    out = _compose_return(first_hit_plane(params, (0.0, 0.0, -1.0)),
+                          params.c, params.d)
+    if z == -1.0:
         return out
-    events = tuple(replace(ev, y_hit=tuple(_scale_back(v, k)
-                                           for v in ev.y_hit))
+    shift = math.log(-z)
+    events = tuple(replace(ev, log_scale=ev.log_scale + shift)
                    for ev in out.events)
-    zeta = None if out.zeta is None else _scale_back(out.zeta, k)
-    if zeta is not None and math.isinf(zeta):
-        return ReturnOutcome("diverged", None, "overflow at the return",
-                             events)
+    zeta = None if out.log_ratio is None else -_exp(out.log_ratio + shift)
     return replace(out, zeta=zeta, events=events)
 
 
@@ -767,7 +742,7 @@ def _outcome_of(term: Termination) -> str:
 
 def _result_from_outcome(out: ReturnOutcome) -> LambdaResult:
     if out.status == "returned":
-        return LambdaResult.from_value(-out.zeta, out.detail)
+        return LambdaResult.from_log(out.log_ratio, out.detail)
     if out.status == "converged":
         return LambdaResult(LambdaStatus.UNDEFINED_CONVERGED, None, out.detail)
     return LambdaResult(LambdaStatus.UNDEFINED_DIVERGED, None, out.detail)
@@ -775,7 +750,7 @@ def _result_from_outcome(out: ReturnOutcome) -> LambdaResult:
 
 def return_multiplier(params: HybridParams) -> LambdaResult:
     """The return-map multiplier: minus the image of -1 under the first
-    return to the line, or the reason it is undefined."""
+    return to the line, as its log, or the reason it is undefined."""
     return _result_from_outcome(first_return(params, -1.0))
 
 
@@ -804,7 +779,7 @@ def return_map(a: float, b: float,
     one shape, or broadcastable), raises :class:`ConstraintViolationError`
     through :class:`HybridParams` if any pair is invalid, and returns the
     :class:`LambdaArrays` of that shape.  Statuses agree with
-    :func:`return_multiplier`, values to rounding.
+    :func:`return_multiplier`, log values to rounding.
     """
     if not (math.isfinite(b) and b > a * a / 4.0):  # also rejects a NaN
         raise ConstraintViolationError(
@@ -815,7 +790,7 @@ def return_map(a: float, b: float,
     if isinstance(head, ReturnOutcome):
         # decided before any slide: every (c, d) has the same multiplier
         result = _result_from_outcome(head)
-        value = np.nan if result.value is None else result.value
+        log_value = np.nan if result.log_value is None else result.log_value
 
     def multiplier(c, d) -> LambdaArrays:
         c, d = np.broadcast_arrays(np.asarray(c, dtype=float),
@@ -826,8 +801,8 @@ def return_map(a: float, b: float,
             HybridParams(a, b, float(c.ravel()[k]), float(d.ravel()[k]))
         if isinstance(head, ReturnOutcome):
             return LambdaArrays(np.full(c.shape, result.status, dtype=object),
-                                np.full(c.shape, value))
-        return _line_hit_arrays(c, d, head.y_hit[1], head.y_hit[2])
+                                np.full(c.shape, log_value))
+        return _line_hit_arrays(c, d, head.v[1], head.v[2], head.log_scale)
 
     return multiplier
 

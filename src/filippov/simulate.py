@@ -491,7 +491,7 @@ def return_multiplier_empirical(params: HybridParams,
         if zeta >= 0.0:
             return LambdaResult(LambdaStatus.UNDEFINED_CONVERGED, None,
                                 "return at or above the origin")
-        return LambdaResult.from_value(-zeta, "empirical")
+        return LambdaResult.from_log(math.log(-zeta), "empirical")
     if orbit.terminal is Terminal.CONVERGED:
         return LambdaResult(LambdaStatus.UNDEFINED_CONVERGED, None,
                             orbit.detail or "norm below floor")

@@ -2,10 +2,10 @@
 
 For fixed (a, b), cells of a (c, d) grid are classified blue (multiplier
 below 1, or an orbit proved to decay without returning), red (above 1,
-or an orbit proved to grow without returning, or one whose return
-overflows), white (parameters outside the valid region: c > 0 with
-d < c^2/4, d <= 0, or b <= a^2/4), or gray (marginal value or a per-cell
-numerical failure).  Cells are evaluated at their centers.
+or an orbit proved to grow without returning), white (parameters
+outside the valid region: c > 0 with d < c^2/4, d <= 0, or
+b <= a^2/4), or gray (marginal value or a per-cell numerical failure).
+Cells are evaluated at their centers.
 
 The regular segment of the return map depends only on (a, b), so it is
 computed once per grid; the slides of all cells are then evaluated as
@@ -132,7 +132,7 @@ def _verdicts(lam: LambdaArrays):
     colour = np.where(stable, CellVerdict.BLUE, CellVerdict.RED)
     colour[lam.status == LambdaStatus.MARGINAL] = CellVerdict.GRAY
     detail = _UNDEFINED_TEXT[stable.astype(np.intp)]
-    numeric = ~np.isnan(lam.value)
+    numeric = ~np.isnan(lam.log_value)
     detail[numeric] = list(map(repr, lam.value[numeric].tolist()))
     return colour, detail
 

@@ -104,18 +104,31 @@ def integrate_adaptive(f: Callable[[float, np.ndarray], np.ndarray], y0,
 
 def _flow_at(M, y0):
     """t -> (exp(M t) y0, M exp(M t) y0): mpmath's ``expm`` at the
-    working precision, or ``integrate_adaptive`` when mpmath is missing."""
-    M = np.asarray(M, dtype=float)
+    working precision, or ``integrate_adaptive`` when mpmath is missing.
+    M holds floats, or mpmath numbers for mpmath."""
     if mp is None:
+        M = np.asarray(M, dtype=float)
+
         def at(t):
             y = integrate_adaptive(lambda s, v: M @ v, y0, t)
             return y, M @ y
         return at
-    A = mp.matrix(M.tolist())
+    A = mp.matrix(np.asarray(M).tolist())
     y_start = mp.matrix([mp.mpf(v) for v in y0])
+    first = []  # (t0, exp(M t0) y0) of the first call
 
     def at(t):
-        y = mp.expm(A * t) * y_start
+        # later times step from the first one by the Taylor series of
+        # exp(M (t - t0)) applied to a vector, summed to the working
+        # precision: the events lie within a short step of it
+        if not first:
+            first.append((t, mp.expm(A * t) * y_start))
+        t0, y = first[0]
+        term, k = y, 0
+        while mp.mnorm(term, 1) > mp.eps * mp.mnorm(y, 1):
+            k += 1
+            term = A * term * ((t - t0) / k)
+            y = y + term
         return y, A * y
     return at
 
@@ -141,7 +154,8 @@ def _reference_root(flow, t_guess: float, dps: int):
     width = 1e-6 * max(1.0, t_guess)
     if mp is not None:
         t_guess, width = mp.mpf(t_guess), mp.mpf(width)
-    assert flow(t_guess - width)[0][0] * flow(t_guess + width)[0][0] < 0, \
+    before, after = flow(t_guess - width)[0][0], flow(t_guess + width)[0][0]
+    assert before < 0 < after or after < 0 < before, \
         "no sign change around the given root"
     t = t_guess
     for _ in range(1 if mp is None else 20):
@@ -153,21 +167,46 @@ def _reference_root(flow, t_guess: float, dps: int):
     raise AssertionError("Newton's method did not converge")
 
 
-def return_reference(M, c: float, d: float, t_plane: float, t_line: float,
+def _left_rows(a: float, b: float):
+    """The regular piece's matrix [[a - 1, 1, 0], [a - b, 0, 1],
+    [-b, 0, 0]], its entries exact at the working precision (floats for
+    the adaptive integrator): rounding a - 1 and a - b to floats moves a
+    slow rotation's spectrum far more than their own rounding."""
+    if mp is not None:
+        a, b = mp.mpf(a), mp.mpf(b)
+    return [[a - 1, 1, 0], [a - b, 0, 1], [-b, 0, 0]]
+
+
+def _reference_return(params, t_plane: float, t_line: float, dps: int):
+    """Minus the third coordinate of the return from (0, 0, -1), as an
+    mpmath number (a float with the adaptive integrator)."""
+    regular = _flow_at(_left_rows(params.a, params.b), (0.0, 0.0, -1.0))
+    y = regular(_reference_root(regular, t_plane, dps))[0]
+    slide = _flow_at([[params.c, 1.0], [-params.d, 0.0]], (y[1], y[2]))
+    return -slide(_reference_root(slide, t_line, dps))[0][1]
+
+
+def return_reference(params, t_plane: float, t_line: float,
                      dps: int = 50) -> float:
-    """The return multiplier from (0, 0, -1) of a regular piece with
-    matrix M and a slide with block [[c, 1], [-d, 0]], independently of
-    the closed forms: each flow is ``expm`` at ``dps`` digits (or the
-    adaptive integrator), and each event the root of its monitor next to
-    the time the package found, t_plane for the plane hit and t_line for
-    the slide's return (see :func:`_reference_root`).  Agrees with the
-    exact value to REFERENCE_RTOL relative."""
+    """The return multiplier from (0, 0, -1) of the hybrid system with
+    parameters ``params``, independently of the closed forms: each flow
+    is ``expm`` at ``dps`` digits (or the adaptive integrator), and each
+    event the root of its monitor next to the time the package found,
+    t_plane for the plane hit and t_line for the slide's return (see
+    :func:`_reference_root`).  Agrees with the exact value to
+    REFERENCE_RTOL relative."""
     with _precision(dps + 10):
-        regular = _flow_at(M, (0.0, 0.0, -1.0))
-        y = regular(_reference_root(regular, t_plane, dps))[0]
-        slide = _flow_at([[c, 1.0], [-d, 0.0]], (y[1], y[2]))
-        z = slide(_reference_root(slide, t_line, dps))[0]
-        return float(-z[1])
+        return float(_reference_return(params, t_plane, t_line, dps))
+
+
+def log_return_reference(params, t_plane: float, t_line: float,
+                         dps: int = 50) -> float:
+    """log of :func:`return_reference`, to REFERENCE_RTOL absolute.  With
+    mpmath it holds where the multiplier lies beyond the float range too;
+    the adaptive integrator raises NonFiniteStateError there."""
+    with _precision(dps + 10):
+        value = _reference_return(params, t_plane, t_line, dps)
+        return float(mp.log(value)) if mp is not None else math.log(value)
 
 
 def for_all(examples: int, seed: int, strategy, draw):

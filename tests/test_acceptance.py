@@ -14,7 +14,6 @@ from filippov.hybrid import (
     HybridParams,
     LambdaStatus,
     first_return,
-    left_matrix,
     return_multiplier,
 )
 from filippov.simulate import SimConfig, return_multiplier_empirical, simulate
@@ -333,8 +332,7 @@ def test_criterion_11_event_pipeline_convergence(defined_sample):
     worst = 0.0
     for params, closed_value in defined_sample:
         out = first_return(params, -1.0)
-        ref = return_reference(left_matrix(params.a, params.b), params.c,
-                               params.d, *(ev.t_hit for ev in out.events))
+        ref = return_reference(params, *(ev.t_hit for ev in out.events))
         worst = max(worst, abs(closed_value - ref) / ref)
     ok = worst <= max(1e-13, REFERENCE_RTOL)
     report(11, "defined multipliers match the high-precision reference", ok,

@@ -50,6 +50,28 @@ def test_lambda_unstable_point(capsys):
     assert "verdict: unstable" in out
 
 
+def test_lambda_beyond_the_float_range_prints_its_log(capsys):
+    # Lambda = e^3140.88 and e^-2820.66 are no floats: the log stands in
+    # the lambda line's place, and every other line keeps its form
+    code, out, err = run(capsys, "lambda", "--a", "0.2", "--b", "5",
+                         "--c", "2", "--d", "1.000001")
+    assert code == 0 and err == ""
+    status, log_line, verdict = out.splitlines()
+    assert status == "status: defined" and verdict == "verdict: unstable"
+    assert abs(float(log_line.removeprefix("log_lambda: ")) - 3140.88) < 0.01
+    code, out, _ = run(capsys, "lambda", "--a", "-0.2", "--b", "0.5",
+                       "--c", "-1.8", "--d", "0.810001")
+    assert code == 0
+    status, log_line, verdict = out.splitlines()
+    assert status == "status: defined"
+    assert verdict == "verdict: asymptotically stable"
+    assert float(log_line.removeprefix("log_lambda: ")) < -2800.0
+    code, out, _ = run(capsys, "lambda", "--a", "0.2", "--b", "5",
+                       "--c", "0.2", "--d", "1")
+    assert out == ("status: defined\nlambda: 0.8272034035385081\n"
+                   "verdict: asymptotically stable\n")
+
+
 def test_lambda_constraint_violation(capsys):
     code, out, err = run(capsys, "lambda", "--a", "0.2", "--b", "0.005",
                          "--c", "0", "--d", "1")

@@ -24,6 +24,7 @@ from filippov.hybrid import (
     slide_block,
 )
 from filippov.hybrid import (
+    _LOG_MAX,
     _SECANT_TOL,
     _compose_return,
     _plane_hit_spiral,
@@ -31,11 +32,13 @@ from filippov.hybrid import (
 )
 from filippov.simulate import SimConfig, Terminal, simulate_hybrid
 from filippov.stability import hybrid_params_from_spectrum
+import oracles
 from oracles import (
     REFERENCE_RTOL,
     companion_matrix,
     flow_reference,
     for_all,
+    log_return_reference,
     return_reference,
 )
 
@@ -269,12 +272,15 @@ def test_slide_below_norm_floor_still_returns():
         <= 1e-6 * 3.587356021744259e-09
 
 
-def test_slide_overflow_is_divergence():
-    # a nearly resonant complex block with a growing rate: exp overflows
-    # before the return
-    result = return_multiplier(HybridParams(0.2, 5.0, 1.0, 0.25 + 1e-11))
-    assert result.status is LambdaStatus.UNDEFINED_DIVERGED
-    assert result.stable is False
+def test_slide_beyond_the_float_range_is_defined():
+    # a nearly resonant complex block with a growing rate: the return,
+    # after about 1e6 time units, lies far beyond the float range, and its
+    # log is the 50-digit reference's
+    params = HybridParams(0.2, 5.0, 1.0, 0.25 + 1e-11)
+    result = return_multiplier(params)
+    assert result.status is LambdaStatus.DEFINED
+    assert result.stable is False and result.value == math.inf
+    assert_log_reference(params, result.log_value, 496728.51190307905)
 
 
 def test_line_hit_real_block_decays_without_return():
@@ -304,6 +310,25 @@ def test_line_hit_requires_positive_y2():
         first_hit_line(params, (0.0, -1.0, 0.0))
 
 
+def test_on_plane_checks_do_not_depend_on_the_size_of_the_start():
+    # the slide is linear in its start: a start whose y1 is 10 y2 is off
+    # the plane at every size, and one on it is on it at every size
+    params = HybridParams(*FIG_STABLE)
+    for scale in (1e-300, 1e-9, 1.0, 1e9, 1e300):
+        off = (1e-1 * scale, 1e-2 * scale, -1e-2 * scale)
+        with pytest.raises(ValueError, match="not on the switching plane"):
+            first_hit_line(params, off)
+        with pytest.raises(ValueError, match="not on the switching plane"):
+            flow_slide(params, off, 1.0)
+        on = (1e-12 * scale, 1e-2 * scale, -1e-2 * scale)
+        ev = first_hit_line(params, on)
+        base = first_hit_line(params, (0.0, 1.0, -1.0))
+        assert ev.t_hit == base.t_hit
+        assert abs(ev.log_scale - base.log_scale - math.log(1e-2 * scale)) \
+            <= 1e-13 * max(1.0, abs(ev.log_scale))
+        assert flow_slide(params, on, 1.0)[0] == 0.0
+
+
 # --------------------------------------------------------------------------
 # first return and the multiplier
 # --------------------------------------------------------------------------
@@ -320,23 +345,26 @@ SCALE_CASES = (
 
 def test_first_return_linearity():
     # the map is linear in z down to the bottom and up to the top of the
-    # float range; a return beyond the range diverges by overflow
+    # float range; a return beyond the range keeps its status and its
+    # log ratio, and reads -inf or -0.0
     for case in (FIG_RETURNING, *SCALE_CASES):
         params = HybridParams(*case)
         base = first_return(params, -1.0)
         for z in (-1e-300, -1e-160, -1e-20, -1e-6, -0.5, -2.0, -10.0, -1e6,
                   -1e160, -1e300):
             out = first_return(params, z)
-            if base.status == "returned" and abs(base.zeta) > 1.0 \
-                    and -z > sys.float_info.max / abs(base.zeta):
-                assert out.status == "diverged", (case, z)
-                assert "overflow" in out.detail, (case, z)
-                continue
             assert out.status == base.status, (case, z)
-            if base.status == "returned" \
-                    and abs(out.zeta) >= sys.float_info.min:
+            assert out.log_ratio == base.log_ratio, (case, z)
+            if base.status != "returned":
+                continue
+            if abs(out.zeta) >= sys.float_info.min \
+                    and math.isfinite(out.zeta):
                 assert abs(out.zeta / -z - base.zeta) \
                     <= 1e-12 * abs(base.zeta), (case, z)
+            elif math.log(-z) + base.log_ratio > 0.0:
+                assert out.zeta == -math.inf, (case, z)
+            else:
+                assert -sys.float_info.min < out.zeta <= 0.0, (case, z)
     # the first case's slide (eigenvalues of [[-3, 1], [-0.5, 0]] both
     # negative) decays without returning; so does the simulator's, from a
     # start small enough to stay inside its norm ceiling
@@ -389,10 +417,12 @@ def test_return_map_matches_return_multiplier():
     for _ in range(20):
         params = random_valid_params(rng)
         multiplier = return_map(params.a, params.b)
-        status, value = multiplier(np.array([params.c]), np.array([params.d]))
+        lam = multiplier(np.array([params.c]), np.array([params.d]))
         want = return_multiplier(params)
-        assert status[0] is want.status
-        assert abs(value[0] - want.value) <= 1e-12 * want.value
+        assert lam.status[0] is want.status
+        assert abs(lam.log_value[0] - want.log_value) \
+            <= 1e-12 * max(1.0, abs(want.log_value))
+        assert abs(lam.value[0] - want.value) <= 1e-12 * want.value
     with pytest.raises(ConstraintViolationError):
         return_map(0.2, 0.005)  # b <= a^2/4
     with pytest.raises(ConstraintViolationError):
@@ -403,22 +433,23 @@ def test_return_map_matches_return_multiplier():
 # panel adds to its seeded draws, with the outcome they are there for
 CORPUS_PANELS = ((0.2, 5.0), (-0.2, 0.5), (1.2, 0.5), (-1.2, 2.0),
                  (-3.9, 3.8125),  # regular segment never returns: all converge
-                 (2.0, 1.0 + 1e-6),  # regular segment overflows: all diverge
+                 (2.0, 1.0 + 1e-6),  # plane hit beyond the float range
                  (0.9, 0.2125))   # plane hit near 1e6: large returns
 CORPUS_CELLS = (
-    ((0.2, 5.0), 1.0, 0.25 + 1e-11, "overflow at the return"),
+    ((0.2, 5.0), 1.0, 0.25 + 1e-11, ""),  # a return near e^496729
     ((0.2, 5.0), 20.0, 101.0, ""),  # a return near 1e14
-    ((-0.2, 0.5), -1.8, 0.81 + 1e-6, "return at or above the origin"),
+    ((-0.2, 0.5), -1.8, 0.81 + 1e-6, ""),  # a return near e^-2821
     # resonant within the discriminant tolerance, on both sides of it
     ((0.2, 5.0), -1.8, 0.81 + 1e-13, ""),
     ((0.2, 5.0), -1.8, 0.81 - 1e-13, ""),
     # resonant within the tolerance with c >= 0, so a rate p >= 0: the
     # slide from y3_0 > 0 (every panel here) grows without returning
     ((0.2, 5.0), 1.8, 0.81 + 1e-13, "slide grows without returning"),
-    ((0.2, 5.0), 0.0, 1e-13, "slide grows without returning"),
+    # a complex block the absolute floor of the tolerance called resonant
+    ((0.2, 5.0), 0.0, 1e-13, ""),
     ((-0.2, 0.5), -1.8, 0.81, "slide decays without returning"),
     ((-3.9, 3.8125), 0.2, 1.0, "never returns"),
-    ((2.0, 1.0 + 1e-6), 0.2, 1.0, "overflow before the plane hit"),
+    ((2.0, 1.0 + 1e-6), 0.2, 1.0, ""),
     ((0.9, 0.2125), 0.2, 1.0, ""),
 )
 
@@ -435,16 +466,17 @@ def test_return_map_arrays_match_scalar_slide():
             cells.append((c, c * c / 4) if k % 6 == 0 and c < 0 else (c, d))
         c = np.array([cell[0] for cell in cells])
         d = np.array([cell[1] for cell in cells])
-        status, value = lam = return_map(a, b)(c, d)
+        status, log_value = lam = return_map(a, b)(c, d)
         stable = lam.stable
         for k, (ci, di) in enumerate(cells):
             want = return_multiplier(HybridParams(a, b, ci, di))
             assert status[k] is want.status, (a, b, ci, di)
             assert stable[k] == bool(want.stable)
             if want.defined:
-                assert abs(value[k] - want.value) <= 1e-12 * want.value
+                assert abs(log_value[k] - want.log_value) \
+                    <= 1e-12 * max(1.0, abs(want.log_value))
             else:
-                assert math.isnan(value[k])
+                assert math.isnan(log_value[k])
             statuses.add(want.status)
         for panel, ci, di, detail in CORPUS_CELLS:
             if panel == (a, b):
@@ -468,18 +500,22 @@ def test_return_map_arrays_keep_shape_and_reject_invalid_cells():
 
 
 def test_lambda_result_marginal_rule():
-    assert LambdaResult(LambdaStatus.MARGINAL, 1.0 + 5e-10).status \
+    # the status is decided on log Lambda
+    assert LambdaResult(LambdaStatus.MARGINAL, 5e-10).status \
         is LambdaStatus.MARGINAL
     with pytest.raises(Exception):
-        LambdaResult(LambdaStatus.DEFINED, 1.0 + 5e-10)  # inside the band
+        LambdaResult(LambdaStatus.DEFINED, -5e-10)  # inside the band
     with pytest.raises(Exception):
-        LambdaResult(LambdaStatus.DEFINED, -0.5)
+        LambdaResult(LambdaStatus.DEFINED, math.inf)
+    with pytest.raises(Exception):
+        LambdaResult(LambdaStatus.DEFINED, None)
+    assert LambdaResult.from_log(2e-9).status is LambdaStatus.DEFINED
 
 
 def test_lambda_result_stable():
-    assert LambdaResult(LambdaStatus.DEFINED, 0.5).stable is True
-    assert LambdaResult(LambdaStatus.DEFINED, 2.0).stable is False
-    assert LambdaResult(LambdaStatus.MARGINAL, 1.0).stable is None
+    assert LambdaResult(LambdaStatus.DEFINED, math.log(0.5)).stable is True
+    assert LambdaResult(LambdaStatus.DEFINED, math.log(2.0)).stable is False
+    assert LambdaResult(LambdaStatus.MARGINAL, 0.0).stable is None
     assert LambdaResult(LambdaStatus.UNDEFINED_CONVERGED).stable is True
     assert LambdaResult(LambdaStatus.UNDEFINED_DIVERGED).stable is False
 
@@ -489,8 +525,20 @@ def test_lambda_arrays_stable():
         np.array([LambdaStatus.DEFINED, LambdaStatus.DEFINED,
                   LambdaStatus.MARGINAL, LambdaStatus.UNDEFINED_CONVERGED,
                   LambdaStatus.UNDEFINED_DIVERGED], dtype=object),
-        np.array([0.5, 2.0, 1.0, np.nan, np.nan]))
+        np.log([0.5, 2.0, 1.0, np.nan, np.nan]))
     assert lam.stable.tolist() == [True, False, False, True, False]
+    assert np.allclose(lam.value[:3], [0.5, 2.0, 1.0], rtol=1e-15)
+    assert np.isnan(lam.value[3:]).all()
+
+
+def test_lambda_value_beyond_the_float_range():
+    # value reads inf or 0.0 where exp(log Lambda) leaves the float range
+    assert LambdaResult(LambdaStatus.DEFINED, 800.0).value == math.inf
+    assert LambdaResult(LambdaStatus.DEFINED, -800.0).value == 0.0
+    assert LambdaResult(LambdaStatus.UNDEFINED_DIVERGED).value is None
+    lam = LambdaArrays(np.full(2, LambdaStatus.DEFINED, dtype=object),
+                       np.array([800.0, -800.0]))
+    assert lam.value.tolist() == [math.inf, 0.0]
 
 
 def reference_multiplier(params):
@@ -498,8 +546,115 @@ def reference_multiplier(params):
     bracketed next to the package's."""
     out = first_return(params, -1.0)
     assert out.status == "returned"
-    return return_reference(left_matrix(params.a, params.b), params.c,
-                            params.d, *(ev.t_hit for ev in out.events))
+    return return_reference(params, *(ev.t_hit for ev in out.events))
+
+
+def log_reference(params):
+    """log Lambda of a returning set from the 50-digit reference."""
+    out = first_return(params, -1.0)
+    assert out.status == "returned"
+    return log_return_reference(params, *(ev.t_hit for ev in out.events))
+
+
+def assert_log_reference(params, log_value, recorded, rtol=1e-13):
+    """log_value against the 50-digit reference, for a multiplier beyond
+    the float range: live with mpmath, else the value it gave, recorded
+    (the adaptive integrator cannot carry such an orbit)."""
+    ref = log_reference(params) if oracles.mp is not None else recorded
+    assert abs(ref - recorded) <= 1e-15 * abs(recorded)
+    assert abs(log_value - ref) <= rtol * abs(ref)
+
+
+# (a, b, c, d) once read "undefined-diverged": slide blocks called
+# resonant by an absolute floor of the tolerance, and returns beyond the
+# float range, at the slide's return and at the plane hit, with their
+# 50-digit log Lambda
+RESONANCE_FLOOR_CASES = ((0.2, 5.0, 0.0, 1e-13), (0.2, 5.0, 1e-7, 1e-13))
+BEYOND_RANGE_CASES = (((0.2, 5.0, 2.0, 1.0 + 1e-6), 3140.883287707655),
+                      ((8.0, 16.0001, -100.0, 2501.0), 1258.6993824252804))
+
+
+def test_resonance_tolerance_is_relative():
+    # |c^2 - 4d| = 4e-13 is not resonant next to c^2 + 4|d| = 4e-13: the
+    # block is a slow rotation that returns, with the 50-digit Lambda
+    for case in RESONANCE_FLOOR_CASES:
+        params = HybridParams(*case)
+        result = return_multiplier(params)
+        assert result.status is LambdaStatus.DEFINED, case
+        ref = reference_multiplier(params)
+        assert abs(result.value - ref) <= max(1e-13, REFERENCE_RTOL) * ref
+        lam = return_map(params.a, params.b)(np.array([params.c]),
+                                             np.array([params.d]))
+        assert lam.status[0] is LambdaStatus.DEFINED
+        assert abs(lam.value[0] - ref) <= max(1e-12, REFERENCE_RTOL) * ref
+    assert abs(return_multiplier(HybridParams(
+        *RESONANCE_FLOOR_CASES[0])).value - 0.368646096809376) <= 1e-14
+    assert abs(return_multiplier(HybridParams(
+        *RESONANCE_FLOOR_CASES[1])).value - 0.609655795485608) <= 1e-14
+
+
+def test_returns_beyond_the_float_range_are_defined():
+    for case, log_lambda in BEYOND_RANGE_CASES:
+        params = HybridParams(*case)
+        result = return_multiplier(params)
+        assert result.status is LambdaStatus.DEFINED, case
+        assert result.stable is False and result.value == math.inf
+        assert_log_reference(params, result.log_value, log_lambda)
+        lam = return_map(params.a, params.b)(np.array([params.c]),
+                                             np.array([params.d]))
+        assert lam.status[0] is LambdaStatus.DEFINED
+        assert_log_reference(params, lam.log_value[0], log_lambda, 1e-12)
+    # the second one's plane hit lies beyond the range already
+    ev = first_hit_plane(HybridParams(*BEYOND_RANGE_CASES[1][0]),
+                         (0.0, 0.0, -1.0))
+    assert ev.y_hit[1] == math.inf and ev.log_scale > _LOG_MAX
+
+
+def wide_draw(rng):
+    """(a, b, c, d) with a in [-8, 8], b - a^2/4 log-uniform in [1e-4, 10],
+    c in [-6, 6] and d - max(c, 0)^2/4 log-uniform in [1e-6, 31.6]."""
+    a = rng.uniform(-8.0, 8.0)
+    b = a * a / 4 + 10.0 ** rng.uniform(-4.0, 1.0)
+    c = rng.uniform(-6.0, 6.0)
+    d = max(c, 0.0) ** 2 / 4 + 10.0 ** rng.uniform(-6.0, 1.5)
+    return HybridParams(a, b, c, d)
+
+
+def test_log_multiplier_matches_reference_on_wide_corpus():
+    # 500 sets of the wide draw: 181 return, 36 of them with a hit beyond
+    # the float range (at the plane or at the return), and 319 converge.
+    # log Lambda from return_multiplier is within 1e-13 max(1, |log
+    # Lambda|) of the 50-digit reference, and from return_map within
+    # 1e-12.  Without mpmath, the adaptive integrator stands in for the
+    # reference on the 18 sets whose events come within 30 time units
+    # and whose |log Lambda| <= 10: it cannot carry an orbit beyond the
+    # float range, and its absolute tolerance and its run time rule out
+    # long and slow orbits.
+    rng = np.random.default_rng(0)
+    checked = beyond = 0
+    for _ in range(500):
+        params = wide_draw(rng)
+        want = return_multiplier(params)
+        lam = return_map(params.a, params.b)(np.array([params.c]),
+                                             np.array([params.d]))
+        assert lam.status[0] is want.status, params
+        if not want.defined:
+            continue
+        out = first_return(params, -1.0)
+        beyond += not all(0.0 < abs(v) < math.inf for ev in out.events
+                          for v in ev.y_hit[1:] if v)
+        if oracles.mp is None and (abs(want.log_value) > 10.0 or sum(
+                ev.t_hit for ev in out.events) > 30.0):
+            continue
+        ref = log_reference(params)
+        scale = max(1.0, abs(ref))
+        assert abs(want.log_value - ref) \
+            <= max(1e-13, REFERENCE_RTOL) * scale, params
+        assert abs(lam.log_value[0] - ref) \
+            <= max(1e-12, REFERENCE_RTOL) * scale, params
+        checked += 1
+    assert beyond == 36
+    assert checked == (181 if oracles.mp is not None else 18)
 
 
 def test_step_refinement_convergence():
@@ -559,13 +714,24 @@ def companion_of(mu, alpha, beta):
 
 
 def assert_first_root(M, ev):
-    """y1 < 0 along exp(M t) (0, 0, -1) at 1,000 times in (0, t_hit),
-    from numpy's eigendecomposition of M rather than the closed form."""
+    """y1 < 0 along exp(M t) (0, 0, -1) at 1,000 times in (0, t_hit), and
+    the hit is e^{alpha t_hit} v, from numpy's eigendecomposition of M
+    rather than the closed form.  Every mode is scaled by e^{-alpha t},
+    alpha the real part of the complex pair, so that a hit beyond the
+    float range is checked too."""
     lams, vecs = np.linalg.eig(M)
+    alpha = lams[np.argmax(np.abs(lams.imag))].real
     coef = np.linalg.solve(vecs, np.array([0.0, 0.0, -1.0]))
-    times = np.linspace(0.0, ev.t_hit, 1002)[1:-1]
-    y1 = (np.exp(np.outer(times, lams)) * (vecs[0] * coef)).sum(axis=1).real
+    times = np.linspace(0.0, ev.t_hit, 1002)[1:]
+    scaled = (np.exp(np.outer(times, lams - alpha))[:, None, :]
+              * (vecs * coef)).sum(axis=2).real
+    y1 = scaled[:-1, 0]
     assert np.all(y1 < 0.0), times[np.argmax(y1 >= 0.0)]
+    assert abs(ev.log_scale - alpha * ev.t_hit) \
+        <= 1e-12 * max(1.0, abs(alpha * ev.t_hit))
+    # M's float entries move a slow rotation's spectrum by about 1e-12,
+    # and the hit by up to about 1e-9 at t_hit = 100
+    assert np.max(np.abs(scaled[-1] - ev.v)) <= 1e-7 * np.max(np.abs(ev.v))
 
 
 @for_all(300, 61, ab_strategy, draw_ab)
@@ -584,12 +750,12 @@ def check_normal_form_plane_hit(case):
     ev = _plane_hit_spiral(M.tolist(), mu, alpha, beta, (0.0, 0.0, -1.0))
     if isinstance(ev, SegmentEvent):
         assert_first_root(M, ev)
-    elif "never returns" in ev.detail:
-        assert mu >= alpha
-        assert ev.status is (LambdaStatus.UNDEFINED_CONVERGED if mu < 0
-                             else LambdaStatus.UNDEFINED_DIVERGED)
-    else:
-        assert "overflow" in ev.detail
+        return ev
+    # a leg ends without an event only by the never-returns proof
+    assert "never returns" in ev.detail
+    assert mu >= alpha
+    assert ev.status is (LambdaStatus.UNDEFINED_CONVERGED if mu < 0
+                         else LambdaStatus.UNDEFINED_DIVERGED)
 
 
 @for_all(300, 62, spectrum_strategy, draw_spectrum)
@@ -635,6 +801,10 @@ def test_plane_hit_edge_spectra():
     check_normal_form_plane_hit((3.0, 0.25, 0.201171875))
     check_normal_form_plane_hit((-1.0, -1.0, 1.5))
     check_normal_form_plane_hit((0.5, 0.5, 0.3))
+    # a slow rotation growing at alpha = 8: the hit, near e^838, lies
+    # beyond the float range, and is an event with its log scale
+    ev = check_normal_form_plane_hit((-1.0, 8.0, 0.03))
+    assert ev.log_scale > 800.0 and ev.y_hit[1] == math.inf
 
 
 def draw_below_minus_two(rng):

@@ -50,6 +50,26 @@ def test_hybrid_imports_only_errors():
     assert _package_imports(PACKAGE / "hybrid.py") == {"errors"}
 
 
+def test_hybrid_has_no_overflow_path():
+    # log Lambda is a sum of logs of closed-form terms: no value on the
+    # way leaves the float range, so no overflow is caught and no start
+    # is rescaled by a power of two
+    tree = ast.parse((PACKAGE / "hybrid.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                      else [node.type])
+            found += [f"except {ast.unparse(t)}" for t in caught
+                      if ast.unparse(t).endswith("OverflowError")]
+        if isinstance(node, ast.Attribute) and node.attr in ("frexp",
+                                                             "ldexp"):
+            found.append(f"{ast.unparse(node)}")
+        if isinstance(node, ast.alias) and node.name in ("frexp", "ldexp"):
+            found.append(f"import {node.name}")
+    assert found == []
+
+
 def test_traced_bindings_resolve():
     # perfbench/spans.py wraps these (module, attribute) bindings by name
     # for ``perfbench/run.py --trace 1``; a refactor that drops one would
