@@ -33,6 +33,18 @@ compiled code object.  Evaluation either returns a finite float or
 raises :class:`~filippov.errors.EvalDomainError` -- NaN and infinity
 never propagate silently.
 
+A shape compiled before is not walked again.  Each literal becomes a
+constant, in the order of the text, negated where it sits directly under
+a ``Neg``, except a literal exponent that is a whole non-negative number,
+which becomes part of the code.  So the program of a field parsed from
+text is fixed by its layout, its texts' skeletons and those whole
+exponents.  :meth:`ScalarField.parse` and :meth:`VectorField.parse` keep
+the literal scan of the parse, outside ``==``, ``repr`` and ``hash``;
+the first compile of a shape walks its trees and records where each
+constant comes from, and every later field with those skeletons and
+whole exponents is bound straight from its literals' floats (a bounded
+cache of 512 shapes).  A field built from trees is walked.
+
 First derivatives are exact: the generator differentiates the same
 straight-line code in forward mode, emitting tangent assignments after
 the value assignments (:attr:`ScalarField.compiled_gradient`,
@@ -362,31 +374,41 @@ def _builder(root: Expr) -> Callable[[list], Expr]:
     return namespace["build"]
 
 
+def _parse_scanned(text: str) -> tuple[Expr, tuple | None]:
+    """The tree of ``text`` and its literal scan ``((skeleton,), floats)``:
+    the floats of its literals in the order of the text, which is the
+    order of their ``Num`` nodes in a left-to-right walk.  The scan is
+    None for a text with ``#`` or a non-ASCII character."""
+    if not (isinstance(text, str) and text.isascii() and "#" not in text):
+        return _parse(text), None
+    parts = _LITERAL.split(text)  # text, literal, text, ..., text
+    skeleton = "#".join(parts[::2])
+    build = _BUILDERS.get(skeleton)
+    if build is not None:
+        try:
+            values = list(map(float, parts[1::2]))
+        except ValueError:  # a bad literal such as "1.2.3"
+            pass
+        else:
+            return build(values), ((skeleton,), values)
+    node = _parse(text)
+    if skeleton in _BUILDERS:  # its second sighting: write its builder
+        _BUILDERS[skeleton] = _builder(node)
+    else:
+        if len(_BUILDERS) >= _MAX_BUILDERS:
+            del _BUILDERS[next(iter(_BUILDERS))]
+        _BUILDERS[skeleton] = None
+    # the parser took every literal, so float() takes each one
+    return node, ((skeleton,), list(map(float, parts[1::2])))
+
+
 def parse_expr(text: str) -> Expr:
     """Parse expression text into an immutable tree.
 
     A text whose skeleton (the text with each numeric literal replaced by
     ``#``) has a builder is built by it, without tokenizing; any other
     text, and every error, is the parser's."""
-    skeleton = None
-    if isinstance(text, str) and text.isascii() and "#" not in text:
-        parts = _LITERAL.split(text)  # text, literal, text, ..., text
-        skeleton = "#".join(parts[::2])
-        build = _BUILDERS.get(skeleton)
-        if build is not None:
-            try:
-                return build(list(map(float, parts[1::2])))
-            except ValueError:  # a bad literal such as "1.2.3"
-                pass
-    node = _parse(text)
-    if skeleton is not None:
-        if skeleton in _BUILDERS:  # its second sighting: write its builder
-            _BUILDERS[skeleton] = _builder(node)
-        else:
-            if len(_BUILDERS) >= _MAX_BUILDERS:
-                del _BUILDERS[next(iter(_BUILDERS))]
-            _BUILDERS[skeleton] = None
-    return node
+    return _parse_scanned(text)[0]
 
 
 # --------------------------------------------------------------------------
@@ -516,18 +538,23 @@ _BINOP_FORMATS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
                   "/": "_div({}, {})", "^": "_pow({}, {})"}
 
 
+def _whole(value: float) -> int | None:
+    """A literal exponent's value if it is a non-negative integer: ``b **
+    n`` then computes what ``_pow(b, n)`` does, and cannot divide by
+    zero."""
+    return int(value) if value >= 0.0 and float(value).is_integer() else None
+
+
 def _whole_exponent(node: BinOp) -> int | None:
-    """A literal exponent that is a non-negative integer: ``b ** n`` then
-    computes what ``_pow(b, n)`` does, and cannot divide by zero."""
-    right = node.right
-    if (node.op == "^" and type(right) is Num and right.value >= 0.0
-            and float(right.value).is_integer()):
-        return int(right.value)
+    """:func:`_whole` of the right operand of ``^`` if it is a literal."""
+    if node.op == "^" and type(node.right) is Num:
+        return _whole(node.right.value)
     return None
 
 
-def _program(roots) -> tuple[tuple, list]:
-    """A hashable program computing every root, and the constants it reads.
+def _program(roots) -> tuple[tuple, list, tuple]:
+    """A hashable program computing every root, the constants it reads, and
+    where they come from.
 
     The program is ``(ops, results, n_constants)``: one ``(name, operation,
     operand names)`` per operation, in the post-order of a recursive walk,
@@ -535,8 +562,15 @@ def _program(roots) -> tuple[tuple, list]:
     root's name with the number of operations done once it is known.
     Literals, negated ones too, become the constants c0, c1, ..., so
     fields that differ only in their coefficients share a program.  The
-    walk is iterative, so no depth of tree exhausts the stack."""
+    walk is iterative, so no depth of tree exhausts the stack.
+
+    The walk counts the ``Num`` nodes it visits, left to right, which is
+    the order of the literals of a parsed text.  The recipe is
+    ``(sources, exponents)``: each constant's ``(literal index,
+    negated)``, and each literal exponent's ``(literal index, whole)``,
+    ``whole`` as :func:`_whole` gives it."""
     constants, ops, results = [], [], []
+    sources, exponents, literals = [], [], 0
     for root in roots:
         names = []  # the operands computed so far
         todo = [root]  # a node to visit, or (node, operation) to compute
@@ -545,11 +579,15 @@ def _program(roots) -> tuple[tuple, list]:
             kind = type(node)
             if kind is Num:
                 names.append(f"c{len(constants)}")
+                sources.append((literals, False))
+                literals += 1
                 constants.append(node.value)
             elif kind is Var:
                 names.append(_VAR_NAMES[node.name])
             elif kind is Neg and type(node.operand) is Num:
                 names.append(f"c{len(constants)}")
+                sources.append((literals, True))
+                literals += 1
                 constants.append(-node.operand.value)
             elif kind is BinOp:
                 whole = _whole_exponent(node)
@@ -562,7 +600,13 @@ def _program(roots) -> tuple[tuple, list]:
                 todo.append(node.arg if kind is Call else node.operand)
             else:
                 node, op = node
-                if type(node) is BinOp and type(op) is str:
+                if type(op) is int:  # u ** n: n is the literal after u's
+                    exponents.append((literals, op))
+                    literals += 1
+                    operands = (names.pop(),)
+                elif type(node) is BinOp:
+                    if op == "^" and type(node.right) is Num:
+                        exponents.append((literals - 1, None))
                     operands = (names[-2], names[-1])
                     del names[-2:]
                 else:
@@ -571,7 +615,8 @@ def _program(roots) -> tuple[tuple, list]:
                 ops.append((name, op, operands))
                 names.append(name)
         results.append((names.pop(), len(ops)))
-    return (tuple(ops), tuple(results), len(constants)), constants
+    return ((tuple(ops), tuple(results), len(constants)), constants,
+            (tuple(sources), tuple(exponents)))
 
 
 _NOT_FINITE = "EvalDomainError('derivative is not finite')"
@@ -744,16 +789,48 @@ def _source(program: tuple, layout: str) -> str:
 
 @lru_cache(maxsize=512)
 def _binder(program: tuple, layout: str):
-    """Compile a program once; a shape seen before costs a walk and a bind."""
+    """Compile a program once; a tree of a shape seen before costs a walk
+    and a bind."""
     namespace = dict(_NAMESPACE)
     exec(compile(_source(program, layout), "<filippov.expr>", "exec"),
          namespace)
     return namespace["_bind"]
 
 
-def _compile(roots, layout: str = "values"):
-    program, constants = _program(roots)
-    return _binder(program, layout)(tuple(constants))
+_MAX_PROGRAMS = 512
+# (layout, skeletons) -> (binder, sources, exponents) of the last program
+# compiled from texts with those skeletons, the recipe as _program gives
+# it; oldest first
+_PROGRAMS: dict[tuple, tuple] = {}
+
+
+def _compile(roots, layout: str = "values", scan=None):
+    """The generated function of ``roots``.  Given the literal ``scan``
+    of the texts they were parsed from, a shape compiled before with the
+    same whole exponents is bound from the scan's floats, with no walk."""
+    if scan is not None:
+        key, floats = (layout, scan[0]), scan[1]
+        known = _PROGRAMS.get(key)
+        if known is not None:
+            bind, sources, exponents = known
+            if all([_whole(floats[i]) == whole for i, whole in exponents]):
+                return bind(tuple([-floats[i] if negated else floats[i]
+                                   for i, negated in sources]))
+    program, constants, recipe = _program(roots)
+    bind = _binder(program, layout)
+    if scan is not None:
+        if key not in _PROGRAMS and len(_PROGRAMS) >= _MAX_PROGRAMS:
+            del _PROGRAMS[next(iter(_PROGRAMS))]
+        _PROGRAMS[key] = (bind, *recipe)
+    return bind(tuple(constants))
+
+
+def _joined(scans) -> tuple | None:
+    """The scan of several texts in turn, or None unless each has one."""
+    if None in scans:
+        return None
+    return (tuple(skeleton for scan in scans for skeleton in scan[0]),
+            [value for scan in scans for value in scan[1]])
 
 
 def compile_expr(node: Expr) -> Callable[[float, float, float], float]:
@@ -780,14 +857,18 @@ class ScalarField:
     """A scalar function of (x1, x2, x3) defined by an expression."""
 
     expr: Expr
+    _scan = None  # the literal scan of ``parse``; not a field
 
     @classmethod
     def parse(cls, text: str) -> "ScalarField":
-        return cls(parse_expr(text))
+        node, scan = _parse_scanned(text)
+        field = cls(node)
+        field.__dict__["_scan"] = scan
+        return field
 
     @cached_property
     def compiled(self) -> Callable[[float, float, float], float]:
-        return compile_expr(self.expr)
+        return _compile((self.expr,), "values", self._scan)
 
     @cached_property
     def compiled_gradient(self) -> Callable[[float, float, float],
@@ -799,7 +880,7 @@ class ScalarField:
         :class:`~filippov.errors.EvalDomainError` where a partial
         derivative is not finite (``sqrt(x1)`` at 0) or not defined
         (``x1^x2`` at x1 <= 0)."""
-        return _compile((self.expr,), "derivatives")
+        return _compile((self.expr,), "derivatives", self._scan)
 
     def __call__(self, point) -> float:
         return self.compiled(float(point[0]), float(point[1]), float(point[2]))
@@ -810,6 +891,7 @@ class VectorField:
     """Three scalar components forming a vector field on R^3."""
 
     components: tuple[Expr, Expr, Expr]
+    _scan = None  # the joined literal scans of ``parse``; not a field
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -821,21 +903,24 @@ class VectorField:
         texts = tuple(texts)
         if len(texts) != 3:
             raise ValueError("a vector field needs exactly 3 component strings")
-        return cls(tuple(parse_expr(t) for t in texts))
+        parsed = [_parse_scanned(text) for text in texts]
+        field = cls(tuple(node for node, _ in parsed))
+        field.__dict__["_scan"] = _joined([scan for _, scan in parsed])
+        return field
 
     @cached_property
     def compiled(self) -> Callable[[float, float, float],
                                    tuple[float, float, float]]:
         """One function returning the three components, evaluated in
         order: the first component that fails names the error."""
-        return _compile(self.components)
+        return _compile(self.components, "values", self._scan)
 
     @cached_property
     def compiled_jacobian(self) -> Callable[[float, float, float], tuple]:
         """One function (x1, x2, x3) -> ((f1, f2, f3), J): row i of the
         exact Jacobian J is the gradient of component i.  It raises as
         :attr:`ScalarField.compiled_gradient` does."""
-        return _compile(self.components, "derivatives")
+        return _compile(self.components, "derivatives", self._scan)
 
     def __call__(self, point) -> np.ndarray:
         return np.array(self.compiled(float(point[0]), float(point[1]),
@@ -849,7 +934,7 @@ def compile_rates_and_fields(switch: ScalarField, left: VectorField,
     ``switch.compiled_gradient``, ``left.compiled`` and ``right.compiled``
     bit for bit, and it raises what the first of them to fail raises."""
     return _compile((switch.expr, *left.components, *right.components),
-                    "rates")
+                    "rates", _joined([switch._scan, left._scan, right._scan]))
 
 
 # --------------------------------------------------------------------------

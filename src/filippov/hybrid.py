@@ -314,11 +314,6 @@ def _spiral_at(split: _SpiralSplit, mu: float, alpha: float, beta: float,
             er * u3 + ec * (co * w3 + si * g3))
 
 
-# A slide block [[c, 1], [-d, 0]] is resonant where
-# |c^2 - 4d| <= _RESONANCE_RTOL (c^2 + 4|d|).
-_RESONANCE_RTOL = 1e-12
-
-
 def _hybrid_spectrum(a: float, b: float) -> tuple[float, float, float]:
     """(mu, alpha, beta) of the regular piece: mu = -1 exactly.  The
     check b > a*a/4 of HybridParams makes 4b - a^2 > 0 exactly, as a*a/4
@@ -573,13 +568,16 @@ def _line_hit_block(c: float, d: float, y2_0: float, y3_0: float,
     - a real pair r1 > r2 (or the double root r1 = r2 = p) returns when
       w = -(y3_0 + r1 y2_0) > 0, at t = log1p((r1 - r2) y2_0 / w) /
       (r1 - r2) (t = y2_0 / w for the double root), with
-      |y3| = e^{r1 t} w; otherwise the slide decays or grows at its
-      dominant rate.
+      |y3| = e^{r1 t} w; otherwise the slide decays, as both roots are
+      negative.
+
+    Where w > 0 both return times tend to y2_0 / w as q or r1 - r2 tends
+    to 0, so the sign of the discriminant alone picks the form, and the
+    double root is taken only where it is exactly 0.
     """
     disc = _discriminant(c, d)
-    tol = _RESONANCE_RTOL * (c * c + 4.0 * abs(d))
     p = c / 2.0
-    if disc < -tol:
+    if disc < 0.0:
         q = math.sqrt(-disc) / 2.0
         n = y3_0 + p * y2_0
         t_hit = math.atan2(q * y2_0, -n) / q
@@ -587,18 +585,14 @@ def _line_hit_block(c: float, d: float, y2_0: float, y3_0: float,
     else:
         # a real pair has c < 0 (HybridParams), so r2 = p - gap/2 carries
         # no cancellation, and r1 = d / r2
-        gap = math.sqrt(disc) if disc > tol else 0.0
+        gap = math.sqrt(disc)
         r2 = p - gap / 2.0
         r1 = d / r2 if gap else p
         w = -(y3_0 + r1 * y2_0)
         if not w > 0.0:
             # y2 = k1 e^{r1 t} + k2 e^{r2 t} with k1 = -w / gap >= 0
-            rate = r1 if w else r2
-            if rate < 0.0:
-                return _termination("converged", "slide decays without "
-                                    "returning (sliding segment)")
-            return _termination("diverged", "slide grows without returning "
-                                "(sliding segment)")
+            return _termination("converged", "slide decays without "
+                                "returning (sliding segment)")
         t_hit = math.log1p(gap * y2_0 / w) / gap if gap else y2_0 / w
         log_y3 = r1 * t_hit + math.log(w)
     return SegmentEvent(t_hit, (0.0, 0.0, -1.0), log_scale + log_y3,
@@ -607,7 +601,7 @@ def _line_hit_block(c: float, d: float, y2_0: float, y3_0: float,
 
 # LambdaStatus by its index in the enumeration, for the array path
 _STATUSES = np.array(list(LambdaStatus), dtype=object)
-_DEFINED, _MARGINAL, _CONVERGED, _DIVERGED = range(4)
+_DEFINED, _MARGINAL, _CONVERGED = range(3)
 
 
 def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
@@ -617,14 +611,12 @@ def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
     y2_0 > 0.
 
     Every block kind is evaluated on every cell and the cell's own kind
-    selects the result.  A slide without a return decays or grows at its
-    dominant rate.
+    selects the result.  A slide without a return decays.
     """
     with np.errstate(all="ignore"):
         disc = _discriminant(c, d)
-        tol = _RESONANCE_RTOL * (c * c + 4.0 * np.abs(d))
-        is_complex = disc < -tol
-        is_real = disc > tol
+        is_complex = disc < 0.0
+        is_real = disc > 0.0
         p = c / 2.0
         root = np.sqrt(np.abs(disc))
         # complex pair p +/- iq, q = root / 2
@@ -641,11 +633,9 @@ def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
         log_y3 = np.where(is_complex, p * t_c, r1 * t_r) + np.log(
             np.where(is_complex, np.hypot(n, q * y2_0), w))
         log_value = log_scale + log_y3
-        rate = np.where(w != 0.0, r1, r2)
         status = np.select(
             [~(is_complex | (w > 0.0)), _marginal(log_value)],
-            [np.where(rate < 0.0, _CONVERGED, _DIVERGED), _MARGINAL],
-            _DEFINED)
+            [_CONVERGED, _MARGINAL], _DEFINED)
     return LambdaArrays(_STATUSES[status],
                         np.where(status <= _MARGINAL, log_value, np.nan))
 

@@ -126,14 +126,18 @@ def sweep(a: float, b: float, c_range: tuple[float, float],
 
 def _verdicts(lam: LambdaArrays):
     """Colours and details of multipliers: stable blue, unstable red,
-    marginal gray; a value, or whether the orbit converged or
-    diverged."""
+    marginal gray; a value, ``exp(log Lambda)`` where the value leaves
+    the float range, or whether the orbit converged or diverged."""
     stable = lam.stable
     colour = np.where(stable, CellVerdict.BLUE, CellVerdict.RED)
     colour[lam.status == LambdaStatus.MARGINAL] = CellVerdict.GRAY
     detail = _UNDEFINED_TEXT[stable.astype(np.intp)]
-    numeric = ~np.isnan(lam.log_value)
-    detail[numeric] = list(map(repr, lam.value[numeric].tolist()))
+    value = lam.value
+    numeric = ~np.isnan(value)
+    detail[numeric] = list(map(repr, value[numeric].tolist()))
+    beyond = (value == 0.0) | np.isinf(value)
+    detail[beyond] = [f"exp({log!r})"
+                      for log in lam.log_value[beyond].tolist()]
     return colour, detail
 
 

@@ -147,11 +147,12 @@ def flow_reference(M, y0, t: float, dps: int = 30) -> np.ndarray:
 
 def _reference_root(flow, t_guess: float, dps: int):
     """The root of the first coordinate of ``flow`` next to t_guess.  It
-    must change sign across t_guess +/- 1e-6 (relative); Newton's method
-    from t_guess then runs to ``dps`` digits.  With the adaptive
-    integrator, one Newton step from t_guess already reaches its
-    accuracy."""
-    width = 1e-6 * max(1.0, t_guess)
+    must change sign across t_guess +/- 1e-6 (relative, at most 1 time
+    unit: the mpmath flow steps from the bracket's start by a Taylor
+    series, whose terms grow as e^{|M| step}); Newton's method from
+    t_guess then runs to ``dps`` digits.  With the adaptive integrator,
+    one Newton step from t_guess already reaches its accuracy."""
+    width = min(1e-6 * max(1.0, t_guess), 1.0)
     if mp is not None:
         t_guess, width = mp.mpf(t_guess), mp.mpf(width)
     before, after = flow(t_guess - width)[0][0], flow(t_guess + width)[0][0]

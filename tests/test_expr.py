@@ -309,6 +309,7 @@ def test_a_shape_seen_before_writes_no_source(monkeypatch):
         system.switch.compiled_gradient(1.0, 2.0, 3.0)
 
     expr._binder.cache_clear()
+    expr._PROGRAMS.clear()
     compile_all(1.5)
     assert len(writes) == 5  # three value functions and two with derivatives
     compile_all(0.375)
@@ -473,6 +474,152 @@ def test_cache_is_bounded():
     assert len(expr._BUILDERS) == expr._MAX_BUILDERS
     assert "x1+ #" not in expr._BUILDERS
     assert callable(expr._BUILDERS["x1" + " " * 599 + "+ #"])
+
+
+# --------------------------------------------------------------------------
+# the program cache: a parsed shape compiled before is bound, not walked
+# --------------------------------------------------------------------------
+
+def _bound(fn):
+    """A generated function's code and the bits of the constants it reads,
+    signed zeros included."""
+    return fn.__code__, {name: cell.cell_contents.hex() for name, cell in
+                         zip(fn.__code__.co_freevars, fn.__closure__ or ())}
+
+
+def _compiled(texts):
+    """Every generated function of a system parsed from seven texts
+    (H, f_L, f_R), each with the bound of the walk it should equal."""
+    switch = ScalarField.parse(texts[0])
+    left, right = VectorField.parse(texts[1:4]), VectorField.parse(texts[4:])
+    return [(switch.compiled, (switch.expr,), "values"),
+             (switch.compiled_gradient, (switch.expr,), "derivatives"),
+             (left.compiled, left.components, "values"),
+             (left.compiled_jacobian, left.components, "derivatives"),
+             (expr.compile_rates_and_fields(switch, left, right),
+              (switch.expr, *left.components, *right.components), "rates")]
+
+
+def _assert_walks_equal(cases, walk):
+    for fn, roots, layout in cases:
+        program, constants, _ = walk(roots)
+        want = expr._binder(program, layout)(tuple(constants))
+        assert _bound(fn) == _bound(want), (layout, roots)
+
+
+# exponents that toggle the program at one skeleton position (^2, ^2.0
+# and ^0 are whole, ^2.5 is not, ^-2 and ^-0 are negated constants)
+_EXPONENTS = ("2", "2.0", "0", "2.5", "3", "0.0", "2")
+_NEGATED_EXPONENTS = ("-2", "-0", "-2.5", "-0.0")
+
+
+def _toggled_texts():
+    for e, f in zip(_EXPONENTS, reversed(_EXPONENTS)):
+        yield (f"x1 - 0*x2^{e}", f"x2^{e} + 1", f"-0*x1^{f}", "x3",
+               f"-0 + x1^{f}", "-1", f"(x2 - 2)^{e}*x3")
+    for e in _NEGATED_EXPONENTS * 2:
+        yield (f"x1 + x2^{e}", f"x2^{e} - 0", "-0", "x3", "-0*x1",
+               f"1 + x3^{e}", f"x1^{e}")
+
+
+def test_cached_programs_are_the_walks(monkeypatch):
+    # texts of one skeleton with other literals, whole exponents toggled
+    # and -0 literals, on a cold and a warm cache: the same code object
+    # as the walk's program, with the same constants bit for bit
+    walk = expr._program
+    walks = []
+    monkeypatch.setattr(expr, "_program",
+                        lambda roots: walks.append(roots) or walk(roots))
+    rng = np.random.default_rng(14)
+    hits = 0
+    for _ in range(60):
+        expr._PROGRAMS.clear()
+        trees = [_random_tree(rng, 3) for _ in range(7)]
+        texts = [tuple(map(format_expr, trees))]
+        for _ in range(3):
+            values = map(float, np.round(10.0 ** rng.uniform(-3, 3, size=256)
+                                         * rng.integers(0, 2, size=256), 1))
+            texts.append(tuple(format_expr(_with_literals(t, values))
+                               for t in trees))
+        for system in texts:
+            walks.clear()
+            cases = _compiled(system)
+            hits += len(cases) - len(walks)
+            _assert_walks_equal(cases, walk)
+    assert hits > 300  # most shapes were seen before
+    expr._PROGRAMS.clear()
+    counts = []
+    for system in _toggled_texts():
+        walks.clear()
+        _assert_walks_equal(_compiled(system), walk)
+        counts.append(len(walks))
+    # a changed whole exponent walks again: ^2.0 after ^2 changes only
+    # H's; a negated exponent is a constant
+    assert counts == [5, 3, 5, 5, 5, 5, 5] + [5] + [0] * 7
+
+
+def test_fields_built_from_trees_walk(monkeypatch):
+    walk = expr._program
+    walks = []
+    monkeypatch.setattr(expr, "_program",
+                        lambda roots: walks.append(roots) or walk(roots))
+    text = "2.5*x1 + x2^2 - 3"
+    ScalarField.parse(text).compiled
+    known = dict(expr._PROGRAMS)
+    walks.clear()
+    field = ScalarField(parse_expr(text))
+    vector = VectorField((parse_expr(text),) * 3)
+    assert field.compiled(1.0, 2.0, 3.0) == 3.5
+    assert vector.compiled_jacobian(1.0, 2.0, 3.0)[0] == (3.5,) * 3
+    assert len(walks) == 2 and expr._PROGRAMS == known
+
+
+def test_a_shape_seen_before_is_bound_without_a_walk(monkeypatch):
+    # a seen shape neither walks a tree nor hashes a program; a new one is
+    # walked once per generated function, so a one-shot run pays nothing
+    # more than the walk
+    def system_texts(k):
+        return (f"x1 - {k}*x2^2 + 1e-3*x3", f"-{k}*x1 + x2", f"x3^3 - {k}",
+                f"{k}*x1", f"{k}", "-1", f"-0.5*x2^{k}")
+
+    walk, binder = expr._program, expr._binder
+    walks = []
+    monkeypatch.setattr(expr, "_program",
+                        lambda roots: walks.append(roots) or walk(roots))
+    cases = _compiled(system_texts(1.5))
+    assert len(walks) == len(cases) == 5
+    _assert_walks_equal(cases, walk)
+
+    def fail(*args):
+        raise AssertionError("walked or hashed a program")
+
+    monkeypatch.setattr(expr, "_program", fail)
+    monkeypatch.setattr(expr, "_binder", fail)
+    for k in (0.25, 3.5, 7.125):  # the exponent k stays a constant
+        cases = _compiled(system_texts(k))
+        assert cases[0][0](1.0, 2.0, 3.0) == 1.0 - k * 4.0 + 1e-3 * 3.0
+    # a one-shot system through the public path: one walk per function
+    monkeypatch.setattr(expr, "_program",
+                        lambda roots: walks.append(roots) or walk(roots))
+    monkeypatch.setattr(expr, "_binder", binder)
+    walks.clear()
+    system = FilippovSystem.parse(("x2 + 0.125", "x3", "-x1^5"),
+                                  ("0.5", "x1", "x3^5"), "x1 + 7e-3*x2")
+    system.left.compiled_jacobian, system.switch.compiled_gradient
+    system.right.compiled, system.rates_and_fields
+    assert len(walks) == 4
+
+
+def test_program_cache_is_bounded():
+    # 600 skeletons: the oldest are dropped, and the bound is a constant
+    assert expr._MAX_PROGRAMS == 512
+    for k in range(600):
+        text = "x1" + " " * k + "+ 1"
+        assert ScalarField.parse(text).compiled(2.0, 0.0, 0.0) == 3.0
+        assert len(expr._PROGRAMS) <= expr._MAX_PROGRAMS
+    assert len(expr._PROGRAMS) == expr._MAX_PROGRAMS
+    assert ("values", ("x1+ #",)) not in expr._PROGRAMS
+    assert ("values", ("x1" + " " * 599 + "+ #",)) in expr._PROGRAMS
 
 
 # --------------------------------------------------------------------------

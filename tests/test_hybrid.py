@@ -27,6 +27,7 @@ from filippov.hybrid import (
     _LOG_MAX,
     _SECANT_TOL,
     _compose_return,
+    _discriminant,
     _plane_hit_spiral,
     _result_from_outcome,
 )
@@ -439,15 +440,16 @@ CORPUS_CELLS = (
     ((0.2, 5.0), 1.0, 0.25 + 1e-11, ""),  # a return near e^496729
     ((0.2, 5.0), 20.0, 101.0, ""),  # a return near 1e14
     ((-0.2, 0.5), -1.8, 0.81 + 1e-6, ""),  # a return near e^-2821
-    # resonant within the discriminant tolerance, on both sides of it
+    # 1e-13 from d = c^2/4: a complex and a real pair
     ((0.2, 5.0), -1.8, 0.81 + 1e-13, ""),
     ((0.2, 5.0), -1.8, 0.81 - 1e-13, ""),
-    # resonant within the tolerance with c >= 0, so a rate p >= 0: the
-    # slide from y3_0 > 0 (every panel here) grows without returning
-    ((0.2, 5.0), 1.8, 0.81 + 1e-13, "slide grows without returning"),
-    # a complex block the absolute floor of the tolerance called resonant
-    ((0.2, 5.0), 0.0, 1e-13, ""),
-    ((-0.2, 0.5), -1.8, 0.81, "slide decays without returning"),
+    # a slow rotation with the rate p > 0 returns, near e^8939144
+    ((0.2, 5.0), 1.8, 0.81 + 1e-13, ""),
+    ((0.2, 5.0), 0.0, 1e-13, ""),  # a slow rotation
+    # d = 0.81 lies above c^2/4 = 3.24/4 by the rounding of 0.81: a slow
+    # rotation returning near e^-774634152
+    ((-0.2, 0.5), -1.8, 0.81, ""),
+    ((-0.2, 0.5), -1.8, 0.81 - 1e-6, "slide decays without returning"),
     ((-3.9, 3.8125), 0.2, 1.0, "never returns"),
     ((2.0, 1.0 + 1e-6), 0.2, 1.0, ""),
     ((0.9, 0.2125), 0.2, 1.0, ""),
@@ -482,8 +484,9 @@ def test_return_map_arrays_match_scalar_slide():
             if panel == (a, b):
                 assert return_multiplier(
                     HybridParams(a, b, ci, di)).detail.startswith(detail)
-    assert statuses == {LambdaStatus.DEFINED, LambdaStatus.UNDEFINED_CONVERGED,
-                        LambdaStatus.UNDEFINED_DIVERGED}
+    # a valid slide never grows without returning: a real pair has
+    # c < 0 < d, so both its roots are negative
+    assert statuses == {LambdaStatus.DEFINED, LambdaStatus.UNDEFINED_CONVERGED}
 
 
 def test_return_map_arrays_keep_shape_and_reject_invalid_cells():
@@ -591,6 +594,64 @@ def test_resonance_tolerance_is_relative():
         *RESONANCE_FLOOR_CASES[0])).value - 0.368646096809376) <= 1e-14
     assert abs(return_multiplier(HybridParams(
         *RESONANCE_FLOOR_CASES[1])).value - 0.609655795485608) <= 1e-14
+
+
+def _straddling_cells():
+    """(c, d) at relative distances 1e-16 ... 1e-4 from d = c^2/4 (at
+    least one ulp): with c < 0 on both sides, real and complex pairs, and
+    with c > 0 above only, complex pairs; and an exact double root."""
+    for c in (-1.8, -0.6, 0.6, 1.8):
+        quarter = c * c / 4.0
+        for delta in (1e-16, 1e-13, 1e-10, 1e-7, 1e-4):
+            for side in ((1.0, -1.0) if c < 0.0 else (1.0,)):
+                yield c, quarter + side * max(delta * quarter,
+                                              math.ulp(quarter))
+    yield -1.5, 0.5625
+
+
+def test_near_resonant_slides_match_reference():
+    # no band around d = c^2/4: the sign of the discriminant picks the
+    # closed form, and both paths give the 50-digit log Lambda on both
+    # sides, out to returns after 1e9 time units.  Without mpmath the
+    # adaptive integrator stands in on the 10 returns whose events come
+    # within 30 time units and whose |log Lambda| <= 10, as in
+    # test_log_multiplier_matches_reference_on_wide_corpus.
+    kinds, checked = set(), 0
+    for a, b in ((0.2, 5.0), (-0.2, 0.5)):
+        cells = list(_straddling_cells())
+        lam = return_map(a, b)(np.array([c for c, _ in cells]),
+                               np.array([d for _, d in cells]))
+        for k, (c, d) in enumerate(cells):
+            params = HybridParams(a, b, c, d)
+            want = return_multiplier(params)
+            disc = _discriminant(c, d)
+            kinds.add((c < 0.0, "real" if disc > 0.0 else "complex"
+                       if disc < 0.0 else "double", want.status))
+            assert lam.status[k] is want.status, params
+            if not want.defined:
+                assert want.detail.startswith("slide decays"), params
+                continue
+            out = first_return(params, -1.0)
+            if oracles.mp is None and (abs(want.log_value) > 10.0 or sum(
+                    ev.t_hit for ev in out.events) > 30.0):
+                continue
+            ref = log_reference(params)
+            scale = max(1.0, abs(ref))
+            assert abs(want.log_value - ref) \
+                <= max(1e-13, REFERENCE_RTOL) * scale, params
+            assert abs(lam.log_value[k] - ref) \
+                <= max(1e-13, REFERENCE_RTOL) * scale, params
+            checked += 1
+    defined, converged = (LambdaStatus.DEFINED,
+                          LambdaStatus.UNDEFINED_CONVERGED)
+    assert kinds == {(True, "complex", defined), (True, "real", defined),
+                     (True, "real", converged), (True, "double", defined),
+                     (True, "double", converged), (False, "complex", defined)}
+    assert checked == (46 if oracles.mp is not None else 10)
+    # once "slide grows without returning" by a band around resonance
+    params = HybridParams(0.2, 5.0, 1.8, 0.81 + 1e-13)
+    assert_log_reference(params, return_multiplier(params).log_value,
+                         8939143.657667676)
 
 
 def test_returns_beyond_the_float_range_are_defined():

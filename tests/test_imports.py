@@ -108,6 +108,9 @@ def test_a_fresh_import_releases_the_earlier_one():
         "       for module, name in (('expr', 'Num'), ('spectrum', 'ThreeReal'),",
         "                            ('stability', 'Rotational'))]",
         "filippov.parse_expr('2*x1'), filippov.parse_expr('3*x1')",
+        # the compile caches hold generated functions of the earlier import
+        "[filippov.FilippovSystem.parse(['x2', f'{k}*x1', 'x3'], ['1', '0',"
+        " '0'], 'x1').rates_and_fields for k in (2, 3)]",
         "for name in [n for n in sys.modules if n.startswith('filippov')]:",
         "    del sys.modules[name]",
         "del filippov",

@@ -1,12 +1,15 @@
 import hashlib
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from filippov.cli import FIG_PANEL_A, FIG_PANEL_B
-from filippov.hybrid import HybridParams, LambdaStatus, return_multiplier
+from filippov.hybrid import (HybridParams, LambdaArrays, LambdaStatus,
+                             return_multiplier)
 from filippov.sweep import CellVerdict, cell_centers, render_grid, sweep
+from filippov.sweep import _verdicts
 
 
 def test_white_region_predicate():
@@ -74,6 +77,34 @@ def test_render_csv_deterministic(tmp_path):
     assert lines[0] == "c,d,verdict,lambda_or_reason"
     assert len(lines) == 5  # header + 4 cells
     assert all(line.endswith("white,not-applicable") for line in lines[1:])
+
+
+def test_csv_keeps_log_lambda_beyond_the_float_range(tmp_path):
+    # every applicable cell returns near e^3140, beyond the float range:
+    # its value reads inf, and the CSV keeps exp(log Lambda)
+    grid = sweep(2.0, 1.000001, (-3, 3), (0, 10), 4, 4)
+    cs, ds = cell_centers(-3, 3, 4), cell_centers(0, 10, 4)
+    checked = 0
+    for i, c in enumerate(cs):
+        for j, d in enumerate(ds):
+            if grid.verdicts[i][j] is CellVerdict.WHITE:
+                continue
+            want = return_multiplier(HybridParams(2.0, 1.000001, c, d))
+            log_text = grid.details[i][j][4:-1]
+            assert want.value == math.inf
+            assert grid.details[i][j] == f"exp({float(log_text)!r})"
+            assert abs(float(log_text) - want.log_value) \
+                <= 1e-12 * want.log_value
+            checked += 1
+    assert checked == 15
+    render_grid(grid, tmp_path / "g.csv", "csv")
+    rows = tmp_path.joinpath("g.csv").read_text().splitlines()[1:]
+    assert sum(row.split(",")[3].startswith("exp(") for row in rows) == 15
+    # and below it, where the value reads 0.0
+    lam = LambdaArrays(np.full(3, LambdaStatus.DEFINED, dtype=object),
+                       np.array([-800.0, 800.0, -0.5]))
+    assert _verdicts(lam)[1].tolist() == \
+        ["exp(-800.0)", "exp(800.0)", repr(math.exp(-0.5))]
 
 
 def test_render_pgm_shape_and_levels(tmp_path):
