@@ -32,7 +32,7 @@ from .errors import (
     TangentRightFieldError,
 )
 from .expr import (ScalarField, VectorField, compile_rates_and_fields,
-                   gradient_fd)
+                   compile_sliding_field, gradient_fd)
 from .expr import jacobian_fd  # not called; perfbench/spans.py wraps it here
 from .spectrum import det3
 
@@ -42,7 +42,7 @@ __all__ = [
     "BoundaryData", "boundary_data", "is_observable",
     "RegionKind", "FoldKind",
     "normal_rates", "classify_region", "fold_curvature", "classify_fold",
-    "sliding_field",
+    "sliding_field", "sliding_from_rates",
 ]
 
 # Absolute tolerance for "is an equilibrium" / "is on the surface" checks.
@@ -75,25 +75,15 @@ class FilippovSystem:
 
     @cached_property
     def sliding(self):
-        """The Filippov sliding vector field as one function (x1, x2, x3)
-        -> 3-tuple: the convex combination of the two fields that is
-        tangent to the surface.  Raises DegenerateSlidingError where the
-        two normal rates coincide.  Given ``rates``, the result of
-        :attr:`rates_and_fields` at the same point, it computes them
-        from that instead of calling it again."""
-        rates_and_fields = self.rates_and_fields
-
-        def sliding(x1: float, x2: float, x3: float, rates=None):
-            rate_l, rate_r, (l1, l2, l3), (r1, r2, r3), _ = \
-                rates_and_fields(x1, x2, x3) if rates is None else rates
-            gap = rate_l - rate_r
-            if abs(gap) <= TANGENCY_TOL * (abs(rate_l) + abs(rate_r) + 1.0):
-                raise DegenerateSlidingError(
-                    f"normal rates coincide ({rate_l:.3e} vs {rate_r:.3e})")
-            return ((rate_l * r1 - rate_r * l1) / gap,
-                    (rate_l * r2 - rate_r * l2) / gap,
-                    (rate_l * r3 - rate_r * l3) / gap)
-        return sliding
+        """The Filippov sliding vector field as one generated function
+        (x1, x2, x3) -> 3-tuple: the convex combination of the two fields
+        that is tangent to the surface
+        (:func:`filippov.expr.compile_sliding_field`).  Raises
+        DegenerateSlidingError where the two normal rates coincide to
+        TANGENCY_TOL; :func:`sliding_from_rates` gives the same floats
+        from a result of :attr:`rates_and_fields`."""
+        return compile_sliding_field(self.switch, self.left, self.right,
+                                     TANGENCY_TOL)
 
 
 @dataclass(frozen=True)
@@ -344,3 +334,16 @@ def classify_fold(system: FilippovSystem, x) -> FoldKind:
 def sliding_field(system: FilippovSystem, x) -> np.ndarray:
     """Filippov sliding vector field at x (:attr:`FilippovSystem.sliding`)."""
     return np.array(system.sliding(*_floats(x)))
+
+
+def sliding_from_rates(rates) -> tuple[float, float, float]:
+    """The sliding field from ``rates``, a result of
+    :attr:`FilippovSystem.rates_and_fields`: bit for bit what
+    :attr:`FilippovSystem.sliding` returns, or raises, at that point."""
+    rate_l, rate_r, (l1, l2, l3), (r1, r2, r3), _ = rates
+    gap = rate_l - rate_r
+    if abs(gap) <= TANGENCY_TOL * (abs(rate_l) + abs(rate_r) + 1.0):
+        raise DegenerateSlidingError(rate_l, rate_r)
+    return ((rate_l * r1 - rate_r * l1) / gap,
+            (rate_l * r2 - rate_r * l2) / gap,
+            (rate_l * r3 - rate_r * l3) / gap)

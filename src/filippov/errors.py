@@ -72,6 +72,12 @@ class NotOnTangencyCurveError(FilippovError):
 class DegenerateSlidingError(FilippovError):
     """The two normal rates coincide, so the sliding field is undefined."""
 
+    def __init__(self, rate_left: float, rate_right: float):
+        self.rate_left = rate_left
+        self.rate_right = rate_right
+        super().__init__(f"normal rates coincide ({rate_left:.3e} vs "
+                         f"{rate_right:.3e})")
+
 
 # --- spectral analysis ---
 

@@ -24,9 +24,11 @@ literal that ``float`` rejects, and every error go to the
 recursive-descent parser, so the trees and the errors are the parser's.
 
 Parsed expressions are immutable trees.  A field is evaluated by one
-generated Python function of (x1, x2, x3): straight-line code with one
-assignment per operation, in the order a recursive walk of the tree
-would evaluate them, so its results are bit for bit those of the walk.
+generated Python function of (x1, x2, x3): straight-line code that does
+the operations in the order a recursive walk of the tree would, so its
+results and its first error are bit for bit those of the walk.  An
+operation whose value only its parent reads is nested in the parent's
+expression; the others are assigned to names.
 The function's source holds generated names only.  Literals are bound
 from a tuple, so fields that differ only in their coefficients share one
 compiled code object.  Evaluation either returns a finite float or
@@ -55,6 +57,7 @@ derivatives and tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -63,12 +66,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
+from .errors import (DegenerateSlidingError, EvalDomainError, ExprSyntaxError,
+                     UnknownIdentifierError)
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "parse_expr", "format_expr", "evaluate", "compile_expr",
     "ScalarField", "VectorField", "compile_rates_and_fields",
+    "compile_sliding_field",
     "gradient_fd", "jacobian_fd", "FD_REL_STEP", "MAX_NESTING", "MAX_DEPTH",
 ]
 
@@ -313,6 +318,9 @@ def _parse(text: str) -> Expr:
 _LITERAL = re.compile(r"([0-9.](?<!\w[0-9])[0-9.]*(?:[eE][+-]?[0-9]+)?)",
                       re.ASCII)
 _MAX_BUILDERS = 512
+# numbers the generated code's file names, <filippov.expr:kind:n>, so
+# that a profile keeps one entry per generated function
+_LABELS = itertools.count()
 # skeleton -> build(values), or None for a skeleton seen once; oldest
 # first.  Writing a builder costs 0.14-0.7 ms (against 8 instead of 27 us
 # per text it builds; 2 vCPU, Python 3.11), so a skeleton gets one on its
@@ -370,7 +378,8 @@ def _builder(root: Expr) -> Callable[[list], Expr]:
                         f"    {unpack}= values" if n_literals else "    pass",
                         *lines, f"    return {names.pop()}"])
     namespace = dict(_BUILD_NAMESPACE)
-    exec(compile(source, "<filippov.expr>", "exec"), namespace)
+    exec(compile(source, f"<filippov.expr:build:{next(_LABELS)}>", "exec"),
+         namespace)
     return namespace["build"]
 
 
@@ -529,7 +538,8 @@ def _sign(value: float) -> float:
 _NAMESPACE = {"_pow": _pow, "_div": _div, "_sqrt": _sqrt, "_exp": _exp,
               "_dpow": _dpow, "_sign": _sign, "log": math.log,
               "sin": math.sin, "cos": math.cos, "abs": abs,
-              "isfinite": math.isfinite, "EvalDomainError": EvalDomainError}
+              "isfinite": math.isfinite, "EvalDomainError": EvalDomainError,
+              "DegenerateSlidingError": DegenerateSlidingError}
 _VAR_NAMES = {"x1": "x1", "x2": "x2", "x3": "x3"}
 # the code of each operation but ``u ** n``, from its operands' names
 _UNARY_FORMATS = {"neg": "-{}", "sin": "sin({})", "cos": "cos({})",
@@ -716,17 +726,46 @@ def _tangent_lines(ops: tuple, roots) -> tuple[tuple, tuple]:
         tuple(text(e) for e in tangents.get(root, _ZERO)) for root in roots)
 
 
-def _value_lines(ops: tuple, results, done: int) -> list:
+# Operations nest at most this deep in one generated expression: CPython
+# refuses more than 200 nested parentheses, and a MAX_DEPTH tree has 250
+# levels.
+_MAX_NESTED = 32
+
+
+def _value_lines(ops: tuple, results, done: int, keep) -> list:
     """One try statement computing the roots ``results`` of a program of
     :func:`_program` from operation ``done`` on, each value checked in
-    turn."""
+    turn.
+
+    An operation that is neither a root nor in ``keep`` (the names other
+    code reads) is written into the expression of its one user,
+    parenthesised, up to :data:`_MAX_NESTED` levels.  Python evaluates
+    an expression's operands left to right before its operation, so the
+    nested code does the walk's operations in the walk's order; and
+    before any line is written, every operation still waiting for its
+    user is written out as a line, so that no line runs ahead of an
+    operation the walk does first, and the first error is the walk's."""
     body = []
+    pending = {}  # name -> (code, levels) of an operation awaiting its user
     for result, end in results:
         for name, op, operands in ops[done:end]:
-            formats = _BINOP_FORMATS if len(operands) == 2 else _UNARY_FORMATS
-            code = (f"{operands[0]} ** {op}" if type(op) is int
-                    else formats[op].format(*operands))
-            body.append(f"{name} = {code}")
+            args, levels = [], 1
+            for u in operands:
+                if u in pending:
+                    code, level = pending.pop(u)
+                    args.append(f"({code})")
+                    levels = max(levels, level + 1)
+                else:
+                    args.append(u)
+            formats = _BINOP_FORMATS if len(args) == 2 else _UNARY_FORMATS
+            code = (f"{args[0]} ** {op}" if type(op) is int
+                    else formats[op].format(*args))
+            if name == result or name in keep or levels == _MAX_NESTED:
+                body += [f"{p} = {c}" for p, (c, _) in pending.items()]
+                pending.clear()
+                body.append(f"{name} = {code}")
+            else:
+                pending[name] = (code, levels)
         done = end
         body.append(f"if not isfinite({result}): "
                     "raise EvalDomainError('expression value is not finite')")
@@ -740,7 +779,9 @@ def _value_lines(ops: tuple, results, done: int) -> list:
 
 def _source(program: tuple, layout: str) -> str:
     """The source of ``_bind(constants)`` for a program of
-    :func:`_program`; ``_bind`` returns a function of (x1, x2, x3).
+    :func:`_program`; ``_bind`` returns a function of (x1, x2, x3),
+    straight-line code whose operations nest as :func:`_value_lines`
+    writes them.
 
     With ``layout`` "values" it returns one root's value, or the tuple of
     several.  With "derivatives" the tangent assignments of
@@ -750,41 +791,62 @@ def _source(program: tuple, layout: str) -> str:
     f_L and f_R, H's tangent assignments precede the fields' values (so
     the first error is the one that H's gradient, f_L and f_R, called in
     turn, would raise), and it returns (grad H . f_L, grad H . f_R, f_L,
-    f_R, (H, grad H))."""
+    f_R, (H, grad H)).  "sliding" computes what "rates" does and returns
+    the sliding field (r_L f_R - r_R f_L) / (r_L - r_R) of the two rates
+    r_L and r_R; ``_bind(constants, tol)`` then takes the tangency
+    tolerance too, and the function raises
+    :class:`~filippov.errors.DegenerateSlidingError` where |r_L - r_R| <=
+    tol (|r_L| + |r_R| + 1)."""
     ops, results, n_constants = program
     values = [result for result, _ in results]
-    split = 1 if layout == "rates" else len(results)
+    split = 1 if layout in ("rates", "sliding") else len(results)
     head_end = results[split - 1][1]  # the operations of the first roots
-    lines = _value_lines(ops, results[:split], 0)
+    keep, head = (), []
     if layout != "values":
         tangent_lines, partials = _tangent_lines(ops[:head_end],
                                                  values[:split])
+        keep = set(re.findall(r"\bt\d+\b", " ".join(
+            [*tangent_lines, *(p for row in partials for p in row)])))
         if tangent_lines:
-            lines += ["        try:",
-                      *(f"            {line}" for line in tangent_lines),
-                      "        except (ArithmeticError, ValueError):",
-                      f"            raise {_NOT_FINITE} from None"]
+            head += ["        try:",
+                     *(f"            {line}" for line in tangent_lines),
+                     "        except (ArithmeticError, ValueError):",
+                     f"            raise {_NOT_FINITE} from None"]
         checked = " and ".join(f"isfinite({p})" for row in partials
                                for p in row if p.isidentifier())
         if checked:
-            lines.append(f"        if not ({checked}): raise {_NOT_FINITE}")
-    if layout == "rates":
-        lines += _value_lines(ops, results[1:], head_end)
+            head.append(f"        if not ({checked}): raise {_NOT_FINITE}")
+    lines = _value_lines(ops, results[:split], 0, keep) + head
+    if layout in ("rates", "sliding"):
+        lines += _value_lines(ops, results[1:], head_end, keep)
         grad, f_left, f_right = partials[0], values[1:4], values[4:]
-        values = [*(" + ".join(map("{} * {}".format, grad, f))
-                    for f in (f_left, f_right)),
-                  *(f"({', '.join(row)})"
-                    for row in (f_left, f_right, (values[0], *grad)))]
+        # grad H . f; a unit partial multiplies nothing (a zero one still
+        # does: 0.0 * v can be -0.0 or NaN)
+        rates = [" + ".join(v if g == "1.0" else f"{g} * {v}"
+                            for g, v in zip(grad, f))
+                 for f in (f_left, f_right)]
+        if layout == "rates":
+            values = [*rates, *(f"({', '.join(row)})"
+                                for row in (f_left, f_right,
+                                            (values[0], *grad)))]
+        else:
+            lines += [f"        rl = {rates[0]}", f"        rr = {rates[1]}",
+                      "        gap = rl - rr",
+                      "        if abs(gap) <= tol * (abs(rl) + abs(rr) + 1.0):"
+                      " raise DegenerateSlidingError(rl, rr)"]
+            values = [f"(rl * {r} - rr * {l}) / gap"
+                      for l, r in zip(f_left, f_right)]
     elif layout == "derivatives":
         rows = ", ".join(f"({', '.join(row)})" for row in partials)
         values = ([values[0], *partials[0]] if len(values) == 1 else
                   [f"({', '.join(values)})", f"({rows})"])
     unpack = ", ".join(f"c{i}" for i in range(n_constants))
-    return "\n".join(["def _bind(_c):",
+    bound = ", tol" if layout == "sliding" else ""
+    return "\n".join([f"def _bind(_c{bound}):",
                       f"    {unpack}, = _c" if n_constants else "    pass",
-                      "    def field(x1, x2, x3):", *lines,
+                      f"    def {layout}(x1, x2, x3):", *lines,
                       f"        return {', '.join(values)}",
-                      "    return field"])
+                      f"    return {layout}"])
 
 
 @lru_cache(maxsize=512)
@@ -792,8 +854,8 @@ def _binder(program: tuple, layout: str):
     """Compile a program once; a tree of a shape seen before costs a walk
     and a bind."""
     namespace = dict(_NAMESPACE)
-    exec(compile(_source(program, layout), "<filippov.expr>", "exec"),
-         namespace)
+    label = f"<filippov.expr:{layout}:{next(_LABELS)}>"
+    exec(compile(_source(program, layout), label, "exec"), namespace)
     return namespace["_bind"]
 
 
@@ -804,10 +866,11 @@ _MAX_PROGRAMS = 512
 _PROGRAMS: dict[tuple, tuple] = {}
 
 
-def _compile(roots, layout: str = "values", scan=None):
-    """The generated function of ``roots``.  Given the literal ``scan``
-    of the texts they were parsed from, a shape compiled before with the
-    same whole exponents is bound from the scan's floats, with no walk."""
+def _compile(roots, layout: str = "values", scan=None, *bound):
+    """The generated function of ``roots``, bound with the further
+    arguments ``bound`` of its layout.  Given the literal ``scan`` of the
+    texts they were parsed from, a shape compiled before with the same
+    whole exponents is bound from the scan's floats, with no walk."""
     if scan is not None:
         key, floats = (layout, scan[0]), scan[1]
         known = _PROGRAMS.get(key)
@@ -815,14 +878,14 @@ def _compile(roots, layout: str = "values", scan=None):
             bind, sources, exponents = known
             if all([_whole(floats[i]) == whole for i, whole in exponents]):
                 return bind(tuple([-floats[i] if negated else floats[i]
-                                   for i, negated in sources]))
+                                   for i, negated in sources]), *bound)
     program, constants, recipe = _program(roots)
     bind = _binder(program, layout)
     if scan is not None:
         if key not in _PROGRAMS and len(_PROGRAMS) >= _MAX_PROGRAMS:
             del _PROGRAMS[next(iter(_PROGRAMS))]
         _PROGRAMS[key] = (bind, *recipe)
-    return bind(tuple(constants))
+    return bind(tuple(constants), *bound)
 
 
 def _joined(scans) -> tuple | None:
@@ -935,6 +998,19 @@ def compile_rates_and_fields(switch: ScalarField, left: VectorField,
     bit for bit, and it raises what the first of them to fail raises."""
     return _compile((switch.expr, *left.components, *right.components),
                     "rates", _joined([switch._scan, left._scan, right._scan]))
+
+
+def compile_sliding_field(switch: ScalarField, left: VectorField,
+                          right: VectorField, tol: float):
+    """One function (x1, x2, x3) -> the Filippov sliding field
+    (r_L f_R - r_R f_L) / (r_L - r_R), with r_L, r_R, f_L and f_R as
+    :func:`compile_rates_and_fields` computes them.  It raises what that
+    function raises, then
+    :class:`~filippov.errors.DegenerateSlidingError` where |r_L - r_R| <=
+    ``tol`` (|r_L| + |r_R| + 1)."""
+    return _compile((switch.expr, *left.components, *right.components),
+                    "sliding", _joined([switch._scan, left._scan,
+                                        right._scan]), tol)
 
 
 # --------------------------------------------------------------------------

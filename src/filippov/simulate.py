@@ -42,6 +42,7 @@ from .core import (
     is_observable,
     normal_rates,
     sliding_field,  # not called here; perfbench/spans.py wraps this binding
+    sliding_from_rates,
 )
 from .errors import (
     CorrectionDivergedError,
@@ -259,12 +260,19 @@ class _Sim:
             x_new = _rk4_tuple(f, self.x, dt)
             h_new = h(*x_new)
             if not armed:
-                if h_new * interior > _ON_SURFACE_TOL:
-                    armed = True
-                elif h_new * interior < -10.0 * _ON_SURFACE_TOL:
-                    raise FilippovError(
-                        f"{regime}-segment left its own side at "
-                        f"t = {self.t:g} before re-entering it")
+                if h_new * interior < -10.0 * _ON_SURFACE_TOL:
+                    # a short excursion into its own side that ended
+                    # within the step: halve the step until it ends inside,
+                    # and the next step locates the crossing back
+                    while h_new * interior <= _ON_SURFACE_TOL:
+                        dt *= 0.5
+                        if dt <= _EVENT_REFINE_TOL:
+                            raise FilippovError(
+                                f"{regime}-segment left its own side at "
+                                f"t = {self.t:g} before re-entering it")
+                        x_new = _rk4_tuple(f, self.x, dt)
+                        h_new = h(*x_new)
+                armed = h_new * interior > _ON_SURFACE_TOL
             elif h_new * interior <= 0.0:
                 tau, x_ev = _locate(lambda x, tau: _rk4_tuple(f, x, tau),
                                     self.x, h_now, dt, x_new, h_new,
@@ -298,7 +306,7 @@ class _Sim:
             dt = min(self.cfg.dt, self.cfg.t_max - self.t)
             # first same as last: the rates the monitor took at the last
             # step's end give this step's first stage
-            k1 = field(*self.x, rates_now)
+            k1 = sliding_from_rates(rates_now)
             x_new = step(self.x, dt)
             rates_new = rates(*x_new)
             rate_new, rate_r = rates_new[:2]

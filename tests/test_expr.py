@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from filippov.errors import (
+    DegenerateSlidingError,
     EvalDomainError,
     ExprSyntaxError,
     UnknownIdentifierError,
 )
 from filippov import expr
-from filippov.core import FilippovSystem
+from filippov.core import TANGENCY_TOL, FilippovSystem, sliding_from_rates
 from filippov.expr import (
     MAX_DEPTH,
     MAX_NESTING,
@@ -777,6 +778,127 @@ def test_rates_and_fields_is_the_three_calls_bit_for_bit():
             else:
                 compared += 1
     assert compared > 1500 and min(first_failing.values()) > 300
+
+
+def _sliding_outcome(sliding, point):
+    """("value", the hex of each float) or (error type, message)."""
+    try:
+        return "value", tuple(float(v).hex() for v in sliding(*point))
+    except (EvalDomainError, DegenerateSlidingError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_sliding_field_is_the_combination_of_the_rates_bit_for_bit():
+    # the generated sliding layout returns what the Python combination of
+    # rates_and_fields returns, bit for bit, and raises where it raises,
+    # with its message; for systems built from trees, and for the same
+    # systems parsed from text twice (a walk, then a bind from the scan)
+    rng = np.random.default_rng(15)
+    outcomes = {"value": 0, "EvalDomainError": 0, "DegenerateSlidingError": 0}
+    for _ in range(120):
+        trees = [_random_tree(rng, 3) for _ in range(7)]
+        texts = [format_expr(tree) for tree in trees]
+        systems = [FilippovSystem(VectorField(trees[1:4]),
+                                  VectorField(trees[4:]), ScalarField(trees[0])),
+                   *(FilippovSystem.parse(texts[1:4], texts[4:], texts[0])
+                     for _ in range(2))]
+        for system in systems:
+            combined = (lambda *x, rates=system.rates_and_fields:
+                        sliding_from_rates(rates(*x)))
+            for point in _POINTS[::3]:
+                point = tuple(map(float, point))
+                want = _sliding_outcome(combined, point)
+                assert _sliding_outcome(system.sliding, point) == want
+                outcomes[want[0]] += 1
+    assert outcomes["value"] > 2000 and outcomes["EvalDomainError"] > 1000
+    assert outcomes["DegenerateSlidingError"] > 100
+
+
+def test_sliding_field_takes_its_tolerance():
+    # the tolerance is bound, not compiled: two tolerances share one code
+    switch = ScalarField.parse("x1")
+    left = VectorField.parse(("1 + x2", "x2", "0"))
+    right = VectorField.parse(("1", "0", "0"))
+    loose, tight = (expr.compile_sliding_field(switch, left, right, tol)
+                    for tol in (1e-3, TANGENCY_TOL))
+    assert loose.__code__ is tight.__code__
+    assert tight(0.0, 1e-6, 0.0) == (0.0, pytest.approx(-1.0), 0.0)
+    with pytest.raises(DegenerateSlidingError,
+                       match=r"normal rates coincide \(1\.000e\+00 vs "
+                             r"1\.000e\+00\)"):
+        loose(0.0, 1e-6, 0.0)
+
+
+def _deepest_trees():
+    """Trees of MAX_DEPTH levels: a chain of every operation, a sum
+    nested to the left, and a chain of cos and products."""
+    chain = Var("x1")
+    for i in range(MAX_DEPTH - 1):
+        kind = i % 7
+        chain = (Neg(chain) if kind == 0 else
+                 Call("sin", chain) if kind == 1 else
+                 BinOp("*", Num(1.25), chain) if kind == 2 else
+                 BinOp("+", chain, Var("x2")) if kind == 3 else
+                 BinOp("/", chain, Num(1.5)) if kind == 4 else
+                 BinOp("^", chain, Num(1.0)) if kind == 5 else
+                 BinOp("-", Var("x3"), chain))
+    left = right = Var("x2")
+    for i in range(MAX_DEPTH - 1):
+        left = BinOp("+", left, Var(f"x{1 + i % 3}"))
+        right = BinOp("*", Num(1.001), right) if i % 2 else Call("cos", right)
+    return chain, left, right
+
+
+def test_deepest_trees_compile_in_every_layout():
+    # a MAX_DEPTH tree nests no deeper than CPython allows in any layout,
+    # and its value is the recursive walk's
+    trees = _deepest_trees()
+    assert [expr._depth(tree) for tree in trees] == [MAX_DEPTH] * 3
+    point = (0.3, -0.7, 0.4)
+    want = [evaluate_tree(tree, point) for tree in trees]
+    switch = ScalarField(BinOp("+", Var("x1"), trees[0]))
+    left, right = VectorField(trees), VectorField(trees[::-1])
+    for tree, value in zip(trees, want):
+        assert ScalarField(tree).compiled(*point) == value
+        assert ScalarField(tree).compiled_gradient(*point)[0] == value
+    assert left.compiled(*point) == tuple(want)
+    assert left.compiled_jacobian(*point)[0] == tuple(want)
+    system = FilippovSystem(left, right, switch)
+    rates = system.rates_and_fields(*point)
+    assert rates[2] == tuple(want) and rates[3] == tuple(want[::-1])
+    assert rates[4][0] == point[0] + want[0]
+    assert system.sliding(*point) == sliding_from_rates(rates)
+
+
+def test_a_line_runs_after_the_operations_the_walk_does_first():
+    # x1^-1.5 waits to be added, x3^1.5 is kept by the tangent of its
+    # product: the first error at x1 = 0, x3 < 0 is the power the walk
+    # takes first
+    field = ScalarField.parse("x1^-1.5 + x2*x3^1.5")
+    for fn in (field.compiled, field.compiled_gradient):
+        with pytest.raises(EvalDomainError,
+                           match="^0.0 cannot be raised to a negative power$"):
+            fn(0.0, 1.0, -1.0)
+
+
+def test_generated_programs_have_their_own_labels():
+    # a profile keys its entries on (file, line, name): each program is
+    # compiled under its own file name, which names its layout
+    system = FilippovSystem.parse(("x2", "-x1 + 0.5*x1^2", "x3"),
+                                  ("-1", "sin(x2)", "x1"), "x1 + x2*x3")
+    functions = {"values": (system.left.compiled, system.switch.compiled),
+                 "derivatives": (system.left.compiled_jacobian,
+                                 system.switch.compiled_gradient),
+                 "rates": (system.rates_and_fields,),
+                 "sliding": (system.sliding,)}
+    labels = set()
+    for layout, fns in functions.items():
+        for fn in fns:
+            code = fn.__code__
+            assert code.co_name == layout
+            assert code.co_filename.startswith(f"<filippov.expr:{layout}:")
+            labels.add((code.co_filename, code.co_firstlineno, code.co_name))
+    assert len(labels) == 6
 
 
 # --------------------------------------------------------------------------

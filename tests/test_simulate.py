@@ -156,13 +156,13 @@ def test_events_take_few_monitor_evaluations(monkeypatch):
 def test_slide_step_makes_five_generated_calls():
     # first same as last: the rates the fold monitor takes at a slide
     # step's end give the next step's first RK4 stage, so a step calls the
-    # generated code five times (three stages, the projection's gradient,
-    # the monitor), not six
+    # generated code five times (three stages of the sliding field, the
+    # projection's gradient, the monitor's rates), not six
     def generated_calls(t_max: float) -> tuple[int, int]:
         system = FilippovSystem.parse(("1", "x3", "1 + x2^2"),
                                       ("1", "0", "-1 - x1^2"), "x3")
         calls = []
-        for owner, name in ((system, "rates_and_fields"),
+        for owner, name in ((system, "rates_and_fields"), (system, "sliding"),
                             (system.switch, "compiled_gradient")):
             generated = getattr(owner, name)
             # the cached property's value, replaced by a counting one
@@ -325,6 +325,52 @@ def test_visible_fold_start_departs_into_left_domain():
     assert orbit.segments[0].regime == "L"
     # and the orbit immediately enters x1 < 0
     assert orbit.segments[0].samples[5][1] < 0
+
+
+def test_short_excursion_across_the_surface():
+    # seed 1's third benchmark orbit: at t = 26.7188 the left orbit hits a
+    # crossing point with a right normal rate of 5.2e-3, and the right flow
+    # is back on the surface about 5e-4 later, inside the first step of
+    # the right segment; the simulator halves that step until it ends on
+    # the right side, and locates the crossing back from there
+    system = FilippovSystem.parse(
+        ("-0.6*x1 + x2 + 0.21448904151551057*x1^2"
+         " + 0.20119683468161836*x2*x3",
+         "-4.6000000000000005*x1 + x3 + 0.1870280972132714*x2^2"
+         " + -0.18349717040550706*x1*x3",
+         "-5.000000000000001*x1 + -0.23830271048295654*x1*x2"
+         " + -0.19685828963313262*x3^2"),
+        ("-1.0 + 0.2853320009050368*x2", "-0.5 + 0.114191076798496*x3^2",
+         "-6.0 + 0.14901926686882488*x1*x2"),
+        "x1 + -0.1510824530568166*x2^2 + -0.2668768771913515*x3^2"
+        " + -0.18450121002707773*x2*x3")
+    x0 = (-0.0005471429358508919, 0.003628270089672265, -0.03990658250173633)
+    ends = []
+    for dt in (2e-2, 5e-3):
+        orbit = simulate(system, x0, SimConfig(dt=dt, t_max=60.0))
+        assert orbit.terminal is Terminal.DIVERGED
+        regimes = "".join(seg.regime for seg in orbit.segments)
+        assert regimes.startswith("LS" * 9 + "LRS")
+        first = orbit.segments[regimes.index("R")]
+        (t0, *start), *inside, (t1, *end) = first.samples
+        assert 26.7187 < t0 < 26.7188 and 0.0 < t1 - t0 < 1e-3
+        assert normal_rates(system, start)[1] > 0.0
+        assert inside and all(system.switch(x) > _ON_SURFACE_TOL
+                              for _, *x in inside)
+        assert abs(system.switch(end)) <= _ON_SURFACE_TOL
+        ends.append(orbit.segments[-1].samples[-1][0])
+    assert 44.3 < min(ends) and max(ends) < 44.4
+
+
+def test_segment_that_never_enters_its_side_fails():
+    # at (0, 0, 1) both fields cross the surface x1 = 0 into x1 > 0, but
+    # the right one turns back within 2e-11 time units, before H reaches
+    # the surface tolerance: no halving of the step arms the segment
+    system = FilippovSystem.parse(("1", "0", "0"), ("2e-9 - 100*x2", "1", "0"),
+                                  "x1")
+    with pytest.raises(FilippovError,
+                       match="R-segment left its own side at t = 0 "):
+        simulate(system, (0.0, 0.0, 1.0), SimConfig(dt=1e-3, t_max=1.0))
 
 
 def test_step_halving_consistency():
