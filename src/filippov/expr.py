@@ -12,16 +12,17 @@ that depth the trees' own recursive ``==``, ``repr`` and ``hash`` stay
 well inside Python's recursion limit (they fail from about 320 levels
 under pytest, 340 in a bare process).
 
-A shape parsed before is not parsed again.  The tree depends on the
-tokens' kinds, and on a literal's value only through the ``Num`` node it
-becomes, so a text's *skeleton* -- the text with each numeric literal
-replaced by ``#`` -- fixes the tree but for its literals.  On a
-skeleton's second sighting :func:`parse_expr` writes a straight-line
-builder from the tree just parsed; every later text with that skeleton
-is built from its literals' floats, without tokenizing (a bounded cache
-of 512 skeletons).  A text with ``#`` or a non-ASCII character, a
-literal that ``float`` rejects, and every error go to the
-recursive-descent parser, so the trees and the errors are the parser's.
+A field parsed from text builds its tree only when the tree is read.
+The tree depends on the tokens' kinds, and on a literal's value only
+through the ``Num`` node it becomes, so a text's *skeleton* -- the text
+with each numeric literal replaced by ``#`` -- decides whether it parses.
+:meth:`ScalarField.parse` and :meth:`VectorField.parse` keep a text
+whose skeleton parsed before (a bounded set of the last 512) and whose
+literals ``float`` all takes, and parse it on the first read of ``expr``
+or ``components``.  Every other text -- one with ``#`` or a non-ASCII
+character, a literal that ``float`` rejects, a new skeleton -- is parsed
+at once, so the trees and the errors are the parser's.
+:func:`parse_expr` is the recursive-descent parser itself.
 
 Parsed expressions are immutable trees.  A field is evaluated by one
 generated Python function of (x1, x2, x3): straight-line code that does
@@ -44,8 +45,9 @@ exponents.  :meth:`ScalarField.parse` and :meth:`VectorField.parse` keep
 the literal scan of the parse, outside ``==``, ``repr`` and ``hash``;
 the first compile of a shape walks its trees and records where each
 constant comes from, and every later field with those skeletons and
-whole exponents is bound straight from its literals' floats (a bounded
-cache of 512 shapes).  A field built from trees is walked.
+whole exponents is bound straight from its literals' floats, without
+reading its trees (a bounded cache of 512 shapes).  A field built from
+trees is walked.
 
 First derivatives are exact: the generator differentiates the same
 straight-line code in forward mode, emitting tangent assignments after
@@ -294,8 +296,8 @@ def _depth(root: Expr) -> int:
 
 
 def _parse(text: str) -> Expr:
-    """Parse by recursive descent: the source of every tree the skeleton
-    cache does not build, and of every error."""
+    """Parse by recursive descent: the source of every tree and of every
+    error."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 1, expected="an expression")
     parser = _Parser(text)
@@ -317,107 +319,48 @@ def _parse(text: str) -> Expr:
 # (3.4 instead of 8.3 us on an 80-character field).
 _LITERAL = re.compile(r"([0-9.](?<!\w[0-9])[0-9.]*(?:[eE][+-]?[0-9]+)?)",
                       re.ASCII)
-_MAX_BUILDERS = 512
+_MAX_SKELETONS = 512
+# the skeletons of texts that parsed, as a set in insertion order, oldest
+# first: a text with one of them parses, whatever its literals' floats
+_SKELETONS: dict[str, None] = {}
 # numbers the generated code's file names, <filippov.expr:kind:n>, so
 # that a profile keeps one entry per generated function
 _LABELS = itertools.count()
-# skeleton -> build(values), or None for a skeleton seen once; oldest
-# first.  Writing a builder costs 0.14-0.7 ms (against 8 instead of 27 us
-# per text it builds; 2 vCPU, Python 3.11), so a skeleton gets one on its
-# second sighting: a run that parses each shape once writes none.
-_BUILDERS: dict[str, Callable[[list], Expr] | None] = {}
-_BUILD_NAMESPACE = {"new": object.__new__, "Num": Num, "Neg": Neg,
-                    "BinOp": BinOp, "Call": Call, **_VAR_NODES}
 
 
-def _builder(root: Expr) -> Callable[[list], Expr]:
-    """A function of the literals' floats, in the order of the text, that
-    builds a tree of ``root``'s shape: straight-line code with one node
-    per line, in post-order, so that no depth of tree nests a call.
-
-    Each node is made by ``object.__new__`` and its ``__dict__`` filled,
-    which is what the frozen dataclass's ``__init__`` does field by field
-    through ``object.__setattr__``, at under half the cost (a 13-node
-    tree takes 3.5 instead of 8.8 us on 2 vCPU, Python 3.11).  The
-    variables are the parser's shared nodes."""
-    lines, names, n_literals = [], [], 0
-
-    def emit(kind: type, **fields: str) -> None:
-        name = f"t{len(lines)}"
-        fills = "".join(f"; d[{key!r}] = {value}"
-                        for key, value in fields.items())
-        lines.append(f"    {name} = new({kind.__name__}); "
-                     f"d = {name}.__dict__{fills}")
-        names.append(name)
-
-    todo = [root]  # a node to visit, or (node,) to make from its operands
-    while todo:
-        node = todo.pop()
-        kind = type(node)
-        if kind is Var:
-            names.append(node.name)
-        elif kind is Num:
-            emit(Num, value=f"v{n_literals}")
-            n_literals += 1
-        elif kind is not tuple:
-            todo.append((node,))
-            todo += ((node.right, node.left) if kind is BinOp else
-                     (node.arg,) if kind is Call else (node.operand,))
-        else:
-            node, = node
-            kind = type(node)
-            if kind is BinOp:
-                right, left = names.pop(), names.pop()
-                emit(BinOp, op=repr(node.op), left=left, right=right)
-            elif kind is Call:
-                emit(Call, func=repr(node.func), arg=names.pop())
-            else:
-                emit(Neg, operand=names.pop())
-    unpack = "".join(f"v{i}, " for i in range(n_literals))
-    source = "\n".join(["def build(values):",
-                        f"    {unpack}= values" if n_literals else "    pass",
-                        *lines, f"    return {names.pop()}"])
-    namespace = dict(_BUILD_NAMESPACE)
-    exec(compile(source, f"<filippov.expr:build:{next(_LABELS)}>", "exec"),
-         namespace)
-    return namespace["build"]
-
-
-def _parse_scanned(text: str) -> tuple[Expr, tuple | None]:
-    """The tree of ``text`` and its literal scan ``((skeleton,), floats)``:
-    the floats of its literals in the order of the text, which is the
-    order of their ``Num`` nodes in a left-to-right walk.  The scan is
-    None for a text with ``#`` or a non-ASCII character."""
+def _scanned(text: str) -> tuple[Expr | str, tuple | None]:
+    """The tree of ``text``, or ``text`` itself if its skeleton parsed
+    before and so will parse again; and its literal scan ``((skeleton,),
+    floats)``: the floats of its literals in the order of the text, which
+    is the order of their ``Num`` nodes in a left-to-right walk.  The scan
+    is None for a text with ``#`` or a non-ASCII character."""
     if not (isinstance(text, str) and text.isascii() and "#" not in text):
         return _parse(text), None
     parts = _LITERAL.split(text)  # text, literal, text, ..., text
     skeleton = "#".join(parts[::2])
-    build = _BUILDERS.get(skeleton)
-    if build is not None:
-        try:
-            values = list(map(float, parts[1::2]))
-        except ValueError:  # a bad literal such as "1.2.3"
-            pass
-        else:
-            return build(values), ((skeleton,), values)
+    try:
+        scan = ((skeleton,), list(map(float, parts[1::2])))
+    except ValueError:  # a bad literal such as "1.2.3": the parser's error
+        return _parse(text), None
+    if skeleton in _SKELETONS:
+        return text, scan
     node = _parse(text)
-    if skeleton in _BUILDERS:  # its second sighting: write its builder
-        _BUILDERS[skeleton] = _builder(node)
-    else:
-        if len(_BUILDERS) >= _MAX_BUILDERS:
-            del _BUILDERS[next(iter(_BUILDERS))]
-        _BUILDERS[skeleton] = None
-    # the parser took every literal, so float() takes each one
-    return node, ((skeleton,), list(map(float, parts[1::2])))
+    if len(_SKELETONS) >= _MAX_SKELETONS:
+        del _SKELETONS[next(iter(_SKELETONS))]
+    _SKELETONS[skeleton] = None
+    return node, scan
+
+
+def _tree(part: Expr | str) -> Expr:
+    """A part of :func:`_scanned`'s result as a tree, parsed now if it is
+    a text."""
+    return _parse(part) if type(part) is str else part
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse expression text into an immutable tree.
-
-    A text whose skeleton (the text with each numeric literal replaced by
-    ``#``) has a builder is built by it, without tokenizing; any other
-    text, and every error, is the parser's."""
-    return _parse_scanned(text)[0]
+    """Parse expression text into an immutable tree, by recursive
+    descent."""
+    return _parse(text)
 
 
 # --------------------------------------------------------------------------
@@ -866,11 +809,12 @@ _MAX_PROGRAMS = 512
 _PROGRAMS: dict[tuple, tuple] = {}
 
 
-def _compile(roots, layout: str = "values", scan=None, *bound):
-    """The generated function of ``roots``, bound with the further
-    arguments ``bound`` of its layout.  Given the literal ``scan`` of the
-    texts they were parsed from, a shape compiled before with the same
-    whole exponents is bound from the scan's floats, with no walk."""
+def _compile(trees, layout: str = "values", scan=None, *bound):
+    """The generated function of the roots ``trees()`` returns, bound with
+    the further arguments ``bound`` of its layout.  Given the literal
+    ``scan`` of the texts they were parsed from, a shape compiled before
+    with the same whole exponents is bound from the scan's floats, with no
+    walk and without calling ``trees``."""
     if scan is not None:
         key, floats = (layout, scan[0]), scan[1]
         known = _PROGRAMS.get(key)
@@ -879,7 +823,7 @@ def _compile(roots, layout: str = "values", scan=None, *bound):
             if all([_whole(floats[i]) == whole for i, whole in exponents]):
                 return bind(tuple([-floats[i] if negated else floats[i]
                                    for i, negated in sources]), *bound)
-    program, constants, recipe = _program(roots)
+    program, constants, recipe = _program(trees())
     bind = _binder(program, layout)
     if scan is not None:
         if key not in _PROGRAMS and len(_PROGRAMS) >= _MAX_PROGRAMS:
@@ -899,7 +843,7 @@ def _joined(scans) -> tuple | None:
 def compile_expr(node: Expr) -> Callable[[float, float, float], float]:
     """Compile a tree to a callable (x1, x2, x3) -> float with the same
     domain-error behaviour as :func:`evaluate`."""
-    return _compile((node,))
+    return _compile(lambda: (node,))
 
 
 def evaluate(node: Expr, point) -> float:
@@ -924,14 +868,20 @@ class ScalarField:
 
     @classmethod
     def parse(cls, text: str) -> "ScalarField":
-        node, scan = _parse_scanned(text)
-        field = cls(node)
-        field.__dict__["_scan"] = scan
+        field = object.__new__(cls)
+        field.__dict__["_part"], field.__dict__["_scan"] = _scanned(text)
         return field
+
+    def __getattr__(self, name: str):
+        # ``expr`` of a field made by ``parse``, on its first read
+        if name != "expr" or "_part" not in self.__dict__:
+            raise AttributeError(name)
+        node = self.__dict__["expr"] = _tree(self._part)
+        return node
 
     @cached_property
     def compiled(self) -> Callable[[float, float, float], float]:
-        return _compile((self.expr,), "values", self._scan)
+        return _compile(lambda: (self.expr,), "values", self._scan)
 
     @cached_property
     def compiled_gradient(self) -> Callable[[float, float, float],
@@ -943,7 +893,7 @@ class ScalarField:
         :class:`~filippov.errors.EvalDomainError` where a partial
         derivative is not finite (``sqrt(x1)`` at 0) or not defined
         (``x1^x2`` at x1 <= 0)."""
-        return _compile((self.expr,), "derivatives", self._scan)
+        return _compile(lambda: (self.expr,), "derivatives", self._scan)
 
     def __call__(self, point) -> float:
         return self.compiled(float(point[0]), float(point[1]), float(point[2]))
@@ -966,24 +916,32 @@ class VectorField:
         texts = tuple(texts)
         if len(texts) != 3:
             raise ValueError("a vector field needs exactly 3 component strings")
-        parsed = [_parse_scanned(text) for text in texts]
-        field = cls(tuple(node for node, _ in parsed))
+        parsed = [_scanned(text) for text in texts]
+        field = object.__new__(cls)
+        field.__dict__["_parts"] = tuple(part for part, _ in parsed)
         field.__dict__["_scan"] = _joined([scan for _, scan in parsed])
         return field
+
+    def __getattr__(self, name: str):
+        # ``components`` of a field made by ``parse``, on its first read
+        if name != "components" or "_parts" not in self.__dict__:
+            raise AttributeError(name)
+        trees = self.__dict__["components"] = tuple(map(_tree, self._parts))
+        return trees
 
     @cached_property
     def compiled(self) -> Callable[[float, float, float],
                                    tuple[float, float, float]]:
         """One function returning the three components, evaluated in
         order: the first component that fails names the error."""
-        return _compile(self.components, "values", self._scan)
+        return _compile(lambda: self.components, "values", self._scan)
 
     @cached_property
     def compiled_jacobian(self) -> Callable[[float, float, float], tuple]:
         """One function (x1, x2, x3) -> ((f1, f2, f3), J): row i of the
         exact Jacobian J is the gradient of component i.  It raises as
         :attr:`ScalarField.compiled_gradient` does."""
-        return _compile(self.components, "derivatives", self._scan)
+        return _compile(lambda: self.components, "derivatives", self._scan)
 
     def __call__(self, point) -> np.ndarray:
         return np.array(self.compiled(float(point[0]), float(point[1]),
@@ -996,7 +954,8 @@ def compile_rates_and_fields(switch: ScalarField, left: VectorField,
     (H, grad H)) with H = ``switch``.  Its floats are those of
     ``switch.compiled_gradient``, ``left.compiled`` and ``right.compiled``
     bit for bit, and it raises what the first of them to fail raises."""
-    return _compile((switch.expr, *left.components, *right.components),
+    return _compile(lambda: (switch.expr, *left.components,
+                             *right.components),
                     "rates", _joined([switch._scan, left._scan, right._scan]))
 
 
@@ -1008,7 +967,8 @@ def compile_sliding_field(switch: ScalarField, left: VectorField,
     function raises, then
     :class:`~filippov.errors.DegenerateSlidingError` where |r_L - r_R| <=
     ``tol`` (|r_L| + |r_R| + 1)."""
-    return _compile((switch.expr, *left.components, *right.components),
+    return _compile(lambda: (switch.expr, *left.components,
+                             *right.components),
                     "sliding", _joined([switch._scan, left._scan,
                                         right._scan]), tol)
 

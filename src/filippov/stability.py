@@ -98,17 +98,20 @@ def hybrid_params_from_spectrum(alpha: float, beta: float, gamma: float,
 
     Homogeneous of degree zero in the time scale: multiplying
     (alpha, beta, gamma) by s and (pair_sum, pair_product) by (s, s^2)
-    leaves the result unchanged.
+    leaves the result unchanged.  Each quantity is divided by gamma
+    before it is squared, so no square of a time-scaled quantity
+    overflows or loses digits below the normal floats.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
+    ra, rb = alpha / gamma, beta / gamma
     return HybridParams(
-        a=2.0 * alpha / gamma,
-        b=(alpha * alpha + beta * beta) / (gamma * gamma),
+        a=2.0 * ra,
+        b=ra * ra + rb * rb,
         c=pair_sum / gamma,
-        d=pair_product / (gamma * gamma),
+        d=pair_product / gamma / gamma,
     )
 
 

@@ -12,7 +12,8 @@ from filippov.errors import (
     UnknownIdentifierError,
 )
 from filippov import expr
-from filippov.core import TANGENCY_TOL, FilippovSystem, sliding_from_rates
+from filippov.core import (TANGENCY_TOL, FilippovSystem, boundary_data,
+                           sliding_from_rates)
 from filippov.expr import (
     MAX_DEPTH,
     MAX_NESTING,
@@ -29,6 +30,8 @@ from filippov.expr import (
     jacobian_fd,
     parse_expr,
 )
+from filippov.hybrid import return_multiplier
+from filippov.stability import Rotational, classify_equilibrium
 from oracles import (
     GRADIENT_RTOL,
     GRADIENT_VALUE_RTOL,
@@ -353,7 +356,8 @@ def test_roundtrip_random_trees():
 
 
 # --------------------------------------------------------------------------
-# the skeleton cache: a shape parsed before is built, not parsed
+# the skeleton set: a text of a skeleton parsed before is parsed when its
+# tree is read
 # --------------------------------------------------------------------------
 
 def _with_literals(tree, values):
@@ -376,17 +380,16 @@ def _same_tree(got, text):
 
 
 def test_cached_trees_are_the_parsers(monkeypatch):
-    # a skeleton is parsed on its first two sightings, the builder is
-    # written on the second, and every later text with that skeleton,
-    # whatever its literals' values and lengths, is built equal to the
-    # parser's tree
+    # a skeleton is parsed on its first sighting; every later text with
+    # that skeleton, whatever its literals' values and lengths, is parsed
+    # when its tree is read, to the parser's tree
     parsed = []
     parse = expr._parse
     monkeypatch.setattr(expr, "_parse",
                         lambda text: parsed.append(text) or parse(text))
     rng = np.random.default_rng(12)
     for _ in range(200):
-        expr._BUILDERS.clear()
+        expr._SKELETONS.clear()
         parsed.clear()
         tree = _random_tree(rng, 4)
         texts = [format_expr(tree)] * 3
@@ -394,23 +397,26 @@ def test_cached_trees_are_the_parsers(monkeypatch):
             values = map(float, 10.0 ** rng.uniform(-20, 20, size=64)
                          * rng.integers(0, 2, size=64))
             texts.append(format_expr(_with_literals(tree, values)))
-        for text in texts:
-            got, want = parse_expr(text), parse(text)
+        fields = [ScalarField.parse(text) for text in texts]
+        assert parsed == texts[:1]
+        for field, text in zip(fields, texts):
+            got, want = field.expr, parse(text)
             assert got == want and repr(got) == repr(want)
-        assert parsed == texts[:2]
-    # a tree at the depth limit is built without nesting a call
+        assert parsed == texts
+    # a tree at the depth limit too
     parsed.clear()
     total = " + ".join(["1.5*x1"] * (MAX_DEPTH - 1))
-    for k in ("1.5", "1.5", "2.5e-300", "7"):
-        assert parse_expr(total.replace("1.5", k)) == \
-            parse(total.replace("1.5", k))
-    assert parsed == [total] * 2
+    texts = [total.replace("1.5", k) for k in ("1.5", "1.5", "2.5e-300", "7")]
+    fields = [ScalarField.parse(text) for text in texts]
+    assert parsed == [total]
+    for field, text in zip(fields, texts):
+        assert field.expr == parse(text)
+    assert parsed == texts
 
 
 def test_cache_keeps_the_parsers_errors():
-    for _ in range(2):
-        parse_expr("x1 + 2.5*x2")
-    assert callable(expr._BUILDERS["x1 + #*x2"])
+    ScalarField.parse("x1 + 2.5*x2")
+    assert "x1 + #*x2" in expr._SKELETONS
     cases = [
         ("x1 + 1.2.3*x2", 6, "bad numeric literal '1.2.3', expected a number"),
         ("x1 + .*x2", 6, "bad numeric literal '.', expected a number"),
@@ -420,26 +426,32 @@ def test_cache_keeps_the_parsers_errors():
     ]
     for text, offset, message in cases:
         errors = []
-        for parse in (parse_expr, expr._parse):
+        for parse in (lambda text: ScalarField.parse(text).expr, expr._parse):
             with pytest.raises(ExprSyntaxError) as exc_info:
                 parse(text)
             errors.append((exc_info.value.offset, str(exc_info.value)))
         assert errors == [(offset, f"syntax error at offset {offset}: "
                            f"{message}")] * 2
     # a non-ASCII digit that float() reads goes to the parser too
-    _same_tree(parse_expr("x1 + \u0663*x2"), "x1 + \u0663*x2")
-    assert parse_expr("x1 + \u0663*x2") == parse_expr("x1 + 3*x2")
+    _same_tree(ScalarField.parse("x1 + \u0663*x2").expr, "x1 + \u0663*x2")
+    assert ScalarField.parse("x1 + \u0663*x2").expr == \
+        ScalarField.parse("x1 + 3*x2").expr
 
 
 def test_skeletons_keep_their_names():
     # the digits of a variable are part of its name, not a literal
     for _ in range(3):
-        assert parse_expr("x1 + x2") == BinOp("+", Var("x1"), Var("x2"))
-        assert parse_expr("x1 + x3") == BinOp("+", Var("x1"), Var("x3"))
-        assert parse_expr("2*x1") == BinOp("*", Num(2.0), Var("x1"))
-        assert parse_expr("2*x3") == BinOp("*", Num(2.0), Var("x3"))
+        assert ScalarField.parse("x1 + x2").expr == \
+            BinOp("+", Var("x1"), Var("x2"))
+        assert ScalarField.parse("x1 + x3").expr == \
+            BinOp("+", Var("x1"), Var("x3"))
+        assert ScalarField.parse("2*x1").expr == BinOp("*", Num(2.0), Var("x1"))
+        assert ScalarField.parse("2*x3").expr == BinOp("*", Num(2.0), Var("x3"))
+        # nor of the program bound from the skeleton
+        assert ScalarField.parse("x1 + x2").compiled(1.0, 2.0, 4.0) == 3.0
+        assert ScalarField.parse("x1 + x3").compiled(1.0, 2.0, 4.0) == 5.0
     for text in ("x1 + x2", "x1 + x3", "#*x1", "#*x3"):
-        assert callable(expr._BUILDERS[text])
+        assert text in expr._SKELETONS
 
 
 def test_literal_scan_splits_as_the_tokenizer():
@@ -464,17 +476,134 @@ def test_literal_scan_splits_as_the_tokenizer():
 
 def test_cache_is_bounded():
     # 600 skeletons, each seen twice: the oldest are dropped, and the
-    # bound is a constant, with no option on parse_expr
+    # bound is a constant, with no option on the parsers
     assert list(inspect.signature(parse_expr).parameters) == ["text"]
-    assert expr._MAX_BUILDERS == 512
+    assert list(inspect.signature(ScalarField.parse).parameters) == ["text"]
+    assert expr._MAX_SKELETONS == 512
     for k in range(600):
         text = "x1" + " " * k + "+ 1"
         for _ in range(2):
-            assert parse_expr(text) == BinOp("+", Var("x1"), Num(1.0))
-            assert len(expr._BUILDERS) <= expr._MAX_BUILDERS
-    assert len(expr._BUILDERS) == expr._MAX_BUILDERS
-    assert "x1+ #" not in expr._BUILDERS
-    assert callable(expr._BUILDERS["x1" + " " * 599 + "+ #"])
+            assert ScalarField.parse(text).expr == \
+                BinOp("+", Var("x1"), Num(1.0))
+            assert len(expr._SKELETONS) <= expr._MAX_SKELETONS
+    assert len(expr._SKELETONS) == expr._MAX_SKELETONS
+    assert "x1+ #" not in expr._SKELETONS
+    assert "x1" + " " * 599 + "+ #" in expr._SKELETONS
+
+
+def test_a_known_skeleton_is_parsed_when_its_tree_is_read(monkeypatch):
+    parsed = []
+    parse = expr._parse
+    monkeypatch.setattr(expr, "_parse",
+                        lambda text: parsed.append(text) or parse(text))
+    ScalarField.parse("x1 - 0.5*x2^2 + 3e-2")
+    VectorField.parse(("x2", "-2*x1 + x3", "sin(x1) - 0.25"))
+    parsed.clear()
+    scalar = ScalarField.parse("x1 - 1.5*x2^2 + 7e-3")
+    texts = ("x2", "-4*x1 + x3", "sin(x1) - 2.5")
+    vector = VectorField.parse(texts)
+    assert parsed == []
+    assert "expr" not in vars(scalar) and "components" not in vars(vector)
+    tree = scalar.expr
+    assert scalar.expr is tree and tree == parse("x1 - 1.5*x2^2 + 7e-3")
+    assert parsed == ["x1 - 1.5*x2^2 + 7e-3"]
+    trees = vector.components
+    assert vector.components is trees and trees == tuple(map(parse, texts))
+    assert parsed == ["x1 - 1.5*x2^2 + 7e-3", *texts]
+
+
+def test_a_lazy_field_equals_the_parsers():
+    # ==, hash and repr of a field not yet parsed are those of the field
+    # built from the parser's trees
+    for i, text in enumerate(CORPUS):
+        texts = (text, CORPUS[i - 1], CORPUS[i - 2])
+        ScalarField.parse(text), VectorField.parse(texts)
+        for parse, built in (
+                (lambda: ScalarField.parse(text),
+                 ScalarField(expr._parse(text))),
+                (lambda: VectorField.parse(texts),
+                 VectorField(tuple(map(expr._parse, texts))))):
+            assert not {"expr", "components"} & set(vars(parse()))
+            assert parse() == built and built == parse()
+            assert hash(parse()) == hash(built)
+            assert repr(parse()) == repr(built)
+
+
+def test_a_vector_field_mixes_new_and_known_texts(monkeypatch):
+    expr._SKELETONS.clear()
+    ScalarField.parse("x1*x2 - 0.5")
+    parsed = []
+    parse = expr._parse
+    monkeypatch.setattr(expr, "_parse",
+                        lambda text: parsed.append(text) or parse(text))
+    texts = ("x1*x2 - 1.5", "x3^3 - 0.75*x1", "x1*x2 - 2")
+    field = VectorField.parse(texts)
+    assert parsed == [texts[1]]
+    assert field.compiled(1.0, 2.0, 3.0) == (0.5, 26.25, 0.0)
+    assert field.components == tuple(map(parse, texts))
+    assert parsed == [texts[1], texts[0], texts[2]]
+
+
+def test_a_program_cache_miss_builds_the_trees(monkeypatch):
+    # texts of known skeletons are parsed only when a compile misses the
+    # program cache, as a toggled whole exponent makes it do
+    parsed, walks = [], []
+    parse, walk = expr._parse, expr._program
+    monkeypatch.setattr(expr, "_parse",
+                        lambda text: parsed.append(text) or parse(text))
+    monkeypatch.setattr(expr, "_program",
+                        lambda roots: walks.append(roots) or walk(roots))
+    expr._SKELETONS.clear()
+    expr._PROGRAMS.clear()
+    outcomes = []
+    for texts in _toggled_texts():
+        parsed.clear()
+        system = FilippovSystem.parse(texts[1:4], texts[4:], texts[0])
+        unparsed = sorted(set(texts) - set(parsed))
+        parsed.clear()
+        walks.clear()
+        system.rates_and_fields
+        assert sorted(parsed) == (unparsed if walks else [])
+        outcomes.append((len(walks), len(unparsed)))
+    assert (1, 7) in outcomes and (0, 7) in outcomes
+
+
+def _rotational_texts(k):
+    """f_L, f_R and H of a rotational system, (a, b, c, d) = (0.2, 5, 0.2,
+    1) at the origin, with nonlinear terms of size ``k``."""
+    return ((f"-0.8*x1 + x2 + {k}*x2^2", f"-4.8*x1 + x3 - {k}*x1*x3",
+             f"-5*x1 + {k}*sin(x2)"),
+            (f"-1 + {k}*x2", "0.2", "-1"), f"x1 + {k}*x2^2")
+
+
+def test_a_known_system_is_classified_without_a_tree(monkeypatch):
+    # once its skeletons parsed and its shapes compiled, a system is
+    # classified, and its rates and sliding field bound, from its
+    # literals alone
+    def run(system):
+        verdict = classify_equilibrium(boundary_data(system, (0.0, 0.0, 0.0)))
+        assert isinstance(verdict, Rotational)
+        return (return_multiplier(verdict.params).value,
+                system.rates_and_fields(0.0, 0.0, 0.1),
+                system.sliding(0.0, 0.0, 0.1))
+
+    run(FilippovSystem.parse(*_rotational_texts(0.25)))
+
+    def fail(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    for k in (0.5, 0.125):
+        system = FilippovSystem.parse(*_rotational_texts(k))
+        with monkeypatch.context() as patch:
+            patch.setattr(expr, "_parse", fail)
+            outcome = run(system)
+        assert "expr" not in vars(system.switch)
+        assert "components" not in vars(system.left)
+        assert "components" not in vars(system.right)
+        assert outcome == run(FilippovSystem(
+            VectorField(system.left.components),
+            VectorField(system.right.components),
+            ScalarField(system.switch.expr)))
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -150,6 +153,22 @@ def test_hybrid_params_map_scaling_invariance():
     scaled = hybrid_params_from_spectrum(0.2, 4.0, 2.0, 0.4, 4.0)
     for name in "abcd":
         assert abs(getattr(base, name) - getattr(scaled, name)) <= 1e-12
+
+
+def test_hybrid_params_map_far_from_unit_time_scale():
+    # (0.1s, 2s, s, -0.5s, 0.5s^2) maps to (0.2, 4.01, -0.5, 0.5) at every
+    # time scale s: squaring before dividing lost b's digits at 1e-160 and
+    # overflowed at 1e154.  d is checked only where pair_product is a
+    # normal float; below that its digits are lost before the call.
+    want = (0.2, 4.01, -0.5, 0.5)
+    for s in (1e-160, 1e-155, 1e154):
+        pair_product = 0.5 * s * s
+        p = hybrid_params_from_spectrum(0.1 * s, 2.0 * s, s, -0.5 * s,
+                                        pair_product)
+        checked = "abcd" if pair_product >= sys.float_info.min else "abc"
+        for name, value in zip(checked, want):
+            assert abs(getattr(p, name) - value) <= 4 * math.ulp(value), \
+                (s, name, getattr(p, name))
 
 
 def test_hybrid_params_map_validates():
