@@ -13,11 +13,9 @@ __version__ = "0.1.0"
 from .core import (
     BoundaryData,
     FilippovSystem,
-    FoldKind,
     RegionKind,
     SystemSpec,
     boundary_data,
-    classify_fold,
     classify_region,
     fold_curvature,
     is_observable,
@@ -30,10 +28,7 @@ from .errors import FilippovError
 from .expr import (
     ScalarField,
     VectorField,
-    evaluate,
-    format_expr,
     gradient_fd,
-    jacobian_fd,
     parse_expr,
 )
 from .hybrid import (
@@ -46,8 +41,6 @@ from .hybrid import (
     first_hit_line,
     first_hit_plane,
     first_return,
-    flow_left,
-    flow_slide,
     return_map,
     return_multiplier,
 )
@@ -60,7 +53,6 @@ from .simulate import (
     return_multiplier_empirical,
     simulate,
     simulate_hybrid,
-    trace_tangency_curve,
 )
 from .spectrum import RealPlusPair, ThreeReal, eig3
 from .stability import (

@@ -7,7 +7,7 @@ module derives, at a user-supplied boundary equilibrium of the left field,
 the quantities that decide stability (surface normal p, right-field value
 q, the two Jacobians A and B, and the observability matrix), and provides
 the pointwise machinery used by the simulator: surface-region
-classification, fold classification, and the sliding vector field.
+classification, the fold curvature, and the sliding vector field.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     NonFiniteDataError,
     NotAnEquilibriumError,
     NotOnSurfaceError,
-    NotOnTangencyCurveError,
     TangentRightFieldError,
 )
 from .expr import (ScalarField, VectorField, compile_rates_and_fields,
@@ -40,8 +39,7 @@ __all__ = [
     "EQ_TOL", "TANGENCY_TOL", "PBH_TOL",
     "FilippovSystem", "SystemSpec", "load_system_spec", "system_spec_from_dict",
     "BoundaryData", "boundary_data", "is_observable",
-    "RegionKind", "FoldKind",
-    "normal_rates", "classify_region", "fold_curvature", "classify_fold",
+    "RegionKind", "normal_rates", "classify_region", "fold_curvature",
     "sliding_field", "sliding_from_rates",
 ]
 
@@ -101,7 +99,8 @@ def system_spec_from_dict(data: dict) -> SystemSpec:
     """Build a SystemSpec from a parsed JSON document.
 
     Schema: ``{"fL": [s,s,s], "fR": [s,s,s], "H": s, "x_star": [r,r,r]}``
-    with each ``s`` an expression string.  Unknown fields are rejected.
+    with each ``s`` an expression string and each ``r`` a number (not a
+    boolean) that a float holds.  Unknown fields are rejected.
     """
     if not isinstance(data, dict):
         raise FilippovError("system spec must be a JSON object")
@@ -120,18 +119,25 @@ def system_spec_from_dict(data: dict) -> SystemSpec:
     if not isinstance(data["H"], str):
         raise FilippovError("field 'H' must be a string")
     xs = data["x_star"]
+    bad_x_star = "field 'x_star' must be a list of 3 numbers"
     if not (isinstance(xs, list) and len(xs) == 3
-            and all(isinstance(v, (int, float)) for v in xs)):
-        raise FilippovError("field 'x_star' must be a list of 3 numbers")
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in xs)):
+        raise FilippovError(bad_x_star)
+    try:
+        x_star = tuple(float(v) for v in xs)
+    except OverflowError:  # an int beyond the float range
+        raise FilippovError(bad_x_star) from None
     system = FilippovSystem.parse(data["fL"], data["fR"], data["H"])
-    return SystemSpec(system, tuple(float(v) for v in xs))
+    return SystemSpec(system, x_star)
 
 
 def load_system_spec(path) -> SystemSpec:
     with open(Path(path), "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError: bad JSON or bad UTF-8; RecursionError: too deep
+        except (ValueError, RecursionError) as exc:
             raise FilippovError(f"{path}: not valid JSON ({exc})") from exc
     return system_spec_from_dict(data)
 
@@ -264,24 +270,10 @@ class RegionKind(Enum):
     TANGENCY = "tangency"
 
 
-class FoldKind(Enum):
-    VISIBLE = "visible"
-    INVISIBLE = "invisible"
-    DEGENERATE = "degenerate"
-
-
-def _rates_and_fields(system: FilippovSystem, x):
-    """(grad H . f_L, grad H . f_R, f_L, f_R, grad H) at x, from
-    :attr:`FilippovSystem.rates_and_fields`."""
-    rate_l, rate_r, f_left, f_right, h_grad = \
-        system.rates_and_fields(*_floats(x))
-    return rate_l, rate_r, f_left, f_right, h_grad[1:]
-
-
 def normal_rates(system: FilippovSystem, x) -> tuple[float, float]:
     """Rates of change of H along the left and right fields at x
     (grad H . f for each field)."""
-    return _rates_and_fields(system, x)[:2]
+    return system.rates_and_fields(*_floats(x))[:2]
 
 
 def _rate_scale(grad, field_value) -> float:
@@ -312,23 +304,6 @@ def fold_curvature(system: FilippovSystem, x) -> float:
     x = np.asarray(x, dtype=float)
     grad_rate = gradient_fd(lambda point: normal_rates(system, point)[0], x)
     return float(grad_rate @ system.left(x))
-
-
-def classify_fold(system: FilippovSystem, x) -> FoldKind:
-    """Classify a tangency-curve point by the sign of the fold curvature."""
-    rate_l, _, f_left, _, grad = _rates_and_fields(system, x)
-    scale_l = _rate_scale(grad, f_left)
-    if abs(rate_l) > TANGENCY_TOL * scale_l:
-        raise NotOnTangencyCurveError(
-            f"left normal rate {rate_l:.3e} is not zero to tolerance")
-    curv = fold_curvature(system, x)
-    # Curvature is a second derivative; scale its tolerance accordingly.
-    scale = max(1.0, scale_l ** 2)
-    if curv < -TANGENCY_TOL * scale:
-        return FoldKind.VISIBLE
-    if curv > TANGENCY_TOL * scale:
-        return FoldKind.INVISIBLE
-    return FoldKind.DEGENERATE
 
 
 def sliding_field(system: FilippovSystem, x) -> np.ndarray:

@@ -64,11 +64,6 @@ class NotOnSurfaceError(FilippovError):
     """The point does not lie on the switching surface to tolerance."""
 
 
-class NotOnTangencyCurveError(FilippovError):
-    """Fold classification requested at a point where the left field is
-    not tangent to the surface."""
-
-
 class DegenerateSlidingError(FilippovError):
     """The two normal rates coincide, so the sliding field is undefined."""
 
@@ -111,7 +106,3 @@ class RepellingSlidingEncounteredError(FilippovError):
 
 class NonFiniteStateError(FilippovError):
     """Integration produced a non-finite state."""
-
-
-class CorrectionDivergedError(FilippovError):
-    """Corrector iteration failed while tracing the tangency curve."""

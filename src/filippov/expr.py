@@ -73,7 +73,7 @@ from .errors import (DegenerateSlidingError, EvalDomainError, ExprSyntaxError,
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
-    "parse_expr", "format_expr", "evaluate", "compile_expr",
+    "parse_expr",
     "ScalarField", "VectorField", "compile_rates_and_fields",
     "compile_sliding_field",
     "gradient_fd", "jacobian_fd", "FD_REL_STEP", "MAX_NESTING", "MAX_DEPTH",
@@ -82,11 +82,11 @@ __all__ = [
 VARIABLES = ("x1", "x2", "x3")
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 
-# Input limits, so that the recursive parser, format_expr and the
-# dataclasses' ``==``/``repr``/``hash`` stay well inside Python's
-# recursion limit: one nesting level costs the parser up to six frames,
-# one tree level costs format_expr one and ``==`` or ``repr`` about three.
-# (Evaluation walks trees without recursion.)
+# Input limits, so that the recursive parser and the dataclasses'
+# ``==``/``repr``/``hash`` stay well inside Python's recursion limit: one
+# nesting level costs the parser up to six frames, one tree level costs
+# ``==`` or ``repr`` about three.  (Evaluation walks trees without
+# recursion.)
 MAX_NESTING = 100
 MAX_DEPTH = 250
 
@@ -361,62 +361,6 @@ def parse_expr(text: str) -> Expr:
     """Parse expression text into an immutable tree, by recursive
     descent."""
     return _parse(text)
-
-
-# --------------------------------------------------------------------------
-# printing (parse -> format -> parse yields an identical tree)
-# --------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_PREC_NEG = 3
-_PREC_ATOM = 5
-
-
-def _prec(node: Expr) -> int:
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
-
-
-def format_expr(node: Expr) -> str:
-    """Render a tree back to text with minimal parentheses.
-
-    Reparsing the result reproduces the tree exactly for any tree the
-    parser can produce.  (A hand-constructed negative literal formats
-    with parentheses and reparses as unary minus of the positive one,
-    which is the parser's representation of that value.)
-    """
-    if isinstance(node, Num):
-        if node.value < 0.0 or math.copysign(1.0, node.value) < 0.0:
-            return f"({node.value!r})"
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.func}({format_expr(node.arg)})"
-    if isinstance(node, Neg):
-        inner = format_expr(node.operand)
-        if _prec(node.operand) < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    assert isinstance(node, BinOp)
-    left, right = format_expr(node.left), format_expr(node.right)
-    if node.op == "^":
-        # '^' is right-associative and binds above unary minus: the left
-        # operand must be an atom, the right anything of unary rank or above.
-        if _prec(node.left) < _PREC_ATOM:
-            left = f"({left})"
-        if _prec(node.right) < _PREC_NEG:
-            right = f"({right})"
-    else:
-        prec = _PREC[node.op]
-        if _prec(node.left) < prec:
-            left = f"({left})"
-        if _prec(node.right) <= prec:
-            right = f"({right})"
-    return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
 
 
 # --------------------------------------------------------------------------
@@ -838,21 +782,6 @@ def _joined(scans) -> tuple | None:
         return None
     return (tuple(skeleton for scan in scans for skeleton in scan[0]),
             [value for scan in scans for value in scan[1]])
-
-
-def compile_expr(node: Expr) -> Callable[[float, float, float], float]:
-    """Compile a tree to a callable (x1, x2, x3) -> float with the same
-    domain-error behaviour as :func:`evaluate`."""
-    return _compile(lambda: (node,))
-
-
-def evaluate(node: Expr, point) -> float:
-    """Evaluate a tree at a 3-vector point."""
-    x1, x2, x3 = (float(point[0]), float(point[1]), float(point[2]))
-    for coord in (x1, x2, x3):
-        if not math.isfinite(coord):
-            raise EvalDomainError("evaluation point is not finite")
-    return compile_expr(node)(x1, x2, x3)
 
 
 # --------------------------------------------------------------------------

@@ -48,8 +48,6 @@ from .errors import (
 __all__ = [
     "HybridParams", "LambdaStatus", "LambdaResult", "MARGINAL_TOL",
     "SegmentEvent", "Termination", "ReturnOutcome",
-    "left_matrix", "slide_block",
-    "flow_left", "flow_slide",
     "first_hit_plane", "first_hit_line", "first_return",
     "return_multiplier", "return_map", "LambdaArrays", "slide_domain",
 ]
@@ -244,18 +242,9 @@ class ReturnOutcome:
 # --------------------------------------------------------------------------
 
 def _left_rows(a: float, b: float) -> tuple[tuple[float, ...], ...]:
+    """Rows of the regular piece's matrix: eigenvalues -1 and
+    (a +/- i*w)/2 with w = sqrt(4b - a^2), eigenvector (1, -a, b) for -1."""
     return ((a - 1.0, 1.0, 0.0), (a - b, 0.0, 1.0), (-b, 0.0, 0.0))
-
-
-def left_matrix(a: float, b: float) -> np.ndarray:
-    """Matrix of the regular piece; eigenvalues -1 and (a +/- i*w)/2
-    with w = sqrt(4b - a^2), eigenvector (1, -a, b) for -1."""
-    return np.array(_left_rows(a, b))
-
-
-def slide_block(c: float, d: float) -> np.ndarray:
-    """2x2 block governing (y2, y3) on the switching plane."""
-    return np.array([[c, 1.0], [-d, 0.0]])
 
 
 class _SpiralSplit(NamedTuple):
@@ -319,44 +308,6 @@ def _hybrid_spectrum(a: float, b: float) -> tuple[float, float, float]:
     check b > a*a/4 of HybridParams makes 4b - a^2 > 0 exactly, as a*a/4
     is a^2/4 rounded to the nearest float."""
     return -1.0, a / 2.0, math.sqrt(-_discriminant(a, b)) / 2.0
-
-
-def flow_left(params: HybridParams, y0, t: float) -> np.ndarray:
-    """Closed-form regular flow at time t >= 0."""
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    spectrum = _hybrid_spectrum(params.a, params.b)
-    split = _spiral_split(_left_rows(params.a, params.b), *spectrum, y0)
-    return np.array(_spiral_at(split, *spectrum, float(t)))
-
-
-def flow_slide(params: HybridParams, y0, t: float) -> np.ndarray:
-    """Closed-form sliding flow at time t >= 0; y0 must lie on the
-    switching plane (first component zero) and the first component of the
-    result is exactly zero.
-
-    With p = c/2 and N = [[c, 1], [-d, 0]] - p I, N^2 = (p^2 - d) I, so
-    exp(N t) = C I + S N: C = cos(qt), S = sin(qt)/q for a complex pair
-    p +/- iq, C = cosh(kt), S = sinh(kt)/k for a real pair p +/- k, and
-    C = 1, S = t for a double root."""
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    y1, y2, y3 = map(float, y0)
-    if abs(y1) > 1e-9 * math.hypot(y1, y2, y3):
-        raise ValueError("y0 is not on the switching plane (y1 != 0)")
-    c, d, t = params.c, params.d, float(t)
-    p = c / 2.0
-    disc = _discriminant(c, d)
-    half = math.sqrt(abs(disc)) / 2.0
-    if disc < 0.0:
-        co, si = math.cos(half * t), math.sin(half * t) / half
-    elif disc > 0.0:
-        co, si = math.cosh(half * t), math.sinh(half * t) / half
-    else:
-        co, si = 1.0, t
-    e = math.exp(p * t)
-    return np.array([0.0, e * (co * y2 + si * (p * y2 + y3)),
-                     e * (co * y3 - si * (d * y2 + p * y3))])
 
 
 # --------------------------------------------------------------------------

@@ -34,29 +34,26 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    BoundaryData,
     FilippovSystem,
     RegionKind,
     classify_region,
     fold_curvature,
-    is_observable,
     normal_rates,
     sliding_field,  # not called here; perfbench/spans.py wraps this binding
     sliding_from_rates,
 )
 from .errors import (
-    CorrectionDivergedError,
     FilippovError,
     NonFiniteStateError,
     RepellingSlidingEncounteredError,
 )
-from .expr import gradient_fd
+from .expr import gradient_fd  # not called; perfbench/spans.py wraps it here
 from .hybrid import HybridParams, LambdaResult, LambdaStatus
 
 __all__ = [
     "SimConfig", "Terminal", "Segment", "Orbit",
     "simulate", "simulate_hybrid", "return_multiplier_empirical",
-    "trace_tangency_curve", "export_orbit",
+    "export_orbit",
 ]
 
 
@@ -509,87 +506,6 @@ def return_multiplier_empirical(params: HybridParams,
     raise FilippovError(
         f"empirical return-multiplier run ended with {orbit.terminal.value} "
         "before the first return; raise t_max")
-
-
-# --------------------------------------------------------------------------
-# tangency-curve tracing
-# --------------------------------------------------------------------------
-
-def trace_tangency_curve(system: FilippovSystem, bd: BoundaryData,
-                         arc_span: float, n: int) -> list[np.ndarray]:
-    """Sample the tangency curve (surface points where the left field is
-    tangent) on both sides of the equilibrium by predictor-corrector
-    continuation: predict along the curve tangent, correct with Newton
-    steps on (H, left normal rate).
-
-    Returns n points ordered along the curve, excluding the equilibrium.
-    """
-    if arc_span <= 0.0 or n < 2:
-        raise ValueError("need arc_span > 0 and n >= 2")
-    if not is_observable(bd.phi):
-        raise CorrectionDivergedError(
-            "observability matrix is singular: the tangency curve is not "
-            "guaranteed to be a curve here")
-    h_field = system.switch
-    rate_left = lambda x: normal_rates(system, x)[0]
-
-    def residual(x):
-        return np.array([h_field(x), rate_left(x)])
-
-    def two_jac(x):
-        return np.vstack([h_field.compiled_gradient(*x)[1:],
-                          gradient_fd(rate_left, x)])
-
-    def correct(x):
-        for _ in range(25):
-            g = residual(x)
-            if abs(g[0]) + abs(g[1]) <= 1e-11:
-                return x
-            jac = two_jac(x)
-            gram = jac @ jac.T
-            try:
-                coef = np.linalg.solve(gram, -g)
-            except np.linalg.LinAlgError as exc:
-                raise CorrectionDivergedError(
-                    f"singular corrector system at {x}") from exc
-            x = x + jac.T @ coef
-            if not np.all(np.isfinite(x)):
-                raise CorrectionDivergedError("corrector produced non-finite "
-                                              "iterates")
-        g = residual(x)
-        if abs(g[0]) + abs(g[1]) <= 1e-9:
-            return x
-        raise CorrectionDivergedError(
-            f"corrector stalled with residual {abs(g[0]) + abs(g[1]):.3e}")
-
-    def tangent(x, reference=None):
-        jac = two_jac(x)
-        t_vec = np.cross(jac[0], jac[1])
-        norm = np.linalg.norm(t_vec)
-        if norm == 0.0:
-            raise CorrectionDivergedError(
-                "tangency curve has no well-defined tangent here")
-        t_vec = t_vec / norm
-        if reference is not None and float(t_vec @ reference) < 0.0:
-            t_vec = -t_vec
-        return t_vec
-
-    x_star = np.asarray(bd.x_star, dtype=float)
-    n_neg = n // 2
-    n_pos = n - n_neg
-    out_pos: list[np.ndarray] = []
-    out_neg: list[np.ndarray] = []
-    for count, sign, sink in ((n_pos, 1.0, out_pos), (n_neg, -1.0, out_neg)):
-        if count == 0:
-            continue
-        ds = arc_span / count
-        x = x_star.copy()
-        direction = sign * tangent(x_star)
-        for _ in range(count):
-            x = correct(x + ds * direction)
-            sink.append(x)
-            direction = tangent(x, reference=direction)
-    return out_neg[::-1] + out_pos
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from .errors import NearDegenerateError, NoZeroEigenvalueError
 
 __all__ = [
     "ThreeReal", "RealPlusPair", "EigTriple", "eig3", "det3",
-    "char_poly_coeffs", "pair_sum_product", "pair_from_sum_product",
+    "pair_sum_product", "pair_from_sum_product",
     "DISC_TOL", "ZERO_EIG_TOL",
 ]
 
@@ -66,14 +66,10 @@ def det3(M) -> float:
     return _coeffs(*_entries(M))[2]
 
 
-def char_poly_coeffs(M) -> tuple[float, float, float]:
-    """Coefficients (tr, m, det) of det(lambda I - M) =
-    lambda^3 - tr*lambda^2 + m*lambda - det, where m is the sum of the
-    principal 2x2 minors."""
-    return _coeffs(*_entries(M))
-
-
 def _coeffs(a, b, c, d, e, f, g, h, i) -> tuple[float, float, float]:
+    """Coefficients (tr, m, det) of det(lambda I - M) =
+    lambda^3 - tr*lambda^2 + m*lambda - det for M = [[a, b, c], [d, e,
+    f], [g, h, i]], where m is the sum of the principal 2x2 minors."""
     return (a + e + i,
             e * i - f * h + a * i - c * g + a * e - b * d,
             a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))

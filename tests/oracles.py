@@ -1,7 +1,8 @@
 """Test oracles, not part of the package: reference linear flows and
 return multipliers (mpmath's ``expm`` at 30 and 50 digits, or, where
 mpmath is not installed, a high-accuracy Dormand-Prince 5(4) integrator
-with adaptive steps), a plain recursive tree walk for the compiled
+with adaptive steps), the hybrid system's matrices and its sliding flow
+in closed form, a plain recursive tree walk for the compiled
 expressions, reference gradients (sympy's derivatives at 30 digits,
 or central differences where sympy is not installed), and the local
 data and trichotomy branch by numpy's array arithmetic and eigenvalues,
@@ -178,12 +179,55 @@ def _left_rows(a: float, b: float):
     return [[a - 1, 1, 0], [a - b, 0, 1], [-b, 0, 0]]
 
 
+def left_matrix(a: float, b: float) -> np.ndarray:
+    """The hybrid system's regular piece in floats: eigenvalues -1 and
+    (a +/- i*w)/2 with w = sqrt(4b - a^2), eigenvector (1, -a, b) for
+    -1."""
+    return np.array([[a - 1.0, 1.0, 0.0], [a - b, 0.0, 1.0],
+                     [-b, 0.0, 0.0]])
+
+
+def slide_block(c: float, d: float) -> np.ndarray:
+    """The 2x2 block governing (y2, y3) on the switching plane."""
+    return np.array([[c, 1.0], [-d, 0.0]])
+
+
+def flow_slide(params, y0, t: float) -> np.ndarray:
+    """The hybrid system's sliding flow at time t >= 0, in closed form;
+    y0 must lie on the switching plane (first component zero) and the
+    first component of the result is exactly zero.  It shares no code
+    with the slide of ``filippov.hybrid``, which it checks.
+
+    With p = c/2 and N = [[c, 1], [-d, 0]] - p I, N^2 = (p^2 - d) I, so
+    exp(N t) = C I + S N: C = cos(qt), S = sin(qt)/q for a complex pair
+    p +/- iq, C = cosh(kt), S = sinh(kt)/k for a real pair p +/- k, and
+    C = 1, S = t for a double root."""
+    if t < 0.0:
+        raise ValueError("t must be non-negative")
+    y1, y2, y3 = map(float, y0)
+    if abs(y1) > 1e-9 * math.hypot(y1, y2, y3):
+        raise ValueError("y0 is not on the switching plane (y1 != 0)")
+    c, d, t = params.c, params.d, float(t)
+    p = c / 2.0
+    disc = c * c - 4.0 * d
+    half = math.sqrt(abs(disc)) / 2.0
+    if disc < 0.0:
+        co, si = math.cos(half * t), math.sin(half * t) / half
+    elif disc > 0.0:
+        co, si = math.cosh(half * t), math.sinh(half * t) / half
+    else:
+        co, si = 1.0, t
+    e = math.exp(p * t)
+    return np.array([0.0, e * (co * y2 + si * (p * y2 + y3)),
+                     e * (co * y3 - si * (d * y2 + p * y3))])
+
+
 def _reference_return(params, t_plane: float, t_line: float, dps: int):
     """Minus the third coordinate of the return from (0, 0, -1), as an
     mpmath number (a float with the adaptive integrator)."""
     regular = _flow_at(_left_rows(params.a, params.b), (0.0, 0.0, -1.0))
     y = regular(_reference_root(regular, t_plane, dps))[0]
-    slide = _flow_at([[params.c, 1.0], [-params.d, 0.0]], (y[1], y[2]))
+    slide = _flow_at(slide_block(params.c, params.d), (y[1], y[2]))
     return -slide(_reference_root(slide, t_line, dps))[0][1]
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import filippov as fp
+from filippov.expr import jacobian_fd
 from filippov.hybrid import (
     HybridParams,
     LambdaStatus,
@@ -287,8 +288,8 @@ def test_criterion_09_sliding_jacobian_identity():
     worst = 0.0
     for system in _jacobian_corpus():
         bd = fp.boundary_data(system, (0, 0, 0))
-        jac = fp.jacobian_fd(lambda x: fp.sliding_field(system, x),
-                             np.zeros(3))
+        jac = jacobian_fd(lambda x: fp.sliding_field(system, x),
+                          np.zeros(3))
         scale = max(1.0, float(np.max(np.abs(bd.B))))
         worst = max(worst, float(np.max(np.abs(jac - bd.B))) / scale)
     report(9, "sliding Jacobian equals projector formula (10 systems)",

@@ -373,7 +373,20 @@ NUMBERS = (("2", "0.5", "-1", "0", "5"), ("nan", "inf", "x"))
 SIZES = (("2", "8"), ("nan", "-1", "0", "x", "0.5"))
 TIMES = (("0.5", "1"), ("nan", "inf", "-1", "0", "x"))
 RANGES = (("-1:1", "0:2"), ("1:-1", "nan:1", "0:inf", "x", "2"))
-SYSTEMS = (("system.json",), ("missing.json",))
+SYSTEMS = (("system.json",), ("missing.json", "binary.json", "huge.json",
+                              "deep.json", "bool.json"))
+# the system files of a run's directory: the good one, and four that the
+# loader refuses (bytes that are not UTF-8, an integer beyond the float
+# range, nesting past the recursion limit, and a boolean coordinate)
+SYSTEM_FILES = {
+    "system.json": json.dumps(NORMAL_FORM_STABLE).encode(),
+    "binary.json": b"\xff\xfe",
+    "huge.json": json.dumps({**NORMAL_FORM_STABLE,
+                             "x_star": [10 ** 400, 0, 0]}).encode(),
+    "deep.json": b"[" * 100_000 + b"]" * 100_000,
+    "bool.json": json.dumps({**NORMAL_FORM_STABLE,
+                             "x_star": [False, False, False]}).encode(),
+}
 ABCD = {f"--{name}": NUMBERS for name in "abcd"}
 SUBCOMMANDS = {
     "lambda": ABCD,
@@ -434,7 +447,8 @@ def draw_picks(rng):
 def test_every_invocation_exits_0_1_or_2_with_one_error_line(picks):
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        (workdir / "system.json").write_text(json.dumps(NORMAL_FORM_STABLE))
+        for name, data in SYSTEM_FILES.items():
+            (workdir / name).write_bytes(data)
         argv = argv_from(picks, workdir)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -446,6 +460,22 @@ def test_every_invocation_exits_0_1_or_2_with_one_error_line(picks):
         errors = [line for line in err.getvalue().splitlines()
                   if line.startswith("error: ")]
         assert len(errors) == 1, (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("name", ["binary.json", "huge.json", "deep.json",
+                                  "bool.json"])
+@pytest.mark.parametrize("command", ["classify", "orbit-system"])
+def test_bad_system_files_fail_with_one_error_line(capsys, tmp_path, name,
+                                                    command):
+    path = tmp_path / name
+    path.write_bytes(SYSTEM_FILES[name])
+    argv = [command, "--system", str(path)]
+    if command == "orbit-system":
+        argv += ["--x0", "0,0,-1", "--t-max", "1",
+                 "--out", str(tmp_path / "orbit.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: filippov: ") and err.count("\n") == 1
 
 
 def test_readme_commands_parse():

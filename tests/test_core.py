@@ -7,10 +7,8 @@ import pytest
 from filippov.core import (
     BoundaryData,
     FilippovSystem,
-    FoldKind,
     RegionKind,
     boundary_data,
-    classify_fold,
     classify_region,
     fold_curvature,
     is_observable,
@@ -26,7 +24,6 @@ from filippov.errors import (
     NonFiniteDataError,
     NotAnEquilibriumError,
     NotOnSurfaceError,
-    NotOnTangencyCurveError,
     TangentRightFieldError,
 )
 from filippov.expr import jacobian_fd
@@ -263,15 +260,8 @@ def test_classify_fold_on_tangency_line():
     # on the tangency line of the companion realization, the curvature
     # equals x3: visible below the equilibrium, invisible above
     system = normal_form_system(-0.2, 5, -0.2, 3)
-    assert classify_fold(system, (0, 0, -1)) is FoldKind.VISIBLE
-    assert classify_fold(system, (0, 0, 1)) is FoldKind.INVISIBLE
-    assert classify_fold(system, (0, 0, 0)) is FoldKind.DEGENERATE
-
-
-def test_classify_fold_rejects_off_curve_points():
-    system = normal_form_system(-0.2, 5, -0.2, 3)
-    with pytest.raises(NotOnTangencyCurveError):
-        classify_fold(system, (0, 1.0, 0))
+    assert fold_curvature(system, (0, 0, -1)) < 0 \
+        < fold_curvature(system, (0, 0, 1))
 
 
 # --------------------------------------------------------------------------
@@ -356,7 +346,7 @@ def test_system_spec_rejects_unknown_fields():
         system_spec_from_dict(data)
 
 
-def test_system_spec_rejects_missing_and_malformed():
+def test_system_spec_rejects_missing_and_malformed(tmp_path):
     data = spec_dict()
     del data["H"]
     with pytest.raises(FilippovError, match="missing"):
@@ -365,7 +355,18 @@ def test_system_spec_rejects_missing_and_malformed():
     data["fL"] = ["-x1", "-x2"]
     with pytest.raises(FilippovError):
         system_spec_from_dict(data)
-    data = spec_dict()
-    data["x_star"] = [0, 0, "zero"]
-    with pytest.raises(FilippovError):
-        system_spec_from_dict(data)
+    # a boolean is an int to Python, and 10^400 is beyond the float range
+    for x_star in ([0, 0, "zero"], [0, 0, True], [False] * 3,
+                   [10 ** 400, 0, 0], [0, -10 ** 400, 0]):
+        data = spec_dict()
+        data["x_star"] = x_star
+        with pytest.raises(FilippovError, match="^field 'x_star' must be a "
+                           "list of 3 numbers$"):
+            system_spec_from_dict(data)
+    # bytes that are not UTF-8, and nesting past the recursion limit
+    for name, text in (("binary.json", b"\xff\xfe"),
+                       ("deep.json", b"[" * 100_000 + b"]" * 100_000)):
+        path = tmp_path / name
+        path.write_bytes(text)
+        with pytest.raises(FilippovError, match="not valid JSON"):
+            load_system_spec(path)

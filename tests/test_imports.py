@@ -92,6 +92,59 @@ def test_traced_bindings_resolve():
     assert len(spans.FUNCTIONS) >= 20 and missing == []
 
 
+def _reads(tree: ast.AST, skip: str) -> set[str]:
+    """The names a module reads (as names or attributes), outside the
+    body of any function named ``skip``; an import is not a read."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_exported_functions_are_not_test_only():
+    # every function filippov exports is read by another part of the
+    # package, or named by the benchmark (which binds it by name); one
+    # that only tests call belongs in tests/
+    import inspect
+
+    import filippov
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"]
+    bench = set()
+    for name in ("spans.py", "workloads.py", "run.py"):
+        path = PACKAGE.parents[1] / "perfbench" / name
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bench |= _reads(tree, "") | {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    functions = [name for name in filippov.__all__
+                 if inspect.isfunction(getattr(filippov, name))]
+    unread = [name for name in functions if name not in bench
+              and not any(name in _reads(tree, name) for tree in trees)]
+    assert len(functions) >= 15 and unread == []
+
+
+def test_every_all_resolves():
+    import importlib
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "filippov" + ("" if path.stem == "__init__" else f".{path.stem}"))
+        missing += [f"{path.stem}.{name}"
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []
+
+
 def test_a_fresh_import_releases_the_earlier_one():
     # typing caches the unions it builds: a module-level typing.Union of
     # the package's classes kept every earlier import of the package alive

@@ -10,12 +10,8 @@ import pytest
 from filippov.cli import main
 from filippov.core import (
     FilippovSystem,
-    FoldKind,
     RegionKind,
-    boundary_data,
-    classify_fold,
     classify_region,
-    fold_curvature,
     normal_rates,
 )
 from filippov.errors import FilippovError, RepellingSlidingEncounteredError
@@ -29,7 +25,6 @@ from filippov.simulate import (
     return_multiplier_empirical,
     simulate,
     simulate_hybrid,
-    trace_tangency_curve,
 )
 from filippov.simulate import _EVENT_REFINE_TOL, _ON_SURFACE_TOL, _locate
 
@@ -498,78 +493,6 @@ def test_hybrid_orbit_recording():
     for seg in orbit.segments:
         if seg.regime == "S":
             assert all(abs(s[1]) < 1e-9 for s in seg.samples)
-
-
-# --------------------------------------------------------------------------
-# tangency-curve tracing
-# --------------------------------------------------------------------------
-
-def test_trace_tangency_curve_residuals_and_folds():
-    system = normal_form_system(-0.2, 5, -0.2, 3)
-    bd = boundary_data(system, (0, 0, 0))
-    points = trace_tangency_curve(system, bd, 1.0, 10)
-    assert len(points) == 10
-    kinds = []
-    for x in points:
-        rate_l, _ = normal_rates(system, x)
-        assert abs(system.switch(x)) + abs(rate_l) <= 1e-8
-        kinds.append(classify_fold(system, x))
-    # one visible run and one invisible run, single flip across the
-    # equilibrium
-    flips = sum(1 for k1, k2 in zip(kinds, kinds[1:]) if k1 != k2)
-    assert flips == 1
-    assert FoldKind.VISIBLE in kinds and FoldKind.INVISIBLE in kinds
-
-
-def test_trace_tangency_fold_curvature_sign_flip():
-    system = normal_form_system(-0.2, 5, -0.2, 3)
-    bd = boundary_data(system, (0, 0, 0))
-    points = trace_tangency_curve(system, bd, 0.5, 6)
-    curvs = [fold_curvature(system, x) for x in points]
-    assert min(curvs) < 0 < max(curvs)
-
-
-def test_trace_tangency_curve_nonlinear_surface():
-    # curved switching surface: H = x1 + 0.2 x3^2
-    system = FilippovSystem.parse(
-        ("-1.2*x1 + x2", "-4.8*x1 + x3", "-5*x1 + 0.1*x3^2"),
-        ("-1", "-0.2", "-3"),
-        "x1 + 0.2*x3^2",
-    )
-    bd = boundary_data(system, (0, 0, 0))
-    points = trace_tangency_curve(system, bd, 0.4, 8)
-    for x in points:
-        rate_l, _ = normal_rates(system, x)
-        assert abs(system.switch(x)) + abs(rate_l) <= 1e-8
-
-
-def test_trace_tangency_curve_is_time_scale_free():
-    # f_L scaled by 1e-5 leaves the tangency curve where it is; |det phi|
-    # is 1e-15 there, but the observability test is relative
-    def system(s):
-        return FilippovSystem.parse(
-            (f"{s}*(-1.2*x1 + x2)", f"{s}*(-4.8*x1 + x3)",
-             f"{s}*(-5*x1 + 0.1*x3^2)"), ("-1", "-0.2", "-3"),
-            "x1 + 0.2*x3^2")
-    want = trace_tangency_curve(system(1), boundary_data(system(1), (0, 0, 0)),
-                                0.4, 8)
-    slow = system(1e-5)
-    got = trace_tangency_curve(slow, boundary_data(slow, (0, 0, 0)), 0.4, 8)
-    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
-
-
-def test_equilibrium_is_degenerate_fold():
-    system = normal_form_system(-0.2, 5, -0.2, 3)
-    assert classify_fold(system, (0.0, 0.0, 0.0)) is FoldKind.DEGENERATE
-
-
-def test_trace_requires_observability():
-    from filippov.errors import CorrectionDivergedError
-    system = FilippovSystem.parse(("-x1", "-x2", "-x3"), ("-1", "0", "0"),
-                                  "x1")
-    bd = boundary_data(system, (0, 0, 0))  # det vanishes for -identity
-    with pytest.raises(CorrectionDivergedError):
-        trace_tangency_curve(system, bd, 1.0, 4)
 
 
 # --------------------------------------------------------------------------

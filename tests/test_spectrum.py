@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from filippov.errors import NearDegenerateError, NoZeroEigenvalueError
-from filippov.hybrid import left_matrix, slide_block
 from filippov.spectrum import (
     RealPlusPair,
     ThreeReal,
-    char_poly_coeffs,
+    det3,
     eig3,
     pair_from_sum_product,
     pair_sum_product,
@@ -21,12 +20,13 @@ from oracles import (
     decay_coefficients,
     decay_eigvectors,
     eig_gap_product,
+    left_matrix,
+    slide_block,
 )
 
 
 def char_poly(M, lam):
-    tr, m, det = char_poly_coeffs(M)
-    return lam ** 3 - tr * lam ** 2 + m * lam - det
+    return np.polyval(np.poly(M), lam)
 
 
 def residual_bound(M):
@@ -123,14 +123,14 @@ def test_determinant_matches_lu():
     for _ in range(200):
         M = rng.uniform(-3, 3, size=(3, 3)) * 10.0 ** rng.uniform(-3, 3)
         bound = 1e-14 * np.linalg.norm(M) ** 3
-        assert abs(char_poly_coeffs(M)[2] - np.linalg.det(M)) <= bound
+        assert abs(det3(M) - np.linalg.det(M)) <= bound
 
 
 def test_array_likes_give_the_same_results():
     M = companion_matrix(0.2 - 1.0, 5.0 - 0.2, -5.0)
     B = np.array([[0.0, 0.0, 0.0], [0.3, 0.2, 1.0], [-0.1, -1.0, 0.0]])
     for form in (M.tolist(), tuple(map(tuple, M.tolist())), list(M)):
-        assert char_poly_coeffs(form) == char_poly_coeffs(M)
+        assert det3(form) == det3(M)
         assert eig3(form) == eig3(M)
     assert pair_sum_product(B.tolist()) == pair_sum_product(B)
 
