@@ -99,8 +99,8 @@ def system_spec_from_dict(data: dict) -> SystemSpec:
     """Build a SystemSpec from a parsed JSON document.
 
     Schema: ``{"fL": [s,s,s], "fR": [s,s,s], "H": s, "x_star": [r,r,r]}``
-    with each ``s`` an expression string and each ``r`` a number (not a
-    boolean) that a float holds.  Unknown fields are rejected.
+    with each ``s`` an expression string and each ``r`` a finite number
+    (not a boolean).  Unknown fields are rejected.
     """
     if not isinstance(data, dict):
         raise FilippovError("system spec must be a JSON object")
@@ -128,6 +128,8 @@ def system_spec_from_dict(data: dict) -> SystemSpec:
         x_star = tuple(float(v) for v in xs)
     except OverflowError:  # an int beyond the float range
         raise FilippovError(bad_x_star) from None
+    if not all(map(math.isfinite, x_star)):  # JSON NaN, Infinity or 1e400
+        raise FilippovError(bad_x_star)
     system = FilippovSystem.parse(data["fL"], data["fR"], data["H"])
     return SystemSpec(system, x_star)
 

@@ -62,6 +62,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -456,7 +457,11 @@ def _program(roots) -> tuple[tuple, list, tuple]:
     The program is ``(ops, results, n_constants)``: one ``(name, operation,
     operand names)`` per operation, in the post-order of a recursive walk,
     so the results and the first error raised are the walk's; and each
-    root's name with the number of operations done once it is known.
+    root's name with the number of operations done once it is known.  An
+    operation on operands already met together reuses the name of their
+    first result (value numbering: Cocke, *Global common subexpression
+    elimination*, 1970): the value is the same, and it was computed
+    earlier in the walk, so any error it raises comes no later.
     Literals, negated ones too, become the constants c0, c1, ..., so
     fields that differ only in their coefficients share a program.  The
     walk is iterative, so no depth of tree exhausts the stack.
@@ -468,6 +473,7 @@ def _program(roots) -> tuple[tuple, list, tuple]:
     ``whole`` as :func:`_whole` gives it."""
     constants, ops, results = [], [], []
     sources, exponents, literals = [], [], 0
+    known = {}  # (operation, operand names) -> the name of its result
     for root in roots:
         names = []  # the operands computed so far
         todo = [root]  # a node to visit, or (node, operation) to compute
@@ -508,8 +514,10 @@ def _program(roots) -> tuple[tuple, list, tuple]:
                     del names[-2:]
                 else:
                     operands = (names.pop(),)
-                name = f"t{len(ops)}"
-                ops.append((name, op, operands))
+                name = known.get((op, operands))
+                if name is None:
+                    name = known[op, operands] = f"t{len(ops)}"
+                    ops.append((name, op, operands))
                 names.append(name)
         results.append((names.pop(), len(ops)))
     return ((tuple(ops), tuple(results), len(constants)), constants,
@@ -586,8 +594,8 @@ def _tangent_lines(ops: tuple, roots) -> tuple[tuple, tuple]:
                             guarded=op == "sqrt")
         elif type(op) is int:  # u ** n
             tangent = (_ZERO if op == 0 else du if op == 1 else
-                       chain(f"{op} * {u}" if op == 2 else
-                             f"{op} * {u} ** {op - 1}", du))
+                       chain(f"2.0 * {u}" if op == 2 else
+                             f"{float(op)!r} * {u} ** {float(op - 1)!r}", du))
         else:
             v = operands[1]
             dv = tangents.get(v, _ZERO)
@@ -624,9 +632,10 @@ def _value_lines(ops: tuple, results, done: int, keep) -> list:
     :func:`_program` from operation ``done`` on, each value checked in
     turn.
 
-    An operation that is neither a root nor in ``keep`` (the names other
-    code reads) is written into the expression of its one user,
-    parenthesised, up to :data:`_MAX_NESTED` levels.  Python evaluates
+    An operation that is not in ``keep`` (the roots, the names read more
+    than once, and those other code reads) is written into the expression
+    of its one user, parenthesised, up to :data:`_MAX_NESTED` levels;
+    every other one is assigned as its own line.  Python evaluates
     an expression's operands left to right before its operation, so the
     nested code does the walk's operations in the walk's order; and
     before any line is written, every operation still waiting for its
@@ -645,9 +654,9 @@ def _value_lines(ops: tuple, results, done: int, keep) -> list:
                 else:
                     args.append(u)
             formats = _BINOP_FORMATS if len(args) == 2 else _UNARY_FORMATS
-            code = (f"{args[0]} ** {op}" if type(op) is int
+            code = (f"{args[0]} ** {float(op)!r}" if type(op) is int
                     else formats[op].format(*args))
-            if name == result or name in keep or levels == _MAX_NESTED:
+            if name in keep or levels == _MAX_NESTED:
                 body += [f"{p} = {c}" for p, (c, _) in pending.items()]
                 pending.clear()
                 body.append(f"{name} = {code}")
@@ -688,11 +697,13 @@ def _source(program: tuple, layout: str) -> str:
     values = [result for result, _ in results]
     split = 1 if layout in ("rates", "sliding") else len(results)
     head_end = results[split - 1][1]  # the operations of the first roots
-    keep, head = (), []
+    reads = Counter(u for _, _, operands in ops for u in operands)
+    keep = {u for u, n in reads.items() if n > 1}.union(values)
+    head = []
     if layout != "values":
         tangent_lines, partials = _tangent_lines(ops[:head_end],
                                                  values[:split])
-        keep = set(re.findall(r"\bt\d+\b", " ".join(
+        keep.update(re.findall(r"\bt\d+\b", " ".join(
             [*tangent_lines, *(p for row in partials for p in row)])))
         if tangent_lines:
             head += ["        try:",

@@ -147,15 +147,15 @@ def _rk4_tuple(f, y, h: float, k1=None):
     """One classic 4th-order step of dy/dt = f(y1, y2, y3) on a 3-tuple
     of floats; ``k1``, if given, is f(y)."""
     y1, y2, y3 = y
+    # 0.5 * h * k is (0.5 * h) * k, and h / 6.0 * k is (h / 6.0) * k
+    half, sixth = 0.5 * h, h / 6.0
     k11, k12, k13 = f(y1, y2, y3) if k1 is None else k1
-    k21, k22, k23 = f(y1 + 0.5 * h * k11, y2 + 0.5 * h * k12,
-                      y3 + 0.5 * h * k13)
-    k31, k32, k33 = f(y1 + 0.5 * h * k21, y2 + 0.5 * h * k22,
-                      y3 + 0.5 * h * k23)
+    k21, k22, k23 = f(y1 + half * k11, y2 + half * k12, y3 + half * k13)
+    k31, k32, k33 = f(y1 + half * k21, y2 + half * k22, y3 + half * k23)
     k41, k42, k43 = f(y1 + h * k31, y2 + h * k32, y3 + h * k33)
-    return (y1 + h / 6.0 * (k11 + 2.0 * (k21 + k31) + k41),
-            y2 + h / 6.0 * (k12 + 2.0 * (k22 + k32) + k42),
-            y3 + h / 6.0 * (k13 + 2.0 * (k23 + k33) + k43))
+    return (y1 + sixth * (k11 + 2.0 * (k21 + k31) + k41),
+            y2 + sixth * (k12 + 2.0 * (k22 + k32) + k42),
+            y3 + sixth * (k13 + 2.0 * (k23 + k33) + k43))
 
 
 # --------------------------------------------------------------------------
@@ -178,17 +178,6 @@ class _Sim:
         self.h = system.switch.compiled
         self.terminal: Optional[Terminal] = None
         self.detail = ""
-
-    # -- surface projection ---------------------------------------------
-
-    def project(self, x):
-        """x moved along grad H by the Newton step -H / |grad H|^2."""
-        h, g1, g2, g3 = self.system.switch.compiled_gradient(*x)
-        gg = g1 * g1 + g2 * g2 + g3 * g3
-        if gg == 0.0:
-            return x
-        s = h / gg
-        return (x[0] - s * g1, x[1] - s * g2, x[2] - s * g3)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -254,8 +243,8 @@ class _Sim:
             if self.check_terminal():
                 return None
             dt = min(self.cfg.dt, self.cfg.t_max - self.t)
-            x_new = _rk4_tuple(f, self.x, dt)
-            h_new = h(*x_new)
+            x_new = n1, n2, n3 = _rk4_tuple(f, self.x, dt)
+            h_new = h(n1, n2, n3)
             if not armed:
                 if h_new * interior < -10.0 * _ON_SURFACE_TOL:
                     # a short excursion into its own side that ended
@@ -267,8 +256,8 @@ class _Sim:
                             raise FilippovError(
                                 f"{regime}-segment left its own side at "
                                 f"t = {self.t:g} before re-entering it")
-                        x_new = _rk4_tuple(f, self.x, dt)
-                        h_new = h(*x_new)
+                        x_new = n1, n2, n3 = _rk4_tuple(f, self.x, dt)
+                        h_new = h(n1, n2, n3)
                 armed = h_new * interior > _ON_SURFACE_TOL
             elif h_new * interior <= 0.0:
                 tau, x_ev = _locate(lambda x, tau: _rk4_tuple(f, x, tau),
@@ -281,13 +270,24 @@ class _Sim:
             self.t += dt
             self.x = x_new
             h_now = h_new
-            seg.samples.append((self.t, *self.x))
+            seg.samples.append((self.t, n1, n2, n3))
 
     # -- sliding-regime integration -----------------------------------------
 
     def run_slide(self) -> Optional[str]:
         seg = self.begin_segment("S")
-        project = self.project
+        gradient = self.system.switch.compiled_gradient
+
+        def project(x):
+            """x moved along grad H by the Newton step -H / |grad H|^2."""
+            x1, x2, x3 = x
+            h, g1, g2, g3 = gradient(x1, x2, x3)
+            gg = g1 * g1 + g2 * g2 + g3 * g3
+            if gg == 0.0:
+                return x
+            s = h / gg
+            return (x1 - s * g1, x2 - s * g2, x3 - s * g3)
+
         rates = self.system.rates_and_fields
         field = self.system.sliding
         rate_left = lambda x: rates(*x)[0]
@@ -306,8 +306,8 @@ class _Sim:
             k1 = sliding_from_rates(rates_now)
             x_new = step(self.x, dt)
             rates_new = rates(*x_new)
-            rate_new, rate_r = rates_new[:2]
-            if rate_r >= 0.0:
+            rate_new = rates_new[0]
+            if rates_new[1] >= 0.0:
                 raise RepellingSlidingEncounteredError(
                     f"right field stopped pointing at the surface during "
                     f"sliding at t = {self.t:g}")

@@ -129,8 +129,8 @@ def classify_equilibrium(bd: BoundaryData) -> StabilityVerdict:
 
     A, B = bd.A.tolist(), bd.B.tolist()
     norm_a = math.hypot(*A[0], *A[1], *A[2])
-    ztol_a = SIGN_TOL * norm_a
-    ztol_b = SIGN_TOL * math.hypot(*B[0], *B[1], *B[2])
+    norm_b = math.hypot(*B[0], *B[1], *B[2])
+    ztol_a, ztol_b = SIGN_TOL * norm_a, SIGN_TOL * norm_b
 
     try:
         eigs_a = eig3(A)
@@ -171,6 +171,16 @@ def classify_equilibrium(bd: BoundaryData) -> StabilityVerdict:
         return Degenerate(
             "the real eigenvalue of the left Jacobian is zero to tolerance")
     gamma = -eigs_a.real_eig
-    params = hybrid_params_from_spectrum(eigs_a.alpha, eigs_a.beta, gamma,
-                                         s_sum, s_prod)
+    # (a, b, c, d) do not depend on the time scale.  So far from time
+    # scale 1, where the pair product, of order gamma^2, may be subnormal,
+    # it is taken again with time scaled by 2^k, the multiple of 2^256
+    # nearest 1/gamma (exact; B's norm stays below 2^1000)
+    k = -256 * round(math.frexp(gamma)[1] / 256)
+    if k:
+        k = min(k, 1000 - math.frexp(norm_b)[1])
+        s_sum, s_prod = pair_sum_product([[math.ldexp(v, k) for v in row]
+                                          for row in B])
+    params = hybrid_params_from_spectrum(
+        math.ldexp(eigs_a.alpha, k), math.ldexp(eigs_a.beta, k),
+        math.ldexp(gamma, k), s_sum, s_prod)
     return Rotational(params, eigs_a.alpha, eigs_a.beta, gamma, pair)

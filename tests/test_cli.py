@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import shlex
 import tempfile
 from pathlib import Path
@@ -375,9 +376,10 @@ TIMES = (("0.5", "1"), ("nan", "inf", "-1", "0", "x"))
 RANGES = (("-1:1", "0:2"), ("1:-1", "nan:1", "0:inf", "x", "2"))
 SYSTEMS = (("system.json",), ("missing.json", "binary.json", "huge.json",
                               "deep.json", "bool.json"))
-# the system files of a run's directory: the good one, and four that the
+# the system files of a run's directory: the good one, and six that the
 # loader refuses (bytes that are not UTF-8, an integer beyond the float
-# range, nesting past the recursion limit, and a boolean coordinate)
+# range, nesting past the recursion limit, a boolean coordinate, and a
+# NaN and an infinite one)
 SYSTEM_FILES = {
     "system.json": json.dumps(NORMAL_FORM_STABLE).encode(),
     "binary.json": b"\xff\xfe",
@@ -386,6 +388,10 @@ SYSTEM_FILES = {
     "deep.json": b"[" * 100_000 + b"]" * 100_000,
     "bool.json": json.dumps({**NORMAL_FORM_STABLE,
                              "x_star": [False, False, False]}).encode(),
+    "nan.json": json.dumps({**NORMAL_FORM_STABLE,
+                            "x_star": [math.nan, 0, 0]}).encode(),
+    "inf.json": json.dumps({**NORMAL_FORM_STABLE,
+                            "x_star": [math.inf, 0, 0]}).encode(),
 }
 ABCD = {f"--{name}": NUMBERS for name in "abcd"}
 SUBCOMMANDS = {
@@ -463,7 +469,7 @@ def test_every_invocation_exits_0_1_or_2_with_one_error_line(picks):
 
 
 @pytest.mark.parametrize("name", ["binary.json", "huge.json", "deep.json",
-                                  "bool.json"])
+                                  "bool.json", "nan.json", "inf.json"])
 @pytest.mark.parametrize("command", ["classify", "orbit-system"])
 def test_bad_system_files_fail_with_one_error_line(capsys, tmp_path, name,
                                                     command):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -355,9 +356,11 @@ def test_system_spec_rejects_missing_and_malformed(tmp_path):
     data["fL"] = ["-x1", "-x2"]
     with pytest.raises(FilippovError):
         system_spec_from_dict(data)
-    # a boolean is an int to Python, and 10^400 is beyond the float range
+    # a boolean is an int to Python, 10^400 is beyond the float range, and
+    # JSON reads NaN, Infinity and 1e400 as floats that are not finite
     for x_star in ([0, 0, "zero"], [0, 0, True], [False] * 3,
-                   [10 ** 400, 0, 0], [0, -10 ** 400, 0]):
+                   [10 ** 400, 0, 0], [0, -10 ** 400, 0], [math.nan, 0, 0],
+                   json.loads("[0, 1e400, 0]"), [0, 0, -math.inf]):
         data = spec_dict()
         data["x_star"] = x_star
         with pytest.raises(FilippovError, match="^field 'x_star' must be a "

@@ -289,11 +289,18 @@ def test_compiled_evaluation_matches_tree_walk():
 
 
 def test_compiled_vector_field_matches_tree_walk():
-    # components evaluate in order, so the first failing one names the error
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        trees = tuple(_random_tree(rng, 3) for _ in range(3))
+    # components evaluate in order, so the first failing one names the
+    # error; also where they share subtrees, whose common operations the
+    # generated code does once
+    rng, shared_rng = np.random.default_rng(6), np.random.default_rng(16)
+    corpus = [tuple(_random_tree(rng, 3) for _ in range(3))
+              for _ in range(100)]
+    corpus += [_shared_subtree_trees(shared_rng) for _ in range(100)]
+    shared = 0
+    for trees in corpus:
         field = VectorField(trees)
+        shared += len(expr._program(trees)[0][0]) < sum(
+            len(expr._program((tree,))[0][0]) for tree in trees)
         for point in _POINTS[::7]:
             want = [_outcome(evaluate_tree, t, point) for t in trees]
             failed = [o for o in want if o[0] == "error"]
@@ -302,6 +309,61 @@ def test_compiled_vector_field_matches_tree_walk():
             except EvalDomainError as exc:
                 got = [("error", str(exc))]
             assert got == (failed[:1] or want)
+    assert shared > 50
+
+
+def _shared_subtree_trees(rng):
+    """Three components, each an operation on two of three random
+    subtrees."""
+    pool = [_random_tree(rng, 3) for _ in range(3)]
+    return tuple(BinOp(str(rng.choice(["+", "-", "*", "/", "^"])),
+                       pool[rng.integers(3)], pool[rng.integers(3)])
+                 for _ in range(3))
+
+
+def test_shared_powers_are_computed_once():
+    # the orbit benchmark's shape: H, f_L and f_R read x2^2 and x3^2, and
+    # the generated rates and sliding field compute each power once, with
+    # a float exponent
+    texts = ("x1 + 0.3*x2^2 - 0.1*x3^2 + 0.07*x2*x3",
+             "-1.2*x1 + x2 - 0.06*x1^2 + 0.2*x2*x3",
+             "-5.2*x1 + x3 + 0.25*x2^2 + 0.01*x1*x3",
+             "-5*x1 + 0.2*x1*x2 + 0.3*x3^2",
+             "-1 - 0.2*x2", "-0.2 + 0.003*x3^2", "-3 - 0.3*x1*x2")
+    program = expr._program([parse_expr(text) for text in texts])[0]
+    for layout in ("rates", "sliding"):
+        source = expr._source(program, layout)
+        for power in ("x1 ** 2.0", "x2 ** 2.0", "x3 ** 2.0"):
+            assert source.count(power) == 1, (layout, power)
+
+
+def test_shared_subtrees_keep_the_values_and_the_first_error():
+    # three components read a power that overflows at x1 = 1e200 and a
+    # subtree nested past _MAX_NESTED levels; each is computed once, and
+    # the values, bit for bit, and the first error are the walk's
+    deep = Var("x2")
+    for _ in range(expr._MAX_NESTED):
+        deep = BinOp("+", Call("sin", deep), Var("x3"))
+    square = BinOp("^", Var("x1"), Num(2.0))
+    trees = (BinOp("*", deep, Var("x3")), BinOp("-", square, deep),
+             BinOp("/", deep, square))
+    # each subtree's operations once, and the three roots
+    assert len(expr._program(trees)[0][0]) == 2 * expr._MAX_NESTED + 4
+    field = VectorField(trees)
+    outcomes = set()
+    for point in ((0.5, 0.3, -0.2), (1e200, 0.3, -0.2), (0.0, 0.3, -0.2),
+                  (-1e-200, 1.0, 2.0)):
+        want = [_outcome(evaluate_tree, tree, point) for tree in trees]
+        failed = [o for o in want if o[0] == "error"]
+        want = failed[:1] or want
+        for fn in (field.compiled, lambda *x: field.compiled_jacobian(*x)[0]):
+            try:
+                got = [("value", v.hex()) for v in fn(*point)]
+            except EvalDomainError as exc:
+                got = [("error", str(exc))]
+            assert got == want, point
+        outcomes.add(want[0][1] if failed else "value")
+    assert outcomes == {"value", "overflow in power", "division by zero"}
 
 
 @pytest.mark.parametrize("text", [

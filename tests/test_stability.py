@@ -349,3 +349,15 @@ def test_verdict_and_multiplier_do_not_depend_on_time_scale(s):
             1e-12 * abs(getattr(want_params, name))
     assert got.status is want.status
     assert abs(got.value - want.value) <= 1e-12 * want.value
+
+
+@pytest.mark.parametrize("s", [1e-155, 1e-160])
+def test_slow_systems_keep_the_digits_of_d(s):
+    # the sliding pair's product is of order s^2, subnormal at 1e-160,
+    # unless time is scaled back near gamma = 1 before it is formed
+    want_params, want = _scaled_chain(1.0)
+    params, got = _scaled_chain(s)
+    for name in "abcd":
+        w = getattr(want_params, name)
+        assert abs(getattr(params, name) - w) <= 4 * math.ulp(w), name
+    assert abs(got.log_value - want.log_value) <= 1e-12 * abs(want.log_value)
