@@ -168,7 +168,7 @@ def cmd_orbit_system(args) -> int:
     try:
         spec = load_system_spec(args.system)
         cfg = SimConfig(dt=args.dt, t_max=args.t_max)
-        orbit = simulate(spec.system, x0, cfg)
+        orbit = simulate(spec.system, x0, cfg, spec.x_star)
         export_orbit(orbit, args.out)
     except (FilippovError, OSError, ValueError) as exc:
         return _fail(exc)

@@ -58,8 +58,9 @@ __all__ = [
 
 
 # Events are refined until |monitor| <= _EVENT_REFINE_TOL.  A state
-# whose norm falls below _NORM_FLOOR has converged, one above
-# _NORM_CEILING has diverged.  |H| <= _ON_SURFACE_TOL is on the surface.
+# whose distance from the centre falls below _NORM_FLOOR has converged,
+# one above _NORM_CEILING has diverged.  |H| <= _ON_SURFACE_TOL is on
+# the surface.
 _EVENT_REFINE_TOL = 1e-10
 _NORM_FLOOR = 1e-6
 _NORM_CEILING = 1e6
@@ -166,13 +167,15 @@ class _Sim:
     """State machine for one simulation run.  The state ``x`` is a
     3-tuple of floats."""
 
-    def __init__(self, system: FilippovSystem, x0, cfg: SimConfig):
+    def __init__(self, system: FilippovSystem, x0, cfg: SimConfig,
+                 centre):
         self.system = system
         self.cfg = cfg
         x1, x2, x3 = np.asarray(x0, dtype=float)
         self.x = (float(x1), float(x2), float(x3))
-        if not all(map(math.isfinite, self.x)):
-            raise NonFiniteStateError("initial state is not finite")
+        self.centre = tuple(map(float, centre))
+        if not all(map(math.isfinite, self.x + self.centre)):
+            raise NonFiniteStateError("initial state or centre is not finite")
         self.t = 0.0
         self.segments: list[Segment] = []
         self.h = system.switch.compiled
@@ -188,7 +191,7 @@ class _Sim:
         return seg
 
     def check_terminal(self) -> bool:
-        norm = math.hypot(*self.x)
+        norm = math.dist(self.x, self.centre)
         if not math.isfinite(norm):
             raise NonFiniteStateError(f"state not finite at t = {self.t:g}")
         if norm < _NORM_FLOOR:
@@ -358,7 +361,8 @@ class _Sim:
         return Orbit(self.segments, self.terminal, self.detail)
 
 
-def simulate(system: FilippovSystem, x0, cfg: SimConfig) -> Orbit:
+def simulate(system: FilippovSystem, x0, cfg: SimConfig,
+             centre=(0.0, 0.0, 0.0)) -> Orbit:
     """Run the event-driven Filippov integration from x0.
 
     Orbits follow the left field in H < 0 and the right field in H > 0;
@@ -367,10 +371,11 @@ def simulate(system: FilippovSystem, x0, cfg: SimConfig) -> Orbit:
     convention.  Repelling sliding aborts with an error since forward
     evolution is not unique there.
 
-    The norm floor/ceiling terminations are measured from the origin;
-    translate the system so the equilibrium of interest sits there.
+    The orbit has converged once its distance from ``centre`` (the
+    equilibrium of interest) falls below 1e-6, and diverged once it
+    exceeds 1e6.
     """
-    return _Sim(system, x0, cfg).run()
+    return _Sim(system, x0, cfg, centre).run()
 
 
 # --------------------------------------------------------------------------

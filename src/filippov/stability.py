@@ -130,7 +130,15 @@ def classify_equilibrium(bd: BoundaryData) -> StabilityVerdict:
     A, B = bd.A.tolist(), bd.B.tolist()
     norm_a = math.hypot(*A[0], *A[1], *A[2])
     norm_b = math.hypot(*B[0], *B[1], *B[2])
-    ztol_a, ztol_b = SIGN_TOL * norm_a, SIGN_TOL * norm_b
+    # the verdict and (a, b, c, d) do not depend on the time scale.  So
+    # far from time scale 1, where the pair product, of order |B|^2, may
+    # be subnormal, the pair and its signs are taken with time scaled by
+    # 2^k, the multiple of 2^256 nearest 1/|B| (exact), and the pair is
+    # scaled back after
+    k = -256 * round(math.frexp(norm_b)[1] / 256)
+    if k:
+        B = [[math.ldexp(v, k) for v in row] for row in B]
+    ztol_a, ztol_b = SIGN_TOL * norm_a, SIGN_TOL * math.ldexp(norm_b, k)
 
     try:
         eigs_a = eig3(A)
@@ -140,7 +148,10 @@ def classify_equilibrium(bd: BoundaryData) -> StabilityVerdict:
         s_sum, s_prod = pair_sum_product(B)
     except NoZeroEigenvalueError as exc:
         return Degenerate(f"sliding Jacobian lacks its zero eigenvalue: {exc}")
-    pair = pair_from_sum_product(s_sum, s_prod)
+    scaled = pair_from_sum_product(s_sum, s_prod)
+    pair = scaled if not k else tuple(
+        complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k))
+        for z in scaled)
 
     # a positive real eigenvalue of either matrix settles instability
     if isinstance(eigs_a, ThreeReal):
@@ -148,10 +159,10 @@ def classify_equilibrium(bd: BoundaryData) -> StabilityVerdict:
             return UnstableEigenvalue("left", eigs_a.lams[2])
     elif eigs_a.real_eig > ztol_a:
         return UnstableEigenvalue("left", eigs_a.real_eig)
-    if pair[0].imag == 0.0:
-        top = max(pair[0].real, pair[1].real)
+    if scaled[0].imag == 0.0:
+        top = scaled[0].real
         if top > ztol_b:
-            return UnstableEigenvalue("sliding", top)
+            return UnstableEigenvalue("sliding", math.ldexp(top, -k))
         if top >= -ztol_b:
             return Degenerate(
                 "a non-zero eigenvalue of the sliding Jacobian is zero to "
@@ -171,15 +182,6 @@ def classify_equilibrium(bd: BoundaryData) -> StabilityVerdict:
         return Degenerate(
             "the real eigenvalue of the left Jacobian is zero to tolerance")
     gamma = -eigs_a.real_eig
-    # (a, b, c, d) do not depend on the time scale.  So far from time
-    # scale 1, where the pair product, of order gamma^2, may be subnormal,
-    # it is taken again with time scaled by 2^k, the multiple of 2^256
-    # nearest 1/gamma (exact; B's norm stays below 2^1000)
-    k = -256 * round(math.frexp(gamma)[1] / 256)
-    if k:
-        k = min(k, 1000 - math.frexp(norm_b)[1])
-        s_sum, s_prod = pair_sum_product([[math.ldexp(v, k) for v in row]
-                                          for row in B])
     params = hybrid_params_from_spectrum(
         math.ldexp(eigs_a.alpha, k), math.ldexp(eigs_a.beta, k),
         math.ldexp(gamma, k), s_sum, s_prod)

@@ -16,10 +16,11 @@ deterministic.
 from __future__ import annotations
 
 import logging
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -146,7 +147,6 @@ def render_grid(grid: SweepGrid, path, fmt: str = "csv") -> None:
     ordered by c then d) or as an ASCII PGM image (one pixel per cell,
     c left to right, d top-down from d_max; level mapping in the header
     comment).  Re-rendering an identical grid is byte-identical."""
-    path = Path(path)
     if fmt == "csv":
         lines = ["c,d,verdict,lambda_or_reason"]
         d_text = [repr(d) for d in cell_centers(grid.d_min, grid.d_max,
@@ -157,7 +157,7 @@ def render_grid(grid: SweepGrid, path, fmt: str = "csv") -> None:
             head = repr(c)
             lines += [f"{head},{d},{v._value_},{s.replace(',', ';')}"
                       for d, v, s in zip(d_text, verdicts, details)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_over(path, "\n".join(lines) + "\n")
         return
     if fmt == "pgm":
         lines = [
@@ -170,6 +170,30 @@ def render_grid(grid: SweepGrid, path, fmt: str = "csv") -> None:
         rows = list(zip(*grid.verdicts))  # rows[j]: the cells at d_j
         lines += [" ".join([_PGM_LEVEL[v._value_] for v in row])
                   for row in reversed(rows)]  # top row = largest d
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_over(path, "\n".join(lines) + "\n")
         return
     raise ValueError(f"unknown format {fmt!r} (use 'csv' or 'pgm')")
+
+
+def _write_over(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over the bytes of ``path`` (created with
+    the mode ``open`` gives), then cut a regular file to the bytes
+    written; a device or a FIFO is never truncated.
+
+    The file is not truncated to zero first, as ``open(path, "w")``
+    does: on ext4 that truncation starts writeback at close
+    (``auto_da_alloc``), which costs about 100 us per rewritten 20 KB
+    file, against 15 us here.  Neither way calls ``fsync``, so a crash
+    during the write may leave the old bytes, the new ones, or a mix of
+    both at page granularity.  A write that fails part-way (ENOSPC)
+    raises, and may leave old bytes past the new ones.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        with open(fd, "wb", closefd=False) as out:
+            out.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)

@@ -8,7 +8,8 @@ or central differences where sympy is not installed), and the local
 data and trichotomy branch by numpy's array arithmetic and eigenvalues,
 and the closed-form decay orbit of Appendix B: the companion system with
 three distinct negative eigenvalues, started at (0, 0, -1), never
-re-crosses the switching plane (the lemma ``StableNode`` rests on).
+re-crosses the switching plane (the lemma ``StableNode`` rests on); and
+the translate of a system spec.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import re
 from typing import Callable
 
 import numpy as np
@@ -272,6 +274,17 @@ def for_all(examples: int, seed: int, strategy, draw):
         run.__name__ = run.__qualname__ = check.__name__
         return run
     return decorate
+
+
+def translated_spec(spec: dict, shift) -> dict:
+    """A system spec moved by ``shift``: x_i becomes (x_i - shift_i) in
+    both fields and in H, and x_star is ``shift``."""
+    def move(text):
+        return re.sub(r"x([123])",
+                      lambda m: f"(x{m[1]} - {shift[int(m[1]) - 1]!r})", text)
+    return {"fL": [move(t) for t in spec["fL"]],
+            "fR": [move(t) for t in spec["fR"]],
+            "H": move(spec["H"]), "x_star": list(shift)}
 
 
 def evaluate_tree(node, point) -> float:

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from filippov import hybrid
 from filippov.cli import build_parser, main
 from filippov.expr import MAX_DEPTH
-from oracles import for_all
+from oracles import for_all, translated_spec
 
 
 def run(capsys, *argv):
@@ -267,6 +269,42 @@ def test_sweep_writes_pgm(capsys, tmp_path):
     assert out_path.read_text().startswith("P2\n")
 
 
+SWEEP_ARGS = ("sweep", "--a", "0.2", "--b", "5", "--c-range=-1:1",
+              "--d-range=0.25:2", "--nc", "4", "--nd", "4")
+
+
+def test_sweep_to_dev_null(capsys):
+    code, out, err = run(capsys, *SWEEP_ARGS, "--out", os.devnull)
+    assert code == 0, err
+
+
+def test_sweep_to_a_fifo(capsys, tmp_path):
+    # a FIFO is written, never truncated; a thread reads it to the end
+    want_path = tmp_path / "grid.csv"
+    assert run(capsys, *SWEEP_ARGS, "--out", str(want_path))[0] == 0
+    fifo = tmp_path / "grid.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    code, _, err = run(capsys, *SWEEP_ARGS, "--out", str(fifo))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == 0, err
+    assert got == [want_path.read_bytes()]
+
+
+@pytest.mark.parametrize("target, slug", [
+    ("", "is-a-directory"), ("missing/grid.csv", "file-not-found")])
+def test_sweep_to_a_path_it_cannot_write(capsys, tmp_path, target, slug):
+    code, out, err = run(capsys, *SWEEP_ARGS, "--out",
+                         str(tmp_path / target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {slug}: ") and err.count("\n") == 1
+
+
 def test_orbit_export(capsys, tmp_path):
     out_path = tmp_path / "orbit.csv"
     code, _, _ = run(capsys, "orbit", "--a", "-0.2", "--b", "5",
@@ -287,6 +325,25 @@ def test_orbit_system_export(capsys, tmp_path):
                      "--dt", "0.002", "--out", str(out_path))
     assert code == 0
     assert out_path.read_text().startswith("t,x1,x2,x3,regime\n")
+
+
+@pytest.mark.parametrize("shift", [(1.0, 2.0, 3.0), (1e6, 2e6, 3e6)])
+def test_orbit_system_measures_fates_from_x_star(capsys, tmp_path, shift):
+    # from (-0.02, 0, -0.05) the untranslated system converges at
+    # t = 202.3; measured from the origin instead of x_star, the (1, 2, 3)
+    # copy would time out at t = 400, and the one beyond 1e6 would read
+    # diverged at t = 0
+    path = write_spec(tmp_path, translated_spec(NORMAL_FORM_STABLE, shift))
+    x0 = ",".join(repr(v + s) for v, s in zip((-0.02, 0.0, -0.05), shift))
+    out_path = tmp_path / "orbit.csv"
+    code, out, err = run(capsys, "orbit-system", "--system", path,
+                         f"--x0={x0}", "--t-max", "400", "--dt", "0.01",
+                         "--out", str(out_path))
+    assert code == 0, err
+    assert "terminal: converged" in out
+    t, *x, _ = out_path.read_text().splitlines()[-1].split(",")
+    assert abs(float(t) - 202.3) < 0.1
+    assert math.dist(map(float, x), shift) < 1e-6
 
 
 def test_orbit_system_bad_x0(capsys, tmp_path):

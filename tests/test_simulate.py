@@ -27,6 +27,7 @@ from filippov.simulate import (
     simulate_hybrid,
 )
 from filippov.simulate import _EVENT_REFINE_TOL, _ON_SURFACE_TOL, _locate
+from oracles import translated_spec
 
 simulate_module = importlib.import_module("filippov.simulate")
 
@@ -127,6 +128,51 @@ def test_orbits_golden(tmp_path, capsys):
     assert "terminal: timeout" in capsys.readouterr().out
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         GOLDEN_ORBIT_CSV_SHA256
+
+
+# (a, b, c, d) = (0.2, 5, 0.2, 1), Lambda = 0.827: from (-0.02, 0, -0.05)
+# it converges at t = 202.3, after 97 segments and 20,398 samples
+STABLE_SPEC = {"fL": ["-0.8*x1 + x2", "-4.8*x1 + x3", "-5*x1"],
+               "fR": ["-1", "0.2", "-1"], "H": "x1"}
+
+
+def spec_orbit(spec, shift=(0.0, 0.0, 0.0)) -> Orbit:
+    moved = translated_spec(spec, shift)
+    system = FilippovSystem.parse(moved["fL"], moved["fR"], moved["H"])
+    x0 = (-0.02 + shift[0], 0.0 + shift[1], -0.05 + shift[2])
+    return simulate(system, x0, SimConfig(dt=1e-2, t_max=400.0),
+                    centre=shift)
+
+
+# A translated copy rounds x_i - shift_i in every evaluation, by up to
+# ulp(3) = 4.4e-16 at (1, 2, 3) and ulp(3e6) = 4.7e-10 beyond 1e6.
+# Measured on both systems: the samples stay within 1.4e-14 and 8.2e-9
+# of the shifted ones, and their times within 4.3e-10 and 8.2e-4 (a
+# slide ends where the rate crosses zero slowly, so a rounding of the
+# rate moves the exit time far more than the state).  The bounds below
+# are 20 to 120 times these.  The second golden system is left out: its
+# copy beyond 1e6 misses a fold exit, because the finite-difference step
+# of the fold curvature grows with |x|.
+@pytest.mark.parametrize("spec", [STABLE_SPEC,
+                                  nonlinear_texts(*GOLDEN_ABCD[0])],
+                         ids=["normal-form", "nonlinear"])
+@pytest.mark.parametrize("shift, state_tol, time_tol", [
+    ((1.0, 2.0, 3.0), 1e-12, 1e-8),
+    ((1e6, 2e6, 3e6), 1e-6, 1e-1),
+])
+def test_fates_are_measured_from_the_centre(spec, shift, state_tol,
+                                            time_tol):
+    want = spec_orbit(spec)
+    assert want.terminal is Terminal.CONVERGED
+    got = spec_orbit(spec, shift)
+    assert got.terminal is want.terminal
+    assert [(s.regime, len(s.samples)) for s in got.segments] == \
+        [(s.regime, len(s.samples)) for s in want.segments]
+    for seg, ref in zip(got.segments, want.segments):
+        for (t, *x), (t_ref, *x_ref) in zip(seg.samples, ref.samples):
+            assert abs(t - t_ref) <= time_tol
+            assert max(abs(v - c - r)
+                       for v, c, r in zip(x, shift, x_ref)) <= state_tol
 
 
 def test_events_take_few_monitor_evaluations(monkeypatch):

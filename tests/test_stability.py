@@ -319,10 +319,9 @@ def test_time_scaled_local_data_keep_branch_and_params():
     assert seen == set(BRANCHES)
 
 
-def _scaled_chain(s):
+def _scaled_verdicts(s):
     # a nonlinear rotational system and a nonlinear stable node, both
-    # fields scaled by s: the chain the CLI runs, to the verdict and the
-    # return multiplier
+    # fields scaled by s: the chain the CLI runs, to the verdict
     rotational = FilippovSystem.parse(
         (f"{s!r}*(0.2*x1 + x2 + x1^2)", f"{s!r}*(-5*x1 + x3)", f"{s!r}*(-x1)"),
         (f"{s!r}*(-1)", f"{s!r}*0.5", f"{s!r}*(-3)"), "x1 + 0.1*x2^2")
@@ -334,7 +333,13 @@ def _scaled_chain(s):
     node_verdict = classify_equilibrium(boundary_data(node, (0, 0, 0)))
     assert isinstance(verdict, Rotational), verdict
     assert isinstance(node_verdict, StableNode), node_verdict
-    return verdict.params, return_multiplier(verdict.params)
+    return verdict, node_verdict
+
+
+def _scaled_chain(s):
+    # the rotational system of _scaled_verdicts, to the return multiplier
+    params = _scaled_verdicts(s)[0].params
+    return params, return_multiplier(params)
 
 
 @pytest.mark.parametrize("s", [1e-150, 1e-100, 1e-50, 1.0, 1e50, 1e100,
@@ -361,3 +366,13 @@ def test_slow_systems_keep_the_digits_of_d(s):
         w = getattr(want_params, name)
         assert abs(getattr(params, name) - w) <= 4 * math.ulp(w), name
     assert abs(got.log_value - want.log_value) <= 1e-12 * abs(want.log_value)
+
+
+@pytest.mark.parametrize("s", [1e-155, 1e-160])
+def test_slow_systems_keep_the_digits_of_the_sliding_pair(s):
+    # the pair's product, of order s^2, is subnormal at s = 1e-160
+    # unless time is scaled back near |B| = 1 before it is formed
+    for want, got in zip(_scaled_verdicts(1.0), _scaled_verdicts(s)):
+        for w, z in zip(want.sliding_pair, got.sliding_pair):
+            assert abs(z.real / s - w.real) <= 4 * math.ulp(w.real)
+            assert abs(z.imag / s - w.imag) <= 4 * math.ulp(w.imag)

@@ -79,6 +79,19 @@ def test_render_csv_deterministic(tmp_path):
     assert all(line.endswith("white,not-applicable") for line in lines[1:])
 
 
+def test_render_over_a_larger_file_leaves_only_the_new_bytes(tmp_path):
+    # render_grid writes over the old bytes and then cuts the file at the
+    # end of the new ones; a 40x40 grid's files are longer than 20x20's
+    big = sweep(0.2, 5.0, (-3.0, 3.0), (0.0, 10.0), 40, 40)
+    small = sweep(0.2, 5.0, (-3.0, 3.0), (0.0, 10.0), 20, 20)
+    for fmt in ("csv", "pgm"):
+        path, fresh = tmp_path / f"grid.{fmt}", tmp_path / f"fresh.{fmt}"
+        render_grid(big, path, fmt)
+        render_grid(small, path, fmt)
+        render_grid(small, fresh, fmt)
+        assert path.read_bytes() == fresh.read_bytes()
+
+
 def test_csv_keeps_log_lambda_beyond_the_float_range(tmp_path):
     # every applicable cell returns near e^3140, beyond the float range:
     # its value reads inf, and the CSV keeps exp(log Lambda)
