@@ -307,9 +307,10 @@ def main(argv=None) -> int:
             return _usage(f"--{name} must be at least 2")
     for name in ("c_range", "d_range"):
         lo, hi = getattr(args, name, (0.0, 1.0))
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        # a finite width hi - lo needs finite ends as well
+        if not (lo < hi and math.isfinite(hi - lo)):
             return _usage(f"--{name.replace('_', '-')} must be finite "
-                          "with LO < HI")
+                          "with LO < HI and a finite width")
     return args.func(args)
 
 

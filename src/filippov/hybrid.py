@@ -584,9 +584,9 @@ def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
         log_y3 = np.where(is_complex, p * t_c, r1 * t_r) + np.log(
             np.where(is_complex, np.hypot(n, q * y2_0), w))
         log_value = log_scale + log_y3
-        status = np.select(
-            [~(is_complex | (w > 0.0)), _marginal(log_value)],
-            [_CONVERGED, _MARGINAL], _DEFINED)
+        status = np.where(is_complex | (w > 0.0),
+                          np.where(_marginal(log_value), _MARGINAL, _DEFINED),
+                          _CONVERGED)
     return LambdaArrays(_STATUSES[status],
                         np.where(status <= _MARGINAL, log_value, np.nan))
 
@@ -734,8 +734,10 @@ def return_map(a: float, b: float,
         log_value = np.nan if result.log_value is None else result.log_value
 
     def multiplier(c, d) -> LambdaArrays:
-        c, d = np.broadcast_arrays(np.asarray(c, dtype=float),
-                                   np.asarray(d, dtype=float))
+        c = np.asarray(c, dtype=float)
+        d = np.asarray(d, dtype=float)
+        if c.shape != d.shape:
+            c, d = np.broadcast_arrays(c, d)
         bad = ~slide_domain(c, d)[0]
         if bad.any():
             k = int(np.argmax(bad.ravel()))

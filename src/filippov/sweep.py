@@ -16,6 +16,7 @@ deterministic.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import stat
 import warnings
@@ -24,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FilippovError
+from .errors import ConstraintViolationError, FilippovError
 from .hybrid import (
     HybridParams,
     LambdaArrays,
@@ -46,8 +47,11 @@ class CellVerdict(Enum):
     GRAY = "gray"    # marginal multiplier or per-cell failure
 
 
-# render_grid reads a verdict's ``_value_``, a plain attribute: ``value``
-# and an Enum member's hash run Python code, per cell
+# sweep keeps a verdict as its index in CellVerdict until it builds the
+# grid; render_grid reads a verdict's ``_value_``, a plain attribute:
+# ``value`` and an Enum member's hash run Python code, per cell
+_VERDICTS = np.array(list(CellVerdict), dtype=object)
+_BLUE, _RED, _GRAY = range(1, 4)  # 0 is white
 _PGM_LEVEL = {CellVerdict.WHITE.value: "255", CellVerdict.BLUE.value: "64",
               CellVerdict.RED.value: "160", CellVerdict.GRAY.value: "128"}
 _UNDEFINED_TEXT = np.array(["diverged", "converged"], dtype=object)
@@ -90,56 +94,66 @@ def sweep(a: float, b: float, c_range: tuple[float, float],
         raise ValueError("need nc >= 2 and nd >= 2")
     if not (c_min < c_max and d_min < d_max):
         raise ValueError("ranges must be ordered")
+    if not (math.isfinite(c_max - c_min) and math.isfinite(d_max - d_min)):
+        raise ValueError("ranges must be finite, with a finite width")
     a = float(a)
     b = float(b)
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise ConstraintViolationError(f"parameter {name} is not finite")
     c_values = cell_centers(c_min, c_max, nc)
     d_values = cell_centers(d_min, d_max, nd)
-    c, d = np.meshgrid(c_values, d_values, indexing="ij")
-    verdicts = np.full((nc, nd), CellVerdict.WHITE, dtype=object)
-    details = np.full((nc, nd), "not-applicable", dtype=object)
+    code = np.zeros((nc, nd), np.intp)  # the index of a CellVerdict
+    details = np.empty((nc, nd), object)
+    details.fill("not-applicable")
     if b <= a * a / 4.0:
         warnings.warn(f"b = {b:g} <= a^2/4 = {a * a / 4.0:g}: the regular "
                       "piece does not rotate, every cell is not-applicable",
                       stacklevel=2)
     else:
         multiplier = return_map(a, b)
+        c = np.repeat(c_values, nd).reshape(nc, nd)
+        d = np.tile(d_values, nc).reshape(nc, nd)
         cells, white = slide_domain(c, d)
-        # neither white nor valid: d = c^2/4 exactly with c > 0, or a
-        # non-finite centre; HybridParams gives the reason
+        # neither white nor valid: d = c^2/4 exactly with c > 0;
+        # HybridParams gives the reason
         for i, j in zip(*np.nonzero(~white & ~cells)):
-            verdicts[i, j] = CellVerdict.GRAY
+            code[i, j] = _GRAY
             try:
                 HybridParams(a, b, c_values[i], d_values[j])
             except FilippovError as exc:
                 details[i, j] = f"error: {exc}"
-        verdicts[cells], details[cells] = _verdicts(
+        code[cells], details[cells] = _verdicts(
             multiplier(c[cells], d[cells]))
-    gray = verdicts == CellVerdict.GRAY
+    gray = code == _GRAY
     if gray.any():
         i, j = np.argwhere(gray)[0]
         log.warning("%d of %d cells gray (a=%g, b=%g); first (c=%g, d=%g): "
                     "%s", gray.sum(), nc * nd, a, b, c_values[i],
                     d_values[j], details[i, j])
     return SweepGrid(a, b, c_min, c_max, d_min, d_max, nc, nd,
-                     tuple(map(tuple, verdicts.tolist())),
+                     tuple(map(tuple, _VERDICTS[code].tolist())),
                      tuple(map(tuple, details.tolist())))
 
 
 def _verdicts(lam: LambdaArrays):
-    """Colours and details of multipliers: stable blue, unstable red,
-    marginal gray; a value, ``exp(log Lambda)`` where the value leaves
-    the float range, or whether the orbit converged or diverged."""
+    """Verdict codes (indices into CellVerdict) and details of
+    multipliers: stable blue, unstable red, marginal gray; a value,
+    ``exp(log Lambda)`` where the value leaves the float range, or
+    whether the orbit converged or diverged."""
     stable = lam.stable
-    colour = np.where(stable, CellVerdict.BLUE, CellVerdict.RED)
-    colour[lam.status == LambdaStatus.MARGINAL] = CellVerdict.GRAY
+    code = np.where(stable, _BLUE, _RED)
+    code[lam.status == LambdaStatus.MARGINAL] = _GRAY
     detail = _UNDEFINED_TEXT[stable.astype(np.intp)]
-    value = lam.value
-    numeric = ~np.isnan(value)
-    detail[numeric] = list(map(repr, value[numeric].tolist()))
-    beyond = (value == 0.0) | np.isinf(value)
-    detail[beyond] = [f"exp({log!r})"
-                      for log in lam.log_value[beyond].tolist()]
-    return colour, detail
+    numeric = ~np.isnan(lam.log_value)
+    log_value = lam.log_value[numeric]
+    with np.errstate(over="ignore", under="ignore"):
+        value = np.exp(log_value)
+    text = list(map(repr, value.tolist()))
+    for k in np.flatnonzero((value == 0.0) | np.isinf(value)):
+        text[k] = f"exp({float(log_value[k])!r})"
+    detail[numeric] = text
+    return code, detail
 
 
 def render_grid(grid: SweepGrid, path, fmt: str = "csv") -> None:
@@ -155,7 +169,9 @@ def render_grid(grid: SweepGrid, path, fmt: str = "csv") -> None:
                 cell_centers(grid.c_min, grid.c_max, grid.nc),
                 grid.verdicts, grid.details):
             head = repr(c)
-            lines += [f"{head},{d},{v._value_},{s.replace(',', ';')}"
+            if "," in "".join(details):  # only a reason holds a comma
+                details = [s.replace(",", ";") for s in details]
+            lines += [f"{head},{d},{v._value_},{s}"
                       for d, v, s in zip(d_text, verdicts, details)]
         _write_over(path, "\n".join(lines) + "\n")
         return

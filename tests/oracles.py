@@ -9,7 +9,8 @@ data and trichotomy branch by numpy's array arithmetic and eigenvalues,
 and the closed-form decay orbit of Appendix B: the companion system with
 three distinct negative eigenvalues, started at (0, 0, -1), never
 re-crosses the switching plane (the lemma ``StableNode`` rests on); and
-the translate of a system spec.
+the translate of a system spec; and the d at which a return multiplier
+crosses 1.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from filippov.expr import (
     Var,
     gradient_fd,
 )
+from filippov.hybrid import HybridParams, return_multiplier
 from filippov.spectrum import DISC_TOL, ZERO_EIG_TOL
 from filippov.stability import DISTINCT_GAP_TOL, SIGN_TOL
 
@@ -254,6 +256,18 @@ def log_return_reference(params, t_plane: float, t_line: float,
     with _precision(dps + 10):
         value = _reference_return(params, t_plane, t_line, dps)
         return float(mp.log(value)) if mp is not None else math.log(value)
+
+
+def marginal_d(a: float, b: float, c: float, lo: float, hi: float) -> float:
+    """The d in (lo, hi) at which the package's scalar log Lambda of
+    (a, b, c, d) changes sign, by bisection to adjacent floats: the lower
+    one."""
+    def log_value(d):
+        return return_multiplier(HybridParams(a, b, c, d)).log_value
+    assert log_value(lo) < 0.0 < log_value(hi)
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
+        lo, hi = (mid, hi) if log_value(mid) < 0.0 else (lo, mid)
+    return lo
 
 
 def for_all(examples: int, seed: int, strategy, draw):

@@ -130,6 +130,10 @@ ORBIT_SYSTEM = ("orbit-system", "--system", "system.json", "--x0", "1,0,0")
     (*ORBIT_SYSTEM, "--t-max", "-2"),
     (*ORBIT_SYSTEM, "--t-max", "1", "--dt", "inf"),
     (*ORBIT_SYSTEM, "--t-max", "1", "--dt", "0"),
+    # ordered, but the width hi - lo overflows
+    ("fig-c", "--c-range=-1e308:1e308"),
+    (*SWEEP, "--c-range=-1e308:1e308", "--d-range=0:10", "--nc", "4",
+     "--nd", "4"),
 ])
 def test_grid_options_are_usage_errors(capsys, tmp_path, argv):
     out_path = tmp_path / ("panels" if argv[0] == "fig-c" else "grid.csv")
@@ -137,6 +141,22 @@ def test_grid_options_are_usage_errors(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: usage: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("a, b", [("inf", "5"), ("nan", "5"),
+                                  ("0.2", "inf")])
+def test_sweep_non_finite_a_or_b_is_a_constraint_violation(capsys, tmp_path,
+                                                           a, b):
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run(capsys, "sweep", "--a", a, "--b", b,
+                         "--c-range=-1:1", "--d-range=0:10", "--nc", "4",
+                         "--nd", "4", "--out", str(out_path))
+    name = "a" if a != "0.2" else "b"
+    assert code == 1
+    assert out == ""
+    assert err == f"error: constraint-violation: parameter {name} is not " \
+        "finite\n"
     assert not out_path.exists()
 
 

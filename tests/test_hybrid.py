@@ -38,6 +38,7 @@ from oracles import (
     for_all,
     left_matrix,
     log_return_reference,
+    marginal_d,
     return_reference,
     slide_block,
 )
@@ -508,6 +509,51 @@ def test_return_map_arrays_keep_shape_and_reject_invalid_cells():
         multiplier(np.array([-1.0, 2.0]), np.array([1.0, 1.0]))
     with pytest.raises(ConstraintViolationError, match="not finite"):
         multiplier(np.array([np.nan]), np.array([1.0]))
+
+
+def test_return_map_arrays_reach_marginal():
+    # log Lambda crosses 0 near d = 5.4548026200223 at (0.2, 5, -0.5);
+    # there the array path must also read marginal, not defined
+    d = marginal_d(0.2, 5.0, -0.5, 5.4, 5.5)
+    assert abs(d - 5.4548026200223) < 1e-12
+    want = return_multiplier(HybridParams(0.2, 5.0, -0.5, d))
+    assert want.status is LambdaStatus.MARGINAL
+    status, log_value = return_map(0.2, 5.0)(np.array([-0.5, -0.5, -2.0]),
+                                              np.array([d, 1.0, 0.5]))
+    assert status.tolist() == [LambdaStatus.MARGINAL, LambdaStatus.DEFINED,
+                               LambdaStatus.UNDEFINED_CONVERGED]
+    assert abs(log_value[0]) <= hybrid.MARGINAL_TOL
+    assert np.isnan(log_value[2])
+
+
+def test_return_map_broadcasts_its_arguments():
+    c_axis = np.array([-2.0, -0.5, 0.5, 1.0])
+    d_axis = np.array([0.5, 1.0, 5.4548026200223, 6.0])
+    c, d = np.meshgrid(c_axis, d_axis, indexing="ij")
+    # (-3, 3.25): the regular segment never returns, so no cell slides
+    for (a, b), statuses in (
+            ((0.2, 5.0), set(LambdaStatus) - {
+                LambdaStatus.UNDEFINED_DIVERGED}),
+            ((-3.0, 3.25), {LambdaStatus.UNDEFINED_CONVERGED})):
+        multiplier = return_map(a, b)
+        want = multiplier(c, d)
+        assert set(want.status.ravel()) == statuses
+        # a column (n, 1) against a row (1, m), and against a 1-D row
+        for got in (multiplier(c_axis[:, None], d_axis[None, :]),
+                    multiplier(c_axis[:, None], d_axis)):
+            assert got.status.shape == (4, 4)
+            assert got.status.tolist() == want.status.tolist()
+            assert np.array_equal(got.log_value, want.log_value,
+                                  equal_nan=True)
+        # a scalar c against an array d
+        got = multiplier(-0.5, d_axis)
+        assert got.status.tolist() == want.status[1].tolist()
+        assert np.array_equal(got.log_value, want.log_value[1],
+                              equal_nan=True)
+    # an invalid pair is found in the broadcast shape: (1, 0.2) here
+    with pytest.raises(ConstraintViolationError, match="d = 0.2 must exceed"):
+        return_map(0.2, 5.0)(np.array([[-1.0], [1.0]]),
+                             np.array([0.5, 0.2]))
 
 
 def test_lambda_result_marginal_rule():

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from filippov.cli import FIG_PANEL_A, FIG_PANEL_B
+from filippov.errors import ConstraintViolationError
 from filippov.hybrid import (HybridParams, LambdaArrays, LambdaStatus,
-                             return_multiplier)
+                             MARGINAL_TOL, return_map, return_multiplier)
 from filippov.sweep import CellVerdict, cell_centers, render_grid, sweep
 from filippov.sweep import _verdicts
+from oracles import marginal_d
 
 
 def test_white_region_predicate():
@@ -23,9 +25,11 @@ def test_white_region_predicate():
 
 
 def test_invalid_ab_pair_warns_and_whitens():
-    with pytest.warns(UserWarning, match="does not rotate"):
-        grid = sweep(2.0, 0.5, (-1, 1), (0.5, 2.0), 4, 4)
-    assert all(v is CellVerdict.WHITE for col in grid.verdicts for v in col)
+    for a in (2.0, 1e200):  # a^2/4 overflows, but a is finite
+        with pytest.warns(UserWarning, match="does not rotate"):
+            grid = sweep(a, 0.5, (-1, 1), (0.5, 2.0), 4, 4)
+        assert all(v is CellVerdict.WHITE
+                   for col in grid.verdicts for v in col)
 
 
 def test_coloring_matches_multiplier():
@@ -147,6 +151,20 @@ def test_sweep_validates_grid():
         sweep(0.2, 5.0, (-1, 1), (0, 1), 1, 4)
     with pytest.raises(ValueError):
         sweep(0.2, 5.0, (1, -1), (0, 1), 4, 4)
+    # ordered, but hi - lo is not finite: the centres would read inf
+    with pytest.raises(ValueError, match="finite width"):
+        sweep(0.2, 5.0, (-1e308, 1e308), (0, 10), 4, 4)
+    with pytest.raises(ValueError, match="finite width"):
+        sweep(0.2, 5.0, (-1, 1), (0, math.inf), 4, 4)
+
+
+@pytest.mark.parametrize("a, b, name", [
+    (math.inf, 5.0, "a"), (math.nan, 5.0, "a"), (-math.inf, 5.0, "a"),
+    (0.2, math.inf, "b"), (0.2, math.nan, "b")])
+def test_sweep_refuses_non_finite_a_or_b(a, b, name):
+    with pytest.raises(ConstraintViolationError,
+                       match=f"^parameter {name} is not finite$"):
+        sweep(a, b, (-1, 1), (0, 10), 4, 4)
 
 
 def test_cell_on_validity_boundary_is_gray():
@@ -156,6 +174,49 @@ def test_cell_on_validity_boundary_is_gray():
     grid = sweep(0.2, 5.0, (1.5, 3.5), (0.5, 2.5), 2, 2)
     assert grid.verdicts[0][0] is CellVerdict.GRAY
     assert grid.details[0][0].startswith("error:")
+
+
+def test_csv_escapes_the_comma_of_a_reason(tmp_path):
+    grid = sweep(0.2, 5.0, (1.5, 3.5), (0.5, 2.5), 2, 2)
+    render_grid(grid, tmp_path / "g.csv", "csv")
+    rows = (tmp_path / "g.csv").read_text().splitlines()
+    assert rows[1] == "2.0,1.0,gray,error: with c = 2 > 0; d = 1 must " \
+        "exceed c^2/4 = 1"
+    assert grid.details[0][0].count(",") == 1
+    assert all(len(row.split(",")) == 4 for row in rows)
+
+
+def test_marginal_cell_is_gray():
+    # log Lambda crosses 0 near d = 5.4548026200223 at (0.2, 5, -0.5):
+    # bisect it on the scalar path, then centre a cell there
+    lo = marginal_d(0.2, 5.0, -0.5, 5.4, 5.5)
+    grid = sweep(0.2, 5.0, (-0.625, -0.125), (lo - 0.01, lo + 0.03), 2, 2)
+    c, d = cell_centers(-0.625, -0.125, 2)[0], \
+        cell_centers(lo - 0.01, lo + 0.03, 2)[0]
+    assert c == -0.5 and abs(d - lo) < 1e-14
+    lam = return_map(0.2, 5.0)(c, d)
+    assert lam.status == LambdaStatus.MARGINAL
+    assert abs(lam.log_value) <= MARGINAL_TOL
+    assert return_multiplier(HybridParams(0.2, 5.0, c, d)).status \
+        is LambdaStatus.MARGINAL
+    assert grid.verdicts[0][0] is CellVerdict.GRAY
+    assert grid.details[0][0] == repr(float(lam.value))
+    assert grid.verdicts[0][1] is CellVerdict.RED
+
+
+def test_verdicts_of_every_status():
+    lam = LambdaArrays(
+        np.array([LambdaStatus.DEFINED, LambdaStatus.DEFINED,
+                  LambdaStatus.MARGINAL, LambdaStatus.UNDEFINED_CONVERGED,
+                  LambdaStatus.UNDEFINED_DIVERGED], dtype=object),
+        np.array([-0.5, 0.5, 1e-12, np.nan, np.nan]))
+    code, detail = _verdicts(lam)
+    assert [list(CellVerdict)[k] for k in code] == [
+        CellVerdict.BLUE, CellVerdict.RED, CellVerdict.GRAY,
+        CellVerdict.BLUE, CellVerdict.RED]
+    assert detail.tolist() == [repr(math.exp(-0.5)), repr(math.exp(0.5)),
+                               repr(math.exp(1e-12)), "converged",
+                               "diverged"]
 
 
 def test_gray_cells_logged_once_per_grid(caplog):
