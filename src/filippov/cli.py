@@ -204,9 +204,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_usage(message))
 
 
-# "--x0 -0.02,0,-0.05": a value with a leading minus, which argparse would
-# read as an option unless it is joined to its option with "="
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+# "--x0 -0.02,0,-0.05", "--b -inf": a value with a leading minus, which
+# argparse would read as an option unless it is joined to its option with
+# "="; the non-finite spellings are those float() reads, in any case
+_NEGATIVE_VALUE = re.compile(r"-(?:\.?\d|(?:inf|infinity|nan)$)", re.I)
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:

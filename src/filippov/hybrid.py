@@ -173,13 +173,33 @@ class LambdaResult:
         return cls(status, log_value, detail)
 
 
+# LambdaStatus by its index in the enumeration: the array path's code
+_STATUSES = np.array(list(LambdaStatus), dtype=object)
+_DEFINED, _MARGINAL, _CONVERGED = range(3)
+
+
 class LambdaArrays(NamedTuple):
     """Return multipliers over arrays of (c, d), from :func:`return_map`:
-    the :class:`LambdaStatus` of each (dtype object) and log Lambda (NaN
-    where undefined)."""
+    the code of each, the index of its :class:`LambdaStatus` (0 defined,
+    1 marginal, 2 undefined-converged, 3 undefined-diverged), and log
+    Lambda (NaN where undefined).  ``status``, ``defined``, ``marginal``
+    and ``stable`` are views on the codes."""
 
-    status: np.ndarray
+    code: np.ndarray
     log_value: np.ndarray
+
+    @property
+    def status(self) -> np.ndarray:
+        """The :class:`LambdaStatus` of each code (dtype object)."""
+        return _STATUSES[self.code]
+
+    @property
+    def defined(self) -> np.ndarray:
+        return self.code <= _MARGINAL
+
+    @property
+    def marginal(self) -> np.ndarray:
+        return self.code == _MARGINAL
 
     @property
     def value(self) -> np.ndarray:
@@ -191,10 +211,9 @@ class LambdaArrays(NamedTuple):
     @property
     def stable(self) -> np.ndarray:
         """:attr:`LambdaResult.stable` of each multiplier, False where it
-        is marginal (test ``status`` for those)."""
-        return ((self.status == LambdaStatus.UNDEFINED_CONVERGED)
-                | ((self.status == LambdaStatus.DEFINED)
-                   & (self.log_value < 0.0)))
+        is marginal (test ``marginal`` for those)."""
+        return ((self.code == _CONVERGED)
+                | ((self.code == _DEFINED) & (self.log_value < 0.0)))
 
 
 @dataclass(frozen=True)
@@ -550,11 +569,6 @@ def _line_hit_block(c: float, d: float, y2_0: float, y3_0: float,
                         "slide-to-return")
 
 
-# LambdaStatus by its index in the enumeration, for the array path
-_STATUSES = np.array(list(LambdaStatus), dtype=object)
-_DEFINED, _MARGINAL, _CONVERGED = range(3)
-
-
 def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
                      log_scale: float) -> LambdaArrays:
     """:func:`_line_hit_block` and the verdict on its return, over arrays
@@ -584,11 +598,10 @@ def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
         log_y3 = np.where(is_complex, p * t_c, r1 * t_r) + np.log(
             np.where(is_complex, np.hypot(n, q * y2_0), w))
         log_value = log_scale + log_y3
-        status = np.where(is_complex | (w > 0.0),
-                          np.where(_marginal(log_value), _MARGINAL, _DEFINED),
-                          _CONVERGED)
-    return LambdaArrays(_STATUSES[status],
-                        np.where(status <= _MARGINAL, log_value, np.nan))
+        code = np.where(is_complex | (w > 0.0),
+                        np.where(_marginal(log_value), _MARGINAL, _DEFINED),
+                        _CONVERGED)
+    return LambdaArrays(code, np.where(code <= _MARGINAL, log_value, np.nan))
 
 
 # --------------------------------------------------------------------------
@@ -704,11 +717,16 @@ def slide_domain(c, d) -> tuple[np.ndarray, np.ndarray]:
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        quarter = c * c / 4.0
-        valid = (np.isfinite(c) & np.isfinite(d) & (d > 0.0)
-                 & ((c <= 0.0) | (d > quarter)))
-        outside = (d <= 0.0) | ((c > 0.0) & (d < quarter))
-    return valid, outside
+        outside = (d <= 0.0) | ((c > 0.0) & (d < c * c / 4.0))
+    return _valid(c, d), outside
+
+
+def _valid(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Where float arrays (c, d) meet the constraints of
+    :class:`HybridParams`: finite, d > 0, and d > c^2/4 whenever c > 0."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (np.isfinite(c) & np.isfinite(d) & (d > 0.0)
+                & ((c <= 0.0) | (d > c * c / 4.0)))
 
 
 def return_map(a: float, b: float,
@@ -731,6 +749,7 @@ def return_map(a: float, b: float,
     if isinstance(head, ReturnOutcome):
         # decided before any slide: every (c, d) has the same multiplier
         result = _result_from_outcome(head)
+        code = list(LambdaStatus).index(result.status)
         log_value = np.nan if result.log_value is None else result.log_value
 
     def multiplier(c, d) -> LambdaArrays:
@@ -738,12 +757,12 @@ def return_map(a: float, b: float,
         d = np.asarray(d, dtype=float)
         if c.shape != d.shape:
             c, d = np.broadcast_arrays(c, d)
-        bad = ~slide_domain(c, d)[0]
+        bad = ~_valid(c, d)
         if bad.any():
             k = int(np.argmax(bad.ravel()))
             HybridParams(a, b, float(c.ravel()[k]), float(d.ravel()[k]))
         if isinstance(head, ReturnOutcome):
-            return LambdaArrays(np.full(c.shape, result.status, dtype=object),
+            return LambdaArrays(np.full(c.shape, code),
                                 np.full(c.shape, log_value))
         return _line_hit_arrays(c, d, head.v[1], head.v[2], head.log_scale)
 

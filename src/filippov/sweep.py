@@ -26,13 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConstraintViolationError, FilippovError
-from .hybrid import (
-    HybridParams,
-    LambdaArrays,
-    LambdaStatus,
-    return_map,
-    slide_domain,
-)
+from .hybrid import HybridParams, LambdaArrays, return_map, slide_domain
 
 __all__ = ["CellVerdict", "SweepGrid", "sweep", "render_grid",
            "cell_centers"]
@@ -143,7 +137,7 @@ def _verdicts(lam: LambdaArrays):
     whether the orbit converged or diverged."""
     stable = lam.stable
     code = np.where(stable, _BLUE, _RED)
-    code[lam.status == LambdaStatus.MARGINAL] = _GRAY
+    code[lam.marginal] = _GRAY
     detail = _UNDEFINED_TEXT[stable.astype(np.intp)]
     numeric = ~np.isnan(lam.log_value)
     log_value = lam.log_value[numeric]
@@ -193,23 +187,27 @@ def render_grid(grid: SweepGrid, path, fmt: str = "csv") -> None:
 
 def _write_over(path, text: str) -> None:
     """Write ``text`` as UTF-8 over the bytes of ``path`` (created with
-    the mode ``open`` gives), then cut a regular file to the bytes
-    written; a device or a FIFO is never truncated.
+    the mode ``open`` gives) by ``os.write`` calls, each taking the bytes
+    the last one left, then cut a regular file to the bytes written
+    where it was longer before; a device or a FIFO is never truncated.
 
     The file is not truncated to zero first, as ``open(path, "w")``
     does: on ext4 that truncation starts writeback at close
     (``auto_da_alloc``), which costs about 100 us per rewritten 20 KB
-    file, against 15 us here.  Neither way calls ``fsync``, so a crash
-    during the write may leave the old bytes, the new ones, or a mix of
-    both at page granularity.  A write that fails part-way (ENOSPC)
-    raises, and may leave old bytes past the new ones.
+    file; a 16 KB rewrite here takes 5-7 us (2 vCPU).  Neither way
+    calls ``fsync``, so a crash during the write may leave the old
+    bytes, the new ones, or a mix of both at page granularity.  A write
+    that fails part-way (ENOSPC) raises, and may leave old bytes past
+    the new ones.
     """
     data = text.encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        with open(fd, "wb", closefd=False) as out:
-            out.write(data)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
+        old = os.fstat(fd)
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)

@@ -145,7 +145,8 @@ def test_grid_options_are_usage_errors(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("a, b", [("inf", "5"), ("nan", "5"),
-                                  ("0.2", "inf")])
+                                  ("0.2", "inf"), ("0.2", "-inf"),
+                                  ("-nan", "5"), ("-Infinity", "5")])
 def test_sweep_non_finite_a_or_b_is_a_constraint_violation(capsys, tmp_path,
                                                            a, b):
     out_path = tmp_path / "grid.csv"
@@ -158,6 +159,47 @@ def test_sweep_non_finite_a_or_b_is_a_constraint_violation(capsys, tmp_path,
     assert err == f"error: constraint-violation: parameter {name} is not " \
         "finite\n"
     assert not out_path.exists()
+
+
+# each command with valid values for all of its options
+VALID_ARGS = {
+    "lambda": {"--a": "0.2", "--b": "5", "--c": "0.2", "--d": "1"},
+    "orbit": {"--a": "-0.2", "--b": "5", "--c": "-0.2", "--d": "3",
+              "--z0": "-1", "--t-max": "1", "--dt": "0.01",
+              "--out": "orbit.csv"},
+    "orbit-system": {"--system": "system.json", "--x0": "0,0,-1",
+                     "--t-max": "1", "--dt": "0.01", "--out": "orbit.csv"},
+    "sweep": {"--a": "0.2", "--b": "5", "--c-range": "-1:1",
+              "--d-range": "0:10", "--nc": "4", "--nd": "4",
+              "--out": "grid.csv"},
+}
+FLOAT_OPTIONS = [("lambda", f"--{name}") for name in "abcd"] \
+    + [("orbit", option) for option in ("--a", "--b", "--c", "--d", "--z0",
+                                        "--t-max", "--dt")] \
+    + [("orbit-system", "--t-max"), ("orbit-system", "--dt"),
+       ("sweep", "--a"), ("sweep", "--b")]
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e400", "x"])
+@pytest.mark.parametrize("command, option", FLOAT_OPTIONS)
+def test_every_float_option_refuses_its_bad_values(capsys, tmp_path, command,
+                                                   option, value):
+    (tmp_path / "system.json").write_bytes(SYSTEM_FILES["system.json"])
+    outputs = []
+    for joined in (False, True):
+        argv = [command]
+        for name, text in {**VALID_ARGS[command], option: value}.items():
+            if name in ("--system", "--out"):
+                text = str(tmp_path / text)
+            argv += [f"{name}={text}"] if joined or name != option \
+                else [name, text]
+        code, out, err = run(capsys, *argv)
+        assert code in (1, 2), argv
+        assert "Traceback" not in out + err
+        assert [line.startswith("error: ") for line in err.splitlines()] \
+            == [True], argv
+        outputs.append((code, out, err))
+    assert outputs[0] == outputs[1]
 
 
 def test_fig_c_unwritable_output_fails_cleanly(capsys, tmp_path):

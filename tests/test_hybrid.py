@@ -1,5 +1,6 @@
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -477,8 +478,8 @@ def test_return_map_arrays_match_scalar_slide():
             cells.append((c, c * c / 4) if k % 6 == 0 and c < 0 else (c, d))
         c = np.array([cell[0] for cell in cells])
         d = np.array([cell[1] for cell in cells])
-        status, log_value = lam = return_map(a, b)(c, d)
-        stable = lam.stable
+        lam = return_map(a, b)(c, d)
+        status, log_value, stable = lam.status, lam.log_value, lam.stable
         for k, (ci, di) in enumerate(cells):
             want = return_multiplier(HybridParams(a, b, ci, di))
             assert status[k] is want.status, (a, b, ci, di)
@@ -501,8 +502,9 @@ def test_return_map_arrays_match_scalar_slide():
 def test_return_map_arrays_keep_shape_and_reject_invalid_cells():
     multiplier = return_map(0.2, 5.0)
     c, d = np.meshgrid([-1.0, 0.5, 1.0], [0.5, 2.0], indexing="ij")
-    status, value = multiplier(c, d)
-    assert status.shape == value.shape == (3, 2)
+    lam = multiplier(c, d)
+    status, value = lam.status, lam.log_value
+    assert lam.code.shape == status.shape == value.shape == (3, 2)
     assert status[1, 1] is return_multiplier(
         HybridParams(0.2, 5.0, 0.5, 2.0)).status
     with pytest.raises(ConstraintViolationError, match="must exceed c"):
@@ -518,10 +520,12 @@ def test_return_map_arrays_reach_marginal():
     assert abs(d - 5.4548026200223) < 1e-12
     want = return_multiplier(HybridParams(0.2, 5.0, -0.5, d))
     assert want.status is LambdaStatus.MARGINAL
-    status, log_value = return_map(0.2, 5.0)(np.array([-0.5, -0.5, -2.0]),
-                                              np.array([d, 1.0, 0.5]))
-    assert status.tolist() == [LambdaStatus.MARGINAL, LambdaStatus.DEFINED,
-                               LambdaStatus.UNDEFINED_CONVERGED]
+    code, log_value = lam = return_map(0.2, 5.0)(
+        np.array([-0.5, -0.5, -2.0]), np.array([d, 1.0, 0.5]))
+    assert code.tolist() == [1, 0, 2]
+    assert lam.status.tolist() == [LambdaStatus.MARGINAL,
+                                   LambdaStatus.DEFINED,
+                                   LambdaStatus.UNDEFINED_CONVERGED]
     assert abs(log_value[0]) <= hybrid.MARGINAL_TOL
     assert np.isnan(log_value[2])
 
@@ -578,14 +582,41 @@ def test_lambda_result_stable():
 
 
 def test_lambda_arrays_stable():
-    lam = LambdaArrays(
-        np.array([LambdaStatus.DEFINED, LambdaStatus.DEFINED,
-                  LambdaStatus.MARGINAL, LambdaStatus.UNDEFINED_CONVERGED,
-                  LambdaStatus.UNDEFINED_DIVERGED], dtype=object),
-        np.log([0.5, 2.0, 1.0, np.nan, np.nan]))
+    # codes: the index of each LambdaStatus
+    lam = LambdaArrays(np.array([0, 0, 1, 2, 3]),
+                       np.log([0.5, 2.0, 1.0, np.nan, np.nan]))
     assert lam.stable.tolist() == [True, False, False, True, False]
     assert np.allclose(lam.value[:3], [0.5, 2.0, 1.0], rtol=1e-15)
     assert np.isnan(lam.value[3:]).all()
+
+
+def test_lambda_arrays_code_table():
+    # every code against every kind of log: the views on the codes read
+    # what LambdaResult's own rules give for that status and log (its
+    # properties read off a plain record, since it refuses inconsistent
+    # pairs), with a stable of None (marginal) read as False
+    logs = (-0.5, 0.5, 1e-12, math.nan)
+    for code, status in enumerate(LambdaStatus):
+        lam = LambdaArrays(np.full(len(logs), code), np.array(logs))
+        for k, log_value in enumerate(logs):
+            rec = SimpleNamespace(status=status, log_value=log_value)
+            assert lam.status[k] is status
+            assert lam.defined[k] == LambdaResult.defined.fget(rec)
+            assert lam.marginal[k] == (status is LambdaStatus.MARGINAL)
+            assert lam.stable[k] == bool(LambdaResult.stable.fget(rec))
+    # the codes of return_map where no cell slides: (-3, 3.25), whose
+    # regular segment never returns
+    c, d = np.array([-1.0, 0.5, 2.0]), np.array([0.5, 1.0, 5.0])
+    lam = return_map(-3.0, 3.25)(c, d)
+    for k in range(3):
+        want = return_multiplier(HybridParams(-3.0, 3.25, c[k], d[k]))
+        assert want.status is LambdaStatus.UNDEFINED_CONVERGED
+        assert lam.code[k] == list(LambdaStatus).index(want.status)
+        assert lam.status[k] is want.status
+        assert lam.defined[k] == want.defined
+        assert not lam.marginal[k]
+        assert lam.stable[k] == want.stable
+        assert math.isnan(lam.log_value[k])
 
 
 def test_lambda_value_beyond_the_float_range():
@@ -593,8 +624,7 @@ def test_lambda_value_beyond_the_float_range():
     assert LambdaResult(LambdaStatus.DEFINED, 800.0).value == math.inf
     assert LambdaResult(LambdaStatus.DEFINED, -800.0).value == 0.0
     assert LambdaResult(LambdaStatus.UNDEFINED_DIVERGED).value is None
-    lam = LambdaArrays(np.full(2, LambdaStatus.DEFINED, dtype=object),
-                       np.array([800.0, -800.0]))
+    lam = LambdaArrays(np.zeros(2, np.intp), np.array([800.0, -800.0]))
     assert lam.value.tolist() == [math.inf, 0.0]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
@@ -96,6 +97,29 @@ def test_render_over_a_larger_file_leaves_only_the_new_bytes(tmp_path):
         assert path.read_bytes() == fresh.read_bytes()
 
 
+def test_render_through_short_writes_and_over_files_not_longer(
+        tmp_path, monkeypatch):
+    # render_grid writes by os.write until every byte is out, and cuts a
+    # file only where it was longer: a file of equal length, or shorter,
+    # holds exactly the new bytes afterwards
+    grid = sweep(0.2, 5.0, (-3.0, 3.0), (0.0, 10.0), 20, 20)
+    write = os.write
+    for fmt in ("csv", "pgm"):
+        fresh, short = tmp_path / f"fresh.{fmt}", tmp_path / f"short.{fmt}"
+        render_grid(grid, fresh, fmt)
+        new = fresh.read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr("filippov.sweep.os.write",
+                          lambda fd, data: write(fd, data[:7]))
+            render_grid(grid, short, fmt)
+        assert short.read_bytes() == new
+        for old in (b"x" * len(new), b"x" * (len(new) // 2)):
+            path = tmp_path / f"over.{fmt}"
+            path.write_bytes(old)
+            render_grid(grid, path, fmt)
+            assert path.read_bytes() == new
+
+
 def test_csv_keeps_log_lambda_beyond_the_float_range(tmp_path):
     # every applicable cell returns near e^3140, beyond the float range:
     # its value reads inf, and the CSV keeps exp(log Lambda)
@@ -118,8 +142,7 @@ def test_csv_keeps_log_lambda_beyond_the_float_range(tmp_path):
     rows = tmp_path.joinpath("g.csv").read_text().splitlines()[1:]
     assert sum(row.split(",")[3].startswith("exp(") for row in rows) == 15
     # and below it, where the value reads 0.0
-    lam = LambdaArrays(np.full(3, LambdaStatus.DEFINED, dtype=object),
-                       np.array([-800.0, 800.0, -0.5]))
+    lam = LambdaArrays(np.zeros(3, np.intp), np.array([-800.0, 800.0, -0.5]))
     assert _verdicts(lam)[1].tolist() == \
         ["exp(-800.0)", "exp(800.0)", repr(math.exp(-0.5))]
 
@@ -205,11 +228,9 @@ def test_marginal_cell_is_gray():
 
 
 def test_verdicts_of_every_status():
-    lam = LambdaArrays(
-        np.array([LambdaStatus.DEFINED, LambdaStatus.DEFINED,
-                  LambdaStatus.MARGINAL, LambdaStatus.UNDEFINED_CONVERGED,
-                  LambdaStatus.UNDEFINED_DIVERGED], dtype=object),
-        np.array([-0.5, 0.5, 1e-12, np.nan, np.nan]))
+    # codes: the index of each LambdaStatus
+    lam = LambdaArrays(np.array([0, 0, 1, 2, 3]),
+                       np.array([-0.5, 0.5, 1e-12, np.nan, np.nan]))
     code, detail = _verdicts(lam)
     assert [list(CellVerdict)[k] for k in code] == [
         CellVerdict.BLUE, CellVerdict.RED, CellVerdict.GRAY,
