@@ -89,8 +89,8 @@ def cmd_classify(args) -> int:
     except (FilippovError, OSError) as exc:
         return _fail(exc)
     print(f"x_star: {list(bd.x_star)}")
-    print(f"p: {bd.p.tolist()}")
-    print(f"q: {bd.q.tolist()}")
+    print(f"p: {list(bd.p)}")
+    print(f"q: {list(bd.q)}")
     print(f"p.q: {bd.ptq!r}")
     print(f"det_phi: {bd.det_phi!r}")
     verdict = classify_equilibrium(bd)

@@ -19,8 +19,6 @@ from functools import cached_property
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     DegenerateGradientError,
     DegenerateSlidingError,
@@ -155,18 +153,19 @@ class BoundaryData:
     p is the switching-function gradient (surface normal), q the value of
     the right field, A the Jacobian of the left field, and
     B = (I - q p^T / p^T q) A the Jacobian of the sliding field; the
-    observability matrix phi stacks p^T, p^T A, p^T A^2.  p^T B = 0
+    observability matrix phi stacks p^T, p^T A, p^T A^2.  Vectors are
+    3-tuples of floats and matrices tuples of three such rows.  p^T B = 0
     structurally, so 0 is always an eigenvalue of B.  det_phi is reported
     but not tested: it scales as s^3 when both fields are scaled by s, and
     can leave the float range; :func:`is_observable` decides instead.
     """
 
     x_star: tuple[float, float, float]
-    p: np.ndarray
-    q: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    phi: np.ndarray
+    p: tuple[float, float, float]
+    q: tuple[float, float, float]
+    A: tuple[tuple[float, float, float], ...]
+    B: tuple[tuple[float, float, float], ...]
+    phi: tuple[tuple[float, float, float], ...]
     det_phi: float
     ptq: float
 
@@ -177,15 +176,14 @@ class BoundaryData:
         Performs the degeneracy checks on p and p^T q but does not (and
         cannot) verify that x_star is an equilibrium; use
         :func:`boundary_data` for the full construction from a system.
-        Computes on floats, with B formed as A - (q / p^T q)(p^T A), and
-        builds the arrays once at the end.  Raises NonFiniteDataError
-        when p, q, A, p^T q, B or p^T A^2 is not finite.
+        Stores float tuples of any 3-vectors and 3x3 rows given, with B
+        formed as A - (q / p^T q)(p^T A).  Raises NonFiniteDataError when
+        p, q, A, p^T q, B or p^T A^2 is not finite.
         """
         p = p1, p2, p3 = _floats(p)
         q = q1, q2, q3 = _floats(q)
         (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = A = \
-            tuple(_floats(row) for row in (A.tolist() if hasattr(A, "tolist")
-                                           else A))
+            tuple(map(_floats, A))
         _require_finite("p", p)
         _require_finite("q", q)
         _require_finite("A", A[0] + A[1] + A[2])
@@ -211,8 +209,7 @@ class BoundaryData:
         _require_finite("p^T A^2", pa2)
         _require_finite("B", B[0] + B[1] + B[2])
         phi = (p, pa, pa2)
-        return cls(_floats(x_star), np.array(p), np.array(q), np.array(A),
-                   np.array(B), np.array(phi), det3(phi), ptq)
+        return cls(_floats(x_star), p, q, A, B, phi, det3(phi), ptq)
 
 
 def _require_finite(name: str, values) -> None:
@@ -227,7 +224,7 @@ def is_observable(phi) -> bool:
     on unit rows: it cannot overflow, and scaling the fields in time
     does not change it."""
     unit = []
-    for row in phi.tolist() if hasattr(phi, "tolist") else phi:
+    for row in phi:
         norm = math.hypot(*row)
         if norm == 0.0:
             return False
@@ -236,7 +233,9 @@ def is_observable(phi) -> bool:
 
 
 def _floats(x) -> tuple[float, float, float]:
-    return float(x[0]), float(x[1]), float(x[2])
+    """A 3-vector as floats; any other length raises ValueError."""
+    x1, x2, x3 = x
+    return float(x1), float(x2), float(x3)
 
 
 def boundary_data(system: FilippovSystem, x_star) -> BoundaryData:
@@ -303,14 +302,16 @@ def fold_curvature(system: FilippovSystem, x) -> float:
     """Second derivative of H in time along the left flow at x: the rate of
     change of the left normal rate along the left field.  Its sign on the
     tangency curve separates visible from invisible folds."""
-    x = np.asarray(x, dtype=float)
+    x = _floats(x)
     grad_rate = gradient_fd(lambda point: normal_rates(system, point)[0], x)
+    # numpy's dot: a Python sum of the products would move its floats
     return float(grad_rate @ system.left(x))
 
 
-def sliding_field(system: FilippovSystem, x) -> np.ndarray:
-    """Filippov sliding vector field at x (:attr:`FilippovSystem.sliding`)."""
-    return np.array(system.sliding(*_floats(x)))
+def sliding_field(system: FilippovSystem, x) -> tuple[float, float, float]:
+    """Filippov sliding vector field at x (:attr:`FilippovSystem.sliding`),
+    as a 3-tuple."""
+    return system.sliding(*_floats(x))
 
 
 def sliding_from_rates(rates) -> tuple[float, float, float]:

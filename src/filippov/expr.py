@@ -883,9 +883,9 @@ class VectorField:
         :attr:`ScalarField.compiled_gradient` does."""
         return _compile(lambda: self.components, "derivatives", self._scan)
 
-    def __call__(self, point) -> np.ndarray:
-        return np.array(self.compiled(float(point[0]), float(point[1]),
-                                      float(point[2])))
+    def __call__(self, point) -> tuple[float, float, float]:
+        """The three components at a 3-vector point, as a tuple."""
+        return self.compiled(float(point[0]), float(point[1]), float(point[2]))
 
 
 def compile_rates_and_fields(switch: ScalarField, left: VectorField,

@@ -611,9 +611,11 @@ def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
 def first_hit_plane(params: HybridParams, y0) -> SegmentEvent | Termination:
     """First positive time at which the regular flow from y0 (in
     y1 <= 0) reaches the switching plane, or the reason it never does.
-    Raises ValueError for y1 > 0, and for a start on the plane from
-    which the flow does not enter y1 < 0."""
+    Raises ValueError for a non-finite y0, for y1 > 0, and for a start
+    on the plane from which the flow does not enter y1 < 0."""
     y0 = tuple(map(float, y0))
+    if not all(map(math.isfinite, y0)):
+        raise ValueError("y0 must be finite")
     if y0[0] > 0.0:
         raise ValueError("y0 must lie in the half-space y1 <= 0")
     return _plane_hit_spiral(_left_rows(params.a, params.b),
@@ -623,7 +625,9 @@ def first_hit_plane(params: HybridParams, y0) -> SegmentEvent | Termination:
 def first_hit_line(params: HybridParams, y0) -> SegmentEvent | Termination:
     """First positive time at which the sliding flow from y0 (on the
     plane, with y2 > 0) reaches the return line y1 = y2 = 0."""
-    y0 = tuple(float(v) for v in y0)
+    y0 = tuple(map(float, y0))
+    if not all(map(math.isfinite, y0)):
+        raise ValueError("y0 must be finite")
     if abs(y0[0]) > 1e-9 * math.hypot(*y0):
         raise ValueError("y0 is not on the switching plane")
     if y0[1] <= 0.0:

@@ -31,8 +31,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     FilippovSystem,
     RegionKind,
@@ -171,7 +169,7 @@ class _Sim:
                  centre):
         self.system = system
         self.cfg = cfg
-        x1, x2, x3 = np.asarray(x0, dtype=float)
+        x1, x2, x3 = x0  # any other length raises ValueError
         self.x = (float(x1), float(x2), float(x3))
         self.centre = tuple(map(float, centre))
         if not all(map(math.isfinite, self.x + self.centre)):
@@ -483,8 +481,8 @@ def simulate_hybrid(params: HybridParams, z0: float,
                     cfg: SimConfig) -> Orbit:
     """Integrate the hybrid system numerically from (0, 0, z0), z0 < 0,
     recording the alternating regular/sliding segments."""
-    if not z0 < 0.0:
-        raise ValueError("z0 must be negative")
+    if not -math.inf < z0 < 0.0:
+        raise ValueError("z0 must be finite and negative")
     orbit, _ = _run_hybrid(params, z0, cfg, stop_at_return=False, record=True)
     return orbit
 

@@ -48,7 +48,7 @@ EigTriple = ThreeReal | RealPlusPair
 
 def _entries(M) -> tuple[float, ...]:
     """The nine entries of a 3x3 array-like, row by row, as floats."""
-    (a, b, c), (d, e, f), (g, h, i) = M.tolist() if hasattr(M, "tolist") else M
+    (a, b, c), (d, e, f), (g, h, i) = M
     return (float(a), float(b), float(c), float(d), float(e), float(f),
             float(g), float(h), float(i))
 

@@ -116,8 +116,8 @@ def hybrid_params_from_spectrum(alpha: float, beta: float, gamma: float,
 
 
 def classify_equilibrium(bd: BoundaryData) -> StabilityVerdict:
-    """Apply the trichotomy to boundary-equilibrium data (on floats: the
-    arrays are read once)."""
+    """Apply the trichotomy to boundary-equilibrium data, on the float
+    tuples that :class:`BoundaryData` holds."""
     if bd.ptq > 0.0:
         return UnstableRightward(bd.ptq)
 
@@ -127,7 +127,7 @@ def classify_equilibrium(bd: BoundaryData) -> StabilityVerdict:
             "observability matrix is singular (an eigenvector of the left "
             "Jacobian is orthogonal to the surface normal)")
 
-    A, B = bd.A.tolist(), bd.B.tolist()
+    A, B = bd.A, bd.B
     norm_a = math.hypot(*A[0], *A[1], *A[2])
     norm_b = math.hypot(*B[0], *B[1], *B[2])
     # the verdict and (a, b, c, d) do not depend on the time scale.  So

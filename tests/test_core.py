@@ -110,7 +110,7 @@ def test_boundary_data_structural_identity():
     from filippov.spectrum import pair_from_sum_product, pair_sum_product
     bd = boundary_data(normal_form_system(-0.2, 5, -0.2, 3), (0, 0, 0))
     # p^T B = 0 and 0 is an eigenvalue of B
-    assert np.linalg.norm(bd.p @ bd.B) <= 1e-8 * max(
+    assert np.linalg.norm(np.asarray(bd.p) @ bd.B) <= 1e-8 * max(
         1.0, np.linalg.norm(bd.p) * np.linalg.norm(bd.B))
     assert abs(np.linalg.det(bd.B)) <= 1e-8 * max(1.0, np.linalg.norm(bd.B)) ** 3
     # the zero eigenvalue deflates without complaint
@@ -159,6 +159,32 @@ def test_boundary_data_rejects_non_equilibrium():
                                   "x1 - 1")
     with pytest.raises(NotAnEquilibriumError):
         boundary_data(system, (0, 0, 0))
+
+
+def test_boundary_data_holds_float_tuples():
+    # the one format of the local data, whatever the input's: numpy
+    # input gives the same floats as nested lists
+    system = normal_form_system(-0.2, 5, -0.2, 3)
+    bd = boundary_data(system, np.zeros(3))
+    for vector in (bd.x_star, bd.p, bd.q):
+        assert type(vector) is tuple and len(vector) == 3
+        assert all(type(v) is float for v in vector)
+    for matrix in (bd.A, bd.B, bd.phi):
+        assert type(matrix) is tuple and len(matrix) == 3
+        assert all(type(row) is tuple and len(row) == 3
+                   and all(type(v) is float for v in row) for row in matrix)
+    raw = (bd.x_star, list(bd.p), list(bd.q), [list(row) for row in bd.A])
+    arrays = BoundaryData.from_local_data(*map(np.array, raw))
+    assert BoundaryData.from_local_data(*raw) == arrays == bd
+
+
+def test_points_of_the_wrong_length_are_refused():
+    system = normal_form_system(-0.2, 5, -0.2, 3)
+    for point in ((0.0, 0.0, 0.0, 7.0), (0.0, 0.0), np.zeros(4)):
+        for call in (boundary_data, normal_rates, classify_region,
+                     sliding_field, fold_curvature):
+            with pytest.raises(ValueError):
+                call(system, point)
 
 
 def test_boundary_data_rejects_tangent_right_field():
@@ -272,7 +298,7 @@ def test_classify_fold_on_tangency_line():
 def test_sliding_field_equals_left_field_on_tangency():
     system = normal_form_system(-0.2, 5, -0.2, 3)
     x = np.array([0.0, 0.0, -1.0])
-    slide = sliding_field(system, x)
+    slide = np.asarray(sliding_field(system, x))
     assert np.max(np.abs(slide - system.left(x))) <= 1e-8
 
 

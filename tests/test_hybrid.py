@@ -235,6 +235,19 @@ def test_plane_hit_rejects_right_half_space():
         first_hit_plane(params, (0.5, 0.0, -1.0))
 
 
+def test_hits_refuse_a_non_finite_start():
+    params = HybridParams(*FIG_STABLE)
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(3):
+            line_start = [0.0, 1.0, -1.0]
+            plane_start = [-0.5, 0.0, -1.0]
+            line_start[i] = plane_start[i] = bad
+            with pytest.raises(ValueError, match="y0 must be finite"):
+                first_hit_line(params, line_start)
+            with pytest.raises(ValueError, match="y0 must be finite"):
+                first_hit_plane(params, plane_start)
+
+
 def test_line_hit_quarter_rotation():
     params = HybridParams(0.1, 1.0, 0.0, 1.0)
     ev = first_hit_line(params, (0.0, 1.0, 0.0))

@@ -177,3 +177,41 @@ def test_a_fresh_import_releases_the_earlier_one():
                                "PYTHONPATH": str(PACKAGE.parent)})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0"
+
+
+def _imports_numpy(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "numpy"
+                   for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] == "numpy":
+            return True
+    return False
+
+
+def test_the_scalar_chain_holds_no_arrays():
+    # the local data, the trichotomy, the simulator and the CLI run on
+    # float tuples; numpy stays in the array path (hybrid, sweep) and in
+    # expr's two finite-difference helpers
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name in ("core", "stability", "spectrum", "simulate",
+                              "cli") if _imports_numpy(trees[name])] == []
+    fd_helpers = ("gradient_fd", "jacobian_fd")
+    expr_reads = set()
+    for node in trees["expr"].body:
+        if not (isinstance(node, ast.FunctionDef)
+                and node.name in fd_helpers):
+            expr_reads |= _reads(node, "")
+    assert "np" not in expr_reads and "numpy" not in expr_reads
+    # no module tells the two formats apart
+    tolist_probes = [
+        f"{name}:{node.lineno}" for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "hasattr" and len(node.args) == 2
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == "tolist"]
+    assert tolist_probes == []

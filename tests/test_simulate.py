@@ -478,6 +478,29 @@ def test_empirical_terminal_paths(abcd, status, detail, last_regime):
         assert orbit.segments[-1].regime == last_regime
 
 
+def test_hybrid_start_must_be_finite_and_negative():
+    # -inf is refused, not a DIVERGED verdict of the norm ceiling at t = 0
+    cfg = SimConfig(dt=1e-2, t_max=10.0)
+    for z0 in (-math.inf, math.nan, math.inf, 0.0, 1.0):
+        with pytest.raises(ValueError, match="z0 must be finite and "
+                                             "negative"):
+            simulate_hybrid(HybridParams(-0.2, 5, -0.2, 3), z0, cfg)
+
+
+def test_simulate_takes_three_coordinates_of_any_sequence():
+    system = normal_form_system(-0.2, 5, -0.2, 3)
+    cfg = SimConfig(dt=1e-2, t_max=2.0)
+    for x0 in ((0.0, 0.0, -1.0, 7.0), (0.0, -1.0), np.zeros(4)):
+        with pytest.raises(ValueError):
+            simulate(system, x0, cfg)
+    want = simulate(system, (0.0, 0.0, -1.0), cfg)
+    for x0 in ([0, 0, -1], np.array([0.0, 0.0, -1.0])):
+        got = simulate(system, x0, cfg)
+        assert got.terminal is want.terminal
+        assert [seg.samples for seg in got.segments] == \
+            [seg.samples for seg in want.segments]
+
+
 def test_empirical_needs_a_return_before_t_max():
     with pytest.raises(FilippovError, match="raise t_max"):
         return_multiplier_empirical(HybridParams(0.2, 5, 0.2, 1),
