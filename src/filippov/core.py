@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .errors import (
     DegenerateGradientError,
-    DegenerateSlidingError,
     FilippovError,
     NonFiniteDataError,
     NotAnEquilibriumError,
@@ -29,7 +28,8 @@ from .errors import (
     TangentRightFieldError,
 )
 from .expr import (ScalarField, VectorField, compile_rates_and_fields,
-                   compile_sliding_field, gradient_fd)
+                   compile_slide_step, compile_sliding_field, compile_step,
+                   gradient_fd)
 from .expr import jacobian_fd  # not called; perfbench/spans.py wraps it here
 from .spectrum import det3
 
@@ -38,7 +38,7 @@ __all__ = [
     "FilippovSystem", "SystemSpec", "load_system_spec", "system_spec_from_dict",
     "BoundaryData", "boundary_data", "is_observable",
     "RegionKind", "normal_rates", "classify_region", "fold_curvature",
-    "sliding_field", "sliding_from_rates",
+    "sliding_field",
 ]
 
 # Absolute tolerance for "is an equilibrium" / "is on the surface" checks.
@@ -76,10 +76,25 @@ class FilippovSystem:
         that is tangent to the surface
         (:func:`filippov.expr.compile_sliding_field`).  Raises
         DegenerateSlidingError where the two normal rates coincide to
-        TANGENCY_TOL; :func:`sliding_from_rates` gives the same floats
-        from a result of :attr:`rates_and_fields`."""
+        TANGENCY_TOL."""
         return compile_sliding_field(self.switch, self.left, self.right,
                                      TANGENCY_TOL)
+
+    @cached_property
+    def left_step(self):
+        """:func:`filippov.expr.compile_step` of the left field."""
+        return compile_step(self.left, self.switch)
+
+    @cached_property
+    def right_step(self):
+        """:func:`filippov.expr.compile_step` of the right field."""
+        return compile_step(self.right, self.switch)
+
+    @cached_property
+    def slide_step(self):
+        """:func:`filippov.expr.compile_slide_step` of the system."""
+        return compile_slide_step(self.switch, self.left, self.right,
+                                  TANGENCY_TOL)
 
 
 @dataclass(frozen=True)
@@ -312,16 +327,3 @@ def sliding_field(system: FilippovSystem, x) -> tuple[float, float, float]:
     """Filippov sliding vector field at x (:attr:`FilippovSystem.sliding`),
     as a 3-tuple."""
     return system.sliding(*_floats(x))
-
-
-def sliding_from_rates(rates) -> tuple[float, float, float]:
-    """The sliding field from ``rates``, a result of
-    :attr:`FilippovSystem.rates_and_fields`: bit for bit what
-    :attr:`FilippovSystem.sliding` returns, or raises, at that point."""
-    rate_l, rate_r, (l1, l2, l3), (r1, r2, r3), _ = rates
-    gap = rate_l - rate_r
-    if abs(gap) <= TANGENCY_TOL * (abs(rate_l) + abs(rate_r) + 1.0):
-        raise DegenerateSlidingError(rate_l, rate_r)
-    return ((rate_l * r1 - rate_r * l1) / gap,
-            (rate_l * r2 - rate_r * l2) / gap,
-            (rate_l * r3 - rate_r * l3) / gap)

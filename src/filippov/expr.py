@@ -34,7 +34,8 @@ The function's source holds generated names only.  Literals are bound
 from a tuple, so fields that differ only in their coefficients share one
 compiled code object.  Evaluation either returns a finite float or
 raises :class:`~filippov.errors.EvalDomainError` -- NaN and infinity
-never propagate silently.
+never propagate silently.  The simulator's steps (:func:`compile_step`,
+:func:`compile_slide_step`) repeat that code at each RK4 stage point.
 
 A shape compiled before is not walked again.  Each literal becomes a
 constant, in the order of the text, negated where it sits directly under
@@ -76,7 +77,7 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "parse_expr",
     "ScalarField", "VectorField", "compile_rates_and_fields",
-    "compile_sliding_field",
+    "compile_sliding_field", "compile_step", "compile_slide_step",
     "gradient_fd", "jacobian_fd", "FD_REL_STEP", "MAX_NESTING", "MAX_DEPTH",
 ]
 
@@ -450,7 +451,7 @@ def _whole_exponent(node: BinOp) -> int | None:
     return None
 
 
-def _program(roots) -> tuple[tuple, list, tuple]:
+def _program(roots, fresh: int | None = None) -> tuple[tuple, list, tuple]:
     """A hashable program computing every root, the constants it reads, and
     where they come from.
 
@@ -461,7 +462,9 @@ def _program(roots) -> tuple[tuple, list, tuple]:
     operation on operands already met together reuses the name of their
     first result (value numbering: Cocke, *Global common subexpression
     elimination*, 1970): the value is the same, and it was computed
-    earlier in the walk, so any error it raises comes no later.
+    earlier in the walk, so any error it raises comes no later.  The roots
+    from index ``fresh`` on reuse no operation of the ones before, so that
+    code can compute them at another point.
     Literals, negated ones too, become the constants c0, c1, ..., so
     fields that differ only in their coefficients share a program.  The
     walk is iterative, so no depth of tree exhausts the stack.
@@ -474,7 +477,9 @@ def _program(roots) -> tuple[tuple, list, tuple]:
     constants, ops, results = [], [], []
     sources, exponents, literals = [], [], 0
     known = {}  # (operation, operand names) -> the name of its result
-    for root in roots:
+    for i, root in enumerate(roots):
+        if i == fresh:
+            known.clear()
         names = []  # the operands computed so far
         todo = [root]  # a node to visit, or (node, operation) to compute
         while todo:
@@ -673,6 +678,25 @@ def _value_lines(ops: tuple, results, done: int, keep) -> list:
             "            raise EvalDomainError(str(exc)) from None"]
 
 
+def _rk4_lines(stage: list, slope, first: int) -> list:
+    """RK4 stages ``first`` to 4 from (x1, x2, x3), as ``_rk4_tuple`` of
+    :mod:`filippov.simulate` takes them: each runs ``stage`` at its point
+    and keeps ``slope`` as k<i>1..3; then (x1, x2, x3) is the end."""
+    lines = ["        half, sixth = 0.5 * h, h / 6.0",
+             "        y1, y2, y3 = x1, x2, x3"]
+    for i in range(first, 5):
+        if i > 1:
+            scale = "h" if i == 4 else "half"
+            lines.append("        x1, x2, x3 = " + ", ".join(
+                f"y{j} + {scale} * k{i - 1}{j}" for j in (1, 2, 3)))
+        lines += stage
+        lines.append(f"        k{i}1, k{i}2, k{i}3 = {', '.join(slope)}")
+    lines.append("        x1, x2, x3 = " + ", ".join(
+        f"y{j} + sixth * (k1{j} + 2.0 * (k2{j} + k3{j}) + k4{j})"
+        for j in (1, 2, 3)))
+    return lines
+
+
 def _source(program: tuple, layout: str) -> str:
     """The source of ``_bind(constants)`` for a program of
     :func:`_program`; ``_bind`` returns a function of (x1, x2, x3),
@@ -692,15 +716,21 @@ def _source(program: tuple, layout: str) -> str:
     r_L and r_R; ``_bind(constants, tol)`` then takes the tangency
     tolerance too, and the function raises
     :class:`~filippov.errors.DegenerateSlidingError` where |r_L - r_R| <=
-    tol (|r_L| + |r_R| + 1)."""
+    tol (|r_L| + |r_R| + 1).
+
+    The step layouts are those of :func:`compile_step` (roots: a field's
+    components, then H numbered afresh) and :func:`compile_slide_step`
+    (the roots and tolerance of "sliding"); "slide" takes no stage for
+    h = 0, and projects by -H / |grad H|^2 unless grad H = 0."""
     ops, results, n_constants = program
     values = [result for result, _ in results]
-    split = 1 if layout in ("rates", "sliding") else len(results)
+    fused = layout in ("rates", "sliding", "slide")
+    split = 1 if fused else 3 if layout == "step" else len(results)
     head_end = results[split - 1][1]  # the operations of the first roots
     reads = Counter(u for _, _, operands in ops for u in operands)
     keep = {u for u, n in reads.items() if n > 1}.union(values)
     head = []
-    if layout != "values":
+    if layout not in ("values", "step"):
         tangent_lines, partials = _tangent_lines(ops[:head_end],
                                                  values[:split])
         keep.update(re.findall(r"\bt\d+\b", " ".join(
@@ -714,9 +744,9 @@ def _source(program: tuple, layout: str) -> str:
                                for p in row if p.isidentifier())
         if checked:
             head.append(f"        if not ({checked}): raise {_NOT_FINITE}")
-    lines = _value_lines(ops, results[:split], 0, keep) + head
-    if layout in ("rates", "sliding"):
-        lines += _value_lines(ops, results[1:], head_end, keep)
+    lines = head = _value_lines(ops, results[:split], 0, keep) + head
+    if fused:
+        lines = head + _value_lines(ops, results[1:], head_end, keep)
         grad, f_left, f_right = partials[0], values[1:4], values[4:]
         # grad H . f; a unit partial multiplies nothing (a zero one still
         # does: 0.0 * v can be -0.0 or NaN)
@@ -729,20 +759,45 @@ def _source(program: tuple, layout: str) -> str:
                                             (values[0], *grad)))]
         else:
             lines += [f"        rl = {rates[0]}", f"        rr = {rates[1]}",
-                      "        gap = rl - rr",
-                      "        if abs(gap) <= tol * (abs(rl) + abs(rr) + 1.0):"
-                      " raise DegenerateSlidingError(rl, rr)"]
-            values = [f"(rl * {r} - rr * {l}) / gap"
-                      for l, r in zip(f_left, f_right)]
+                      "        gap = rl - rr"]
+            degenerate = "if abs(gap) <= tol * (abs(rl) + abs(rr) + 1.0):"
+            combination = [f"(rl * {r} - rr * {l}) / gap"
+                           for l, r in zip(f_left, f_right)]
+            stage = lines + [f"        {degenerate}"
+                             " raise DegenerateSlidingError(rl, rr)"]
+            if layout == "sliding":
+                lines, values = stage, combination
+            else:
+                g1, g2, g3 = grad
+                lines = ["        if h:",
+                         *("    " + line
+                           for line in _rk4_lines(stage, combination, 2)),
+                         *head,
+                         f"        gg = {g1} * {g1} + {g2} * {g2} + "
+                         f"{g3} * {g3}",
+                         "        if gg != 0.0:",
+                         f"            s = {values[0]} / gg",
+                         f"            x1, x2, x3 = x1 - s * {g1}, "
+                         f"x2 - s * {g2}, x3 - s * {g3}",
+                         *lines, f"        {degenerate}",
+                         "            return x1, x2, x3, rl, rr, None, None, "
+                         "None"]
+                values = ["x1", "x2", "x3", "rl", "rr", *combination]
     elif layout == "derivatives":
         rows = ", ".join(f"({', '.join(row)})" for row in partials)
         values = ([values[0], *partials[0]] if len(values) == 1 else
                   [f"({', '.join(values)})", f"({rows})"])
+    elif layout == "step":
+        lines = (_rk4_lines(head, values[:3], 1)
+                 + _value_lines(ops, results[3:], head_end, keep))
+        values = ["x1", "x2", "x3", values[3]]
     unpack = ", ".join(f"c{i}" for i in range(n_constants))
-    bound = ", tol" if layout == "sliding" else ""
+    bound = ", tol" if layout in ("sliding", "slide") else ""
+    extra = {"step": ", h", "slide": ", h=0.0, k11=0.0, k12=0.0, k13=0.0"}
     return "\n".join([f"def _bind(_c{bound}):",
                       f"    {unpack}, = _c" if n_constants else "    pass",
-                      f"    def {layout}(x1, x2, x3):", *lines,
+                      f"    def {layout}(x1, x2, x3{extra.get(layout, '')}):",
+                      *lines,
                       f"        return {', '.join(values)}",
                       f"    return {layout}"])
 
@@ -778,7 +833,8 @@ def _compile(trees, layout: str = "values", scan=None, *bound):
             if all([_whole(floats[i]) == whole for i, whole in exponents]):
                 return bind(tuple([-floats[i] if negated else floats[i]
                                    for i, negated in sources]), *bound)
-    program, constants, recipe = _program(trees())
+    program, constants, recipe = _program(trees(),
+                                          3 if layout == "step" else None)
     bind = _binder(program, layout)
     if scan is not None:
         if key not in _PROGRAMS and len(_PROGRAMS) >= _MAX_PROGRAMS:
@@ -911,6 +967,30 @@ def compile_sliding_field(switch: ScalarField, left: VectorField,
                              *right.components),
                     "sliding", _joined([switch._scan, left._scan,
                                         right._scan]), tol)
+
+
+def compile_step(field: VectorField, switch: ScalarField):
+    """One function (x1, x2, x3, h) -> (y1, y2, y3, H(y)): one RK4 step
+    along ``field`` and H = ``switch`` at its end y, with the floats and
+    the first error of ``field.compiled``'s stages and ``switch.compiled``
+    at y."""
+    return _compile(lambda: (*field.components, switch.expr), "step",
+                    _joined([field._scan, switch._scan]))
+
+
+def compile_slide_step(switch: ScalarField, left: VectorField,
+                       right: VectorField, tol: float):
+    """One function (x1, x2, x3, h, k11, k12, k13) -> (y1, y2, y3, r_L,
+    r_R, s1, s2, s3): one RK4 step along :func:`compile_sliding_field`'s
+    field with the first stage k1, projected onto H = 0 (x alone is just
+    projected), then the rates and the sliding field s at that y, s None
+    where degenerate.  Floats and errors are those of the stages, of
+    ``switch.compiled_gradient`` and of :func:`compile_rates_and_fields`
+    at y, in turn."""
+    return _compile(lambda: (switch.expr, *left.components,
+                             *right.components),
+                    "slide", _joined([switch._scan, left._scan,
+                                      right._scan]), tol)
 
 
 # --------------------------------------------------------------------------

@@ -608,14 +608,23 @@ def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
 # public event / return-map operations
 # --------------------------------------------------------------------------
 
+def _start(y0) -> tuple[float, float, float]:
+    """y0 as three floats; ValueError unless it has three, all finite."""
+    y0 = tuple(map(float, y0))
+    if len(y0) != 3:
+        raise ValueError(f"y0 must have 3 coordinates, got {len(y0)}")
+    if not all(map(math.isfinite, y0)):
+        raise ValueError("y0 must be finite")
+    return y0
+
+
 def first_hit_plane(params: HybridParams, y0) -> SegmentEvent | Termination:
     """First positive time at which the regular flow from y0 (in
     y1 <= 0) reaches the switching plane, or the reason it never does.
-    Raises ValueError for a non-finite y0, for y1 > 0, and for a start
-    on the plane from which the flow does not enter y1 < 0."""
-    y0 = tuple(map(float, y0))
-    if not all(map(math.isfinite, y0)):
-        raise ValueError("y0 must be finite")
+    Raises ValueError for a y0 that is not 3 finite coordinates, for
+    y1 > 0, and for a start on the plane from which the flow does not
+    enter y1 < 0."""
+    y0 = _start(y0)
     if y0[0] > 0.0:
         raise ValueError("y0 must lie in the half-space y1 <= 0")
     return _plane_hit_spiral(_left_rows(params.a, params.b),
@@ -625,9 +634,7 @@ def first_hit_plane(params: HybridParams, y0) -> SegmentEvent | Termination:
 def first_hit_line(params: HybridParams, y0) -> SegmentEvent | Termination:
     """First positive time at which the sliding flow from y0 (on the
     plane, with y2 > 0) reaches the return line y1 = y2 = 0."""
-    y0 = tuple(map(float, y0))
-    if not all(map(math.isfinite, y0)):
-        raise ValueError("y0 must be finite")
+    y0 = _start(y0)
     if abs(y0[0]) > 1e-9 * math.hypot(*y0):
         raise ValueError("y0 is not on the switching plane")
     if y0[1] <= 0.0:

@@ -4,11 +4,14 @@ This module is the package's independent cross-check: it never uses the
 closed-form flows.  General nonlinear systems are integrated with
 classic fixed-step 4th-order steps inside each regime (left field, right
 field, or sliding).  Sliding motion integrates the sliding vector field
-with a projection back onto the surface after every step.  Every regime
-steps on float tuples with the parsed fields' compiled functions; the
-switching function's gradient (normal rates, sliding field, projection)
-is the exact one that :attr:`filippov.expr.ScalarField.compiled_gradient`
-generates, not a finite difference.
+with a projection back onto the surface after every step.  Each step is
+one call of a function generated for the system: a regular step takes
+the four stages and H at its end (:attr:`FilippovSystem.left_step`,
+:attr:`~FilippovSystem.right_step`), a sliding step the projected step
+with the normal rates and the sliding field at its end
+(:attr:`~FilippovSystem.slide_step`), whose field is the next step's
+first stage.  The switching function's gradient (normal rates, sliding
+field, projection) is exact, not a finite difference.
 
 The piecewise-linear hybrid system gets its own small fixed-step engine
 (same semantics, float-tuple arithmetic), which provides the empirical
@@ -38,9 +41,9 @@ from .core import (
     fold_curvature,
     normal_rates,
     sliding_field,  # not called here; perfbench/spans.py wraps this binding
-    sliding_from_rates,
 )
 from .errors import (
+    DegenerateSlidingError,
     FilippovError,
     NonFiniteStateError,
     RepellingSlidingEncounteredError,
@@ -142,13 +145,13 @@ def _locate(step, x_from, m_from: float, h: float, x_hi, m_hi: float,
     return hi, x_hi
 
 
-def _rk4_tuple(f, y, h: float, k1=None):
+def _rk4_tuple(f, y, h: float):
     """One classic 4th-order step of dy/dt = f(y1, y2, y3) on a 3-tuple
-    of floats; ``k1``, if given, is f(y)."""
+    of floats."""
     y1, y2, y3 = y
     # 0.5 * h * k is (0.5 * h) * k, and h / 6.0 * k is (h / 6.0) * k
     half, sixth = 0.5 * h, h / 6.0
-    k11, k12, k13 = f(y1, y2, y3) if k1 is None else k1
+    k11, k12, k13 = f(y1, y2, y3)
     k21, k22, k23 = f(y1 + half * k11, y2 + half * k12, y3 + half * k13)
     k31, k32, k33 = f(y1 + half * k21, y2 + half * k22, y3 + half * k23)
     k41, k42, k43 = f(y1 + h * k31, y2 + h * k32, y3 + h * k33)
@@ -230,22 +233,31 @@ class _Sim:
             "not classified")
 
     # -- regular-regime integration ----------------------------------------
+    # A step returns the new state with its monitor, ``state[3]``.  The
+    # loops keep t and x in locals, and set self.t and self.x for
+    # check_terminal, an event and the segment's end.
 
     def run_regular(self, regime: str) -> Optional[str]:
         """Integrate the left or right field until a surface hit or a
         terminal condition; returns the next regime or None."""
-        f = (self.system.left if regime == "L" else self.system.right).compiled
-        h = self.h
+        step = (self.system.left_step if regime == "L"
+                else self.system.right_step)
         interior = -1.0 if regime == "L" else 1.0
-        seg = self.begin_segment(regime)
-        h_now = h(*self.x)
+        samples = self.begin_segment(regime).samples
+        centre, dt_max, t_max = self.centre, self.cfg.dt, self.cfg.t_max
+        t, (x1, x2, x3) = self.t, self.x
+        h_now = self.h(x1, x2, x3)
         armed = abs(h_now) > _ON_SURFACE_TOL
         while True:
-            if self.check_terminal():
-                return None
-            dt = min(self.cfg.dt, self.cfg.t_max - self.t)
-            x_new = n1, n2, n3 = _rk4_tuple(f, self.x, dt)
-            h_new = h(n1, n2, n3)
+            # every test of check_terminal passes where this one does
+            if not (_NORM_FLOOR <= math.dist((x1, x2, x3), centre)
+                    <= _NORM_CEILING and t < t_max):
+                self.t, self.x = t, (x1, x2, x3)
+                if self.check_terminal():
+                    return None
+            dt = min(dt_max, t_max - t)
+            new = step(x1, x2, x3, dt)
+            h_new = new[3]
             if not armed:
                 if h_new * interior < -10.0 * _ON_SURFACE_TOL:
                     # a short excursion into its own side that ended
@@ -256,73 +268,62 @@ class _Sim:
                         if dt <= _EVENT_REFINE_TOL:
                             raise FilippovError(
                                 f"{regime}-segment left its own side at "
-                                f"t = {self.t:g} before re-entering it")
-                        x_new = n1, n2, n3 = _rk4_tuple(f, self.x, dt)
-                        h_new = h(n1, n2, n3)
+                                f"t = {t:g} before re-entering it")
+                        new = step(x1, x2, x3, dt)
+                        h_new = new[3]
                 armed = h_new * interior > _ON_SURFACE_TOL
             elif h_new * interior <= 0.0:
-                tau, x_ev = _locate(lambda x, tau: _rk4_tuple(f, x, tau),
-                                    self.x, h_now, dt, x_new, h_new,
-                                    lambda x: h(*x), _EVENT_REFINE_TOL)
-                self.t += tau
-                self.x = x_ev
-                seg.samples.append((self.t, *self.x))
+                tau, new = _locate(lambda x, tau: step(*x, tau), (x1, x2, x3),
+                                   h_now, dt, new, h_new,
+                                   lambda state: state[3], _EVENT_REFINE_TOL)
+                self.t, self.x = t + tau, new[:3]
+                samples.append((self.t, *self.x))
                 return self.regime_on_surface(self.x)
-            self.t += dt
-            self.x = x_new
-            h_now = h_new
-            seg.samples.append((self.t, n1, n2, n3))
+            t += dt
+            x1, x2, x3, h_now = new
+            samples.append((t, x1, x2, x3))
 
     # -- sliding-regime integration -----------------------------------------
 
     def run_slide(self) -> Optional[str]:
-        seg = self.begin_segment("S")
-        gradient = self.system.switch.compiled_gradient
-
-        def project(x):
-            """x moved along grad H by the Newton step -H / |grad H|^2."""
-            x1, x2, x3 = x
-            h, g1, g2, g3 = gradient(x1, x2, x3)
-            gg = g1 * g1 + g2 * g2 + g3 * g3
-            if gg == 0.0:
-                return x
-            s = h / gg
-            return (x1 - s * g1, x2 - s * g2, x3 - s * g3)
-
-        rates = self.system.rates_and_fields
-        field = self.system.sliding
-        rate_left = lambda x: rates(*x)[0]
-        # every substep starts at self.x; k1, set below, is its first stage
-        step = lambda x, tau: project(_rk4_tuple(field, x, tau, k1))
-        self.x = project(self.x)
-        rates_now = rates(*self.x)
-        armed = rates_now[0] > _EVENT_REFINE_TOL
+        samples = self.begin_segment("S").samples
+        centre, dt_max, t_max = self.centre, self.cfg.dt, self.cfg.t_max
+        slide = self.system.slide_step
+        t = self.t
+        # x projected onto the surface, the rates there and the sliding
+        # field, which is the first stage of the next step (first same as
+        # last); k1 is None where the field is degenerate
+        x1, x2, x3, rate, rate_right, k1, k2, k3 = slide(*self.x)
+        armed = rate > _EVENT_REFINE_TOL
         wobbles = 0
         while True:
-            if self.check_terminal():
-                return None
-            dt = min(self.cfg.dt, self.cfg.t_max - self.t)
-            # first same as last: the rates the monitor took at the last
-            # step's end give this step's first stage
-            k1 = sliding_from_rates(rates_now)
-            x_new = step(self.x, dt)
-            rates_new = rates(*x_new)
-            rate_new = rates_new[0]
-            if rates_new[1] >= 0.0:
+            if not (_NORM_FLOOR <= math.dist((x1, x2, x3), centre)
+                    <= _NORM_CEILING and t < t_max):
+                self.t, self.x = t, (x1, x2, x3)
+                if self.check_terminal():
+                    return None
+            dt = min(dt_max, t_max - t)
+            if k1 is None:
+                raise DegenerateSlidingError(rate, rate_right)
+            new = slide(x1, x2, x3, dt, k1, k2, k3)
+            rate_new = new[3]
+            if new[4] >= 0.0:
                 raise RepellingSlidingEncounteredError(
                     f"right field stopped pointing at the surface during "
-                    f"sliding at t = {self.t:g}")
+                    f"sliding at t = {t:g}")
             if not armed:
                 if rate_new > _EVENT_REFINE_TOL:
                     armed = True
             elif rate_new <= 0.0:
-                tau, x_ev = _locate(step, self.x, rates_now[0], dt, x_new,
-                                    rate_new, rate_left, _EVENT_REFINE_TOL)
+                tau, x_ev = _locate(
+                    lambda x, tau: slide(*x, tau, k1, k2, k3), (x1, x2, x3),
+                    rate, dt, new, rate_new, lambda state: state[3],
+                    _EVENT_REFINE_TOL)
+                x_ev = x_ev[:3]
                 curv = fold_curvature(self.system, x_ev)
                 if curv < 0.0:
-                    self.t += tau
-                    self.x = x_ev
-                    seg.samples.append((self.t, *self.x))
+                    self.t, self.x = t + tau, x_ev
+                    samples.append((self.t, *x_ev))
                     return "L"  # visible fold: exit into the left domain
                 # grazed the invisible side of the tangency curve; keep
                 # sliding and re-arm once the rate is clearly positive again
@@ -332,10 +333,9 @@ class _Sim:
                     raise FilippovError(
                         "sliding keeps grazing the tangency curve on its "
                         "invisible side; aborting")
-            self.t += dt
-            self.x = x_new
-            rates_now = rates_new
-            seg.samples.append((self.t, *self.x))
+            t += dt
+            x1, x2, x3, rate, rate_right, k1, k2, k3 = new
+            samples.append((t, x1, x2, x3))
 
     # -- main loop -------------------------------------------------
 

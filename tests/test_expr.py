@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from filippov.errors import (
     UnknownIdentifierError,
 )
 from filippov import expr
-from filippov.core import (TANGENCY_TOL, FilippovSystem, boundary_data,
-                           sliding_from_rates)
+from filippov.core import TANGENCY_TOL, FilippovSystem, boundary_data
 from filippov.expr import (
     MAX_DEPTH,
     MAX_NESTING,
@@ -29,12 +29,14 @@ from filippov.expr import (
     parse_expr,
 )
 from filippov.hybrid import return_multiplier
+from filippov.simulate import _rk4_tuple
 from filippov.stability import Rotational, classify_equilibrium
 from oracles import (
     GRADIENT_RTOL,
     GRADIENT_VALUE_RTOL,
     evaluate_tree,
     gradient_reference,
+    sliding_from_rates,
 )
 
 # expressions exercised throughout the suite; also the round-trip corpus
@@ -663,7 +665,7 @@ def test_a_program_cache_miss_builds_the_trees(monkeypatch):
     monkeypatch.setattr(expr, "_parse",
                         lambda text: parsed.append(text) or parse(text))
     monkeypatch.setattr(expr, "_program",
-                        lambda roots: walks.append(roots) or walk(roots))
+                        lambda *args: walks.append(args) or walk(*args))
     expr._SKELETONS.clear()
     expr._PROGRAMS.clear()
     outcomes = []
@@ -738,13 +740,20 @@ def _compiled(texts):
              (left.compiled, left.components, "values"),
              (left.compiled_jacobian, left.components, "derivatives"),
              (expr.compile_rates_and_fields(switch, left, right),
-              (switch.expr, *left.components, *right.components), "rates")]
+              (switch.expr, *left.components, *right.components), "rates"),
+             (expr.compile_step(left, switch),
+              (*left.components, switch.expr), "step"),
+             (expr.compile_slide_step(switch, left, right, TANGENCY_TOL),
+              (switch.expr, *left.components, *right.components), "slide")]
 
 
 def _assert_walks_equal(cases, walk):
     for fn, roots, layout in cases:
-        program, constants, _ = walk(roots)
-        want = expr._binder(program, layout)(tuple(constants))
+        # the step takes H at its end with a fresh numbering, the slide
+        # takes the tangency tolerance
+        program, constants, _ = walk(roots, 3 if layout == "step" else None)
+        bound = (TANGENCY_TOL,) if layout == "slide" else ()
+        want = expr._binder(program, layout)(tuple(constants), *bound)
         assert _bound(fn) == _bound(want), (layout, roots)
 
 
@@ -770,7 +779,7 @@ def test_cached_programs_are_the_walks(monkeypatch):
     walk = expr._program
     walks = []
     monkeypatch.setattr(expr, "_program",
-                        lambda roots: walks.append(roots) or walk(roots))
+                        lambda *args: walks.append(args) or walk(*args))
     rng = np.random.default_rng(14)
     hits = 0
     for _ in range(60):
@@ -794,16 +803,16 @@ def test_cached_programs_are_the_walks(monkeypatch):
         walks.clear()
         _assert_walks_equal(_compiled(system), walk)
         counts.append(len(walks))
-    # a changed whole exponent walks again: ^2.0 after ^2 changes only
-    # H's; a negated exponent is a constant
-    assert counts == [5, 3, 5, 5, 5, 5, 5] + [5] + [0] * 7
+    # a changed whole exponent walks again: ^2.0 after ^2 leaves H's own
+    # two programs as they were; a negated exponent is a constant
+    assert counts == [7, 5, 7, 7, 7, 7, 7] + [7] + [0] * 7
 
 
 def test_fields_built_from_trees_walk(monkeypatch):
     walk = expr._program
     walks = []
     monkeypatch.setattr(expr, "_program",
-                        lambda roots: walks.append(roots) or walk(roots))
+                        lambda *args: walks.append(args) or walk(*args))
     text = "2.5*x1 + x2^2 - 3"
     ScalarField.parse(text).compiled
     known = dict(expr._PROGRAMS)
@@ -826,9 +835,9 @@ def test_a_shape_seen_before_is_bound_without_a_walk(monkeypatch):
     walk, binder = expr._program, expr._binder
     walks = []
     monkeypatch.setattr(expr, "_program",
-                        lambda roots: walks.append(roots) or walk(roots))
+                        lambda *args: walks.append(args) or walk(*args))
     cases = _compiled(system_texts(1.5))
-    assert len(walks) == len(cases) == 5
+    assert len(walks) == len(cases) == 7
     _assert_walks_equal(cases, walk)
 
     def fail(*args):
@@ -841,14 +850,15 @@ def test_a_shape_seen_before_is_bound_without_a_walk(monkeypatch):
         assert cases[0][0](1.0, 2.0, 3.0) == 1.0 - k * 4.0 + 1e-3 * 3.0
     # a one-shot system through the public path: one walk per function
     monkeypatch.setattr(expr, "_program",
-                        lambda roots: walks.append(roots) or walk(roots))
+                        lambda *args: walks.append(args) or walk(*args))
     monkeypatch.setattr(expr, "_binder", binder)
     walks.clear()
     system = FilippovSystem.parse(("x2 + 0.125", "x3", "-x1^5"),
                                   ("0.5", "x1", "x3^5"), "x1 + 7e-3*x2")
     system.left.compiled_jacobian, system.switch.compiled_gradient
     system.right.compiled, system.rates_and_fields
-    assert len(walks) == 4
+    system.left_step, system.right_step, system.slide_step
+    assert len(walks) == 7
 
 
 def test_program_cache_is_bounded():
@@ -1069,6 +1079,83 @@ def test_sliding_field_takes_its_tolerance():
         loose(0.0, 1e-6, 0.0)
 
 
+def _step_composition(system, x, h):
+    """The regular step as Python composes it: _rk4_tuple of the left
+    field's compiled function, then H at the end."""
+    end = _rk4_tuple(system.left.compiled, x, h)
+    return (*end, system.switch.compiled(*end))
+
+
+def _slide_composition(system, x, h=0.0, *k1):
+    """The slide step as Python composes it: _rk4_tuple of the sliding
+    field with the first stage k1 (none for h = 0), projected along
+    grad H, then the rates at the projected point and the sliding field
+    there, or three Nones where it is degenerate."""
+    if h:
+        first = [k1]
+        x = _rk4_tuple(lambda *y: first.pop() if first
+                       else system.sliding(*y), x, h)
+    value, g1, g2, g3 = system.switch.compiled_gradient(*x)
+    gg = g1 * g1 + g2 * g2 + g3 * g3
+    if gg != 0.0:
+        s = value / gg
+        x = (x[0] - s * g1, x[1] - s * g2, x[2] - s * g3)
+    rates = system.rates_and_fields(*x)
+    try:
+        field = sliding_from_rates(rates)
+    except DegenerateSlidingError:
+        field = (None,) * 3
+    return (*x, *rates[:2], *field)
+
+
+def _step_outcome(step, *args):
+    """("value", the hex of each float, None kept) or (error type,
+    message)."""
+    try:
+        return "value", tuple(v if v is None else float(v).hex()
+                              for v in step(*args))
+    except (EvalDomainError, DegenerateSlidingError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_steps_are_the_compositions_bit_for_bit():
+    # the generated regular and slide steps return what the Python
+    # compositions of the generated fields return, bit for bit, and raise
+    # the first error they raise, with its message; for systems built from
+    # trees, and for the same systems parsed from text twice
+    rng = np.random.default_rng(17)
+    outcomes = Counter()
+    for _ in range(80):
+        trees = [_random_tree(rng, 3) for _ in range(7)]
+        texts = [format_expr(tree) for tree in trees]
+        systems = [FilippovSystem(VectorField(trees[1:4]),
+                                  VectorField(trees[4:]), ScalarField(trees[0])),
+                   *(FilippovSystem.parse(texts[1:4], texts[4:], texts[0])
+                     for _ in range(2))]
+        for system in systems:
+            for point in _POINTS[::3]:
+                point = tuple(map(float, point))
+                want = _step_outcome(_step_composition, system, point, 0.05)
+                assert _step_outcome(system.left_step, *point, 0.05) == want
+                outcomes["step", want[0]] += 1
+                k1 = tuple(map(float, rng.uniform(-2.0, 2.0, size=3)))
+                for args in ((), (0.05, *k1)):
+                    want = _step_outcome(_slide_composition, system, point,
+                                         *args)
+                    assert _step_outcome(system.slide_step, *point,
+                                         *args) == want
+                    outcomes["slide", want[0] if want[0] != "value" else
+                             "degenerate" if want[1][-1] is None
+                             else "value"] += 1
+    # the corpus reaches every outcome: a value, a domain error, a
+    # degenerate stage and a degenerate end
+    assert min(outcomes["step", "value"], outcomes["slide", "value"],
+               outcomes["step", "EvalDomainError"],
+               outcomes["slide", "EvalDomainError"],
+               outcomes["slide", "DegenerateSlidingError"],
+               outcomes["slide", "degenerate"]) > 1000, outcomes
+
+
 def _deepest_trees():
     """Trees of MAX_DEPTH levels: a chain of every operation, a sum
     nested to the left, and a chain of cos and products."""
@@ -1108,6 +1195,11 @@ def test_deepest_trees_compile_in_every_layout():
     assert rates[2] == tuple(want) and rates[3] == tuple(want[::-1])
     assert rates[4][0] == point[0] + want[0]
     assert system.sliding(*point) == sliding_from_rates(rates)
+    assert system.left_step(*point, 1e-3) == \
+        _step_composition(system, point, 1e-3)
+    k1 = system.sliding(*point)
+    assert system.slide_step(*point, 1e-3, *k1) == \
+        _slide_composition(system, point, 1e-3, *k1)
 
 
 def test_a_line_runs_after_the_operations_the_walk_does_first():
@@ -1130,7 +1222,9 @@ def test_generated_programs_have_their_own_labels():
                  "derivatives": (system.left.compiled_jacobian,
                                  system.switch.compiled_gradient),
                  "rates": (system.rates_and_fields,),
-                 "sliding": (system.sliding,)}
+                 "sliding": (system.sliding,),
+                 "step": (system.left_step, system.right_step),
+                 "slide": (system.slide_step,)}
     labels = set()
     for layout, fns in functions.items():
         for fn in fns:
@@ -1138,7 +1232,7 @@ def test_generated_programs_have_their_own_labels():
             assert code.co_name == layout
             assert code.co_filename.startswith(f"<filippov.expr:{layout}:")
             labels.add((code.co_filename, code.co_firstlineno, code.co_name))
-    assert len(labels) == 6
+    assert len(labels) == 9
 
 
 # --------------------------------------------------------------------------

@@ -248,6 +248,17 @@ def test_hits_refuse_a_non_finite_start():
                 first_hit_plane(params, plane_start)
 
 
+def test_hits_refuse_a_start_without_three_coordinates():
+    # a fourth coordinate was ignored, a missing one failed deep inside
+    params = HybridParams(*FIG_STABLE)
+    for bad in ((0.0, 1.0), (0.0, 1.0, -1.0, 7.0), (), (-0.5, 0.0, -1.0, 0)):
+        for hit in (first_hit_line, first_hit_plane):
+            with pytest.raises(ValueError,
+                               match=f"^y0 must have 3 coordinates, "
+                                     f"got {len(bad)}$"):
+                hit(params, bad)
+
+
 def test_line_hit_quarter_rotation():
     params = HybridParams(0.1, 1.0, 0.0, 1.0)
     ev = first_hit_line(params, (0.0, 1.0, 0.0))

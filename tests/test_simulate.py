@@ -194,32 +194,39 @@ def test_events_take_few_monitor_evaluations(monkeypatch):
     assert len(evaluations) / len(events) <= 6.0
 
 
-def test_slide_step_makes_five_generated_calls():
-    # first same as last: the rates the fold monitor takes at a slide
-    # step's end give the next step's first RK4 stage, so a step calls the
-    # generated code five times (three stages of the sliding field, the
-    # projection's gradient, the monitor's rates), not six
+@pytest.mark.parametrize("left, x0, regime", [
+    (("1", "x3", "-1 - x2^2"), (1.0, 0.0, -1.0), "L"),
+    (("1", "x3", "1 + x2^2"), (1.0, 0.0, 0.0), "S"),
+])
+def test_a_step_makes_one_generated_call(left, x0, regime):
+    # a regular step (four RK4 stages, then H at the end) and a slide step
+    # (three stages of the sliding field, the projection, the rates at the
+    # end and, first same as last, the next step's first stage) are each
+    # one call of generated code
     def generated_calls(t_max: float) -> tuple[int, int]:
-        system = FilippovSystem.parse(("1", "x3", "1 + x2^2"),
-                                      ("1", "0", "-1 - x1^2"), "x3")
+        system = FilippovSystem.parse(left, ("1", "0", "-1 - x1^2"), "x3")
         calls = []
-        for owner, name in ((system, "rates_and_fields"), (system, "sliding"),
-                            (system.switch, "compiled_gradient")):
-            generated = getattr(owner, name)
-            # the cached property's value, replaced by a counting one
-            owner.__dict__[name] = \
-                lambda *x, generated=generated: calls.append(x) or generated(*x)
-        orbit = simulate(system, (1.0, 0.0, 0.0),
-                         SimConfig(dt=1e-2, t_max=t_max))
+        for owner, names in (
+                (system, ("rates_and_fields", "sliding", "left_step",
+                          "right_step", "slide_step")),
+                (system.switch, ("compiled", "compiled_gradient")),
+                (system.left, ("compiled", "compiled_jacobian")),
+                (system.right, ("compiled", "compiled_jacobian"))):
+            for name in names:
+                generated = getattr(owner, name)
+                # the cached property's value, replaced by a counting one
+                owner.__dict__[name] = (lambda *x, generated=generated:
+                                        calls.append(x) or generated(*x))
+        orbit = simulate(system, x0, SimConfig(dt=1e-2, t_max=t_max))
         assert orbit.terminal is Terminal.TIMEOUT
         [segment] = orbit.segments
-        assert segment.regime == "S"
+        assert segment.regime == regime
         return len(segment.samples), len(calls)
 
     samples_short, calls_short = generated_calls(0.5)
     samples_long, calls_long = generated_calls(1.0)
     assert samples_long - samples_short == 50
-    assert calls_long - calls_short == 5 * 50
+    assert calls_long - calls_short == 50
 
 
 def locate_in_time(monitor, h: float, tol: float):
