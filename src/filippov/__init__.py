@@ -37,12 +37,14 @@ from .hybrid import (
     LambdaResult,
     LambdaStatus,
     SegmentEvent,
+    SlideBlocks,
     Termination,
     first_hit_line,
     first_hit_plane,
     first_return,
     return_map,
     return_multiplier,
+    slide_blocks,
 )
 from .simulate import (
     Orbit,

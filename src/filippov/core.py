@@ -66,7 +66,8 @@ class FilippovSystem:
     @cached_property
     def rates_and_fields(self):
         """:func:`filippov.expr.compile_rates_and_fields` of the system:
-        the package's one computation of the normal rates."""
+        the package's one computation of the normal rates.  It takes
+        Python floats."""
         return compile_rates_and_fields(self.switch, self.left, self.right)
 
     @cached_property
@@ -76,23 +77,26 @@ class FilippovSystem:
         that is tangent to the surface
         (:func:`filippov.expr.compile_sliding_field`).  Raises
         DegenerateSlidingError where the two normal rates coincide to
-        TANGENCY_TOL."""
+        TANGENCY_TOL.  It takes Python floats."""
         return compile_sliding_field(self.switch, self.left, self.right,
                                      TANGENCY_TOL)
 
     @cached_property
     def left_step(self):
-        """:func:`filippov.expr.compile_step` of the left field."""
+        """:func:`filippov.expr.compile_step` of the left field; it takes
+        Python floats."""
         return compile_step(self.left, self.switch)
 
     @cached_property
     def right_step(self):
-        """:func:`filippov.expr.compile_step` of the right field."""
+        """:func:`filippov.expr.compile_step` of the right field; it takes
+        Python floats."""
         return compile_step(self.right, self.switch)
 
     @cached_property
     def slide_step(self):
-        """:func:`filippov.expr.compile_slide_step` of the system."""
+        """:func:`filippov.expr.compile_slide_step` of the system; it
+        takes Python floats."""
         return compile_slide_step(self.switch, self.left, self.right,
                                   TANGENCY_TOL)
 

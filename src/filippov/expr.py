@@ -877,6 +877,7 @@ class ScalarField:
 
     @cached_property
     def compiled(self) -> Callable[[float, float, float], float]:
+        """One function (x1, x2, x3) -> h of Python floats."""
         return _compile(lambda: (self.expr,), "values", self._scan)
 
     @cached_property
@@ -888,7 +889,7 @@ class ScalarField:
         ``compiled`` raises; it also raises
         :class:`~filippov.errors.EvalDomainError` where a partial
         derivative is not finite (``sqrt(x1)`` at 0) or not defined
-        (``x1^x2`` at x1 <= 0)."""
+        (``x1^x2`` at x1 <= 0).  It takes Python floats."""
         return _compile(lambda: (self.expr,), "derivatives", self._scan)
 
     def __call__(self, point) -> float:
@@ -929,14 +930,15 @@ class VectorField:
     def compiled(self) -> Callable[[float, float, float],
                                    tuple[float, float, float]]:
         """One function returning the three components, evaluated in
-        order: the first component that fails names the error."""
+        order: the first component that fails names the error.  It takes
+        Python floats."""
         return _compile(lambda: self.components, "values", self._scan)
 
     @cached_property
     def compiled_jacobian(self) -> Callable[[float, float, float], tuple]:
         """One function (x1, x2, x3) -> ((f1, f2, f3), J): row i of the
         exact Jacobian J is the gradient of component i.  It raises as
-        :attr:`ScalarField.compiled_gradient` does."""
+        :attr:`ScalarField.compiled_gradient` does, and takes floats."""
         return _compile(lambda: self.components, "derivatives", self._scan)
 
     def __call__(self, point) -> tuple[float, float, float]:
@@ -949,7 +951,8 @@ def compile_rates_and_fields(switch: ScalarField, left: VectorField,
     """One function (x1, x2, x3) -> (grad H . f_L, grad H . f_R, f_L, f_R,
     (H, grad H)) with H = ``switch``.  Its floats are those of
     ``switch.compiled_gradient``, ``left.compiled`` and ``right.compiled``
-    bit for bit, and it raises what the first of them to fail raises."""
+    bit for bit, and it raises what the first of them to fail raises.  It
+    takes Python floats, as they do."""
     return _compile(lambda: (switch.expr, *left.components,
                              *right.components),
                     "rates", _joined([switch._scan, left._scan, right._scan]))
@@ -962,7 +965,7 @@ def compile_sliding_field(switch: ScalarField, left: VectorField,
     :func:`compile_rates_and_fields` computes them.  It raises what that
     function raises, then
     :class:`~filippov.errors.DegenerateSlidingError` where |r_L - r_R| <=
-    ``tol`` (|r_L| + |r_R| + 1)."""
+    ``tol`` (|r_L| + |r_R| + 1).  It takes Python floats."""
     return _compile(lambda: (switch.expr, *left.components,
                              *right.components),
                     "sliding", _joined([switch._scan, left._scan,
@@ -973,7 +976,9 @@ def compile_step(field: VectorField, switch: ScalarField):
     """One function (x1, x2, x3, h) -> (y1, y2, y3, H(y)): one RK4 step
     along ``field`` and H = ``switch`` at its end y, with the floats and
     the first error of ``field.compiled``'s stages and ``switch.compiled``
-    at y."""
+    at y.  Like every generated function, it takes Python floats: with
+    numpy scalars it computes in numpy, which warns or reads inf where a
+    float raises."""
     return _compile(lambda: (*field.components, switch.expr), "step",
                     _joined([field._scan, switch._scan]))
 
@@ -986,7 +991,7 @@ def compile_slide_step(switch: ScalarField, left: VectorField,
     projected), then the rates and the sliding field s at that y, s None
     where degenerate.  Floats and errors are those of the stages, of
     ``switch.compiled_gradient`` and of :func:`compile_rates_and_fields`
-    at y, in turn."""
+    at y, in turn.  It takes Python floats, as they do."""
     return _compile(lambda: (switch.expr, *left.components,
                              *right.components),
                     "slide", _joined([switch._scan, left._scan,

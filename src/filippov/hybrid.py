@@ -50,6 +50,7 @@ __all__ = [
     "SegmentEvent", "Termination", "ReturnOutcome",
     "first_hit_plane", "first_hit_line", "first_return",
     "return_multiplier", "return_map", "LambdaArrays", "slide_domain",
+    "SlideBlocks", "slide_blocks",
 ]
 
 # A return multiplier whose log is within this distance of 0 makes no
@@ -110,11 +111,20 @@ class HybridParams:
         if b <= a * a / 4.0:
             raise ConstraintViolationError(
                 f"b = {b:g} must exceed a^2/4 = {a * a / 4.0:g}")
-        if d <= 0.0:
-            raise ConstraintViolationError(f"d = {d:g} must be positive")
-        if c > 0.0 and d <= c * c / 4.0:
-            raise ConstraintViolationError(
-                f"with c = {c:g} > 0, d = {d:g} must exceed c^2/4 = {c * c / 4.0:g}")
+        _check_slide(c, d)
+
+
+def _check_slide(c: float, d: float) -> None:
+    """The constraints of :class:`HybridParams` on (c, d), with its
+    messages: finite, d > 0, and d > c^2/4 whenever c > 0."""
+    for name, value in (("c", c), ("d", d)):
+        if not math.isfinite(value):
+            raise ConstraintViolationError(f"parameter {name} is not finite")
+    if d <= 0.0:
+        raise ConstraintViolationError(f"d = {d:g} must be positive")
+    if c > 0.0 and d <= c * c / 4.0:
+        raise ConstraintViolationError(
+            f"with c = {c:g} > 0, d = {d:g} must exceed c^2/4 = {c * c / 4.0:g}")
 
 
 class LambdaStatus(Enum):
@@ -214,6 +224,21 @@ class LambdaArrays(NamedTuple):
         is marginal (test ``marginal`` for those)."""
         return ((self.code == _CONVERGED)
                 | ((self.code == _DEFINED) & (self.log_value < 0.0)))
+
+
+class SlideBlocks(NamedTuple):
+    """The terms of the slide that depend on (c, d) alone, from
+    :func:`slide_blocks`: the masks of a complex and of a real pair
+    (neither: the double root), p = c/2, q of a complex pair p +/- iq, and
+    the gap r1 - r2 and the rate r1 of a real pair (0 and p for the double
+    root).  Read-only arrays of one shape."""
+
+    is_complex: np.ndarray
+    is_real: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    gap: np.ndarray
+    r1: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -569,29 +594,21 @@ def _line_hit_block(c: float, d: float, y2_0: float, y3_0: float,
                         "slide-to-return")
 
 
-def _line_hit_arrays(c: np.ndarray, d: np.ndarray, y2_0: float, y3_0: float,
+def _line_hit_arrays(blocks: SlideBlocks, y2_0: float, y3_0: float,
                      log_scale: float) -> LambdaArrays:
-    """:func:`_line_hit_block` and the verdict on its return, over arrays
-    of valid (c, d) sliding from one start e^{log_scale} (0, y2_0, y3_0),
-    y2_0 > 0.
+    """:func:`_line_hit_block` and the verdict on its return, over the
+    blocks of valid (c, d) sliding from one start e^{log_scale} (0, y2_0,
+    y3_0), y2_0 > 0.
 
     Every block kind is evaluated on every cell and the cell's own kind
     selects the result.  A slide without a return decays.
     """
+    is_complex, is_real, p, q, gap, r1 = blocks
     with np.errstate(all="ignore"):
-        disc = _discriminant(c, d)
-        is_complex = disc < 0.0
-        is_real = disc > 0.0
-        p = c / 2.0
-        root = np.sqrt(np.abs(disc))
-        # complex pair p +/- iq, q = root / 2
-        q = root / 2.0
+        # complex pair p +/- iq
         n = y3_0 + p * y2_0
         t_c = np.arctan2(q * y2_0, -n) / q
         # real pair r1 > r2 with r1 - r2 = gap, or the double root p
-        gap = np.where(is_real, root, 0.0)
-        r2 = p - gap / 2.0
-        r1 = np.where(is_real, d / r2, p)
         w = -(y3_0 + r1 * y2_0)
         t_r = np.where(is_real, np.log1p(gap * y2_0 / w) / gap, y2_0 / w)
         # one log for every kind
@@ -740,15 +757,42 @@ def _valid(c: np.ndarray, d: np.ndarray) -> np.ndarray:
                 & ((c <= 0.0) | (d > c * c / 4.0)))
 
 
-def return_map(a: float, b: float,
-               ) -> Callable[[np.ndarray, np.ndarray], LambdaArrays]:
-    """The return multiplier over arrays of (c, d), for fixed (a, b).
+def slide_blocks(c, d) -> SlideBlocks:
+    """The (c, d) half of the return map: the :class:`SlideBlocks` of
+    float arrays ``c`` and ``d`` (of one shape, or broadcastable), in
+    their broadcast shape.  Raises :class:`ConstraintViolationError` with
+    :class:`HybridParams`' message for the first invalid pair."""
+    c = np.asarray(c, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if c.shape != d.shape:
+        c, d = np.broadcast_arrays(c, d)
+    bad = ~_valid(c, d)
+    if bad.any():
+        k = int(np.argmax(bad.ravel()))
+        _check_slide(float(c.ravel()[k]), float(d.ravel()[k]))
+    with np.errstate(all="ignore"):
+        disc = _discriminant(c, d)
+        is_real = disc > 0.0
+        p = c / 2.0
+        root = np.sqrt(np.abs(disc))
+        gap = np.where(is_real, root, 0.0)
+        r1 = np.where(is_real, d / (p - gap / 2.0), p)  # d / r2
+    blocks = SlideBlocks(*map(np.asarray, (disc < 0.0, is_real, p,
+                                           root / 2.0, gap, r1)))
+    for array in blocks:
+        array.flags.writeable = False
+    return blocks
+
+
+def return_map(a: float, b: float) -> Callable[[SlideBlocks], LambdaArrays]:
+    """The return multiplier over arrays of (c, d), for fixed (a, b): the
+    start half of the return map.
 
     The regular segment depends on (a, b) only, so it is computed here,
-    once.  The returned function takes float arrays ``c`` and ``d`` (of
-    one shape, or broadcastable), raises :class:`ConstraintViolationError`
-    through :class:`HybridParams` if any pair is invalid, and returns the
-    :class:`LambdaArrays` of that shape.  Statuses agree with
+    once.  The returned function takes the :class:`SlideBlocks` of valid
+    (c, d) (from :func:`slide_blocks`, which checks them, and which one
+    window of (c, d) may share across many (a, b)) and returns the
+    :class:`LambdaArrays` of their shape.  Statuses agree with
     :func:`return_multiplier`, log values to rounding.
     """
     if not (math.isfinite(b) and b > a * a / 4.0):  # also rejects a NaN
@@ -763,19 +807,11 @@ def return_map(a: float, b: float,
         code = list(LambdaStatus).index(result.status)
         log_value = np.nan if result.log_value is None else result.log_value
 
-    def multiplier(c, d) -> LambdaArrays:
-        c = np.asarray(c, dtype=float)
-        d = np.asarray(d, dtype=float)
-        if c.shape != d.shape:
-            c, d = np.broadcast_arrays(c, d)
-        bad = ~_valid(c, d)
-        if bad.any():
-            k = int(np.argmax(bad.ravel()))
-            HybridParams(a, b, float(c.ravel()[k]), float(d.ravel()[k]))
+    def multiplier(blocks: SlideBlocks) -> LambdaArrays:
         if isinstance(head, ReturnOutcome):
-            return LambdaArrays(np.full(c.shape, code),
-                                np.full(c.shape, log_value))
-        return _line_hit_arrays(c, d, head.v[1], head.v[2], head.log_scale)
+            shape = blocks.p.shape
+            return LambdaArrays(np.full(shape, code), np.full(shape, log_value))
+        return _line_hit_arrays(blocks, head.v[1], head.v[2], head.log_scale)
 
     return multiplier
 

@@ -9,27 +9,34 @@ Cells are evaluated at their centers.
 
 The regular segment of the return map depends only on (a, b), so it is
 computed once per grid; the slides of all cells are then evaluated as
-one array computation (:func:`filippov.hybrid.return_map`).  Output is
-deterministic.
+one array computation (:func:`filippov.hybrid.return_map`).  The work
+on the (c, d) window alone is kept for the last window swept, which
+the panels of one window share.  Output is deterministic.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 import os
 import stat
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConstraintViolationError, FilippovError
-from .hybrid import HybridParams, LambdaArrays, return_map, slide_domain
+from .hybrid import LambdaArrays, return_map, slide_blocks, slide_domain
 
 __all__ = ["CellVerdict", "SweepGrid", "sweep", "render_grid",
-           "cell_centers"]
+           "cell_centers", "MAX_CELLS"]
+
+# The most cells of a grid: a 500 x 500 sweep with its render peaked
+# at about 294 B a cell, so about 1.2 GB
+MAX_CELLS = 4_000_000
 
 log = logging.getLogger(__name__)
 
@@ -73,19 +80,55 @@ class SweepGrid:
 
 
 def cell_centers(lo: float, hi: float, count: int) -> list[float]:
+    """The centres of ``count`` cells of equal width that span [lo, hi],
+    in order: lo + (i + 1/2) (hi - lo) / count."""
     width = (hi - lo) / count
     return [lo + (i + 0.5) * width for i in range(count)]
+
+
+@lru_cache(maxsize=4)
+def _texts(lo: float, hi: float, count: int) -> tuple[str, ...]:
+    """The ``repr`` texts of the cell centres of one axis."""
+    return tuple(map(repr, cell_centers(lo, hi, count)))
+
+
+@lru_cache(maxsize=1)
+def _window(c_min: float, c_max: float, d_min: float, d_max: float,
+            nc: int, nd: int):
+    """The work of a sweep on its (c, d) window alone, read-only: the
+    valid cells, their slide blocks, the boundary cells, their reasons."""
+    c_values = cell_centers(c_min, c_max, nc)
+    d_values = cell_centers(d_min, d_max, nd)
+    c = np.repeat(c_values, nd).reshape(nc, nd)
+    d = np.tile(d_values, nc).reshape(nc, nd)
+    cells, white = slide_domain(c, d)
+    boundary = np.nonzero(~white & ~cells)  # d = c^2/4 with c > 0
+    reasons = []
+    for i, j in zip(*boundary):
+        try:
+            slide_blocks(c_values[i], d_values[j])
+        except FilippovError as exc:
+            reasons.append(f"error: {exc}")
+    for array in (cells, *boundary):
+        array.flags.writeable = False
+    return cells, slide_blocks(c[cells], d[cells]), boundary, tuple(reasons)
 
 
 def sweep(a: float, b: float, c_range: tuple[float, float],
           d_range: tuple[float, float], nc: int, nd: int) -> SweepGrid:
     """Evaluate the verdict on an nc x nd grid of cell centers, all cells
     in one call of :func:`return_map`.  Gray cells are logged once per
-    grid: their count and the first one's reason."""
+    grid: their count and the first one's reason.  Raises ValueError,
+    before anything is allocated, for counts below 2 or for more than
+    :data:`MAX_CELLS` cells."""
     c_min, c_max = (float(v) for v in c_range)
     d_min, d_max = (float(v) for v in d_range)
+    nc, nd = operator.index(nc), operator.index(nd)
     if nc < 2 or nd < 2:
         raise ValueError("need nc >= 2 and nd >= 2")
+    if nc * nd > MAX_CELLS:
+        raise ValueError(f"nc * nd = {nc * nd} cells exceeds the limit "
+                         f"of {MAX_CELLS}")
     if not (c_min < c_max and d_min < d_max):
         raise ValueError("ranges must be ordered")
     if not (math.isfinite(c_max - c_min) and math.isfinite(d_max - d_min)):
@@ -95,8 +138,6 @@ def sweep(a: float, b: float, c_range: tuple[float, float],
     for name, value in (("a", a), ("b", b)):
         if not math.isfinite(value):
             raise ConstraintViolationError(f"parameter {name} is not finite")
-    c_values = cell_centers(c_min, c_max, nc)
-    d_values = cell_centers(d_min, d_max, nd)
     code = np.zeros((nc, nd), np.intp)  # the index of a CellVerdict
     details = np.empty((nc, nd), object)
     details.fill("not-applicable")
@@ -106,25 +147,18 @@ def sweep(a: float, b: float, c_range: tuple[float, float],
                       stacklevel=2)
     else:
         multiplier = return_map(a, b)
-        c = np.repeat(c_values, nd).reshape(nc, nd)
-        d = np.tile(d_values, nc).reshape(nc, nd)
-        cells, white = slide_domain(c, d)
-        # neither white nor valid: d = c^2/4 exactly with c > 0;
-        # HybridParams gives the reason
-        for i, j in zip(*np.nonzero(~white & ~cells)):
-            code[i, j] = _GRAY
-            try:
-                HybridParams(a, b, c_values[i], d_values[j])
-            except FilippovError as exc:
-                details[i, j] = f"error: {exc}"
-        code[cells], details[cells] = _verdicts(
-            multiplier(c[cells], d[cells]))
+        cells, blocks, boundary, reasons = _window(c_min, c_max, d_min,
+                                                   d_max, nc, nd)
+        code[boundary] = _GRAY
+        details[boundary] = reasons
+        code[cells], details[cells] = _verdicts(multiplier(blocks))
     gray = code == _GRAY
     if gray.any():
         i, j = np.argwhere(gray)[0]
         log.warning("%d of %d cells gray (a=%g, b=%g); first (c=%g, d=%g): "
-                    "%s", gray.sum(), nc * nd, a, b, c_values[i],
-                    d_values[j], details[i, j])
+                    "%s", gray.sum(), nc * nd, a, b,
+                    cell_centers(c_min, c_max, nc)[i],
+                    cell_centers(d_min, d_max, nd)[j], details[i, j])
     return SweepGrid(a, b, c_min, c_max, d_min, d_max, nc, nd,
                      tuple(map(tuple, _VERDICTS[code].tolist())),
                      tuple(map(tuple, details.tolist())))
@@ -157,12 +191,10 @@ def render_grid(grid: SweepGrid, path, fmt: str = "csv") -> None:
     comment).  Re-rendering an identical grid is byte-identical."""
     if fmt == "csv":
         lines = ["c,d,verdict,lambda_or_reason"]
-        d_text = [repr(d) for d in cell_centers(grid.d_min, grid.d_max,
-                                                grid.nd)]
-        for c, verdicts, details in zip(
-                cell_centers(grid.c_min, grid.c_max, grid.nc),
+        d_text = _texts(grid.d_min, grid.d_max, grid.nd)
+        for head, verdicts, details in zip(
+                _texts(grid.c_min, grid.c_max, grid.nc),
                 grid.verdicts, grid.details):
-            head = repr(c)
             if "," in "".join(details):  # only a reason holds a comma
                 details = [s.replace(",", ";") for s in details]
             lines += [f"{head},{d},{v._value_},{s}"

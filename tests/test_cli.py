@@ -161,6 +161,28 @@ def test_sweep_non_finite_a_or_b_is_a_constraint_violation(capsys, tmp_path,
     assert not out_path.exists()
 
 
+
+@pytest.mark.parametrize("command", ["sweep", "fig-c"])
+@pytest.mark.parametrize("nc, nd, want", [
+    ("0", "4", 2), ("1", "4", 2), ("-3", "4", 2), ("4", "-3", 2),
+    ("2.5", "4", 2), ("4", "1e3", 2),
+    # above sweep.MAX_CELLS: refused before any cell is allocated
+    ("100000", "100000", 1), ("2", "2000001", 1)])
+def test_bad_grid_counts_fail_with_one_error_line(capsys, tmp_path, command,
+                                                  nc, nd, want):
+    out_path = tmp_path / ("panels" if command == "fig-c" else "grid.csv")
+    argv = [command, "--nc", nc, "--nd", nd, "--out", str(out_path)]
+    if command == "sweep":
+        argv += ["--a", "0.2", "--b", "5", "--c-range=-1:1",
+                 "--d-range=0:10"]
+    code, out, err = run(capsys, *argv)
+    assert code == want
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: usage: " if want == 2 else
+                          "error: value: nc * nd = ")
+    assert not out_path.is_file()
+
 # each command with valid values for all of its options
 VALID_ARGS = {
     "lambda": {"--a": "0.2", "--b": "5", "--c": "0.2", "--d": "1"},

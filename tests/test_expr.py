@@ -290,6 +290,42 @@ def test_compiled_evaluation_matches_tree_walk():
     assert errors > 100  # the corpus reaches the domain errors too
 
 
+
+def _call_outcome(field, point):
+    """("value", the hex of each float) or ("error", type, message); a
+    value that is not a Python float fails."""
+    try:
+        value = field(point)
+    except EvalDomainError as exc:
+        return ("error", type(exc), str(exc))
+    values = value if isinstance(value, tuple) else (value,)
+    assert all(type(v) is float for v in values)
+    return ("value", tuple(v.hex() for v in values))
+
+
+def test_field_calls_give_the_float_outcome_for_numpy_scalars():
+    # the generated functions take Python floats (with numpy scalars
+    # u ** 2.0 and _pow warn, or read inf, where a float raises
+    # "overflow in power"); the fields' calls convert their points
+    rng = np.random.default_rng(31)
+    powers = [parse_expr(t) for t in ("x1^2.5 + x2^x3", "x1^2", "x2^x3",
+                                      "exp(x1) * x2", "x1^-3")]
+    scalars = powers + [_random_tree(rng, 4) for _ in range(150)]
+    vectors = [(powers[0], powers[1], powers[4])] + [
+        tuple(_random_tree(rng, 3) for _ in range(3)) for _ in range(50)]
+    points = _POINTS[::3] + [(1e200, 2.0, 3.0), (2.0, 1e200, 3.0),
+                             (2.0, 10.0, 400.0), (0.0, -2.0, 1e-300)]
+    kinds = Counter()
+    for field in ([ScalarField(t) for t in scalars]
+                  + [VectorField(v) for v in vectors]):
+        for point in points:
+            want = _call_outcome(field, point)
+            for numpy_point in (tuple(map(np.float64, point)),
+                                np.array(point)):
+                assert _call_outcome(field, numpy_point) == want, point
+            kinds[want[0] if want[0] == "value" else want[2]] += 1
+    assert kinds["value"] > 500 and kinds["overflow in power"] >= 6
+
 def test_compiled_vector_field_matches_tree_walk():
     # components evaluate in order, so the first failing one names the
     # error; also where they share subtrees, whose common operations the

@@ -19,6 +19,7 @@ from filippov.hybrid import (
     first_return,
     return_map,
     return_multiplier,
+    slide_blocks,
 )
 from filippov.hybrid import (
     _LOG_MAX,
@@ -452,7 +453,8 @@ def test_return_map_matches_return_multiplier():
     for _ in range(20):
         params = random_valid_params(rng)
         multiplier = return_map(params.a, params.b)
-        lam = multiplier(np.array([params.c]), np.array([params.d]))
+        lam = multiplier(slide_blocks(np.array([params.c]),
+                                          np.array([params.d])))
         want = return_multiplier(params)
         assert lam.status[0] is want.status
         assert abs(lam.log_value[0] - want.log_value) \
@@ -461,7 +463,8 @@ def test_return_map_matches_return_multiplier():
     with pytest.raises(ConstraintViolationError):
         return_map(0.2, 0.005)  # b <= a^2/4
     with pytest.raises(ConstraintViolationError):
-        return_map(0.2, 5.0)(np.array([2.0]), np.array([1.0]))  # d = c^2/4
+        return_map(0.2, 5.0)(slide_blocks(np.array([2.0]),
+                                           np.array([1.0])))  # d = c^2/4
 
 
 # (a, b) panels of the array-vs-scalar corpus, and the (c, d) cells every
@@ -502,7 +505,7 @@ def test_return_map_arrays_match_scalar_slide():
             cells.append((c, c * c / 4) if k % 6 == 0 and c < 0 else (c, d))
         c = np.array([cell[0] for cell in cells])
         d = np.array([cell[1] for cell in cells])
-        lam = return_map(a, b)(c, d)
+        lam = return_map(a, b)(slide_blocks(c, d))
         status, log_value, stable = lam.status, lam.log_value, lam.stable
         for k, (ci, di) in enumerate(cells):
             want = return_multiplier(HybridParams(a, b, ci, di))
@@ -526,15 +529,15 @@ def test_return_map_arrays_match_scalar_slide():
 def test_return_map_arrays_keep_shape_and_reject_invalid_cells():
     multiplier = return_map(0.2, 5.0)
     c, d = np.meshgrid([-1.0, 0.5, 1.0], [0.5, 2.0], indexing="ij")
-    lam = multiplier(c, d)
+    lam = multiplier(slide_blocks(c, d))
     status, value = lam.status, lam.log_value
     assert lam.code.shape == status.shape == value.shape == (3, 2)
     assert status[1, 1] is return_multiplier(
         HybridParams(0.2, 5.0, 0.5, 2.0)).status
     with pytest.raises(ConstraintViolationError, match="must exceed c"):
-        multiplier(np.array([-1.0, 2.0]), np.array([1.0, 1.0]))
+        multiplier(slide_blocks(np.array([-1.0, 2.0]), np.array([1.0, 1.0])))
     with pytest.raises(ConstraintViolationError, match="not finite"):
-        multiplier(np.array([np.nan]), np.array([1.0]))
+        multiplier(slide_blocks(np.array([np.nan]), np.array([1.0])))
 
 
 def test_return_map_arrays_reach_marginal():
@@ -544,8 +547,8 @@ def test_return_map_arrays_reach_marginal():
     assert abs(d - 5.4548026200223) < 1e-12
     want = return_multiplier(HybridParams(0.2, 5.0, -0.5, d))
     assert want.status is LambdaStatus.MARGINAL
-    code, log_value = lam = return_map(0.2, 5.0)(
-        np.array([-0.5, -0.5, -2.0]), np.array([d, 1.0, 0.5]))
+    code, log_value = lam = return_map(0.2, 5.0)(slide_blocks(
+        np.array([-0.5, -0.5, -2.0]), np.array([d, 1.0, 0.5])))
     assert code.tolist() == [1, 0, 2]
     assert lam.status.tolist() == [LambdaStatus.MARGINAL,
                                    LambdaStatus.DEFINED,
@@ -564,25 +567,53 @@ def test_return_map_broadcasts_its_arguments():
                 LambdaStatus.UNDEFINED_DIVERGED}),
             ((-3.0, 3.25), {LambdaStatus.UNDEFINED_CONVERGED})):
         multiplier = return_map(a, b)
-        want = multiplier(c, d)
+        want = multiplier(slide_blocks(c, d))
         assert set(want.status.ravel()) == statuses
         # a column (n, 1) against a row (1, m), and against a 1-D row
-        for got in (multiplier(c_axis[:, None], d_axis[None, :]),
-                    multiplier(c_axis[:, None], d_axis)):
+        for got in (multiplier(slide_blocks(c_axis[:, None],
+                                            d_axis[None, :])),
+                    multiplier(slide_blocks(c_axis[:, None], d_axis))):
             assert got.status.shape == (4, 4)
             assert got.status.tolist() == want.status.tolist()
             assert np.array_equal(got.log_value, want.log_value,
                                   equal_nan=True)
         # a scalar c against an array d
-        got = multiplier(-0.5, d_axis)
+        got = multiplier(slide_blocks(-0.5, d_axis))
         assert got.status.tolist() == want.status[1].tolist()
         assert np.array_equal(got.log_value, want.log_value[1],
                               equal_nan=True)
     # an invalid pair is found in the broadcast shape: (1, 0.2) here
     with pytest.raises(ConstraintViolationError, match="d = 0.2 must exceed"):
-        return_map(0.2, 5.0)(np.array([[-1.0], [1.0]]),
-                             np.array([0.5, 0.2]))
+        return_map(0.2, 5.0)(slide_blocks(np.array([[-1.0], [1.0]]),
+                                          np.array([0.5, 0.2])))
 
+
+
+@pytest.mark.parametrize("c, d", [
+    (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.5, math.nan),
+    (0.5, -math.inf), (math.nan, -1.0), (-1.0, 0.0), (-1.0, -2.0),
+    (2.0, 1.0), (2.0, 0.5), (1e200, 1.0)])
+def test_slide_blocks_refuse_with_the_message_of_hybrid_params(c, d):
+    # non-finite c or d, d <= 0, and d <= c^2/4 with c > 0
+    with pytest.raises(ConstraintViolationError) as want:
+        HybridParams(0.2, 5.0, c, d)
+    for args in ((c, d), (np.array([-1.0, c, 0.5]),
+                          np.array([0.5, d, 2.0]))):
+        with pytest.raises(ConstraintViolationError) as got:
+            slide_blocks(*args)
+        assert str(got.value) == str(want.value)
+
+
+def test_slide_blocks_are_read_only_and_keep_their_kinds():
+    # a complex pair, a real pair, and the double root
+    blocks = slide_blocks(np.array([-1.0, -3.0, -2.0]),
+                          np.array([0.5, 1.0, 1.0]))
+    assert blocks.is_complex.tolist() == [True, False, False]
+    assert blocks.is_real.tolist() == [False, True, False]
+    assert blocks.gap[2] == 0.0 and blocks.r1[2] == blocks.p[2] == -1.0
+    for array in blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
 
 def test_lambda_result_marginal_rule():
     # the status is decided on log Lambda
@@ -631,7 +662,7 @@ def test_lambda_arrays_code_table():
     # the codes of return_map where no cell slides: (-3, 3.25), whose
     # regular segment never returns
     c, d = np.array([-1.0, 0.5, 2.0]), np.array([0.5, 1.0, 5.0])
-    lam = return_map(-3.0, 3.25)(c, d)
+    lam = return_map(-3.0, 3.25)(slide_blocks(c, d))
     for k in range(3):
         want = return_multiplier(HybridParams(-3.0, 3.25, c[k], d[k]))
         assert want.status is LambdaStatus.UNDEFINED_CONVERGED
@@ -694,8 +725,8 @@ def test_resonance_tolerance_is_relative():
         assert result.status is LambdaStatus.DEFINED, case
         ref = reference_multiplier(params)
         assert abs(result.value - ref) <= max(1e-13, REFERENCE_RTOL) * ref
-        lam = return_map(params.a, params.b)(np.array([params.c]),
-                                             np.array([params.d]))
+        lam = return_map(params.a, params.b)(slide_blocks(
+            np.array([params.c]), np.array([params.d])))
         assert lam.status[0] is LambdaStatus.DEFINED
         assert abs(lam.value[0] - ref) <= max(1e-12, REFERENCE_RTOL) * ref
     assert abs(return_multiplier(HybridParams(
@@ -727,8 +758,8 @@ def test_near_resonant_slides_match_reference():
     kinds, checked = set(), 0
     for a, b in ((0.2, 5.0), (-0.2, 0.5)):
         cells = list(_straddling_cells())
-        lam = return_map(a, b)(np.array([c for c, _ in cells]),
-                               np.array([d for _, d in cells]))
+        lam = return_map(a, b)(slide_blocks(
+            np.array([c for c, _ in cells]), np.array([d for _, d in cells])))
         for k, (c, d) in enumerate(cells):
             params = HybridParams(a, b, c, d)
             want = return_multiplier(params)
@@ -769,8 +800,8 @@ def test_returns_beyond_the_float_range_are_defined():
         assert result.status is LambdaStatus.DEFINED, case
         assert result.stable is False and result.value == math.inf
         assert_log_reference(params, result.log_value, log_lambda)
-        lam = return_map(params.a, params.b)(np.array([params.c]),
-                                             np.array([params.d]))
+        lam = return_map(params.a, params.b)(slide_blocks(
+            np.array([params.c]), np.array([params.d])))
         assert lam.status[0] is LambdaStatus.DEFINED
         assert_log_reference(params, lam.log_value[0], log_lambda, 1e-12)
     # the second one's plane hit lies beyond the range already
@@ -804,8 +835,8 @@ def test_log_multiplier_matches_reference_on_wide_corpus():
     for _ in range(500):
         params = wide_draw(rng)
         want = return_multiplier(params)
-        lam = return_map(params.a, params.b)(np.array([params.c]),
-                                             np.array([params.d]))
+        lam = return_map(params.a, params.b)(slide_blocks(
+            np.array([params.c]), np.array([params.d])))
         assert lam.status[0] is want.status, params
         if not want.defined:
             continue

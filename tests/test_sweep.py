@@ -9,8 +9,11 @@ import pytest
 from filippov.cli import FIG_PANEL_A, FIG_PANEL_B
 from filippov.errors import ConstraintViolationError
 from filippov.hybrid import (HybridParams, LambdaArrays, LambdaStatus,
-                             MARGINAL_TOL, return_map, return_multiplier)
-from filippov.sweep import CellVerdict, cell_centers, render_grid, sweep
+                             MARGINAL_TOL, return_map, return_multiplier,
+                             slide_blocks)
+from filippov import sweep as sweep_module
+from filippov.sweep import (MAX_CELLS, CellVerdict, SweepGrid, cell_centers,
+                            render_grid, sweep)
 from filippov.sweep import _verdicts
 from oracles import marginal_d
 
@@ -217,7 +220,7 @@ def test_marginal_cell_is_gray():
     c, d = cell_centers(-0.625, -0.125, 2)[0], \
         cell_centers(lo - 0.01, lo + 0.03, 2)[0]
     assert c == -0.5 and abs(d - lo) < 1e-14
-    lam = return_map(0.2, 5.0)(c, d)
+    lam = return_map(0.2, 5.0)(slide_blocks(c, d))
     assert lam.status == LambdaStatus.MARGINAL
     assert abs(lam.log_value) <= MARGINAL_TOL
     assert return_multiplier(HybridParams(0.2, 5.0, c, d)).status \
@@ -284,3 +287,94 @@ def test_default_panels_golden(tmp_path):
                 csv.update(f"{c},{d},{verdict},{detail}\n".encode())
     assert pgm.hexdigest() == GOLDEN_PGM_SHA256
     assert csv.hexdigest() == GOLDEN_CSV_SHA256
+
+
+def _clear_caches():
+    sweep_module._window.cache_clear()
+    sweep_module._texts.cache_clear()
+
+
+def _rendered(grid, path):
+    render_grid(grid, path.with_suffix(".csv"), "csv")
+    render_grid(grid, path.with_suffix(".pgm"), "pgm")
+    return (path.with_suffix(".csv").read_bytes(),
+            path.with_suffix(".pgm").read_bytes())
+
+
+# window A holds two boundary cells (gray, with a reason) and white ones;
+# B, C and D differ only in their counts, D from B in nd and from C in
+# nc; (-3, 3.25) never returns, so no cell slides
+WINDOWS = {"A": ((0.5, 4.5), (-0.5, 4.5), 4, 5),
+           "B": ((-3.0, 3.0), (0.0, 10.0), 12, 10),
+           "C": ((-3.0, 3.0), (0.0, 10.0), 10, 12),
+           "D": ((-3.0, 3.0), (0.0, 10.0), 12, 12)}
+PANELS = ((0.2, 5.0), (-1.2, 0.5), (-3.0, 3.25), (1.2, 2.0))
+
+
+def test_interleaved_windows_match_sweeps_with_cleared_caches(tmp_path):
+    runs = [(name, a, b) for name in "ABDCDA" for a, b in PANELS]
+    runs += [(name, 0.2, 5.0) for name in "BDCDA"] * 2  # a panel a window
+    cached = []
+    for name, a, b in runs:
+        grid = sweep(a, b, *WINDOWS[name])
+        cached.append((grid, _rendered(grid, tmp_path / "cached")))
+    for (name, a, b), (grid, files) in zip(runs, cached):
+        _clear_caches()
+        fresh = sweep(a, b, *WINDOWS[name])
+        assert grid == fresh
+        _clear_caches()
+        assert files == _rendered(fresh, tmp_path / "fresh")
+
+
+def test_cached_window_arrays_are_read_only():
+    sweep(0.2, 5.0, *WINDOWS["A"])
+    (c_min, c_max), (d_min, d_max), nc, nd = WINDOWS["A"]
+    cells, blocks, boundary, reasons = sweep_module._window(
+        c_min, c_max, d_min, d_max, nc, nd)
+    assert len(reasons) == 2 and reasons[0].startswith("error: with c = 2")
+    for array in (cells, *blocks, *boundary):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
+def test_render_of_a_window_never_swept_keeps_its_bytes(tmp_path):
+    # a grid built by hand: the CSV is the repr of each cell centre, and
+    # the PGM the levels, as they were written before any cache
+    _clear_caches()
+    verdicts = (CellVerdict.BLUE, CellVerdict.RED, CellVerdict.GRAY)
+    grid = SweepGrid(0.7, 1.9, -1.3, 2.9, 0.1, 3.7, 3, 4,
+                     tuple((verdicts[i],) * 4 for i in range(3)),
+                     tuple(("0.5", "2.0", "error: x, y", "converged")
+                           for _ in range(3)))
+    csv, pgm = _rendered(grid, tmp_path / "hand")
+    rows = ["c,d,verdict,lambda_or_reason"]
+    width_c, width_d = (2.9 - -1.3) / 3, (3.7 - 0.1) / 4
+    for i in range(3):
+        for j, detail in enumerate(grid.details[i]):
+            rows.append(f"{-1.3 + (i + 0.5) * width_c!r},"
+                        f"{0.1 + (j + 0.5) * width_d!r},"
+                        f"{verdicts[i].value},{detail.replace(',', ';')}")
+    assert csv == ("\n".join(rows) + "\n").encode()
+    level = ("64", "160", "128")
+    assert pgm == ("P2\n# levels: 255=white (not applicable), 64=blue "
+                   "(stable), 160=red (unstable), 128=gray (marginal/failed)"
+                   "\n3 4\n255\n" + f"{' '.join(level)}\n" * 4).encode()
+
+
+@pytest.mark.parametrize("nc, nd", [(10 ** 6, 10 ** 6),
+                                    (2, MAX_CELLS // 2 + 1)])
+def test_oversized_grid_is_refused_before_anything_is_allocated(
+        monkeypatch, nc, nd):
+    def refuse(*args):
+        raise AssertionError("cell centres computed for an oversized grid")
+
+    monkeypatch.setattr(sweep_module, "cell_centers", refuse)
+    with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_CELLS}"):
+        sweep(0.2, 5.0, (-1, 1), (0, 1), nc, nd)
+
+
+def test_grid_counts_must_be_integers():
+    with pytest.raises(TypeError):
+        sweep(0.2, 5.0, (-1, 1), (0, 1), 2.5, 4)
+    grid = sweep(0.2, 5.0, (-1, 1), (0.5, 1), np.int64(3), 4)
+    assert (grid.nc, grid.nd) == (3, 4) and type(grid.nc) is int
