@@ -38,7 +38,6 @@ from .hybrid import (
     LambdaStatus,
     SegmentEvent,
     SlideBlocks,
-    Termination,
     first_hit_line,
     first_hit_plane,
     first_return,

@@ -179,11 +179,12 @@ def cmd_orbit_system(args) -> int:
 def cmd_fig_c(args) -> int:
     start = time.perf_counter()
     try:
-        os.makedirs(args.out, exist_ok=True)
         for a in FIG_PANEL_A:
             for b in FIG_PANEL_B:
                 grid = sweep(a, b, args.c_range, args.d_range, args.nc,
                              args.nd)
+                # made once a panel is swept: a refused grid leaves none
+                os.makedirs(args.out, exist_ok=True)
                 stem = os.path.join(args.out, f"sweep_a{a:g}_b{b:g}")
                 if args.format in ("csv", "both"):
                     render_grid(grid, stem + ".csv", "csv")

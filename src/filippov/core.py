@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .errors import (
     DegenerateGradientError,
+    DegenerateSlidingError,
     FilippovError,
     NonFiniteDataError,
     NotAnEquilibriumError,
@@ -28,8 +29,7 @@ from .errors import (
     TangentRightFieldError,
 )
 from .expr import (ScalarField, VectorField, compile_rates_and_fields,
-                   compile_slide_step, compile_sliding_field, compile_step,
-                   gradient_fd)
+                   compile_slide_step, compile_step, gradient_fd)
 from .expr import jacobian_fd  # not called; perfbench/spans.py wraps it here
 from .spectrum import det3
 
@@ -69,17 +69,6 @@ class FilippovSystem:
         the package's one computation of the normal rates.  It takes
         Python floats."""
         return compile_rates_and_fields(self.switch, self.left, self.right)
-
-    @cached_property
-    def sliding(self):
-        """The Filippov sliding vector field as one generated function
-        (x1, x2, x3) -> 3-tuple: the convex combination of the two fields
-        that is tangent to the surface
-        (:func:`filippov.expr.compile_sliding_field`).  Raises
-        DegenerateSlidingError where the two normal rates coincide to
-        TANGENCY_TOL.  It takes Python floats."""
-        return compile_sliding_field(self.switch, self.left, self.right,
-                                     TANGENCY_TOL)
 
     @cached_property
     def left_step(self):
@@ -328,6 +317,15 @@ def fold_curvature(system: FilippovSystem, x) -> float:
 
 
 def sliding_field(system: FilippovSystem, x) -> tuple[float, float, float]:
-    """Filippov sliding vector field at x (:attr:`FilippovSystem.sliding`),
-    as a 3-tuple."""
-    return system.sliding(*_floats(x))
+    """Filippov sliding vector field at x, as a 3-tuple: the combination
+    (r_L f_R - r_R f_L) / (r_L - r_R) of the rates and fields of
+    :attr:`FilippovSystem.rates_and_fields`.  Raises
+    DegenerateSlidingError where the two rates coincide to TANGENCY_TOL."""
+    rate_l, rate_r, (l1, l2, l3), (r1, r2, r3), _ = \
+        system.rates_and_fields(*_floats(x))
+    gap = rate_l - rate_r
+    if abs(gap) <= TANGENCY_TOL * (abs(rate_l) + abs(rate_r) + 1.0):
+        raise DegenerateSlidingError(rate_l, rate_r)
+    return ((rate_l * r1 - rate_r * l1) / gap,
+            (rate_l * r2 - rate_r * l2) / gap,
+            (rate_l * r3 - rate_r * l3) / gap)

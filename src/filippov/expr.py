@@ -34,8 +34,11 @@ The function's source holds generated names only.  Literals are bound
 from a tuple, so fields that differ only in their coefficients share one
 compiled code object.  Evaluation either returns a finite float or
 raises :class:`~filippov.errors.EvalDomainError` -- NaN and infinity
-never propagate silently.  The simulator's steps (:func:`compile_step`,
-:func:`compile_slide_step`) repeat that code at each RK4 stage point.
+never propagate silently.  The layouts are a field's values, alone or
+with exact first derivatives, a system's normal rates
+(:func:`compile_rates_and_fields`) and the simulator's steps
+(:func:`compile_step`, :func:`compile_slide_step`), which repeat that
+code at each RK4 stage point.
 
 A shape compiled before is not walked again.  Each literal becomes a
 constant, in the order of the text, negated where it sits directly under
@@ -77,7 +80,7 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "parse_expr",
     "ScalarField", "VectorField", "compile_rates_and_fields",
-    "compile_sliding_field", "compile_step", "compile_slide_step",
+    "compile_step", "compile_slide_step",
     "gradient_fd", "jacobian_fd", "FD_REL_STEP", "MAX_NESTING", "MAX_DEPTH",
 ]
 
@@ -711,20 +714,17 @@ def _source(program: tuple, layout: str) -> str:
     f_L and f_R, H's tangent assignments precede the fields' values (so
     the first error is the one that H's gradient, f_L and f_R, called in
     turn, would raise), and it returns (grad H . f_L, grad H . f_R, f_L,
-    f_R, (H, grad H)).  "sliding" computes what "rates" does and returns
-    the sliding field (r_L f_R - r_R f_L) / (r_L - r_R) of the two rates
-    r_L and r_R; ``_bind(constants, tol)`` then takes the tangency
-    tolerance too, and the function raises
-    :class:`~filippov.errors.DegenerateSlidingError` where |r_L - r_R| <=
-    tol (|r_L| + |r_R| + 1).
+    f_R, (H, grad H)).
 
     The step layouts are those of :func:`compile_step` (roots: a field's
     components, then H numbered afresh) and :func:`compile_slide_step`
-    (the roots and tolerance of "sliding"); "slide" takes no stage for
-    h = 0, and projects by -H / |grad H|^2 unless grad H = 0."""
+    (the roots of "rates"; ``_bind(constants, tol)`` takes its tolerance
+    too): a "slide" stage is the sliding field of the rates, none is
+    taken for h = 0, and it projects by -H / |grad H|^2 unless
+    grad H = 0."""
     ops, results, n_constants = program
     values = [result for result, _ in results]
-    fused = layout in ("rates", "sliding", "slide")
+    fused = layout in ("rates", "slide")
     split = 1 if fused else 3 if layout == "step" else len(results)
     head_end = results[split - 1][1]  # the operations of the first roots
     reads = Counter(u for _, _, operands in ops for u in operands)
@@ -765,24 +765,19 @@ def _source(program: tuple, layout: str) -> str:
                            for l, r in zip(f_left, f_right)]
             stage = lines + [f"        {degenerate}"
                              " raise DegenerateSlidingError(rl, rr)"]
-            if layout == "sliding":
-                lines, values = stage, combination
-            else:
-                g1, g2, g3 = grad
-                lines = ["        if h:",
-                         *("    " + line
-                           for line in _rk4_lines(stage, combination, 2)),
-                         *head,
-                         f"        gg = {g1} * {g1} + {g2} * {g2} + "
-                         f"{g3} * {g3}",
-                         "        if gg != 0.0:",
-                         f"            s = {values[0]} / gg",
-                         f"            x1, x2, x3 = x1 - s * {g1}, "
-                         f"x2 - s * {g2}, x3 - s * {g3}",
-                         *lines, f"        {degenerate}",
-                         "            return x1, x2, x3, rl, rr, None, None, "
-                         "None"]
-                values = ["x1", "x2", "x3", "rl", "rr", *combination]
+            g1, g2, g3 = grad
+            lines = ["        if h:",
+                     *("    " + line
+                       for line in _rk4_lines(stage, combination, 2)),
+                     *head,
+                     f"        gg = {g1} * {g1} + {g2} * {g2} + {g3} * {g3}",
+                     "        if gg != 0.0:",
+                     f"            s = {values[0]} / gg",
+                     f"            x1, x2, x3 = x1 - s * {g1}, "
+                     f"x2 - s * {g2}, x3 - s * {g3}",
+                     *lines, f"        {degenerate}",
+                     "            return x1, x2, x3, rl, rr, None, None, None"]
+            values = ["x1", "x2", "x3", "rl", "rr", *combination]
     elif layout == "derivatives":
         rows = ", ".join(f"({', '.join(row)})" for row in partials)
         values = ([values[0], *partials[0]] if len(values) == 1 else
@@ -792,7 +787,7 @@ def _source(program: tuple, layout: str) -> str:
                  + _value_lines(ops, results[3:], head_end, keep))
         values = ["x1", "x2", "x3", values[3]]
     unpack = ", ".join(f"c{i}" for i in range(n_constants))
-    bound = ", tol" if layout in ("sliding", "slide") else ""
+    bound = ", tol" if layout == "slide" else ""
     extra = {"step": ", h", "slide": ", h=0.0, k11=0.0, k12=0.0, k13=0.0"}
     return "\n".join([f"def _bind(_c{bound}):",
                       f"    {unpack}, = _c" if n_constants else "    pass",
@@ -958,20 +953,6 @@ def compile_rates_and_fields(switch: ScalarField, left: VectorField,
                     "rates", _joined([switch._scan, left._scan, right._scan]))
 
 
-def compile_sliding_field(switch: ScalarField, left: VectorField,
-                          right: VectorField, tol: float):
-    """One function (x1, x2, x3) -> the Filippov sliding field
-    (r_L f_R - r_R f_L) / (r_L - r_R), with r_L, r_R, f_L and f_R as
-    :func:`compile_rates_and_fields` computes them.  It raises what that
-    function raises, then
-    :class:`~filippov.errors.DegenerateSlidingError` where |r_L - r_R| <=
-    ``tol`` (|r_L| + |r_R| + 1).  It takes Python floats."""
-    return _compile(lambda: (switch.expr, *left.components,
-                             *right.components),
-                    "sliding", _joined([switch._scan, left._scan,
-                                        right._scan]), tol)
-
-
 def compile_step(field: VectorField, switch: ScalarField):
     """One function (x1, x2, x3, h) -> (y1, y2, y3, H(y)): one RK4 step
     along ``field`` and H = ``switch`` at its end y, with the floats and
@@ -986,12 +967,14 @@ def compile_step(field: VectorField, switch: ScalarField):
 def compile_slide_step(switch: ScalarField, left: VectorField,
                        right: VectorField, tol: float):
     """One function (x1, x2, x3, h, k11, k12, k13) -> (y1, y2, y3, r_L,
-    r_R, s1, s2, s3): one RK4 step along :func:`compile_sliding_field`'s
-    field with the first stage k1, projected onto H = 0 (x alone is just
-    projected), then the rates and the sliding field s at that y, s None
-    where degenerate.  Floats and errors are those of the stages, of
-    ``switch.compiled_gradient`` and of :func:`compile_rates_and_fields`
-    at y, in turn.  It takes Python floats, as they do."""
+    r_R, s1, s2, s3): one RK4 step along the sliding field (r_L f_R -
+    r_R f_L) / (r_L - r_R) with the first stage k1, projected onto H = 0
+    (x alone is just projected), then the rates and the sliding field s
+    at that y, s None where degenerate.  A stage raises
+    :class:`~filippov.errors.DegenerateSlidingError` where |r_L - r_R| <=
+    ``tol`` (|r_L| + |r_R| + 1).  Floats and errors are those of the
+    stages, of ``switch.compiled_gradient`` and of
+    :func:`compile_rates_and_fields` at y, in turn; it takes floats."""
     return _compile(lambda: (switch.expr, *left.components,
                              *right.components),
                     "slide", _joined([switch._scan, left._scan,

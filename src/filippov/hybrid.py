@@ -47,7 +47,7 @@ from .errors import (
 
 __all__ = [
     "HybridParams", "LambdaStatus", "LambdaResult", "MARGINAL_TOL",
-    "SegmentEvent", "Termination", "ReturnOutcome",
+    "SegmentEvent", "ReturnOutcome",
     "first_hit_plane", "first_hit_line", "first_return",
     "return_multiplier", "return_map", "LambdaArrays", "slide_domain",
     "SlideBlocks", "slide_blocks",
@@ -251,7 +251,6 @@ class SegmentEvent:
     t_hit: float
     v: tuple[float, float, float]
     log_scale: float
-    transition: str  # "regular-to-slide" | "slide-to-return"
 
     @property
     def y_hit(self) -> tuple[float, float, float]:
@@ -262,23 +261,15 @@ class SegmentEvent:
 
 
 @dataclass(frozen=True)
-class Termination:
-    """A flow segment ended without an event: it provably never returns,
-    and converges or diverges at the rate of its dominant mode."""
-
-    status: LambdaStatus  # one of the UNDEFINED_* values
-    detail: str
-
-
-@dataclass(frozen=True)
 class ReturnOutcome:
-    """Result of composing regular and sliding segments from (0, 0, z)."""
+    """Result of composing regular and sliding segments from (0, 0, z):
+    the multiplier, or the reason it is undefined, the third coordinate
+    zeta of the return point (None without a return), and the events on
+    the way."""
 
-    status: str  # "returned" | "converged" | "diverged"
-    zeta: Optional[float]  # third coordinate of the return point
-    detail: str = ""
+    result: LambdaResult
+    zeta: Optional[float]
     events: tuple[SegmentEvent, ...] = ()
-    log_ratio: Optional[float] = None  # log(zeta / z) = log Lambda
 
 
 # --------------------------------------------------------------------------
@@ -515,19 +506,14 @@ def _plane_bracket(split: _SpiralSplit, y1_0: float, lam: float, beta: float,
     return None
 
 
-def _termination(kind: str, detail: str) -> Termination:
-    status = (LambdaStatus.UNDEFINED_CONVERGED if kind == "converged"
-              else LambdaStatus.UNDEFINED_DIVERGED)
-    return Termination(status, detail)
-
-
 def _plane_hit_spiral(M, mu: float, alpha: float, beta: float, y0,
-                      ) -> SegmentEvent | Termination:
+                      ) -> SegmentEvent | LambdaResult:
     """First time the regular flow from y0 (with y1 <= 0) reaches y1 = 0,
-    or the reason it never does.  A leg that never returns has mu >=
-    alpha, so it converges when mu < 0 and diverges otherwise.  The hit is
-    refined on h to ``_SECANT_TOL`` times the rotation's amplitude R, and
-    is e^{alpha t} v with v = e^{-alpha t} y(t), the flow of M - alpha."""
+    or the undefined multiplier that says why it never does.  A leg that
+    never returns has mu >= alpha, so it converges when mu < 0 and
+    diverges otherwise.  The hit is refined on h to ``_SECANT_TOL`` times
+    the rotation's amplitude R, and is e^{alpha t} v with
+    v = e^{-alpha t} y(t), the flow of M - alpha."""
     split = _spiral_split(M, mu, alpha, beta, y0)
     u1, w1, g1 = split.u[0], split.w[0], split.g[0]
     lam = mu - alpha
@@ -541,17 +527,18 @@ def _plane_hit_spiral(M, mu: float, alpha: float, beta: float, y0,
 
     bracket = _plane_bracket(split, float(y0[0]), lam, beta, terms)
     if bracket is None:
-        return _termination("converged" if mu < 0.0 else "diverged",
+        return LambdaResult(LambdaStatus.UNDEFINED_CONVERGED if mu < 0.0
+                            else LambdaStatus.UNDEFINED_DIVERGED, None,
                             "never returns: the real mode outweighs "
                             "the rotation (regular segment)")
     t_hit = _refine_root(lambda t: terms(t)[0], *bracket,
                          _SECANT_TOL * math.hypot(w1, g1), _MAX_SECANT_ITERS)
     return SegmentEvent(t_hit, _spiral_at(split, lam, 0.0, beta, t_hit),
-                        alpha * t_hit, "regular-to-slide")
+                        alpha * t_hit)
 
 
 def _line_hit_block(c: float, d: float, y2_0: float, y3_0: float,
-                    log_scale: float) -> SegmentEvent | Termination:
+                    log_scale: float) -> SegmentEvent | LambdaResult:
     """First time the sliding flow from e^{log_scale} (0, y2_0, y3_0),
     y2_0 > 0, reaches y2 = 0: the exact first root of the closed form.
 
@@ -586,12 +573,12 @@ def _line_hit_block(c: float, d: float, y2_0: float, y3_0: float,
         w = -(y3_0 + r1 * y2_0)
         if not w > 0.0:
             # y2 = k1 e^{r1 t} + k2 e^{r2 t} with k1 = -w / gap >= 0
-            return _termination("converged", "slide decays without "
-                                "returning (sliding segment)")
+            return LambdaResult(LambdaStatus.UNDEFINED_CONVERGED, None,
+                                "slide decays without returning "
+                                "(sliding segment)")
         t_hit = math.log1p(gap * y2_0 / w) / gap if gap else y2_0 / w
         log_y3 = r1 * t_hit + math.log(w)
-    return SegmentEvent(t_hit, (0.0, 0.0, -1.0), log_scale + log_y3,
-                        "slide-to-return")
+    return SegmentEvent(t_hit, (0.0, 0.0, -1.0), log_scale + log_y3)
 
 
 def _line_hit_arrays(blocks: SlideBlocks, y2_0: float, y3_0: float,
@@ -635,9 +622,10 @@ def _start(y0) -> tuple[float, float, float]:
     return y0
 
 
-def first_hit_plane(params: HybridParams, y0) -> SegmentEvent | Termination:
+def first_hit_plane(params: HybridParams, y0) -> SegmentEvent | LambdaResult:
     """First positive time at which the regular flow from y0 (in
-    y1 <= 0) reaches the switching plane, or the reason it never does.
+    y1 <= 0) reaches the switching plane, or the undefined multiplier
+    that says why it never does.
     Raises ValueError for a y0 that is not 3 finite coordinates, for
     y1 > 0, and for a start on the plane from which the flow does not
     enter y1 < 0."""
@@ -648,9 +636,10 @@ def first_hit_plane(params: HybridParams, y0) -> SegmentEvent | Termination:
                              *_hybrid_spectrum(params.a, params.b), y0)
 
 
-def first_hit_line(params: HybridParams, y0) -> SegmentEvent | Termination:
+def first_hit_line(params: HybridParams, y0) -> SegmentEvent | LambdaResult:
     """First positive time at which the sliding flow from y0 (on the
-    plane, with y2 > 0) reaches the return line y1 = y2 = 0."""
+    plane, with y2 > 0) reaches the return line y1 = y2 = 0, or the
+    undefined multiplier of a slide that never does."""
     y0 = _start(y0)
     if abs(y0[0]) > 1e-9 * math.hypot(*y0):
         raise ValueError("y0 is not on the switching plane")
@@ -661,28 +650,29 @@ def first_hit_line(params: HybridParams, y0) -> SegmentEvent | Termination:
                            math.log(size))
 
 
-def _slide_start(plane_result: SegmentEvent | Termination,
+def _slide_start(ev1: SegmentEvent | LambdaResult,
                  ) -> SegmentEvent | ReturnOutcome:
     """The regular-segment event the slide starts from, or the outcome
     when the return is decided without a slide: the regular segment
     ended without an event, or its plane hit lies on the return line."""
-    ev1 = plane_result
-    if isinstance(ev1, Termination):
-        return ReturnOutcome(_outcome_of(ev1), None, ev1.detail)
+    if isinstance(ev1, LambdaResult):
+        return ReturnOutcome(ev1, None)
     _, v2, v3 = ev1.v
     if v2 <= 1e-12 * math.hypot(*ev1.v):
         # the plane hit landed on the return line itself, to rounding
         # relative to its size (the map is linear in the start)
         if v3 >= 0.0:
-            return ReturnOutcome("converged", None,
-                                 "return at or above the origin", (ev1,))
-        return ReturnOutcome("returned", ev1.y_hit[2],
-                             "plane hit on the return line", (ev1,),
-                             ev1.log_scale + math.log(-v3))
+            return ReturnOutcome(
+                LambdaResult(LambdaStatus.UNDEFINED_CONVERGED, None,
+                             "return at or above the origin"), None, (ev1,))
+        return ReturnOutcome(
+            LambdaResult.from_log(ev1.log_scale + math.log(-v3),
+                                  "plane hit on the return line"),
+            ev1.y_hit[2], (ev1,))
     return ev1
 
 
-def _compose_return(plane_result: SegmentEvent | Termination,
+def _compose_return(plane_result: SegmentEvent | LambdaResult,
                     c: float, d: float) -> ReturnOutcome:
     """Finish a first-return computation given the regular-segment result
     (which depends only on a, b, and the start point)."""
@@ -690,10 +680,10 @@ def _compose_return(plane_result: SegmentEvent | Termination,
     if isinstance(ev1, ReturnOutcome):
         return ev1
     ev2 = _line_hit_block(c, d, ev1.v[1], ev1.v[2], ev1.log_scale)
-    if isinstance(ev2, Termination):
-        return ReturnOutcome(_outcome_of(ev2), None, ev2.detail, (ev1,))
-    return ReturnOutcome("returned", ev2.y_hit[2], "", (ev1, ev2),
-                         ev2.log_scale)
+    if isinstance(ev2, LambdaResult):
+        return ReturnOutcome(ev2, None, (ev1,))
+    return ReturnOutcome(LambdaResult.from_log(ev2.log_scale), ev2.y_hit[2],
+                         (ev1, ev2))
 
 
 def first_return(params: HybridParams, z: float) -> ReturnOutcome:
@@ -702,7 +692,8 @@ def first_return(params: HybridParams, z: float) -> ReturnOutcome:
 
     The map is linear in z: it runs from (0, 0, -1), and log(-z) is
     added to the log scale of each hit.  A point beyond the float range
-    reads +/-inf or 0; ``log_ratio`` is log Lambda for every z."""
+    reads +/-inf or 0; ``result`` is :func:`return_multiplier`'s for
+    every z."""
     z = float(z)
     if not -math.inf < z < 0.0:
         raise ValueError("z must be finite and negative")
@@ -713,27 +704,15 @@ def first_return(params: HybridParams, z: float) -> ReturnOutcome:
     shift = math.log(-z)
     events = tuple(replace(ev, log_scale=ev.log_scale + shift)
                    for ev in out.events)
-    zeta = None if out.log_ratio is None else -_exp(out.log_ratio + shift)
+    log_value = out.result.log_value
+    zeta = None if log_value is None else -_exp(log_value + shift)
     return replace(out, zeta=zeta, events=events)
-
-
-def _outcome_of(term: Termination) -> str:
-    return ("converged" if term.status is LambdaStatus.UNDEFINED_CONVERGED
-            else "diverged")
-
-
-def _result_from_outcome(out: ReturnOutcome) -> LambdaResult:
-    if out.status == "returned":
-        return LambdaResult.from_log(out.log_ratio, out.detail)
-    if out.status == "converged":
-        return LambdaResult(LambdaStatus.UNDEFINED_CONVERGED, None, out.detail)
-    return LambdaResult(LambdaStatus.UNDEFINED_DIVERGED, None, out.detail)
 
 
 def return_multiplier(params: HybridParams) -> LambdaResult:
     """The return-map multiplier: minus the image of -1 under the first
     return to the line, as its log, or the reason it is undefined."""
-    return _result_from_outcome(first_return(params, -1.0))
+    return first_return(params, -1.0).result
 
 
 def slide_domain(c, d) -> tuple[np.ndarray, np.ndarray]:
@@ -803,7 +782,7 @@ def return_map(a: float, b: float) -> Callable[[SlideBlocks], LambdaArrays]:
                                           (0.0, 0.0, -1.0)))
     if isinstance(head, ReturnOutcome):
         # decided before any slide: every (c, d) has the same multiplier
-        result = _result_from_outcome(head)
+        result = head.result
         code = list(LambdaStatus).index(result.status)
         log_value = np.nan if result.log_value is None else result.log_value
 

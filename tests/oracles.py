@@ -306,8 +306,9 @@ def translated_spec(spec: dict, shift) -> dict:
 def sliding_from_rates(rates) -> tuple[float, float, float]:
     """The sliding field from ``rates``, a result of
     :attr:`filippov.core.FilippovSystem.rates_and_fields`, combined in
-    Python: bit for bit what :attr:`filippov.core.FilippovSystem.sliding`
-    returns, or raises, at that point."""
+    Python: bit for bit what :func:`filippov.core.sliding_field` and the
+    stages of :attr:`filippov.core.FilippovSystem.slide_step` return, or
+    raise, at that point."""
     rate_l, rate_r, (l1, l2, l3), (r1, r2, r3), _ = rates
     gap = rate_l - rate_r
     if abs(gap) <= TANGENCY_TOL * (abs(rate_l) + abs(rate_r) + 1.0):

@@ -181,7 +181,7 @@ def test_bad_grid_counts_fail_with_one_error_line(capsys, tmp_path, command,
     assert err.count("\n") == 1
     assert err.startswith("error: usage: " if want == 2 else
                           "error: value: nc * nd = ")
-    assert not out_path.is_file()
+    assert not out_path.exists()
 
 # each command with valid values for all of its options
 VALID_ARGS = {

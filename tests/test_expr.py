@@ -13,7 +13,8 @@ from filippov.errors import (
     UnknownIdentifierError,
 )
 from filippov import expr
-from filippov.core import TANGENCY_TOL, FilippovSystem, boundary_data
+from filippov.core import (TANGENCY_TOL, FilippovSystem, boundary_data,
+                           sliding_field)
 from filippov.expr import (
     MAX_DEPTH,
     MAX_NESTING,
@@ -361,18 +362,16 @@ def _shared_subtree_trees(rng):
 
 def test_shared_powers_are_computed_once():
     # the orbit benchmark's shape: H, f_L and f_R read x2^2 and x3^2, and
-    # the generated rates and sliding field compute each power once, with
-    # a float exponent
+    # the generated rates compute each power once, with a float exponent
     texts = ("x1 + 0.3*x2^2 - 0.1*x3^2 + 0.07*x2*x3",
              "-1.2*x1 + x2 - 0.06*x1^2 + 0.2*x2*x3",
              "-5.2*x1 + x3 + 0.25*x2^2 + 0.01*x1*x3",
              "-5*x1 + 0.2*x1*x2 + 0.3*x3^2",
              "-1 - 0.2*x2", "-0.2 + 0.003*x3^2", "-3 - 0.3*x1*x2")
     program = expr._program([parse_expr(text) for text in texts])[0]
-    for layout in ("rates", "sliding"):
-        source = expr._source(program, layout)
-        for power in ("x1 ** 2.0", "x2 ** 2.0", "x3 ** 2.0"):
-            assert source.count(power) == 1, (layout, power)
+    source = expr._source(program, "rates")
+    for power in ("x1 ** 2.0", "x2 ** 2.0", "x3 ** 2.0"):
+        assert source.count(power) == 1, power
 
 
 def test_shared_subtrees_keep_the_values_and_the_first_error():
@@ -734,7 +733,7 @@ def test_a_known_system_is_classified_without_a_tree(monkeypatch):
         assert isinstance(verdict, Rotational)
         return (return_multiplier(verdict.params).value,
                 system.rates_and_fields(0.0, 0.0, 0.1),
-                system.sliding(0.0, 0.0, 0.1))
+                sliding_field(system, (0.0, 0.0, 0.1)))
 
     run(FilippovSystem.parse(*_rotational_texts(0.25)))
 
@@ -1075,7 +1074,7 @@ def _sliding_outcome(sliding, point):
 
 
 def test_sliding_field_is_the_combination_of_the_rates_bit_for_bit():
-    # the generated sliding layout returns what the Python combination of
+    # sliding_field returns what the oracle's combination of
     # rates_and_fields returns, bit for bit, and raises where it raises,
     # with its message; for systems built from trees, and for the same
     # systems parsed from text twice (a walk, then a bind from the scan)
@@ -1094,7 +1093,8 @@ def test_sliding_field_is_the_combination_of_the_rates_bit_for_bit():
             for point in _POINTS[::3]:
                 point = tuple(map(float, point))
                 want = _sliding_outcome(combined, point)
-                assert _sliding_outcome(system.sliding, point) == want
+                assert _sliding_outcome(lambda *x: sliding_field(system, x),
+                                        point) == want
                 outcomes[want[0]] += 1
     assert outcomes["value"] > 2000 and outcomes["EvalDomainError"] > 1000
     assert outcomes["DegenerateSlidingError"] > 100
@@ -1105,14 +1105,17 @@ def test_sliding_field_takes_its_tolerance():
     switch = ScalarField.parse("x1")
     left = VectorField.parse(("1 + x2", "x2", "0"))
     right = VectorField.parse(("1", "0", "0"))
-    loose, tight = (expr.compile_sliding_field(switch, left, right, tol)
+    loose, tight = (expr.compile_slide_step(switch, left, right, tol)
                     for tol in (1e-3, TANGENCY_TOL))
     assert loose.__code__ is tight.__code__
-    assert tight(0.0, 1e-6, 0.0) == (0.0, pytest.approx(-1.0), 0.0)
+    # at the end of a step the field is None where degenerate; a stage
+    # raises
+    assert tight(0.0, 1e-6, 0.0)[5:] == (0.0, pytest.approx(-1.0), 0.0)
+    assert loose(0.0, 1e-6, 0.0)[5:] == (None, None, None)
     with pytest.raises(DegenerateSlidingError,
                        match=r"normal rates coincide \(1\.000e\+00 vs "
                              r"1\.000e\+00\)"):
-        loose(0.0, 1e-6, 0.0)
+        loose(0.0, 1e-6, 0.0, 0.1, 0.0, 0.0, 0.0)
 
 
 def _step_composition(system, x, h):
@@ -1129,8 +1132,8 @@ def _slide_composition(system, x, h=0.0, *k1):
     there, or three Nones where it is degenerate."""
     if h:
         first = [k1]
-        x = _rk4_tuple(lambda *y: first.pop() if first
-                       else system.sliding(*y), x, h)
+        x = _rk4_tuple(lambda *y: first.pop() if first else
+                       sliding_from_rates(system.rates_and_fields(*y)), x, h)
     value, g1, g2, g3 = system.switch.compiled_gradient(*x)
     gg = g1 * g1 + g2 * g2 + g3 * g3
     if gg != 0.0:
@@ -1230,10 +1233,10 @@ def test_deepest_trees_compile_in_every_layout():
     rates = system.rates_and_fields(*point)
     assert rates[2] == tuple(want) and rates[3] == tuple(want[::-1])
     assert rates[4][0] == point[0] + want[0]
-    assert system.sliding(*point) == sliding_from_rates(rates)
+    assert sliding_field(system, point) == sliding_from_rates(rates)
     assert system.left_step(*point, 1e-3) == \
         _step_composition(system, point, 1e-3)
-    k1 = system.sliding(*point)
+    k1 = sliding_field(system, point)
     assert system.slide_step(*point, 1e-3, *k1) == \
         _slide_composition(system, point, 1e-3, *k1)
 
@@ -1258,7 +1261,6 @@ def test_generated_programs_have_their_own_labels():
                  "derivatives": (system.left.compiled_jacobian,
                                  system.switch.compiled_gradient),
                  "rates": (system.rates_and_fields,),
-                 "sliding": (system.sliding,),
                  "step": (system.left_step, system.right_step),
                  "slide": (system.slide_step,)}
     labels = set()
@@ -1268,7 +1270,7 @@ def test_generated_programs_have_their_own_labels():
             assert code.co_name == layout
             assert code.co_filename.startswith(f"<filippov.expr:{layout}:")
             labels.add((code.co_filename, code.co_firstlineno, code.co_name))
-    assert len(labels) == 9
+    assert len(labels) == 8
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from filippov.hybrid import (
     LambdaResult,
     LambdaStatus,
     SegmentEvent,
-    Termination,
     first_hit_line,
     first_hit_plane,
     first_return,
@@ -27,7 +26,6 @@ from filippov.hybrid import (
     _compose_return,
     _discriminant,
     _plane_hit_spiral,
-    _result_from_outcome,
 )
 from filippov.simulate import SimConfig, Terminal, simulate_hybrid
 from filippov.stability import hybrid_params_from_spectrum
@@ -199,7 +197,7 @@ def test_plane_hit_eigenline_start_converges():
     params = HybridParams(a, b, -0.2, 3.0)
     y0 = -0.1 * np.array([1.0, -a, b])  # pure decay, never crosses
     result = first_hit_plane(params, y0)
-    assert isinstance(result, Termination)
+    assert isinstance(result, LambdaResult)
     assert result.status is LambdaStatus.UNDEFINED_CONVERGED
 
 
@@ -324,7 +322,7 @@ def test_line_hit_real_block_decays_without_return():
     # (1, r1 - c) = (1, 0.9): both components positive and decaying
     params = HybridParams(-1.0, 1.0, -1.0, 0.09)
     result = first_hit_line(params, (0.0, 1.0, 0.9))
-    assert isinstance(result, Termination)
+    assert isinstance(result, LambdaResult)
     assert result.status is LambdaStatus.UNDEFINED_CONVERGED
 
 
@@ -389,15 +387,15 @@ def test_first_return_linearity():
         for z in (-1e-300, -1e-160, -1e-20, -1e-6, -0.5, -2.0, -10.0, -1e6,
                   -1e160, -1e300):
             out = first_return(params, z)
-            assert out.status == base.status, (case, z)
-            assert out.log_ratio == base.log_ratio, (case, z)
-            if base.status != "returned":
+            assert out.result.status == base.result.status, (case, z)
+            assert out.result.log_value == base.result.log_value, (case, z)
+            if not base.result.defined:
                 continue
             if abs(out.zeta) >= sys.float_info.min \
                     and math.isfinite(out.zeta):
                 assert abs(out.zeta / -z - base.zeta) \
                     <= 1e-12 * abs(base.zeta), (case, z)
-            elif math.log(-z) + base.log_ratio > 0.0:
+            elif math.log(-z) + base.result.log_value > 0.0:
                 assert out.zeta == -math.inf, (case, z)
             else:
                 assert -sys.float_info.min < out.zeta <= 0.0, (case, z)
@@ -421,7 +419,8 @@ def test_first_return_rejects_a_start_that_is_not_finite():
             first_return(params, z)
     base = first_return(params, -1.0)
     out = first_return(params, -1e308)
-    assert base.status == out.status == "returned"
+    assert base.result.status == out.result.status
+    assert out.result.defined
     assert abs(out.zeta / 1e308 - base.zeta) <= 1e-12 * abs(base.zeta)
 
 
@@ -430,6 +429,27 @@ def test_first_return_ratio_exact():
     one = first_return(params, -1.0)
     two = first_return(params, -2.0)
     assert abs(two.zeta / one.zeta - 2.0) <= 1e-9
+
+
+def test_one_outcome_type_from_the_segments_to_the_multiplier():
+    # a segment that never returns, the first return and the multiplier
+    # carry one LambdaResult, the same at every scale of the start
+    never = HybridParams(-3.0, 3.0, 0.2, 1.0)  # a < -2: no plane hit
+    assert first_hit_plane(never, (0, 0, -1)) == return_multiplier(never)
+    decays = HybridParams(*SCALE_CASES[0])  # a plane hit, then no return
+    result = first_return(decays, -1.0).result
+    assert result.status is LambdaStatus.UNDEFINED_CONVERGED
+    assert result == return_multiplier(decays)
+    rng = np.random.default_rng(0)
+    returning = 0
+    while returning < 20:
+        params = wide_draw(rng)
+        want = return_multiplier(params)
+        if not want.defined:
+            continue
+        returning += 1
+        for z in (-1e-300, -1.0, -1e300):
+            assert first_return(params, z).result == want, (params, z)
 
 
 def test_return_multiplier_headline_values():
@@ -687,14 +707,14 @@ def reference_multiplier(params):
     """Lambda of a returning set from the 50-digit reference, its events
     bracketed next to the package's."""
     out = first_return(params, -1.0)
-    assert out.status == "returned"
+    assert out.result.defined
     return return_reference(params, *(ev.t_hit for ev in out.events))
 
 
 def log_reference(params):
     """log Lambda of a returning set from the 50-digit reference."""
     out = first_return(params, -1.0)
-    assert out.status == "returned"
+    assert out.result.defined
     return log_return_reference(params, *(ev.t_hit for ev in out.events))
 
 
@@ -994,7 +1014,7 @@ def test_plane_hit_edge_spectra():
     check_normal_form_plane_hit((tiny, tiny, 1.0))
     M = companion_of(tiny, tiny, 1.0).tolist()
     ev = _plane_hit_spiral(M, tiny, tiny, 1.0, (0.0, 0.0, -1.0))
-    result = _result_from_outcome(_compose_return(ev, -0.5, 1.0))
+    result = _compose_return(ev, -0.5, 1.0).result
     assert result.status is LambdaStatus.MARGINAL
     # a fast real mode and a slow rotation: the trivial root's exclusion
     # must reach past the rounding of h near t = 0

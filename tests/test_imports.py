@@ -94,12 +94,14 @@ def test_traced_bindings_resolve():
 
 def _reads(tree: ast.AST, skip: str) -> set[str]:
     """The names a module reads (as names or attributes), outside the
-    body of any function named ``skip``; an import is not a read."""
+    body of any function or class named ``skip``; an import is not a
+    read."""
     found = set()
     stack = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, ast.FunctionDef) and node.name == skip:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and node.name == skip:
             continue
         if isinstance(node, ast.Name):
             found.add(node.id)
@@ -110,9 +112,10 @@ def _reads(tree: ast.AST, skip: str) -> set[str]:
 
 
 def test_exported_functions_are_not_test_only():
-    # every function filippov exports is read by another part of the
-    # package, or named by the benchmark (which binds it by name); one
-    # that only tests call belongs in tests/
+    # every function and class filippov exports is read by another part
+    # of the package (outside its own definition), or named by the
+    # benchmark (which binds it by name); one that only tests read
+    # belongs in tests/
     import inspect
 
     import filippov
@@ -126,11 +129,12 @@ def test_exported_functions_are_not_test_only():
         bench |= _reads(tree, "") | {
             node.value for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    functions = [name for name in filippov.__all__
-                 if inspect.isfunction(getattr(filippov, name))]
-    unread = [name for name in functions if name not in bench
+    exported = [name for name in filippov.__all__
+                if inspect.isfunction(getattr(filippov, name))
+                or inspect.isclass(getattr(filippov, name))]
+    unread = [name for name in exported if name not in bench
               and not any(name in _reads(tree, name) for tree in trees)]
-    assert len(functions) >= 15 and unread == []
+    assert len(exported) >= 40 and unread == []
 
 
 def test_every_all_resolves():
