@@ -6,8 +6,11 @@ H > 0, and on the surface the standard Filippov convention applies.  This
 module derives, at a user-supplied boundary equilibrium of the left field,
 the quantities that decide stability (surface normal p, right-field value
 q, the two Jacobians A and B, and the observability matrix), and provides
-the pointwise machinery used by the simulator: surface-region
-classification, the fold curvature, and the sliding vector field.
+the pointwise machinery used by the simulator: the normal rates,
+surface-region classification and the fold curvature.  It also provides
+the sliding vector field, which the simulator does not call: its slide
+step (:attr:`FilippovSystem.slide_step`) computes that field in generated
+code, and it binds :func:`sliding_field` only for ``perfbench/spans.py``.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .errors import (
     NotOnSurfaceError,
     TangentRightFieldError,
 )
-from .expr import (ScalarField, VectorField, compile_rates_and_fields,
-                   compile_slide_step, compile_step, gradient_fd)
+from .expr import (ScalarField, VectorField, compile_slide_step,
+                   compile_step, gradient_fd)
 from .expr import jacobian_fd  # not called; perfbench/spans.py wraps it here
 from .spectrum import det3
 
@@ -63,12 +66,17 @@ class FilippovSystem:
         return cls(VectorField.parse(left), VectorField.parse(right),
                    ScalarField.parse(switch))
 
-    @cached_property
-    def rates_and_fields(self):
-        """:func:`filippov.expr.compile_rates_and_fields` of the system:
-        the package's one computation of the normal rates.  It takes
-        Python floats."""
-        return compile_rates_and_fields(self.switch, self.left, self.right)
+    def rates_and_fields(self, x1: float, x2: float, x3: float):
+        """(grad H . f_L, grad H . f_R, f_L, f_R, (H, grad H)) at (x1, x2,
+        x3), from ``switch.compiled_gradient``, ``left.compiled`` and
+        ``right.compiled`` called in turn: it raises what the first of
+        them to fail raises.  :attr:`slide_step` computes the same rates
+        in its own generated call.  It takes Python floats."""
+        h_grad = _, g1, g2, g3 = self.switch.compiled_gradient(x1, x2, x3)
+        f_left = l1, l2, l3 = self.left.compiled(x1, x2, x3)
+        f_right = r1, r2, r3 = self.right.compiled(x1, x2, x3)
+        return (g1 * l1 + g2 * l2 + g3 * l3, g1 * r1 + g2 * r2 + g3 * r3,
+                f_left, f_right, h_grad)
 
     @cached_property
     def left_step(self):
@@ -319,7 +327,7 @@ def fold_curvature(system: FilippovSystem, x) -> float:
 def sliding_field(system: FilippovSystem, x) -> tuple[float, float, float]:
     """Filippov sliding vector field at x, as a 3-tuple: the combination
     (r_L f_R - r_R f_L) / (r_L - r_R) of the rates and fields of
-    :attr:`FilippovSystem.rates_and_fields`.  Raises
+    :meth:`FilippovSystem.rates_and_fields`.  Raises
     DegenerateSlidingError where the two rates coincide to TANGENCY_TOL."""
     rate_l, rate_r, (l1, l2, l3), (r1, r2, r3), _ = \
         system.rates_and_fields(*_floats(x))

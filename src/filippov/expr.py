@@ -34,9 +34,8 @@ The function's source holds generated names only.  Literals are bound
 from a tuple, so fields that differ only in their coefficients share one
 compiled code object.  Evaluation either returns a finite float or
 raises :class:`~filippov.errors.EvalDomainError` -- NaN and infinity
-never propagate silently.  The layouts are a field's values, alone or
-with exact first derivatives, a system's normal rates
-(:func:`compile_rates_and_fields`) and the simulator's steps
+never propagate silently.  There are four layouts: a field's values,
+alone or with exact first derivatives, and the simulator's two steps
 (:func:`compile_step`, :func:`compile_slide_step`), which repeat that
 code at each RK4 stage point.
 
@@ -79,8 +78,7 @@ from .errors import (DegenerateSlidingError, EvalDomainError, ExprSyntaxError,
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "parse_expr",
-    "ScalarField", "VectorField", "compile_rates_and_fields",
-    "compile_step", "compile_slide_step",
+    "ScalarField", "VectorField", "compile_step", "compile_slide_step",
     "gradient_fd", "jacobian_fd", "FD_REL_STEP", "MAX_NESTING", "MAX_DEPTH",
 ]
 
@@ -710,22 +708,21 @@ def _source(program: tuple, layout: str) -> str:
     several.  With "derivatives" the tangent assignments of
     :func:`_tangent_lines` follow the value assignments, and one root's
     value comes with its three partials, several roots' values with their
-    gradients' rows.  With "rates" the roots are H and the components of
-    f_L and f_R, H's tangent assignments precede the fields' values (so
-    the first error is the one that H's gradient, f_L and f_R, called in
-    turn, would raise), and it returns (grad H . f_L, grad H . f_R, f_L,
-    f_R, (H, grad H)).
+    gradients' rows.
 
     The step layouts are those of :func:`compile_step` (roots: a field's
     components, then H numbered afresh) and :func:`compile_slide_step`
-    (the roots of "rates"; ``_bind(constants, tol)`` takes its tolerance
-    too): a "slide" stage is the sliding field of the rates, none is
-    taken for h = 0, and it projects by -H / |grad H|^2 unless
-    grad H = 0."""
+    (roots: H and the components of f_L and f_R; ``_bind(constants,
+    tol)`` takes its tolerance too).  At each point of a "slide" step,
+    H's tangent assignments precede the fields' values, so the first
+    error is the one that H's gradient, f_L and f_R, called in turn,
+    would raise; a stage is the sliding field of the normal rates
+    grad H . f_L and grad H . f_R, none is taken for h = 0, and it
+    projects by -H / |grad H|^2 unless grad H = 0."""
     ops, results, n_constants = program
     values = [result for result, _ in results]
-    fused = layout in ("rates", "slide")
-    split = 1 if fused else 3 if layout == "step" else len(results)
+    split = (1 if layout == "slide" else 3 if layout == "step"
+             else len(results))
     head_end = results[split - 1][1]  # the operations of the first roots
     reads = Counter(u for _, _, operands in ops for u in operands)
     keep = {u for u, n in reads.items() if n > 1}.union(values)
@@ -745,7 +742,7 @@ def _source(program: tuple, layout: str) -> str:
         if checked:
             head.append(f"        if not ({checked}): raise {_NOT_FINITE}")
     lines = head = _value_lines(ops, results[:split], 0, keep) + head
-    if fused:
+    if layout == "slide":
         lines = head + _value_lines(ops, results[1:], head_end, keep)
         grad, f_left, f_right = partials[0], values[1:4], values[4:]
         # grad H . f; a unit partial multiplies nothing (a zero one still
@@ -753,31 +750,26 @@ def _source(program: tuple, layout: str) -> str:
         rates = [" + ".join(v if g == "1.0" else f"{g} * {v}"
                             for g, v in zip(grad, f))
                  for f in (f_left, f_right)]
-        if layout == "rates":
-            values = [*rates, *(f"({', '.join(row)})"
-                                for row in (f_left, f_right,
-                                            (values[0], *grad)))]
-        else:
-            lines += [f"        rl = {rates[0]}", f"        rr = {rates[1]}",
-                      "        gap = rl - rr"]
-            degenerate = "if abs(gap) <= tol * (abs(rl) + abs(rr) + 1.0):"
-            combination = [f"(rl * {r} - rr * {l}) / gap"
-                           for l, r in zip(f_left, f_right)]
-            stage = lines + [f"        {degenerate}"
-                             " raise DegenerateSlidingError(rl, rr)"]
-            g1, g2, g3 = grad
-            lines = ["        if h:",
-                     *("    " + line
-                       for line in _rk4_lines(stage, combination, 2)),
-                     *head,
-                     f"        gg = {g1} * {g1} + {g2} * {g2} + {g3} * {g3}",
-                     "        if gg != 0.0:",
-                     f"            s = {values[0]} / gg",
-                     f"            x1, x2, x3 = x1 - s * {g1}, "
-                     f"x2 - s * {g2}, x3 - s * {g3}",
-                     *lines, f"        {degenerate}",
-                     "            return x1, x2, x3, rl, rr, None, None, None"]
-            values = ["x1", "x2", "x3", "rl", "rr", *combination]
+        lines += [f"        rl = {rates[0]}", f"        rr = {rates[1]}",
+                  "        gap = rl - rr"]
+        degenerate = "if abs(gap) <= tol * (abs(rl) + abs(rr) + 1.0):"
+        combination = [f"(rl * {r} - rr * {l}) / gap"
+                       for l, r in zip(f_left, f_right)]
+        stage = lines + [f"        {degenerate}"
+                         " raise DegenerateSlidingError(rl, rr)"]
+        g1, g2, g3 = grad
+        lines = ["        if h:",
+                 *("    " + line
+                   for line in _rk4_lines(stage, combination, 2)),
+                 *head,
+                 f"        gg = {g1} * {g1} + {g2} * {g2} + {g3} * {g3}",
+                 "        if gg != 0.0:",
+                 f"            s = {values[0]} / gg",
+                 f"            x1, x2, x3 = x1 - s * {g1}, "
+                 f"x2 - s * {g2}, x3 - s * {g3}",
+                 *lines, f"        {degenerate}",
+                 "            return x1, x2, x3, rl, rr, None, None, None"]
+        values = ["x1", "x2", "x3", "rl", "rr", *combination]
     elif layout == "derivatives":
         rows = ", ".join(f"({', '.join(row)})" for row in partials)
         values = ([values[0], *partials[0]] if len(values) == 1 else
@@ -941,18 +933,6 @@ class VectorField:
         return self.compiled(float(point[0]), float(point[1]), float(point[2]))
 
 
-def compile_rates_and_fields(switch: ScalarField, left: VectorField,
-                             right: VectorField):
-    """One function (x1, x2, x3) -> (grad H . f_L, grad H . f_R, f_L, f_R,
-    (H, grad H)) with H = ``switch``.  Its floats are those of
-    ``switch.compiled_gradient``, ``left.compiled`` and ``right.compiled``
-    bit for bit, and it raises what the first of them to fail raises.  It
-    takes Python floats, as they do."""
-    return _compile(lambda: (switch.expr, *left.components,
-                             *right.components),
-                    "rates", _joined([switch._scan, left._scan, right._scan]))
-
-
 def compile_step(field: VectorField, switch: ScalarField):
     """One function (x1, x2, x3, h) -> (y1, y2, y3, H(y)): one RK4 step
     along ``field`` and H = ``switch`` at its end y, with the floats and
@@ -969,12 +949,14 @@ def compile_slide_step(switch: ScalarField, left: VectorField,
     """One function (x1, x2, x3, h, k11, k12, k13) -> (y1, y2, y3, r_L,
     r_R, s1, s2, s3): one RK4 step along the sliding field (r_L f_R -
     r_R f_L) / (r_L - r_R) with the first stage k1, projected onto H = 0
-    (x alone is just projected), then the rates and the sliding field s
-    at that y, s None where degenerate.  A stage raises
-    :class:`~filippov.errors.DegenerateSlidingError` where |r_L - r_R| <=
-    ``tol`` (|r_L| + |r_R| + 1).  Floats and errors are those of the
-    stages, of ``switch.compiled_gradient`` and of
-    :func:`compile_rates_and_fields` at y, in turn; it takes floats."""
+    (x alone is just projected), then the normal rates r = grad H . f and
+    the sliding field s at that y, s None where degenerate.  A stage
+    raises :class:`~filippov.errors.DegenerateSlidingError` where
+    |r_L - r_R| <= ``tol`` (|r_L| + |r_R| + 1).  At each point its floats
+    and first error are those of ``switch.compiled_gradient``,
+    ``left.compiled`` and ``right.compiled``, called in turn, and of the
+    rates and the combination formed from them in Python (as
+    :mod:`filippov.core` forms them); it takes floats."""
     return _compile(lambda: (switch.expr, *left.components,
                              *right.components),
                     "slide", _joined([switch._scan, left._scan,

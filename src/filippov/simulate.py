@@ -88,7 +88,6 @@ class Terminal(Enum):
     CONVERGED = "converged"
     DIVERGED = "diverged"
     TIMEOUT = "timeout"
-    REACHED_EVENT = "reached-event"
 
 
 @dataclass
@@ -384,7 +383,8 @@ def _run_hybrid(params: HybridParams, z0: float, cfg: SimConfig,
                 stop_at_return: bool, record: bool):
     """Fixed-step RK4 on the hybrid rules.  Returns (orbit, returns)
     where ``returns`` lists the third coordinates of successive hits of
-    the return line."""
+    the return line; with ``stop_at_return`` the run ends at the first
+    return, and the orbit's terminal is None."""
     a, b, c, d = params.a, params.b, params.c, params.d
 
     def f_left(y1: float, y2: float, y3: float):
@@ -465,7 +465,6 @@ def _run_hybrid(params: HybridParams, z0: float, cfg: SimConfig,
             continue
         returns.append(y[2])
         if stop_at_return:
-            terminal = Terminal.REACHED_EVENT
             break
         if y[2] >= 0.0:
             terminal = Terminal.CONVERGED
@@ -494,7 +493,7 @@ def return_multiplier_empirical(params: HybridParams,
     closed-form computation."""
     orbit, returns = _run_hybrid(params, -1.0, cfg,
                                  stop_at_return=True, record=False)
-    if orbit.terminal is Terminal.REACHED_EVENT and returns:
+    if returns:
         zeta = returns[0]
         if zeta >= 0.0:
             return LambdaResult(LambdaStatus.UNDEFINED_CONVERGED, None,

@@ -10,8 +10,7 @@ and the closed-form decay orbit of Appendix B: the companion system with
 three distinct negative eigenvalues, started at (0, 0, -1), never
 re-crosses the switching plane (the lemma ``StableNode`` rests on); and
 the translate of a system spec; and the d at which a return multiplier
-crosses 1; and the sliding field as the Python combination of the normal
-rates.
+crosses 1.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from filippov.core import PBH_TOL, TANGENCY_TOL
-from filippov.errors import (DegenerateSlidingError, EvalDomainError,
-                             NonFiniteStateError)
+from filippov.core import PBH_TOL
+from filippov.errors import EvalDomainError, NonFiniteStateError
 from filippov.expr import (
     FD_REL_STEP,
     BinOp,
@@ -301,21 +299,6 @@ def translated_spec(spec: dict, shift) -> dict:
     return {"fL": [move(t) for t in spec["fL"]],
             "fR": [move(t) for t in spec["fR"]],
             "H": move(spec["H"]), "x_star": list(shift)}
-
-
-def sliding_from_rates(rates) -> tuple[float, float, float]:
-    """The sliding field from ``rates``, a result of
-    :attr:`filippov.core.FilippovSystem.rates_and_fields`, combined in
-    Python: bit for bit what :func:`filippov.core.sliding_field` and the
-    stages of :attr:`filippov.core.FilippovSystem.slide_step` return, or
-    raise, at that point."""
-    rate_l, rate_r, (l1, l2, l3), (r1, r2, r3), _ = rates
-    gap = rate_l - rate_r
-    if abs(gap) <= TANGENCY_TOL * (abs(rate_l) + abs(rate_r) + 1.0):
-        raise DegenerateSlidingError(rate_l, rate_r)
-    return ((rate_l * r1 - rate_r * l1) / gap,
-            (rate_l * r2 - rate_r * l2) / gap,
-            (rate_l * r3 - rate_r * l3) / gap)
 
 
 def evaluate_tree(node, point) -> float:

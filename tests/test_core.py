@@ -238,21 +238,21 @@ def test_classify_region_cases():
 
 def test_classify_region_takes_one_gradient(monkeypatch):
     # the on-surface check, the rates and both tolerance scales share one
-    # call of the generated function of H, its gradient and both fields;
-    # the separate ones of H, of H's gradient and of each field are not
-    # called
+    # call each of the generated gradient of H and of the two fields, in
+    # that order; H's own generated value is not called
     system = region_system(1, -1)
     calls = []
-    rates_and_fields = system.rates_and_fields
-    monkeypatch.setitem(system.__dict__, "rates_and_fields",
-                        lambda *x: calls.append(x) or rates_and_fields(*x))
-    for field, name in ((system.switch, "compiled"),
-                        (system.switch, "compiled_gradient"),
-                        (system.left, "compiled"), (system.right, "compiled")):
-        monkeypatch.setitem(field.__dict__, name, None)
+    for owner, field, name in (("switch", system.switch, "compiled_gradient"),
+                               ("left", system.left, "compiled"),
+                               ("right", system.right, "compiled")):
+        monkeypatch.setitem(field.__dict__, name, (
+            lambda *x, generated=getattr(field, name), owner=owner:
+            calls.append((owner, x)) or generated(*x)))
+    monkeypatch.setitem(system.switch.__dict__, "compiled", None)
     assert classify_region(system, (0, 0, 0)) \
         is RegionKind.ATTRACTING_SLIDING
-    assert calls == [(0.0, 0.0, 0.0)]
+    assert calls == [(owner, (0.0, 0.0, 0.0))
+                     for owner in ("switch", "left", "right")]
 
 
 def test_classify_region_requires_surface_point():

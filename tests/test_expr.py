@@ -37,7 +37,6 @@ from oracles import (
     GRADIENT_VALUE_RTOL,
     evaluate_tree,
     gradient_reference,
-    sliding_from_rates,
 )
 
 # expressions exercised throughout the suite; also the round-trip corpus
@@ -362,16 +361,21 @@ def _shared_subtree_trees(rng):
 
 def test_shared_powers_are_computed_once():
     # the orbit benchmark's shape: H, f_L and f_R read x2^2 and x3^2, and
-    # the generated rates compute each power once, with a float exponent
+    # the generated slide step computes each power once at each point it
+    # evaluates them at, with a float exponent: three stages, the end
+    # before its projection (H alone) and after it
     texts = ("x1 + 0.3*x2^2 - 0.1*x3^2 + 0.07*x2*x3",
              "-1.2*x1 + x2 - 0.06*x1^2 + 0.2*x2*x3",
              "-5.2*x1 + x3 + 0.25*x2^2 + 0.01*x1*x3",
              "-5*x1 + 0.2*x1*x2 + 0.3*x3^2",
              "-1 - 0.2*x2", "-0.2 + 0.003*x3^2", "-3 - 0.3*x1*x2")
     program = expr._program([parse_expr(text) for text in texts])[0]
-    source = expr._source(program, "rates")
-    for power in ("x1 ** 2.0", "x2 ** 2.0", "x3 ** 2.0"):
-        assert source.count(power) == 1, power
+    points = expr._source(program, "slide").split("x1, x2, x3 = ")
+    for power, read_by_h in (("x1 ** 2.0", False), ("x2 ** 2.0", True),
+                             ("x3 ** 2.0", True)):
+        counts = [point.count(power) for point in points]
+        assert max(counts) == 1, power
+        assert sum(counts) == 4 + read_by_h, power
 
 
 def test_shared_subtrees_keep_the_values_and_the_first_error():
@@ -710,7 +714,7 @@ def test_a_program_cache_miss_builds_the_trees(monkeypatch):
         unparsed = sorted(set(texts) - set(parsed))
         parsed.clear()
         walks.clear()
-        system.rates_and_fields
+        system.slide_step
         assert sorted(parsed) == (unparsed if walks else [])
         outcomes.append((len(walks), len(unparsed)))
     assert (1, 7) in outcomes and (0, 7) in outcomes
@@ -774,8 +778,6 @@ def _compiled(texts):
              (switch.compiled_gradient, (switch.expr,), "derivatives"),
              (left.compiled, left.components, "values"),
              (left.compiled_jacobian, left.components, "derivatives"),
-             (expr.compile_rates_and_fields(switch, left, right),
-              (switch.expr, *left.components, *right.components), "rates"),
              (expr.compile_step(left, switch),
               (*left.components, switch.expr), "step"),
              (expr.compile_slide_step(switch, left, right, TANGENCY_TOL),
@@ -840,7 +842,7 @@ def test_cached_programs_are_the_walks(monkeypatch):
         counts.append(len(walks))
     # a changed whole exponent walks again: ^2.0 after ^2 leaves H's own
     # two programs as they were; a negated exponent is a constant
-    assert counts == [7, 5, 7, 7, 7, 7, 7] + [7] + [0] * 7
+    assert counts == [6, 4, 6, 6, 6, 6, 6] + [6] + [0] * 7
 
 
 def test_fields_built_from_trees_walk(monkeypatch):
@@ -872,7 +874,7 @@ def test_a_shape_seen_before_is_bound_without_a_walk(monkeypatch):
     monkeypatch.setattr(expr, "_program",
                         lambda *args: walks.append(args) or walk(*args))
     cases = _compiled(system_texts(1.5))
-    assert len(walks) == len(cases) == 7
+    assert len(walks) == len(cases) == 6
     _assert_walks_equal(cases, walk)
 
     def fail(*args):
@@ -891,9 +893,9 @@ def test_a_shape_seen_before_is_bound_without_a_walk(monkeypatch):
     system = FilippovSystem.parse(("x2 + 0.125", "x3", "-x1^5"),
                                   ("0.5", "x1", "x3^5"), "x1 + 7e-3*x2")
     system.left.compiled_jacobian, system.switch.compiled_gradient
-    system.right.compiled, system.rates_and_fields
+    system.right.compiled
     system.left_step, system.right_step, system.slide_step
-    assert len(walks) == 7
+    assert len(walks) == 6
 
 
 def test_program_cache_is_bounded():
@@ -1019,87 +1021,6 @@ def test_gradient_of_literals_and_variables_costs_no_line():
         1.0, 2.0, 3.0) == (1.5, 2.5, 1.0, 0.0)
 
 
-def _rates_outcome(rates_and_fields, point):
-    """The hex of each float that ``rates_and_fields`` returns, flattened,
-    or its error message."""
-    try:
-        rate_l, rate_r, f_left, f_right, h_grad = rates_and_fields(*point)
-    except EvalDomainError as exc:
-        return str(exc)
-    return tuple(float(v).hex()
-                 for v in (rate_l, rate_r, *f_left, *f_right, *h_grad))
-
-
-def test_rates_and_fields_is_the_three_calls_bit_for_bit():
-    # one generated function returns what H's gradient, f_L and f_R, called
-    # in turn, return, bit for bit; where it fails, it raises the message
-    # of the first of the three to fail
-    rng = np.random.default_rng(12)
-    compared, first_failing = 0, {"switch": 0, "left": 0, "right": 0}
-    for _ in range(150):
-        trees = [_random_tree(rng, 3) for _ in range(7)]
-        switch = ScalarField(trees[0])
-        left, right = VectorField(trees[1:4]), VectorField(trees[4:])
-        stage = []
-
-        def three_calls(x1, x2, x3):
-            stage[:] = ["switch"]
-            h_grad = _, g1, g2, g3 = switch.compiled_gradient(x1, x2, x3)
-            stage[:] = ["left"]
-            f_left = l1, l2, l3 = left.compiled(x1, x2, x3)
-            stage[:] = ["right"]
-            f_right = r1, r2, r3 = right.compiled(x1, x2, x3)
-            stage[:] = []
-            return (g1 * l1 + g2 * l2 + g3 * l3, g1 * r1 + g2 * r2 + g3 * r3,
-                    f_left, f_right, h_grad)
-
-        fused = expr.compile_rates_and_fields(switch, left, right)
-        for point in _POINTS[::3]:
-            point = tuple(map(float, point))
-            want = _rates_outcome(three_calls, point)
-            assert _rates_outcome(fused, point) == want
-            if stage:
-                first_failing[stage[0]] += 1
-            else:
-                compared += 1
-    assert compared > 1500 and min(first_failing.values()) > 300
-
-
-def _sliding_outcome(sliding, point):
-    """("value", the hex of each float) or (error type, message)."""
-    try:
-        return "value", tuple(float(v).hex() for v in sliding(*point))
-    except (EvalDomainError, DegenerateSlidingError) as exc:
-        return type(exc).__name__, str(exc)
-
-
-def test_sliding_field_is_the_combination_of_the_rates_bit_for_bit():
-    # sliding_field returns what the oracle's combination of
-    # rates_and_fields returns, bit for bit, and raises where it raises,
-    # with its message; for systems built from trees, and for the same
-    # systems parsed from text twice (a walk, then a bind from the scan)
-    rng = np.random.default_rng(15)
-    outcomes = {"value": 0, "EvalDomainError": 0, "DegenerateSlidingError": 0}
-    for _ in range(120):
-        trees = [_random_tree(rng, 3) for _ in range(7)]
-        texts = [format_expr(tree) for tree in trees]
-        systems = [FilippovSystem(VectorField(trees[1:4]),
-                                  VectorField(trees[4:]), ScalarField(trees[0])),
-                   *(FilippovSystem.parse(texts[1:4], texts[4:], texts[0])
-                     for _ in range(2))]
-        for system in systems:
-            combined = (lambda *x, rates=system.rates_and_fields:
-                        sliding_from_rates(rates(*x)))
-            for point in _POINTS[::3]:
-                point = tuple(map(float, point))
-                want = _sliding_outcome(combined, point)
-                assert _sliding_outcome(lambda *x: sliding_field(system, x),
-                                        point) == want
-                outcomes[want[0]] += 1
-    assert outcomes["value"] > 2000 and outcomes["EvalDomainError"] > 1000
-    assert outcomes["DegenerateSlidingError"] > 100
-
-
 def test_sliding_field_takes_its_tolerance():
     # the tolerance is bound, not compiled: two tolerances share one code
     switch = ScalarField.parse("x1")
@@ -1133,7 +1054,7 @@ def _slide_composition(system, x, h=0.0, *k1):
     if h:
         first = [k1]
         x = _rk4_tuple(lambda *y: first.pop() if first else
-                       sliding_from_rates(system.rates_and_fields(*y)), x, h)
+                       sliding_field(system, y), x, h)
     value, g1, g2, g3 = system.switch.compiled_gradient(*x)
     gg = g1 * g1 + g2 * g2 + g3 * g3
     if gg != 0.0:
@@ -1141,7 +1062,7 @@ def _slide_composition(system, x, h=0.0, *k1):
         x = (x[0] - s * g1, x[1] - s * g2, x[2] - s * g3)
     rates = system.rates_and_fields(*x)
     try:
-        field = sliding_from_rates(rates)
+        field = sliding_field(system, x)
     except DegenerateSlidingError:
         field = (None,) * 3
     return (*x, *rates[:2], *field)
@@ -1233,7 +1154,6 @@ def test_deepest_trees_compile_in_every_layout():
     rates = system.rates_and_fields(*point)
     assert rates[2] == tuple(want) and rates[3] == tuple(want[::-1])
     assert rates[4][0] == point[0] + want[0]
-    assert sliding_field(system, point) == sliding_from_rates(rates)
     assert system.left_step(*point, 1e-3) == \
         _step_composition(system, point, 1e-3)
     k1 = sliding_field(system, point)
@@ -1260,7 +1180,6 @@ def test_generated_programs_have_their_own_labels():
     functions = {"values": (system.left.compiled, system.switch.compiled),
                  "derivatives": (system.left.compiled_jacobian,
                                  system.switch.compiled_gradient),
-                 "rates": (system.rates_and_fields,),
                  "step": (system.left_step, system.right_step),
                  "slide": (system.slide_step,)}
     labels = set()
@@ -1270,7 +1189,7 @@ def test_generated_programs_have_their_own_labels():
             assert code.co_name == layout
             assert code.co_filename.startswith(f"<filippov.expr:{layout}:")
             labels.add((code.co_filename, code.co_firstlineno, code.co_name))
-    assert len(labels) == 8
+    assert len(labels) == 7
 
 
 # --------------------------------------------------------------------------

@@ -207,8 +207,7 @@ def test_a_step_makes_one_generated_call(left, x0, regime):
         system = FilippovSystem.parse(left, ("1", "0", "-1 - x1^2"), "x3")
         calls = []
         for owner, names in (
-                (system, ("rates_and_fields", "left_step", "right_step",
-                          "slide_step")),
+                (system, ("left_step", "right_step", "slide_step")),
                 (system.switch, ("compiled", "compiled_gradient")),
                 (system.left, ("compiled", "compiled_jacobian")),
                 (system.right, ("compiled", "compiled_jacobian"))):
