@@ -26,14 +26,16 @@ Lambda|) on a wide random corpus (see the README).
 
 The multiplier of the first-return map to the line decides stability:
 log Lambda below 0 (or an orbit that never returns and decays) means the
-origin attracts, above 0 that it repels.
+origin attracts, above 0 that it repels.  Every outcome, from a segment
+that never returns to the multiplier, is one :class:`LambdaResult`; the
+return map's carries the return point and the events located on the way.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -47,7 +49,7 @@ from .errors import (
 
 __all__ = [
     "HybridParams", "LambdaStatus", "LambdaResult", "MARGINAL_TOL",
-    "SegmentEvent", "ReturnOutcome",
+    "SegmentEvent",
     "first_hit_plane", "first_hit_line", "first_return",
     "return_multiplier", "return_map", "LambdaArrays", "slide_domain",
     "SlideBlocks", "slide_blocks",
@@ -137,11 +139,15 @@ class LambdaStatus(Enum):
 @dataclass(frozen=True)
 class LambdaResult:
     """Outcome of a return-multiplier computation: log Lambda where it is
-    defined, which decides the status."""
+    defined, which decides the status.  A result of the return map also
+    carries the third coordinate zeta of the return point (None without
+    a return) and the events on the way; neither takes part in ==."""
 
     status: LambdaStatus
     log_value: Optional[float] = None
     detail: str = ""
+    zeta: Optional[float] = field(default=None, compare=False)
+    events: tuple[SegmentEvent, ...] = field(default=(), compare=False)
 
     @property
     def value(self) -> Optional[float]:
@@ -175,12 +181,14 @@ class LambdaResult:
                 raise FilippovError("marginal status inconsistent with value")
 
     @classmethod
-    def from_log(cls, log_value: float, detail: str = "") -> "LambdaResult":
+    def from_log(cls, log_value: float, detail: str = "",
+                 zeta: Optional[float] = None,
+                 events: tuple[SegmentEvent, ...] = ()) -> "LambdaResult":
         """A computed multiplier from its log: marginal within
         MARGINAL_TOL of 0, defined otherwise."""
         status = (LambdaStatus.MARGINAL if _marginal(log_value)
                   else LambdaStatus.DEFINED)
-        return cls(status, log_value, detail)
+        return cls(status, log_value, detail, zeta, events)
 
 
 # LambdaStatus by its index in the enumeration: the array path's code
@@ -258,18 +266,6 @@ class SegmentEvent:
         or 0."""
         scale = _exp(self.log_scale)
         return tuple(x * scale if x else 0.0 for x in self.v)
-
-
-@dataclass(frozen=True)
-class ReturnOutcome:
-    """Result of composing regular and sliding segments from (0, 0, z):
-    the multiplier, or the reason it is undefined, the third coordinate
-    zeta of the return point (None without a return), and the events on
-    the way."""
-
-    result: LambdaResult
-    zeta: Optional[float]
-    events: tuple[SegmentEvent, ...] = ()
 
 
 # --------------------------------------------------------------------------
@@ -350,19 +346,20 @@ def _hybrid_spectrum(a: float, b: float) -> tuple[float, float, float]:
 # --------------------------------------------------------------------------
 
 def _refine_root(f, lo: float, f_lo: float, hi: float, f_hi: float,
-                 tol: float, max_iters: int) -> float:
+                 tol: float) -> float:
     """Secant iteration on f inside a bracket with f_lo < 0 <= f_hi,
     falling back to bisection whenever an iterate leaves the bracket.
     Returns the first point with |f| <= tol, or the next secant iterate
     where that is closer to the root; raises
-    :class:`ToleranceNotMetError` when none comes within max_iters."""
+    :class:`ToleranceNotMetError` when none comes within
+    ``_MAX_SECANT_ITERS``."""
     if abs(f_hi) <= tol:
         return hi
     a_t, b_t = lo, hi
     t0, f0 = lo, f_lo
     t1, f1 = hi, f_hi
     closest = abs(f_hi)
-    for _ in range(max_iters):
+    for _ in range(_MAX_SECANT_ITERS):
         t2 = t1 - f1 * (t1 - t0) / (f1 - f0) if f1 != f0 else a_t
         if not a_t < t2 < b_t:
             t2 = 0.5 * (a_t + b_t)
@@ -381,8 +378,8 @@ def _refine_root(f, lo: float, f_lo: float, hi: float, f_hi: float,
         t0, f0 = t1, f1
         t1, f1 = t2, f2
     raise ToleranceNotMetError(
-        f"plane hit not refined to |h| <= {tol:.3g} in {max_iters} secant "
-        f"iterations (closest {closest:.3g})")
+        f"plane hit not refined to |h| <= {tol:.3g} in {_MAX_SECANT_ITERS} "
+        f"secant iterations (closest {closest:.3g})")
 
 
 def _half_turn_bracket(terms, lo: float, v_lo, hi: float, v_hi, peak: float,
@@ -532,7 +529,7 @@ def _plane_hit_spiral(M, mu: float, alpha: float, beta: float, y0,
                             "never returns: the real mode outweighs "
                             "the rotation (regular segment)")
     t_hit = _refine_root(lambda t: terms(t)[0], *bracket,
-                         _SECANT_TOL * math.hypot(w1, g1), _MAX_SECANT_ITERS)
+                         _SECANT_TOL * math.hypot(w1, g1))
     return SegmentEvent(t_hit, _spiral_at(split, lam, 0.0, beta, t_hit),
                         alpha * t_hit)
 
@@ -651,48 +648,48 @@ def first_hit_line(params: HybridParams, y0) -> SegmentEvent | LambdaResult:
 
 
 def _slide_start(ev1: SegmentEvent | LambdaResult,
-                 ) -> SegmentEvent | ReturnOutcome:
-    """The regular-segment event the slide starts from, or the outcome
+                 ) -> SegmentEvent | LambdaResult:
+    """The regular-segment event the slide starts from, or the result
     when the return is decided without a slide: the regular segment
     ended without an event, or its plane hit lies on the return line."""
     if isinstance(ev1, LambdaResult):
-        return ReturnOutcome(ev1, None)
+        return ev1
     _, v2, v3 = ev1.v
     if v2 <= 1e-12 * math.hypot(*ev1.v):
         # the plane hit landed on the return line itself, to rounding
         # relative to its size (the map is linear in the start)
         if v3 >= 0.0:
-            return ReturnOutcome(
-                LambdaResult(LambdaStatus.UNDEFINED_CONVERGED, None,
-                             "return at or above the origin"), None, (ev1,))
-        return ReturnOutcome(
-            LambdaResult.from_log(ev1.log_scale + math.log(-v3),
-                                  "plane hit on the return line"),
-            ev1.y_hit[2], (ev1,))
+            return LambdaResult(LambdaStatus.UNDEFINED_CONVERGED, None,
+                                "return at or above the origin",
+                                events=(ev1,))
+        return LambdaResult.from_log(ev1.log_scale + math.log(-v3),
+                                     "plane hit on the return line",
+                                     ev1.y_hit[2], (ev1,))
     return ev1
 
 
 def _compose_return(plane_result: SegmentEvent | LambdaResult,
-                    c: float, d: float) -> ReturnOutcome:
+                    c: float, d: float) -> LambdaResult:
     """Finish a first-return computation given the regular-segment result
     (which depends only on a, b, and the start point)."""
     ev1 = _slide_start(plane_result)
-    if isinstance(ev1, ReturnOutcome):
+    if isinstance(ev1, LambdaResult):
         return ev1
     ev2 = _line_hit_block(c, d, ev1.v[1], ev1.v[2], ev1.log_scale)
     if isinstance(ev2, LambdaResult):
-        return ReturnOutcome(ev2, None, (ev1,))
-    return ReturnOutcome(LambdaResult.from_log(ev2.log_scale), ev2.y_hit[2],
-                         (ev1, ev2))
+        return replace(ev2, events=(ev1,))
+    return LambdaResult.from_log(ev2.log_scale, "", ev2.y_hit[2], (ev1, ev2))
 
 
-def first_return(params: HybridParams, z: float) -> ReturnOutcome:
+def first_return(params: HybridParams, z: float) -> LambdaResult:
     """Compose the regular and sliding segments from (0, 0, z), z < 0,
-    and report the third coordinate of the first return to the line.
+    and report the first return to the line: the multiplier, or the
+    reason it is undefined, with the return point's third coordinate
+    ``zeta`` and the events on the way.
 
     The map is linear in z: it runs from (0, 0, -1), and log(-z) is
     added to the log scale of each hit.  A point beyond the float range
-    reads +/-inf or 0; ``result`` is :func:`return_multiplier`'s for
+    reads +/-inf or 0; the result equals :func:`return_multiplier`'s for
     every z."""
     z = float(z)
     if not -math.inf < z < 0.0:
@@ -704,15 +701,15 @@ def first_return(params: HybridParams, z: float) -> ReturnOutcome:
     shift = math.log(-z)
     events = tuple(replace(ev, log_scale=ev.log_scale + shift)
                    for ev in out.events)
-    log_value = out.result.log_value
-    zeta = None if log_value is None else -_exp(log_value + shift)
+    zeta = None if out.log_value is None else -_exp(out.log_value + shift)
     return replace(out, zeta=zeta, events=events)
 
 
 def return_multiplier(params: HybridParams) -> LambdaResult:
     """The return-map multiplier: minus the image of -1 under the first
-    return to the line, as its log, or the reason it is undefined."""
-    return first_return(params, -1.0).result
+    return to the line, as its log, or the reason it is undefined; the
+    result of ``first_return(params, -1.0)``, with its zeta and events."""
+    return first_return(params, -1.0)
 
 
 def slide_domain(c, d) -> tuple[np.ndarray, np.ndarray]:
@@ -780,14 +777,13 @@ def return_map(a: float, b: float) -> Callable[[SlideBlocks], LambdaArrays]:
     head = _slide_start(_plane_hit_spiral(_left_rows(a, b),
                                           *_hybrid_spectrum(a, b),
                                           (0.0, 0.0, -1.0)))
-    if isinstance(head, ReturnOutcome):
+    if isinstance(head, LambdaResult):
         # decided before any slide: every (c, d) has the same multiplier
-        result = head.result
-        code = list(LambdaStatus).index(result.status)
-        log_value = np.nan if result.log_value is None else result.log_value
+        code = list(LambdaStatus).index(head.status)
+        log_value = np.nan if head.log_value is None else head.log_value
 
     def multiplier(blocks: SlideBlocks) -> LambdaArrays:
-        if isinstance(head, ReturnOutcome):
+        if isinstance(head, LambdaResult):
             shape = blocks.p.shape
             return LambdaArrays(np.full(shape, code), np.full(shape, log_value))
         return _line_hit_arrays(blocks, head.v[1], head.v[2], head.log_scale)

@@ -380,12 +380,13 @@ def simulate(system: FilippovSystem, x0, cfg: SimConfig,
 # --------------------------------------------------------------------------
 
 def _run_hybrid(params: HybridParams, z0: float, cfg: SimConfig,
-                stop_at_return: bool, record: bool):
+                stop_at_return: bool):
     """Fixed-step RK4 on the hybrid rules.  Returns (orbit, returns)
     where ``returns`` lists the third coordinates of successive hits of
     the return line; with ``stop_at_return`` the run ends at the first
-    return, and the orbit's terminal is None."""
+    return, the orbit's terminal is None, and no samples are recorded."""
     a, b, c, d = params.a, params.b, params.c, params.d
+    record = not stop_at_return
 
     def f_left(y1: float, y2: float, y3: float):
         return ((a - 1.0) * y1 + y2, (a - b) * y1 + y3, -b * y1)
@@ -482,7 +483,7 @@ def simulate_hybrid(params: HybridParams, z0: float,
     recording the alternating regular/sliding segments."""
     if not -math.inf < z0 < 0.0:
         raise ValueError("z0 must be finite and negative")
-    orbit, _ = _run_hybrid(params, z0, cfg, stop_at_return=False, record=True)
+    orbit, _ = _run_hybrid(params, z0, cfg, stop_at_return=False)
     return orbit
 
 
@@ -491,8 +492,7 @@ def return_multiplier_empirical(params: HybridParams,
     """Return multiplier measured by direct numerical integration of the
     hybrid rules from (0, 0, -1); the independent oracle for the
     closed-form computation."""
-    orbit, returns = _run_hybrid(params, -1.0, cfg,
-                                 stop_at_return=True, record=False)
+    orbit, returns = _run_hybrid(params, -1.0, cfg, stop_at_return=True)
     if returns:
         zeta = returns[0]
         if zeta >= 0.0:

@@ -171,7 +171,7 @@ def test_criterion_06_return_map_homogeneity():
     while checked < 20:
         params = random_valid_params(rng)
         base = first_return(params, -1.0)
-        if not base.result.defined:
+        if not base.defined:
             continue
         for nu in (0.5, 1.0, 2.0, 10.0):
             out = first_return(params, -nu)

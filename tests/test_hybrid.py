@@ -387,15 +387,15 @@ def test_first_return_linearity():
         for z in (-1e-300, -1e-160, -1e-20, -1e-6, -0.5, -2.0, -10.0, -1e6,
                   -1e160, -1e300):
             out = first_return(params, z)
-            assert out.result.status == base.result.status, (case, z)
-            assert out.result.log_value == base.result.log_value, (case, z)
-            if not base.result.defined:
+            assert out.status == base.status, (case, z)
+            assert out.log_value == base.log_value, (case, z)
+            if not base.defined:
                 continue
             if abs(out.zeta) >= sys.float_info.min \
                     and math.isfinite(out.zeta):
                 assert abs(out.zeta / -z - base.zeta) \
                     <= 1e-12 * abs(base.zeta), (case, z)
-            elif math.log(-z) + base.result.log_value > 0.0:
+            elif math.log(-z) + base.log_value > 0.0:
                 assert out.zeta == -math.inf, (case, z)
             else:
                 assert -sys.float_info.min < out.zeta <= 0.0, (case, z)
@@ -419,8 +419,8 @@ def test_first_return_rejects_a_start_that_is_not_finite():
             first_return(params, z)
     base = first_return(params, -1.0)
     out = first_return(params, -1e308)
-    assert base.result.status == out.result.status
-    assert out.result.defined
+    assert base.status == out.status
+    assert out.defined
     assert abs(out.zeta / 1e308 - base.zeta) <= 1e-12 * abs(base.zeta)
 
 
@@ -437,9 +437,31 @@ def test_one_outcome_type_from_the_segments_to_the_multiplier():
     never = HybridParams(-3.0, 3.0, 0.2, 1.0)  # a < -2: no plane hit
     assert first_hit_plane(never, (0, 0, -1)) == return_multiplier(never)
     decays = HybridParams(*SCALE_CASES[0])  # a plane hit, then no return
-    result = first_return(decays, -1.0).result
+    result = first_return(decays, -1.0)
     assert result.status is LambdaStatus.UNDEFINED_CONVERGED
     assert result == return_multiplier(decays)
+    # the multiplier carries the events and zeta of the first return, which
+    # take no part in == or hash
+    # a = -2 makes mu = alpha: the plane hit is a touch, with y2 = 0
+    on_line = HybridParams(-2.0, 3.0, -1.0, 1.0)
+    for params, detail, n_events in ((HybridParams(*FIG_RETURNING), "", 2),
+                                     (on_line, "plane hit on the return line",
+                                      1),
+                                     (decays, "slide decays without "
+                                      "returning (sliding segment)", 1),
+                                     (never, "never returns: the real mode "
+                                      "outweighs the rotation (regular "
+                                      "segment)", 0)):
+        out = first_return(params, -1.0)
+        lam = return_multiplier(params)
+        assert lam.detail == detail
+        assert len(lam.events) == n_events
+        assert all(isinstance(ev, SegmentEvent) for ev in lam.events)
+        assert lam.events == out.events
+        assert lam.zeta == out.zeta
+        assert (lam.zeta is None) == (not lam.defined)
+        bare = LambdaResult(lam.status, lam.log_value, lam.detail)
+        assert lam == bare and hash(lam) == hash(bare)
     rng = np.random.default_rng(0)
     returning = 0
     while returning < 20:
@@ -449,7 +471,7 @@ def test_one_outcome_type_from_the_segments_to_the_multiplier():
             continue
         returning += 1
         for z in (-1e-300, -1.0, -1e300):
-            assert first_return(params, z).result == want, (params, z)
+            assert first_return(params, z) == want, (params, z)
 
 
 def test_return_multiplier_headline_values():
@@ -707,14 +729,14 @@ def reference_multiplier(params):
     """Lambda of a returning set from the 50-digit reference, its events
     bracketed next to the package's."""
     out = first_return(params, -1.0)
-    assert out.result.defined
+    assert out.defined
     return return_reference(params, *(ev.t_hit for ev in out.events))
 
 
 def log_reference(params):
     """log Lambda of a returning set from the 50-digit reference."""
     out = first_return(params, -1.0)
-    assert out.result.defined
+    assert out.defined
     return log_return_reference(params, *(ev.t_hit for ev in out.events))
 
 
@@ -1014,7 +1036,7 @@ def test_plane_hit_edge_spectra():
     check_normal_form_plane_hit((tiny, tiny, 1.0))
     M = companion_of(tiny, tiny, 1.0).tolist()
     ev = _plane_hit_spiral(M, tiny, tiny, 1.0, (0.0, 0.0, -1.0))
-    result = _compose_return(ev, -0.5, 1.0).result
+    result = _compose_return(ev, -0.5, 1.0)
     assert result.status is LambdaStatus.MARGINAL
     # a fast real mode and a slow rotation: the trivial root's exclusion
     # must reach past the rounding of h near t = 0

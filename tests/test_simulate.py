@@ -452,8 +452,8 @@ def test_empirical_homogeneity():
     from filippov.simulate import _run_hybrid
     params = HybridParams(-0.2, 5, -0.2, 3)
     cfg = SimConfig(dt=1e-3, t_max=500.0)
-    _, returns_one = _run_hybrid(params, -1.0, cfg, True, False)
-    _, returns_two = _run_hybrid(params, -2.0, cfg, True, False)
+    _, returns_one = _run_hybrid(params, -1.0, cfg, True)
+    _, returns_two = _run_hybrid(params, -2.0, cfg, True)
     assert abs(returns_two[0] / returns_one[0] - 2.0) <= 1e-6
 
 
