@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 when a computation reports a degenerate or
 not-applicable outcome (or a data file is invalid), 2 on usage errors.
 Computation failures also emit one machine-readable line on stderr of
-the form ``error: <kind>: <message>``.
+the form ``error: <kind>: <message>``.  The commands raise; :func:`main`
+alone turns a ``FilippovError``, ``OSError`` or ``ValueError`` into that
+line and exit 1.
 """
 
 from __future__ import annotations
@@ -73,21 +75,14 @@ def _print_lambda(result: LambdaResult) -> None:
 
 
 def cmd_lambda(args) -> int:
-    try:
-        params = HybridParams(args.a, args.b, args.c, args.d)
-        result = return_multiplier(params)
-    except FilippovError as exc:
-        return _fail(exc)
-    _print_lambda(result)
+    _print_lambda(return_multiplier(
+        HybridParams(args.a, args.b, args.c, args.d)))
     return 0
 
 
 def cmd_classify(args) -> int:
-    try:
-        spec = load_system_spec(args.system)
-        bd = boundary_data(spec.system, spec.x_star)
-    except (FilippovError, OSError) as exc:
-        return _fail(exc)
+    spec = load_system_spec(args.system)
+    bd = boundary_data(spec.system, spec.x_star)
     print(f"x_star: {list(bd.x_star)}")
     print(f"p: {list(bd.p)}")
     print(f"q: {list(bd.q)}")
@@ -117,11 +112,7 @@ def cmd_classify(args) -> int:
     print(f"case: rotational, alpha={verdict.alpha!r} beta={verdict.beta!r} "
           f"gamma={verdict.gamma!r}")
     print(f"hybrid params: a={p.a!r} b={p.b!r} c={p.c!r} d={p.d!r}")
-    try:
-        result = return_multiplier(p)
-    except FilippovError as exc:
-        return _fail(exc)
-    _print_lambda(result)
+    _print_lambda(return_multiplier(p))
     return 0
 
 
@@ -136,24 +127,17 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        grid = sweep(args.a, args.b, args.c_range, args.d_range,
-                     args.nc, args.nd)
-        render_grid(grid, args.out, args.format)
-    except (FilippovError, OSError, ValueError) as exc:
-        return _fail(exc)
+    grid = sweep(args.a, args.b, args.c_range, args.d_range, args.nc, args.nd)
+    render_grid(grid, args.out, args.format)
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_orbit(args) -> int:
-    try:
-        params = HybridParams(args.a, args.b, args.c, args.d)
-        cfg = SimConfig(dt=args.dt, t_max=args.t_max)
-        orbit = simulate_hybrid(params, args.z0, cfg)
-        export_orbit(orbit, args.out)
-    except (FilippovError, OSError, ValueError) as exc:
-        return _fail(exc)
+    params = HybridParams(args.a, args.b, args.c, args.d)
+    cfg = SimConfig(dt=args.dt, t_max=args.t_max)
+    orbit = simulate_hybrid(params, args.z0, cfg)
+    export_orbit(orbit, args.out)
     print(f"wrote {args.out} (terminal: {orbit.terminal.value})")
     return 0
 
@@ -165,35 +149,28 @@ def cmd_orbit_system(args) -> int:
         return _usage("--x0 must be three comma-separated numbers")
     if len(x0) != 3:
         return _usage("--x0 must have exactly three components")
-    try:
-        spec = load_system_spec(args.system)
-        cfg = SimConfig(dt=args.dt, t_max=args.t_max)
-        orbit = simulate(spec.system, x0, cfg, spec.x_star)
-        export_orbit(orbit, args.out)
-    except (FilippovError, OSError, ValueError) as exc:
-        return _fail(exc)
+    spec = load_system_spec(args.system)
+    cfg = SimConfig(dt=args.dt, t_max=args.t_max)
+    orbit = simulate(spec.system, x0, cfg, spec.x_star)
+    export_orbit(orbit, args.out)
     print(f"wrote {args.out} (terminal: {orbit.terminal.value})")
     return 0
 
 
 def cmd_fig_c(args) -> int:
     start = time.perf_counter()
-    try:
-        for a in FIG_PANEL_A:
-            for b in FIG_PANEL_B:
-                grid = sweep(a, b, args.c_range, args.d_range, args.nc,
-                             args.nd)
-                # made once a panel is swept: a refused grid leaves none
-                os.makedirs(args.out, exist_ok=True)
-                stem = os.path.join(args.out, f"sweep_a{a:g}_b{b:g}")
-                if args.format in ("csv", "both"):
-                    render_grid(grid, stem + ".csv", "csv")
-                if args.format in ("pgm", "both"):
-                    render_grid(grid, stem + ".pgm", "pgm")
-                print(f"panel a={a:g} b={b:g} done "
-                      f"({time.perf_counter() - start:.1f}s elapsed)")
-    except (FilippovError, OSError, ValueError) as exc:
-        return _fail(exc)
+    for a in FIG_PANEL_A:
+        for b in FIG_PANEL_B:
+            grid = sweep(a, b, args.c_range, args.d_range, args.nc, args.nd)
+            # made once a panel is swept: a refused grid leaves none
+            os.makedirs(args.out, exist_ok=True)
+            stem = os.path.join(args.out, f"sweep_a{a:g}_b{b:g}")
+            if args.format in ("csv", "both"):
+                render_grid(grid, stem + ".csv", "csv")
+            if args.format in ("pgm", "both"):
+                render_grid(grid, stem + ".pgm", "pgm")
+            print(f"panel a={a:g} b={b:g} done "
+                  f"({time.perf_counter() - start:.1f}s elapsed)")
     return 0
 
 
@@ -313,7 +290,10 @@ def main(argv=None) -> int:
         if not (lo < hi and math.isfinite(hi - lo)):
             return _usage(f"--{name.replace('_', '-')} must be finite "
                           "with LO < HI and a finite width")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FilippovError, OSError, ValueError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

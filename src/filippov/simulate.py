@@ -180,7 +180,6 @@ class _Sim:
         self.segments: list[Segment] = []
         self.h = system.switch.compiled
         self.terminal: Optional[Terminal] = None
-        self.detail = ""
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -346,8 +345,7 @@ class _Sim:
             regime = "R"
         else:
             if self.check_terminal():
-                return Orbit([Segment("L", [(0.0, *self.x)])],
-                             self.terminal, self.detail)
+                return Orbit([Segment("L", [(0.0, *self.x)])], self.terminal)
             regime = self.regime_on_surface(self.x)
         while regime is not None:
             if regime == "S":
@@ -355,7 +353,7 @@ class _Sim:
             else:
                 regime = self.run_regular(regime)
         assert self.terminal is not None
-        return Orbit(self.segments, self.terminal, self.detail)
+        return Orbit(self.segments, self.terminal)
 
 
 def simulate(system: FilippovSystem, x0, cfg: SimConfig,

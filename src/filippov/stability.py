@@ -17,7 +17,11 @@ import math
 from dataclasses import dataclass
 
 from .core import BoundaryData, is_observable
-from .errors import NearDegenerateError, NoZeroEigenvalueError
+from .errors import (
+    ConstraintViolationError,
+    NearDegenerateError,
+    NoZeroEigenvalueError,
+)
 from .hybrid import HybridParams
 from .spectrum import (
     ThreeReal,
@@ -182,7 +186,12 @@ def classify_equilibrium(bd: BoundaryData) -> StabilityVerdict:
         return Degenerate(
             "the real eigenvalue of the left Jacobian is zero to tolerance")
     gamma = -eigs_a.real_eig
-    params = hybrid_params_from_spectrum(
-        math.ldexp(eigs_a.alpha, k), math.ldexp(eigs_a.beta, k),
-        math.ldexp(gamma, k), s_sum, s_prod)
+    try:
+        params = hybrid_params_from_spectrum(
+            math.ldexp(eigs_a.alpha, k), math.ldexp(eigs_a.beta, k),
+            math.ldexp(gamma, k), s_sum, s_prod)
+    except ConstraintViolationError as exc:
+        # a pair complex by an ulp: dividing by gamma^2 may round d onto
+        # c^2/4 (or b onto a^2/4)
+        return Degenerate(f"no valid hybrid parameters: {exc}")
     return Rotational(params, eigs_a.alpha, eigs_a.beta, gamma, pair)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from filippov import hybrid
+from filippov import cli, hybrid
 from filippov.cli import build_parser, main
+from filippov.errors import FilippovError
 from filippov.expr import MAX_DEPTH
 from oracles import for_all, translated_spec
 
@@ -293,6 +295,23 @@ def test_classify_degenerate_exit(capsys, tmp_path):
     assert "error: degenerate:" in err
 
 
+def test_classify_rounding_edge_sliding_pair_is_degenerate(capsys,
+                                                          tmp_path):
+    # the sliding pair is complex by one ulp: d rounds onto c^2/4
+    s = "1.2192"
+    path = write_spec(tmp_path, {
+        "fL": [f"{s}*(-0.8*x1 + x2)", f"{s}*(-4.8*x1 + x3)", f"{s}*(-5*x1)"],
+        "fR": [f"-{s}", "2.4384", f"-{s}*1.0000000000000002"],
+        "H": "x1", "x_star": [0, 0, 0]})
+    code, out, err = run(capsys, "classify", "--system", path)
+    reason = "no valid hybrid parameters: with c = 2 > 0, d = 1 must " \
+             "exceed c^2/4 = 1"
+    assert code == 1
+    assert out.splitlines()[-2:] == [f"case: degenerate ({reason})",
+                                     "stability: undecided"]
+    assert err == f"error: degenerate: {reason}\n"
+
+
 @pytest.mark.parametrize("switch", [
     "(" * 400 + "x1" + ")" * 400,
     " + ".join(["x1"] + ["0*x2"] * 1199),
@@ -486,6 +505,41 @@ def test_missed_tolerance_is_a_failure(capsys, tmp_path, monkeypatch):
         assert code == 1
         assert err.startswith("error: tolerance-not-met: ")
         assert err.count("\n") == 1
+
+
+# each command, with valid options, and the library name it calls
+# through ``filippov.cli``
+FAILING_CALLS = [
+    ("return_multiplier", ("lambda", "--a", "0.2", "--b", "5", "--c", "0.2",
+                           "--d", "1")),
+    ("boundary_data", ("classify", "--system", "{dir}/system.json")),
+    ("sweep", (*SWEEP_ARGS, "--out", "{dir}/grid.csv")),
+    ("simulate_hybrid", (*ORBIT, "--z0", "-1", "--t-max", "1",
+                         "--out", "{dir}/orbit.csv")),
+    ("simulate", ("orbit-system", "--system", "{dir}/system.json", "--x0",
+                  "1,0,0", "--t-max", "1", "--out", "{dir}/orbit.csv")),
+    ("render_grid", ("fig-c", "--out", "{dir}/panels", "--nc", "2", "--nd",
+                     "2")),
+]
+
+
+@pytest.mark.parametrize("exc, slug", [
+    (FilippovError("boom"), "filippov"),
+    (OSError(errno.EACCES, "Permission denied"), "permission"),
+    (ValueError("boom"), "value")], ids=["filippov", "os", "value"])
+@pytest.mark.parametrize("name, argv", FAILING_CALLS,
+                         ids=[argv[0] for _, argv in FAILING_CALLS])
+def test_every_command_fails_the_same_way(capsys, tmp_path, monkeypatch,
+                                          name, argv, exc, slug):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, name, fail)
+    write_spec(tmp_path, NORMAL_FORM_STABLE)
+    code, out, err = run(capsys, *(arg.format(dir=tmp_path)
+                                   for arg in argv))
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert err == f"error: {slug}: {exc}\n"
 
 
 def test_fig_panels_small(capsys, tmp_path):

@@ -227,3 +227,18 @@ def test_the_scalar_chain_holds_no_arrays():
         and isinstance(node.args[1], ast.Constant)
         and node.args[1].value == "tolist"]
     assert tolist_probes == []
+
+
+def test_only_main_turns_an_error_into_a_failure():
+    # the commands raise; one handler in ``main`` prints the ``error:``
+    # line and returns exit 1 for every command
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    failing = sorted(
+        func.name for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "_fail"
+                for handler in ast.walk(func)
+                if isinstance(handler, ast.ExceptHandler)
+                for call in ast.walk(handler)))
+    assert failing == ["main"]

@@ -119,6 +119,18 @@ def test_degenerate_zero_sliding_eigenvalue():
     assert isinstance(verdict, Degenerate)
 
 
+def test_rounding_edge_sliding_pair_is_degenerate():
+    # the sliding pair is complex by one ulp, with c > 0: dividing its
+    # product by gamma^2 rounds d onto c^2/4, which HybridParams refuses
+    s = "1.2192"
+    system = FilippovSystem.parse(
+        [f"{s}*(-0.8*x1 + x2)", f"{s}*(-4.8*x1 + x3)", f"{s}*(-5*x1)"],
+        [f"-{s}", "2.4384", f"-{s}*1.0000000000000002"], "x1")
+    verdict = classify_equilibrium(boundary_data(system, (0, 0, 0)))
+    assert verdict == Degenerate("no valid hybrid parameters: with c = 2 > "
+                                 "0, d = 1 must exceed c^2/4 = 1")
+
+
 def test_pbh_detects_orthogonal_eigvector():
     # rotate an eigenvector of a diagonal matrix into and out of the
     # plane orthogonal to p = (0, 1, 1); the eigenvectors are the
