@@ -42,9 +42,11 @@ FIG_PANEL_B = (0.5, 2.0, 5.0)
 
 
 def _slug(exc: Exception) -> str:
-    name = type(exc).__name__
-    name = name.removesuffix("Error")
-    return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
+    # a word ends where a lowercase letter meets an uppercase one, or
+    # before an uppercase letter that starts a lowercase word: OS -> os
+    name = type(exc).__name__.removesuffix("Error")
+    return re.sub(r"(?<=[a-z])(?=[A-Z])|(?<!^)(?=[A-Z][a-z])", "-",
+                  name).lower()
 
 
 def _fail(exc: Exception) -> int:

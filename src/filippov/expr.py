@@ -22,7 +22,7 @@ literals ``float`` all takes, and parse it on the first read of ``expr``
 or ``components``.  Every other text -- one with ``#`` or a non-ASCII
 character, a literal that ``float`` rejects, a new skeleton -- is parsed
 at once, so the trees and the errors are the parser's.
-:func:`parse_expr` is the recursive-descent parser itself.
+:func:`parse_expr`, the recursive-descent parser, makes every tree and error.
 
 Parsed expressions are immutable trees.  A field is evaluated by one
 generated Python function of (x1, x2, x3): straight-line code that does
@@ -55,9 +55,9 @@ trees is walked.
 First derivatives are exact: the generator differentiates the same
 straight-line code in forward mode, emitting tangent assignments after
 the value assignments (:attr:`ScalarField.compiled_gradient`,
-:attr:`VectorField.compiled_jacobian`).  Central differences
-(:func:`gradient_fd`, :func:`jacobian_fd`) remain only for second
-derivatives and tests.
+:attr:`VectorField.compiled_jacobian`).  One central-difference stencil,
+:func:`jacobian_fd`, with :func:`gradient_fd` its one-row case, remains
+only for second derivatives and tests.
 """
 
 from __future__ import annotations
@@ -298,9 +298,9 @@ def _depth(root: Expr) -> int:
     return deepest
 
 
-def _parse(text: str) -> Expr:
-    """Parse by recursive descent: the source of every tree and of every
-    error."""
+def parse_expr(text: str) -> Expr:
+    """Parse expression text into an immutable tree, by recursive
+    descent."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 1, expected="an expression")
     parser = _Parser(text)
@@ -338,16 +338,16 @@ def _scanned(text: str) -> tuple[Expr | str, tuple | None]:
     is the order of their ``Num`` nodes in a left-to-right walk.  The scan
     is None for a text with ``#`` or a non-ASCII character."""
     if not (isinstance(text, str) and text.isascii() and "#" not in text):
-        return _parse(text), None
+        return parse_expr(text), None
     parts = _LITERAL.split(text)  # text, literal, text, ..., text
     skeleton = "#".join(parts[::2])
     try:
         scan = ((skeleton,), list(map(float, parts[1::2])))
     except ValueError:  # a bad literal such as "1.2.3": the parser's error
-        return _parse(text), None
+        return parse_expr(text), None
     if skeleton in _SKELETONS:
         return text, scan
-    node = _parse(text)
+    node = parse_expr(text)
     if len(_SKELETONS) >= _MAX_SKELETONS:
         del _SKELETONS[next(iter(_SKELETONS))]
     _SKELETONS[skeleton] = None
@@ -357,13 +357,7 @@ def _scanned(text: str) -> tuple[Expr | str, tuple | None]:
 def _tree(part: Expr | str) -> Expr:
     """A part of :func:`_scanned`'s result as a tree, parsed now if it is
     a text."""
-    return _parse(part) if type(part) is str else part
-
-
-def parse_expr(text: str) -> Expr:
-    """Parse expression text into an immutable tree, by recursive
-    descent."""
-    return _parse(text)
+    return parse_expr(part) if type(part) is str else part
 
 
 # --------------------------------------------------------------------------
@@ -842,30 +836,56 @@ def _joined(scans) -> tuple | None:
 # field wrappers
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalarField:
-    """A scalar function of (x1, x2, x3) defined by an expression."""
+class _Field:
+    """The parse, bind and call code of the two fields.  A field made by
+    ``parse`` holds ``_part``, a part of :func:`_scanned`'s result or a
+    tuple of them, and ``_scan``; it builds the trees of its dataclass
+    field, which ``_ROOTS`` names, on their first read."""
 
-    expr: Expr
     _scan = None  # the literal scan of ``parse``; not a field
 
     @classmethod
-    def parse(cls, text: str) -> "ScalarField":
+    def _parsed(cls, part, scan):
         field = object.__new__(cls)
-        field.__dict__["_part"], field.__dict__["_scan"] = _scanned(text)
+        field.__dict__["_part"], field.__dict__["_scan"] = part, scan
         return field
 
     def __getattr__(self, name: str):
-        # ``expr`` of a field made by ``parse``, on its first read
-        if name != "expr" or "_part" not in self.__dict__:
+        if name != self._ROOTS or "_part" not in self.__dict__:
             raise AttributeError(name)
-        node = self.__dict__["expr"] = _tree(self._part)
-        return node
+        part = self._part
+        trees = self.__dict__[name] = (tuple(map(_tree, part))
+                                       if type(part) is tuple else _tree(part))
+        return trees
+
+    def _roots(self) -> tuple:
+        trees = getattr(self, self._ROOTS)
+        return trees if type(trees) is tuple else (trees,)
 
     @cached_property
-    def compiled(self) -> Callable[[float, float, float], float]:
-        """One function (x1, x2, x3) -> h of Python floats."""
-        return _compile(lambda: (self.expr,), "values", self._scan)
+    def compiled(self) -> Callable:
+        """One function of Python floats (x1, x2, x3) -> the field's value,
+        or its three components, evaluated in order: the first component
+        that fails names the error."""
+        return _compile(self._roots, "values", self._scan)
+
+    def __call__(self, point):
+        """``compiled`` at a point of three coordinates; a point of any
+        other length raises ValueError."""
+        x1, x2, x3 = point
+        return self.compiled(float(x1), float(x2), float(x3))
+
+
+@dataclass(frozen=True)
+class ScalarField(_Field):
+    """A scalar function of (x1, x2, x3) defined by an expression."""
+
+    expr: Expr
+    _ROOTS = "expr"
+
+    @classmethod
+    def parse(cls, text: str) -> "ScalarField":
+        return cls._parsed(*_scanned(text))
 
     @cached_property
     def compiled_gradient(self) -> Callable[[float, float, float],
@@ -877,18 +897,15 @@ class ScalarField:
         :class:`~filippov.errors.EvalDomainError` where a partial
         derivative is not finite (``sqrt(x1)`` at 0) or not defined
         (``x1^x2`` at x1 <= 0).  It takes Python floats."""
-        return _compile(lambda: (self.expr,), "derivatives", self._scan)
-
-    def __call__(self, point) -> float:
-        return self.compiled(float(point[0]), float(point[1]), float(point[2]))
+        return _compile(self._roots, "derivatives", self._scan)
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_Field):
     """Three scalar components forming a vector field on R^3."""
 
     components: tuple[Expr, Expr, Expr]
-    _scan = None  # the joined literal scans of ``parse``; not a field
+    _ROOTS = "components"
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -901,36 +918,15 @@ class VectorField:
         if len(texts) != 3:
             raise ValueError("a vector field needs exactly 3 component strings")
         parsed = [_scanned(text) for text in texts]
-        field = object.__new__(cls)
-        field.__dict__["_parts"] = tuple(part for part, _ in parsed)
-        field.__dict__["_scan"] = _joined([scan for _, scan in parsed])
-        return field
-
-    def __getattr__(self, name: str):
-        # ``components`` of a field made by ``parse``, on its first read
-        if name != "components" or "_parts" not in self.__dict__:
-            raise AttributeError(name)
-        trees = self.__dict__["components"] = tuple(map(_tree, self._parts))
-        return trees
-
-    @cached_property
-    def compiled(self) -> Callable[[float, float, float],
-                                   tuple[float, float, float]]:
-        """One function returning the three components, evaluated in
-        order: the first component that fails names the error.  It takes
-        Python floats."""
-        return _compile(lambda: self.components, "values", self._scan)
+        return cls._parsed(tuple(part for part, _ in parsed),
+                           _joined([scan for _, scan in parsed]))
 
     @cached_property
     def compiled_jacobian(self) -> Callable[[float, float, float], tuple]:
         """One function (x1, x2, x3) -> ((f1, f2, f3), J): row i of the
         exact Jacobian J is the gradient of component i.  It raises as
         :attr:`ScalarField.compiled_gradient` does, and takes floats."""
-        return _compile(lambda: self.components, "derivatives", self._scan)
-
-    def __call__(self, point) -> tuple[float, float, float]:
-        """The three components at a 3-vector point, as a tuple."""
-        return self.compiled(float(point[0]), float(point[1]), float(point[2]))
+        return _compile(self._roots, "derivatives", self._scan)
 
 
 def compile_step(field: VectorField, switch: ScalarField):
@@ -967,45 +963,28 @@ def compile_slide_step(switch: ScalarField, left: VectorField,
 # finite differences
 # --------------------------------------------------------------------------
 
-def _as_scalar_callable(field):
-    if isinstance(field, ScalarField):
-        return lambda p: field(p)
-    return field
-
-
-def gradient_fd(field, point) -> np.ndarray:
-    """Central-difference gradient of a scalar field at a 3-vector point.
-
-    Component steps are ``FD_REL_STEP * max(1, |point_i|)``.  Raises
-    :class:`EvalDomainError` if any stencil point is not evaluable.
-    """
-    f = _as_scalar_callable(field)
-    point = np.asarray(point, dtype=float)
-    grad = np.empty(3)
-    for i in range(3):
-        h = FD_REL_STEP * max(1.0, abs(point[i]))
-        plus = point.copy()
-        minus = point.copy()
-        plus[i] += h
-        minus[i] -= h
-        grad[i] = (f(plus) - f(minus)) / (2.0 * h)
-    return grad
-
-
 def jacobian_fd(field, point) -> np.ndarray:
-    """Central-difference Jacobian of a vector field at a 3-vector point;
-    row i holds the gradient of component i."""
-    if isinstance(field, VectorField):
-        f = lambda p: field(p)
-    else:
-        f = field
-    point = np.asarray(point, dtype=float)
-    jac = np.empty((3, 3))
-    for j in range(3):
-        h = FD_REL_STEP * max(1.0, abs(point[j]))
-        plus = point.copy()
-        minus = point.copy()
+    """Central-difference Jacobian of a vector field at a point of three
+    coordinates; row i holds the gradient of component i.
+
+    ``field`` is called at lists of three floats.  Component steps are
+    ``FD_REL_STEP * max(1, |point_j|)``.  Raises ValueError for a point of
+    any other length, and :class:`EvalDomainError` if any stencil point is
+    not evaluable."""
+    x1, x2, x3 = point
+    point = [float(x1), float(x2), float(x3)]
+    columns = []
+    for j, x in enumerate(point):
+        h = FD_REL_STEP * max(1.0, abs(x))
+        plus, minus = point.copy(), point.copy()
         plus[j] += h
         minus[j] -= h
-        jac[:, j] = (np.asarray(f(plus)) - np.asarray(f(minus))) / (2.0 * h)
-    return jac
+        columns.append([(a - b) / (2.0 * h)
+                        for a, b in zip(field(plus), field(minus))])
+    return np.array(list(zip(*columns)))
+
+
+def gradient_fd(field, point):
+    """Central-difference gradient of a scalar field at a point of three
+    coordinates, as an array: the one row of :func:`jacobian_fd`."""
+    return jacobian_fd(lambda p: (field(p),), point)[0]

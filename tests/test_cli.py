@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from filippov import cli, hybrid
+from filippov import cli, errors, hybrid
 from filippov.cli import build_parser, main
 from filippov.errors import FilippovError
 from filippov.expr import MAX_DEPTH
@@ -540,6 +540,59 @@ def test_every_command_fails_the_same_way(capsys, tmp_path, monkeypatch,
     assert code == 1
     assert "Traceback" not in out + err
     assert err == f"error: {slug}: {exc}\n"
+
+
+# each kind of error and the word(s) its ``error:`` line names it by
+ERROR_KINDS = [
+    (errors.ConstraintViolationError, "constraint-violation"),
+    (errors.DegenerateGradientError, "degenerate-gradient"),
+    (errors.DegenerateSlidingError, "degenerate-sliding"),
+    (errors.EvalDomainError, "eval-domain"),
+    (errors.ExprSyntaxError, "expr-syntax"),
+    (errors.FilippovError, "filippov"),
+    (errors.NearDegenerateError, "near-degenerate"),
+    (errors.NoZeroEigenvalueError, "no-zero-eigenvalue"),
+    (errors.NonFiniteDataError, "non-finite-data"),
+    (errors.NonFiniteStateError, "non-finite-state"),
+    (errors.NotAnEquilibriumError, "not-an-equilibrium"),
+    (errors.NotOnSurfaceError, "not-on-surface"),
+    (errors.RepellingSlidingEncounteredError,
+     "repelling-sliding-encountered"),
+    (errors.TangentRightFieldError, "tangent-right-field"),
+    (errors.ToleranceNotMetError, "tolerance-not-met"),
+    (errors.UnknownIdentifierError, "unknown-identifier"),
+    (ValueError, "value"),
+    (PermissionError, "permission"),
+    (FileNotFoundError, "file-not-found"),
+    (IsADirectoryError, "is-a-directory"),
+    (OSError, "os"),
+]
+
+
+@pytest.mark.parametrize("kind, slug", ERROR_KINDS,
+                         ids=[kind.__name__ for kind, _ in ERROR_KINDS])
+def test_error_kinds_read_as_words(kind, slug):
+    assert cli._slug(kind.__new__(kind)) == slug
+
+
+def test_the_kinds_cover_every_package_error():
+    package = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, FilippovError)}
+    assert package <= {kind for kind, _ in ERROR_KINDS}
+
+
+def test_a_full_disk_is_an_os_error(capsys, tmp_path, monkeypatch):
+    # ENOSPC maps to no subclass of OSError
+    exc = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert type(exc) is OSError
+
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "render_grid", fail)
+    code, out, err = run(capsys, "fig-c", "--out", str(tmp_path / "panels"),
+                         "--nc", "2", "--nd", "2")
+    assert code == 1
+    assert err == f"error: os: {exc}\n"
 
 
 def test_fig_panels_small(capsys, tmp_path):

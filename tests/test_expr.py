@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import math
@@ -527,7 +528,7 @@ def _with_literals(tree, values):
 
 
 def _same_tree(got, text):
-    want = expr._parse(text)  # the recursive-descent parser, uncached
+    want = expr.parse_expr(text)  # the recursive-descent parser, uncached
     assert got == want and repr(got) == repr(want)
 
 
@@ -536,8 +537,8 @@ def test_cached_trees_are_the_parsers(monkeypatch):
     # that skeleton, whatever its literals' values and lengths, is parsed
     # when its tree is read, to the parser's tree
     parsed = []
-    parse = expr._parse
-    monkeypatch.setattr(expr, "_parse",
+    parse = expr.parse_expr
+    monkeypatch.setattr(expr, "parse_expr",
                         lambda text: parsed.append(text) or parse(text))
     rng = np.random.default_rng(12)
     for _ in range(200):
@@ -578,7 +579,8 @@ def test_cache_keeps_the_parsers_errors():
     ]
     for text, offset, message in cases:
         errors = []
-        for parse in (lambda text: ScalarField.parse(text).expr, expr._parse):
+        for parse in (lambda text: ScalarField.parse(text).expr,
+                      expr.parse_expr):
             with pytest.raises(ExprSyntaxError) as exc_info:
                 parse(text)
             errors.append((exc_info.value.offset, str(exc_info.value)))
@@ -645,8 +647,8 @@ def test_cache_is_bounded():
 
 def test_a_known_skeleton_is_parsed_when_its_tree_is_read(monkeypatch):
     parsed = []
-    parse = expr._parse
-    monkeypatch.setattr(expr, "_parse",
+    parse = expr.parse_expr
+    monkeypatch.setattr(expr, "parse_expr",
                         lambda text: parsed.append(text) or parse(text))
     ScalarField.parse("x1 - 0.5*x2^2 + 3e-2")
     VectorField.parse(("x2", "-2*x1 + x3", "sin(x1) - 0.25"))
@@ -672,9 +674,9 @@ def test_a_lazy_field_equals_the_parsers():
         ScalarField.parse(text), VectorField.parse(texts)
         for parse, built in (
                 (lambda: ScalarField.parse(text),
-                 ScalarField(expr._parse(text))),
+                 ScalarField(expr.parse_expr(text))),
                 (lambda: VectorField.parse(texts),
-                 VectorField(tuple(map(expr._parse, texts))))):
+                 VectorField(tuple(map(expr.parse_expr, texts))))):
             assert not {"expr", "components"} & set(vars(parse()))
             assert parse() == built and built == parse()
             assert hash(parse()) == hash(built)
@@ -685,8 +687,8 @@ def test_a_vector_field_mixes_new_and_known_texts(monkeypatch):
     expr._SKELETONS.clear()
     ScalarField.parse("x1*x2 - 0.5")
     parsed = []
-    parse = expr._parse
-    monkeypatch.setattr(expr, "_parse",
+    parse = expr.parse_expr
+    monkeypatch.setattr(expr, "parse_expr",
                         lambda text: parsed.append(text) or parse(text))
     texts = ("x1*x2 - 1.5", "x3^3 - 0.75*x1", "x1*x2 - 2")
     field = VectorField.parse(texts)
@@ -700,8 +702,8 @@ def test_a_program_cache_miss_builds_the_trees(monkeypatch):
     # texts of known skeletons are parsed only when a compile misses the
     # program cache, as a toggled whole exponent makes it do
     parsed, walks = [], []
-    parse, walk = expr._parse, expr._program
-    monkeypatch.setattr(expr, "_parse",
+    parse, walk = expr.parse_expr, expr._program
+    monkeypatch.setattr(expr, "parse_expr",
                         lambda text: parsed.append(text) or parse(text))
     monkeypatch.setattr(expr, "_program",
                         lambda *args: walks.append(args) or walk(*args))
@@ -747,7 +749,7 @@ def test_a_known_system_is_classified_without_a_tree(monkeypatch):
     for k in (0.5, 0.125):
         system = FilippovSystem.parse(*_rotational_texts(k))
         with monkeypatch.context() as patch:
-            patch.setattr(expr, "_parse", fail)
+            patch.setattr(expr, "parse_expr", fail)
             outcome = run(system)
         assert "expr" not in vars(system.switch)
         assert "components" not in vars(system.left)
@@ -1161,6 +1163,44 @@ def test_deepest_trees_compile_in_every_layout():
         _slide_composition(system, point, 1e-3, *k1)
 
 
+# the SHA-256 of the generated source of every layout over
+# _source_corpus(): a change to the generator that moves any line of it
+# updates this pin on purpose
+_SOURCE_SHA256 = \
+    "e8babe434b22b8d62c6e984f350cda891034cf303e20d38c536473fbb73c3bf3"
+
+
+def _source_corpus():
+    """(switch, left, right) trees: CORPUS in turn, seeded random trees,
+    and the deepest trees."""
+    trees = [parse_expr(text) for text in CORPUS]
+    n = len(trees)
+    systems = [(trees[i], tuple(trees[(i + j) % n] for j in (1, 2, 3)),
+                tuple(trees[(i + j) % n] for j in (4, 5, 6)))
+               for i in range(n)]
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        switch, *rest = (_random_tree(rng, 4) for _ in range(7))
+        systems.append((switch, tuple(rest[:3]), tuple(rest[3:])))
+    chain, left, right = _deepest_trees()
+    systems.append((chain, (chain, left, right), (right, left, chain)))
+    return systems
+
+
+def test_generated_source_is_pinned():
+    # the four layouts write, line for line, what they wrote when pinned
+    digest = hashlib.sha256()
+    for switch, left, right in _source_corpus():
+        for roots, layout, fresh in (
+                ((switch,), "values", None), (left, "values", None),
+                ((switch,), "derivatives", None), (left, "derivatives", None),
+                ((*left, switch), "step", 3),
+                ((switch, *left, *right), "slide", None)):
+            program = expr._program(roots, fresh)[0]
+            digest.update(expr._source(program, layout).encode())
+    assert digest.hexdigest() == _SOURCE_SHA256
+
+
 def test_a_line_runs_after_the_operations_the_walk_does_first():
     # x1^-1.5 waits to be added, x3^1.5 is kept by the tangent of its
     # product: the first error at x1 = 0, x3 < 0 is the power the walk
@@ -1335,6 +1375,23 @@ def test_jacobian_derivative_not_finite():
 def test_fields_reject_bad_shapes():
     with pytest.raises(ValueError):
         VectorField.parse(["x1", "x2"])
+
+
+@pytest.mark.parametrize("point", [(1.0, 2.0), (1.0, 2.0, 0.0, 7.0)],
+                         ids=["two", "four"])
+def test_a_point_has_three_coordinates(point):
+    # the fields and the stencil refuse a point of another length rather
+    # than read its first three coordinates
+    scalar = ScalarField.parse("x1 + x2")
+    vector = VectorField.parse(["x1", "x2", "x1*x2"])
+    for call in (scalar, vector, lambda p: gradient_fd(scalar, p),
+                 lambda p: gradient_fd(lambda q: q[0] * q[1], p),
+                 lambda p: jacobian_fd(vector, p),
+                 lambda p: jacobian_fd(tuple, p)):
+        with pytest.raises(ValueError):
+            call(point)
+        with pytest.raises(ValueError):
+            call(np.array(point))
 
 
 def test_scalar_field_is_callable():

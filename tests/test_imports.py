@@ -206,16 +206,15 @@ def _imports_numpy(tree: ast.AST) -> bool:
 def test_the_scalar_chain_holds_no_arrays():
     # the local data, the trichotomy, the simulator and the CLI run on
     # float tuples; numpy stays in the array path (hybrid, sweep) and in
-    # expr's two finite-difference helpers
+    # expr's one finite-difference stencil, jacobian_fd
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert [name for name in ("core", "stability", "spectrum", "simulate",
                               "cli") if _imports_numpy(trees[name])] == []
-    fd_helpers = ("gradient_fd", "jacobian_fd")
     expr_reads = set()
     for node in trees["expr"].body:
         if not (isinstance(node, ast.FunctionDef)
-                and node.name in fd_helpers):
+                and node.name == "jacobian_fd"):
             expr_reads |= _reads(node, "")
     assert "np" not in expr_reads and "numpy" not in expr_reads
     # no module tells the two formats apart
